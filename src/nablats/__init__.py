@@ -10,8 +10,8 @@ Layers, bottom to top:
 - :mod:`nablats.expressions` — a small arithmetic expression language
   with symbolic differentiation, used for integrands.
 - :mod:`nablats.variational` — problem statements, first-order residuals
-  (pointwise, integral-form, finite-horizon), transversality, and
-  weak-maximality comparison.
+  (pointwise, integral-form; the finite-horizon residual at T' is the
+  pointwise one cut at T'), transversality, and weak-maximality comparison.
 - :mod:`nablats.fundamental` — constructive positive-pairing variations
   certifying that a nonzero residual is detectable.
 - :mod:`nablats.solver` — direct search on truncated objectives, brute
@@ -94,7 +94,6 @@ from .variational import (
     Sense,
     Trajectory,
     compute_z,
-    el_integral_constant_spread,
     el_report_indices,
     el_residual_integral,
     el_residual_pointwise,
@@ -152,7 +151,6 @@ __all__ = [
     "differentiate",
     "direct_solve",
     "dubois_reymond_check",
-    "el_integral_constant_spread",
     "el_report_indices",
     "el_residual_integral",
     "el_residual_pointwise",

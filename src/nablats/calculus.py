@@ -11,18 +11,19 @@ Semantics on a grid with per-gap kinds:
   across sampled gaps.
 
 Integrals are accumulated with exactly rounded summation (math.fsum) in
-ascending t order, so results are bit-reproducible.
+ascending t order, so results are bit-reproducible; ``running_fsum`` gives
+every prefix of such a sum in one pass.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .timescale import GapKind, TimeScale, TimeScaleError
+from .timescale import GapKind, TimeScale
 
 
 class CalculusError(ValueError):
@@ -93,8 +94,7 @@ class GridFunction:
 
     def rho_values(self) -> np.ndarray:
         """Array of f(rho(t)) for every grid point t."""
-        idx = [self.ts.rho_index(i) for i in range(len(self.ts))]
-        return self.values[idx]
+        return self.values[self.ts.rho_indices]
 
     # -- arithmetic (same grid required) --------------------------------------
 
@@ -158,13 +158,77 @@ def nabla_derivative_fn(f: GridFunction) -> GridFunction:
     forward difference when it is right-dense); the result is flagged with
     ``min_copied=True``.
     """
-    steps = f.ts.local_steps[1:, None]
-    dv = (f.values[1:] - f.values[:-1]) / steps
-    out = np.vstack([dv[0], dv])
-    return GridFunction(f.ts, out, min_copied=True)
+    return GridFunction(f.ts, nabla_quotients(f.values, f.ts.local_steps), min_copied=True)
+
+
+def nabla_quotients(values: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Backward difference quotients along the grid axis (-2) of ``values``.
+
+    ``steps`` are the local steps of those grid rows; leading batch axes
+    carry through.  Row 0 copies row 1, as in ``nabla_derivative_fn``.
+    """
+    dv = np.diff(values, axis=-2) / steps[1:, None]
+    return np.concatenate((dv[..., :1, :], dv), axis=-2)
 
 
 # -- integral -----------------------------------------------------------------
+
+
+def running_fsum(terms) -> np.ndarray:
+    """out[j] = math.fsum(terms[: j + 1]), bit for bit, in one pass.
+
+    Keeps Shewchuk's non-overlapping partials (the state of math.fsum)
+    between prefixes and rounds them once per prefix the way math.fsum
+    rounds at its end.  A non-finite term or an intermediate overflow hands
+    the remaining prefixes to math.fsum itself, so special values and
+    OverflowError come out exactly as from math.fsum.
+    """
+    vals = np.asarray(terms, dtype=float).tolist()
+    out: list[float] = []
+    partials: list[float] = []
+    for j, x in enumerate(vals):
+        i = 0
+        for y in partials:
+            if abs(x) < abs(y):
+                x, y = y, x
+            hi = x + y
+            lo = y - (hi - x)
+            if lo:
+                partials[i] = lo
+                i += 1
+            x = hi
+        del partials[i:]
+        if x:
+            if not math.isfinite(x):
+                out += [math.fsum(vals[: k + 1]) for k in range(j, len(vals))]
+                break
+            partials.append(x)
+        out.append(_round_partials(partials))
+    return np.array(out, dtype=float)
+
+
+def _round_partials(partials: list[float]) -> float:
+    """The correctly rounded sum of non-overlapping partials (math.fsum's last step)."""
+    n = len(partials)
+    if not n:
+        return 0.0
+    n -= 1
+    hi, lo = partials[n], 0.0
+    while n > 0:
+        x = hi
+        n -= 1
+        y = partials[n]
+        hi = x + y
+        lo = y - (hi - x)
+        if lo:
+            break
+    # half-even rounding across partials, as in math.fsum
+    if n > 0 and ((lo < 0.0 and partials[n - 1] < 0.0) or (lo > 0.0 and partials[n - 1] > 0.0)):
+        y = lo * 2.0
+        x = hi + y
+        if y == x - hi:
+            hi = x
+    return hi
 
 
 def _integral_terms(f: GridFunction, ia: int, ib: int) -> np.ndarray:
@@ -188,21 +252,12 @@ def nabla_integral(f: GridFunction, a: float, b: float) -> np.ndarray:
 
 
 def local_rho_integral(f: GridFunction, t: float) -> np.ndarray:
-    """nu(t) * f(t), the nabla integral of f over (rho(t), t].
-
-    Zero at left-dense points.  At left-scattered points the product is
-    asserted against the explicit single-term integral.
-    """
+    """nu(t) * f(t), the nabla integral of f over (rho(t), t]; zero at left-dense points."""
     ts = f.ts
     i = ts.index_of(t)
     if i not in ts.kappa_indices:
         raise OutsideKappaError(f"{t!r} lies outside the kappa set")
-    nu = ts.nu(t)
-    out = nu * f.values[i]
-    if nu > 0.0:
-        direct = nabla_integral(f, ts.rho(t), t)
-        assert np.array_equal(direct, out), "local rho-integral disagrees with quadrature"
-    return out
+    return ts.nu(t) * f.values[i]
 
 
 def integration_by_parts_residual(f: GridFunction, g: GridFunction, a: float, b: float) -> float:
@@ -232,11 +287,14 @@ def partial_integrals(f: GridFunction, a: float) -> list[tuple[float, float | np
     """
     ts = f.ts
     ia = ts.index_of(a)
-    out = []
-    for j in range(ia + 1, len(ts)):
-        val = nabla_integral(f, a, ts.points[j])
-        out.append((ts.points[j], float(val[0]) if f.dim == 1 else val))
-    return out
+    terms = _integral_terms(f, ia, len(ts) - 1)
+    sums = np.empty(terms.shape)
+    for c in range(f.dim):
+        sums[:, c] = running_fsum(terms[:, c])
+    return [
+        (t, float(row[0]) if f.dim == 1 else row)
+        for t, row in zip(ts.points[ia + 1 :], sums)
+    ]
 
 
 # -- tail infima --------------------------------------------------------------

@@ -17,9 +17,9 @@ A run file is flat INI with these sections (all keys ``key = value``):
 ``[solve]``
     Search options: ``T_trunc`` (required), ``terminal`` (``free`` or
     ``pinned: v1, ..., vn``), ``max_iters``, ``step_init``, ``grad_tol``,
-    ``seed``, ``gradient`` (``fd``/``analytic``), ``precondition``
-    (boolean), and ``truncations`` (comma list of horizon cut points for
-    the horizon table; defaults to just ``T_trunc``).
+    ``gradient`` (``fd``/``analytic``), ``precondition`` (boolean), and
+    ``truncations`` (comma list of horizon cut points for the horizon
+    table; defaults to just ``T_trunc``).
 
 ``[report]``
     ``tolerance`` (pass/fail threshold for residual and margin checks,
@@ -239,7 +239,6 @@ def _options(cp: configparser.ConfigParser) -> tuple[Optional[SolveOptions], tup
             max_iters=_int(cp, "solve", "max_iters", 2000),
             step_init=_float(cp, "solve", "step_init", 1.0),
             grad_tol=_float(cp, "solve", "grad_tol", 1e-6),
-            seed=_int(cp, "solve", "seed", 0),
             gradient=_get(cp, "solve", "gradient", "fd").strip().lower(),
             precondition=_bool(cp, "solve", "precondition", False),
         )

@@ -23,23 +23,21 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
-from .calculus import GridFunction
+from .calculus import running_fsum
 from .expressions import evaluate_many, to_source
-from .timescale import GapKind, TimeScale
 from .variational import (
     Problem,
     ProblemError,
     Trajectory,
+    _ELCore,
     el_report_indices,
-    el_residual_pointwise,
     evaluate_functional_partial,
-    transversality_residual_T1,
-    transversality_residual_T2,
+    path_env,
 )
 
 
@@ -86,7 +84,6 @@ class SolveOptions:
     max_iters: int = 2000
     step_init: float = 1.0
     grad_tol: float = 1e-6
-    seed: int = 0
     gradient: str = "fd"
     precondition: bool = False
 
@@ -132,10 +129,8 @@ class _Engine:
             raise ProblemError("T_trunc must lie strictly past the initial point")
         self.n = p.n
         self.w = np.asarray(ts.local_steps[: self.K + 1])
-        self.t_inner = ts.points_array[1 : self.K + 1]
-        self.scattered = np.array(
-            [k is GapKind.SCATTERED for k in ts.gap_kinds[: self.K]]
-        )
+        # scattered[j - 1]: grid point j is left-scattered
+        self.scattered = ts.rho_indices[1 : self.K + 1] < np.arange(1, self.K + 1)
         free = list(range(1, self.K + 1))
         if opts.terminal_mode.kind == "pinned":
             free.remove(self.K)
@@ -157,14 +152,8 @@ class _Engine:
         return x
 
     def _env(self, x: np.ndarray) -> dict[str, np.ndarray]:
-        head = x[: self.K + 1]
-        v = np.diff(head, axis=0) / self.w[1:, None]
-        xr = np.where(self.scattered[:, None], head[:-1], head[1:])
-        env: dict[str, np.ndarray] = {"t": self.t_inner}
-        for c in range(self.n):
-            env[f"x{c + 1}"] = xr[:, c]
-            env[f"v{c + 1}"] = v[:, c]
-        return env
+        """``path_env`` on grid rows 1..K; x may carry a leading batch axis."""
+        return {key: a[..., 1:] for key, a in path_env(self.p.ts, x, self.K).items()}
 
     def _eval(self, expr, env, what: str) -> np.ndarray:
         vals = np.broadcast_to(
@@ -173,7 +162,7 @@ class _Engine:
         if not np.all(np.isfinite(vals)):
             bad = int(np.argmax(~np.isfinite(vals)))
             raise NonFiniteObjectiveError(
-                f"{what} '{to_source(expr)}' is non-finite at t={self.t_inner[bad]!r} "
+                f"{what} '{to_source(expr)}' is non-finite at t={env['t'][bad]!r} "
                 "during the search"
             )
         return vals
@@ -185,8 +174,7 @@ class _Engine:
         # masquerades as a decrease
         env = self._env(x)
         gvals = self._eval(self.p.z_integrand, env, "z integrand")
-        terms = self.w[1:] * gvals
-        env["z"] = np.array([math.fsum(terms[: j + 1]) for j in range(self.K)])
+        env["z"] = running_fsum(self.w[1:] * gvals)
         lvals = self._eval(self.p.effective_lagrangian, env, "objective integrand")
         return math.fsum(self.w[1:] * lvals)
 
@@ -372,7 +360,7 @@ def brute_force(p: Problem, opts: SolveOptions, value_grid) -> Trajectory:
             f"{G}^{F} = {total} assignments exceed the enumeration guard of {GUARD}"
         )
     base = eng.initial_values()
-    K, n = eng.K, eng.n
+    K = eng.K
     weights = G ** np.arange(F - 1, -1, -1, dtype=np.int64)
 
     best_val = -math.inf
@@ -399,12 +387,7 @@ def brute_force(p: Problem, opts: SolveOptions, value_grid) -> Trajectory:
 def _batch_objective(eng: _Engine, xb: np.ndarray) -> np.ndarray:
     """Vectorized truncated objective over a batch of head segments."""
     w = eng.w
-    v = np.diff(xb, axis=1) / w[1:, None]
-    xr = np.where(eng.scattered[:, None], xb[:, :-1], xb[:, 1:])
-    env: dict[str, object] = {"t": eng.t_inner}
-    for c in range(eng.n):
-        env[f"x{c + 1}"] = xr[:, :, c]
-        env[f"v{c + 1}"] = v[:, :, c]
+    env = eng._env(xb)
     B = xb.shape[0]
     g = np.broadcast_to(
         np.asarray(evaluate_many(eng.p.z_integrand, env), dtype=float), (B, eng.K)
@@ -426,19 +409,25 @@ class HorizonRow:
     max_el_residual: float
     trans_T1: float
     trans_T2: float
-    objective: float
     trans_applicable: bool
+    solution: Trajectory = field(repr=False, compare=False)
+    info: SolveInfo = field(repr=False, compare=False)
+
+    @property
+    def objective(self) -> float:
+        """The literal objective of the solution at T_trunc."""
+        return self.info.objective
 
 
 def horizon_study(p: Problem, truncations, opts: SolveOptions) -> list[HorizonRow]:
     """Re-solve at each truncation and tabulate residual magnitudes.
 
-    For every truncation point: solve, record the largest pointwise
+    For every truncation point: solve once, record the largest pointwise
     Euler-Lagrange residual over reported points up to the truncation,
     both transversality residual magnitudes at the truncation, and the
-    literal objective value.  Transversality is a free-endpoint
-    condition, so rows solved with a pinned terminal carry
-    ``trans_applicable=False``.
+    literal objective value, all from one residual core of the solution.
+    Transversality is a free-endpoint condition, so rows solved with a
+    pinned terminal carry ``trans_applicable=False``.
     """
     ts = p.ts
     cuts = [float(T) for T in truncations]
@@ -447,21 +436,19 @@ def horizon_study(p: Problem, truncations, opts: SolveOptions) -> list[HorizonRo
     rows = []
     for T in cuts:
         o = replace(opts, T_trunc=T)
-        x = direct_solve(p, o)
-        K = ts.index_of(T)
-        report = [j for j in el_report_indices(ts) if j <= K]
-        max_res = 0.0
-        for j in report:
-            r = el_residual_pointwise(p, x, ts.points[j], T)
-            max_res = max(max_res, float(np.max(np.abs(r))))
+        x, info = direct_solve(p, o, with_info=True)
+        core = _ELCore(p, x, T)
+        R = core.pointwise()
+        report = [j for j in el_report_indices(ts) if j <= core.k]
         rows.append(
             HorizonRow(
                 T_trunc=T,
-                max_el_residual=max_res,
-                trans_T1=abs(transversality_residual_T1(p, x, T)),
-                trans_T2=abs(transversality_residual_T2(p, x, T)),
-                objective=evaluate_functional_partial(p, x, T),
+                max_el_residual=max([0.0] + [float(np.max(np.abs(R[j]))) for j in report]),
+                trans_T1=abs(core.trans_T1(core.k)),
+                trans_T2=abs(core.trans_T2(core.k)),
                 trans_applicable=o.terminal_mode.kind == "free",
+                solution=x,
+                info=info,
             )
         )
     return rows

@@ -69,16 +69,10 @@ class PointClass:
 
 @dataclass(frozen=True)
 class TimeScale:
-    """A finite, strictly increasing grid with per-gap kinds.
-
-    ``unbounded_above`` marks the grid as a truncation of a scale that
-    continues past the last point; it is advisory (reports may mention it)
-    and does not change any operator below.
-    """
+    """A finite, strictly increasing grid with per-gap kinds."""
 
     points: tuple[float, ...]
     gap_kinds: tuple[GapKind, ...]
-    unbounded_above: bool = False
 
     def __post_init__(self):
         if len(self.points) < 2:
@@ -117,6 +111,14 @@ class TimeScale:
         return arr
 
     @cached_property
+    def rho_indices(self) -> np.ndarray:
+        """rho_indices[i] = index of rho(points[i]): i - 1 after a scattered gap, else i."""
+        arr = np.arange(len(self.points))
+        arr[1:] -= np.array([k is GapKind.SCATTERED for k in self.gap_kinds])
+        arr.setflags(write=False)
+        return arr
+
+    @cached_property
     def kappa_indices(self) -> tuple[int, ...]:
         if self.gap_kinds[0] is GapKind.SCATTERED:
             return tuple(range(1, len(self.points)))
@@ -148,10 +150,7 @@ class TimeScale:
 
     def rho(self, t: float) -> float:
         """Backward jump; rho(min) = min, rho(t) = t at left-dense points."""
-        i = self.index_of(t)
-        if i == 0 or self.gap_kinds[i - 1] is GapKind.DENSE_SAMPLE:
-            return self.points[i]
-        return self.points[i - 1]
+        return self.points[self.rho_indices[self.index_of(t)]]
 
     def sigma(self, t: float) -> float:
         """Forward jump; sigma(max) = max, sigma(t) = t at right-dense points."""
@@ -163,22 +162,11 @@ class TimeScale:
     def nu(self, t: float) -> float:
         """Backward graininess nu(t) = t - rho(t)."""
         i = self.index_of(t)
-        if i == 0 or self.gap_kinds[i - 1] is GapKind.DENSE_SAMPLE:
-            return 0.0
-        return self.points[i] - self.points[i - 1]
-
-    def rho_index(self, i: int) -> int:
-        """Index of rho(points[i])."""
-        if i == 0 or self.gap_kinds[i - 1] is GapKind.DENSE_SAMPLE:
-            return i
-        return i - 1
+        return self.points[i] - self.points[self.rho_indices[i]]
 
     def classify(self, t: float) -> PointClass:
         i = self.index_of(t)
-        if i == 0:
-            left = Side.DENSE  # rho(min) = min
-        else:
-            left = Side.DENSE if self.gap_kinds[i - 1] is GapKind.DENSE_SAMPLE else Side.SCATTERED
+        left = Side.DENSE if self.rho_indices[i] == i else Side.SCATTERED  # rho(min) = min
         if i == len(self.points) - 1:
             right = Side.DENSE  # sigma(max) = max
         else:
@@ -269,14 +257,10 @@ def union(scales: Sequence[TimeScale]) -> TimeScale:
             kinds.append(GapKind.SCATTERED)
         pts.extend(s.points)
         kinds.extend(s.gap_kinds)
-    return TimeScale(tuple(pts), tuple(kinds), unbounded_above=parts[-1].unbounded_above)
+    return TimeScale(tuple(pts), tuple(kinds))
 
 
-def from_points(
-    points: Iterable[float],
-    gap_kinds: Iterable[GapKind | str],
-    unbounded_above: bool = False,
-) -> TimeScale:
+def from_points(points: Iterable[float], gap_kinds: Iterable[GapKind | str]) -> TimeScale:
     """Build a grid from explicit points and gap kinds.
 
     Gap kinds may be GapKind values or the strings "scattered" /
@@ -294,4 +278,4 @@ def from_points(
                 kinds.append(GapKind.DENSE_SAMPLE)
             else:
                 raise TimeScaleError(f"unknown gap kind {k!r}")
-    return TimeScale(tuple(float(p) for p in points), tuple(kinds), unbounded_above)
+    return TimeScale(tuple(float(p) for p in points), tuple(kinds))

@@ -16,12 +16,16 @@ residuals:
 
 * the pointwise Euler-Lagrange residual at horizon T',
       gx*I - (gv*I)^nabla + Lx - Lv^nabla,     I(t) = int_{rho(t)}^{T'} Lz,
-  which vanishes along a maximizer for every t and every T' >= t;
+  which vanishes along a maximizer for every t and every T' >= t; the
+  finite-horizon residual at T' (``check-el --form finite``) is this
+  residual, so it gives the pointwise statistic at T';
 * the integral (Dubois-Reymond) form, constant in t at a maximizer;
 * two transversality residuals whose tail infima vanish at a maximizer;
 * a weak-maximizer margin comparing two admissible trajectories through the
   tail infimum of truncated objective differences.
 
+All of them read one path (``path_env``: t, x at rho(t) and the nabla
+derivative, then z) and one exact running sum (``calculus.running_fsum``).
 Composite quantities (Lv along the path, gv times the inner integral) are
 nabla-differentiated numerically from their grid samples.  Values that would
 require the undefined derivative at a right-scattered minimum use the
@@ -37,10 +41,8 @@ from __future__ import annotations
 import csv
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -49,7 +51,8 @@ from .calculus import (
     GridMismatchError,
     OutsideKappaError,
     liminf_estimate,
-    nabla_derivative_fn,
+    nabla_quotients,
+    running_fsum,
 )
 from .expressions import (
     Expr,
@@ -186,25 +189,29 @@ def _check_trajectory(p: Problem, x: Trajectory):
 # -- path evaluation ------------------------------------------------------------
 
 
-def _prefix_fsum(terms: np.ndarray) -> np.ndarray:
-    """prefix[j] = fsum(terms[1..j]); terms[0] is ignored (weight 0 at the min)."""
-    out = np.empty(len(terms))
-    out[0] = 0.0
-    for j in range(1, len(terms)):
-        out[j] = math.fsum(terms[1 : j + 1])
-    return out
+def path_env(ts: TimeScale, values: np.ndarray, k: int) -> dict[str, np.ndarray]:
+    """Arrays of t, x_i at rho(t) and v_i (nabla derivative) on grid rows 0..k.
 
-
-def _path_env(p: Problem, x: Trajectory) -> dict[str, np.ndarray]:
-    """Arrays of t, x_rho and x_nabla along the trajectory (z added separately)."""
-    ts = p.ts
-    xd = nabla_derivative_fn(x.x).values
-    xr = x.x.rho_values()
-    env: dict[str, np.ndarray] = {"t": ts.points_array}
-    for i in range(p.n):
-        env[f"x{i + 1}"] = xr[:, i]
-        env[f"v{i + 1}"] = xd[:, i]
+    ``values`` has shape (..., rows, n) with rows > k; a leading batch axis
+    carries through.  Row 0 copies the derivative of row 1, the
+    successor-copy convention of ``nabla_derivative_fn``.
+    """
+    head = values[..., : k + 1, :]
+    v = nabla_quotients(head, ts.local_steps[: k + 1])
+    xr = head[..., ts.rho_indices[: k + 1], :]
+    env: dict[str, np.ndarray] = {"t": ts.points_array[: k + 1]}
+    for i in range(values.shape[-1]):
+        env[f"x{i + 1}"] = xr[..., i]
+        env[f"v{i + 1}"] = v[..., i]
     return env
+
+
+def _integrals(terms: np.ndarray) -> np.ndarray:
+    """Exact nabla integrals over (a, t_j] for every j, per column of the
+    grid-aligned ``terms``; terms[0] carries the zero weight at the minimum."""
+    sums = np.apply_along_axis(running_fsum, 0, terms[1:])
+    return np.concatenate((np.zeros((1,) + sums.shape[1:]), sums))
+
 
 def _eval_checked(expr: Expr, env, ts: TimeScale, what: str) -> np.ndarray:
     vals = np.broadcast_to(np.asarray(evaluate_many(expr, env), dtype=float), (len(ts),)).copy()
@@ -217,13 +224,24 @@ def _eval_checked(expr: Expr, env, ts: TimeScale, what: str) -> np.ndarray:
     return vals
 
 
+def _path(p: Problem, x: Trajectory) -> dict[str, np.ndarray]:
+    """``path_env`` over the whole grid plus the accumulated z."""
+    _check_trajectory(p, x)
+    env = path_env(p.ts, x.values, len(p.ts) - 1)
+    gvals = _eval_checked(p.z_integrand, env, p.ts, "z integrand")
+    env["z"] = _integrals(p.ts.local_steps * gvals)
+    return env
+
+
+def _running_objective(p: Problem, x: Trajectory) -> np.ndarray:
+    """J[j] = integral of the literal L over (a, t_j] along x, for every j."""
+    lvals = _eval_checked(p.lagrangian, _path(p, x), p.ts, "lagrangian")
+    return _integrals(p.ts.local_steps * lvals)
+
+
 def compute_z(p: Problem, x: Trajectory) -> GridFunction:
     """The accumulated constraint integral z along x; z(a) = 0."""
-    _check_trajectory(p, x)
-    env = _path_env(p, x)
-    gvals = _eval_checked(p.z_integrand, env, p.ts, "z integrand")
-    terms = p.ts.local_steps * gvals
-    return GridFunction.scalar(p.ts, _prefix_fsum(terms))
+    return GridFunction.scalar(p.ts, _path(p, x)["z"])
 
 
 def evaluate_functional_partial(p: Problem, x: Trajectory, T_prime: float) -> float:
@@ -235,64 +253,45 @@ def evaluate_functional_partial(p: Problem, x: Trajectory, T_prime: float) -> fl
     k = p.ts.index_of(T_prime)
     if k == 0:
         raise ProblemError(f"T_prime={T_prime!r} must lie strictly past the initial point")
-    env = _path_env(p, x)
-    env["z"] = compute_z(p, x).values[:, 0]
-    lvals = _eval_checked(p.lagrangian, env, p.ts, "lagrangian")
-    terms = p.ts.local_steps * lvals
-    return math.fsum(terms[1 : k + 1])
+    return float(_running_objective(p, x)[k])
 
 
 # -- Euler-Lagrange residual core ------------------------------------------------
 
 
 class _ELCore:
-    """All per-point arrays needed by the residual operators, computed once."""
+    """All per-point arrays of the residual operators along x at horizon T' = t_k."""
 
-    def __init__(self, p: Problem, x: Trajectory):
-        _check_trajectory(p, x)
+    def __init__(self, p: Problem, x: Trajectory, T_prime: float):
+        env = _path(p, x)
         ts = p.ts
-        self.p, self.x, self.ts = p, x, ts
-        env = _path_env(p, x)
-        env["z"] = compute_z(p, x).values[:, 0]
+        self.x, self.ts = x, ts
         d = p.partials
-        m, n = len(ts), p.n
         self.Lz = _eval_checked(d["Lz"], env, ts, "dL/dz")
         self.Lx = np.column_stack([_eval_checked(e, env, ts, "dL/dx") for e in d["Lx"]])
         self.Lv = np.column_stack([_eval_checked(e, env, ts, "dL/dv") for e in d["Lv"]])
         self.gx = np.column_stack([_eval_checked(e, env, ts, "dg/dx") for e in d["gx"]])
         self.gv = np.column_stack([_eval_checked(e, env, ts, "dg/dv") for e in d["gv"]])
         w = ts.local_steps
-        self.P = _prefix_fsum(w * self.Lz)  # P[j] = int_a^{t_j} Lz
-        self.CumLx = np.column_stack([_prefix_fsum(w * self.Lx[:, i]) for i in range(n)])
-        self.rho_idx = np.array([ts.rho_index(j) for j in range(m)])
-        self.nu_true = np.where(self.rho_idx == np.arange(m), 0.0, w)
+        self.CumLx = _integrals(w[:, None] * self.Lx)
+        self.nu_true = np.where(ts.rho_indices == np.arange(len(ts)), 0.0, w)
+        self.k = k = ts.index_of(T_prime)
+        P = _integrals(w * self.Lz)  # P[j] = int_a^{t_j} Lz
+        # I[j] = integral of Lz over (rho(t_j), T'], one column per component
+        self.I = (P[k] - P[ts.rho_indices])[:, None]
 
-    def inner_integral(self, k: int) -> np.ndarray:
-        """I[j] = integral of Lz over (rho(t_j), T'] with T' = t_k."""
-        return self.P[k] - self.P[self.rho_idx]
-
-    def pointwise(self, k: int) -> np.ndarray:
+    def pointwise(self) -> np.ndarray:
         """Residual array (m, n); rows past k are meaningless, row at the
         minimum (and its successor on scattered-start grids) use copied
         derivative values."""
-        ts, p = self.ts, self.p
-        I = self.inner_integral(k)
-        out = np.empty_like(self.Lx)
-        for i in range(p.n):
-            dG = nabla_derivative_fn(GridFunction.scalar(ts, self.gv[:, i] * I)).values[:, 0]
-            dLv = nabla_derivative_fn(GridFunction.scalar(ts, self.Lv[:, i])).values[:, 0]
-            out[:, i] = self.gx[:, i] * I - dG + self.Lx[:, i] - dLv
-        return out
+        dG = nabla_quotients(self.gv * self.I, self.ts.local_steps)
+        dLv = nabla_quotients(self.Lv, self.ts.local_steps)
+        return self.gx * self.I - dG + self.Lx - dLv
 
-    def integral_form(self, k: int) -> np.ndarray:
+    def integral_form(self) -> np.ndarray:
         """Dubois-Reymond form array (m, n): constant in t at a maximizer."""
-        I = self.inner_integral(k)
-        w = self.ts.local_steps
-        out = np.empty_like(self.Lx)
-        for i in range(self.p.n):
-            cum_gI = _prefix_fsum(w * self.gx[:, i] * I)
-            out[:, i] = (cum_gI[k] - cum_gI) + self.gv[:, i] * I + self.Lv[:, i] - self.CumLx[:, i]
-        return out
+        cum_gI = _integrals(self.ts.local_steps[:, None] * self.gx * self.I)
+        return (cum_gI[self.k] - cum_gI) + self.gv * self.I + self.Lv - self.CumLx
 
     def trans_T1(self, j: int) -> float:
         bracket = self.Lv[j] + self.gv[j] * (self.nu_true[j] * self.Lz[j])
@@ -324,53 +323,37 @@ def _require_kappa(ts: TimeScale, t: float) -> int:
 
 def finite_horizon_el_residual(p: Problem, x: Trajectory, b: float, t: float) -> np.ndarray:
     """Euler-Lagrange residual at t for the problem truncated at horizon b."""
-    core = _ELCore(p, x)
-    k = p.ts.index_of(b)
-    j = _require_kappa(p.ts, t)
-    if j > k:
-        raise ProblemError(f"t={t!r} exceeds the horizon b={b!r}")
-    return core.pointwise(k)[j]
+    return el_residual_pointwise(p, x, t, b)
 
 
 def el_residual_pointwise(p: Problem, x: Trajectory, t: float, T_prime: float) -> np.ndarray:
     """Pointwise residual at t with tail integrals cut at T' (T' >= t)."""
-    core = _ELCore(p, x)
-    k = p.ts.index_of(T_prime)
+    core = _ELCore(p, x, T_prime)
     j = _require_kappa(p.ts, t)
-    if j > k:
+    if j > core.k:
         raise ProblemError(f"t={t!r} exceeds T_prime={T_prime!r}")
-    return core.pointwise(k)[j]
+    return core.pointwise()[j]
 
 
 def el_residual_integral(p: Problem, x: Trajectory, t: float, T_prime: float) -> np.ndarray:
     """Integral (Dubois-Reymond) form at t; constant in t at a maximizer."""
-    core = _ELCore(p, x)
-    k = p.ts.index_of(T_prime)
+    core = _ELCore(p, x, T_prime)
     j = p.ts.index_of(t)
-    if j > k:
+    if j > core.k:
         raise ProblemError(f"t={t!r} exceeds T_prime={T_prime!r}")
-    return core.integral_form(k)[j]
-
-
-def el_integral_constant_spread(p: Problem, x: Trajectory, T_prime: float) -> np.ndarray:
-    """max - min of the integral form over kappa points up to T', per component."""
-    core = _ELCore(p, x)
-    k = p.ts.index_of(T_prime)
-    rows = [j for j in p.ts.kappa_indices if j <= k]
-    F = core.integral_form(k)[rows]
-    return F.max(axis=0) - F.min(axis=0)
+    return core.integral_form()[j]
 
 
 def transversality_residual_T1(p: Problem, x: Trajectory, T_prime: float) -> float:
     """x(T') . [Lv(T') + gv(T') * nu(T') * Lz(T')]."""
-    core = _ELCore(p, x)
-    return core.trans_T1(p.ts.index_of(T_prime))
+    core = _ELCore(p, x, T_prime)
+    return core.trans_T1(core.k)
 
 
 def transversality_residual_T2(p: Problem, x: Trajectory, T_prime: float) -> float:
     """x(T') . integral of Lx over (a, T']."""
-    core = _ELCore(p, x)
-    return core.trans_T2(p.ts.index_of(T_prime))
+    core = _ELCore(p, x, T_prime)
+    return core.trans_T2(core.k)
 
 
 def weak_max_compare(
@@ -389,14 +372,8 @@ def weak_max_compare(
     _check_trajectory(p, x_candidate)
     _check_trajectory(p, x_star)
     sign = -1.0 if p.sense is Sense.MIN else 1.0
-    seq = []
-    for j in range(1, len(p.ts)):
-        T = p.ts.points[j]
-        d = sign * (
-            evaluate_functional_partial(p, x_candidate, T)
-            - evaluate_functional_partial(p, x_star, T)
-        )
-        seq.append((T, d))
+    D = sign * (_running_objective(p, x_candidate) - _running_objective(p, x_star))
+    seq = list(zip(p.ts.points[1:], D[1:].tolist()))
     return liminf_estimate(seq, cauchy_tol=cauchy_tol).value
 
 
@@ -413,7 +390,6 @@ class ResidualReport:
     el_integral_constant_spread: np.ndarray
     trans_T1: list[tuple[float, float]]
     trans_T2: list[tuple[float, float]]
-    weak_max_margin: float | None = None
 
     @property
     def max_pointwise(self) -> float:
@@ -441,10 +417,6 @@ class ResidualReport:
                 wr.writerow([repr(t), repr(self.T_prime), 0, repr(v), "trans_T1"])
             for t, v in self.trans_T2:
                 wr.writerow([repr(t), repr(self.T_prime), 0, repr(v), "trans_T2"])
-            if self.weak_max_margin is not None:
-                wr.writerow(
-                    [repr(self.T_prime), repr(self.T_prime), 0, repr(self.weak_max_margin), "weak_max_margin"]
-                )
 
 
 def residual_report(p: Problem, x: Trajectory, T_prime: float | None = None) -> ResidualReport:
@@ -452,12 +424,12 @@ def residual_report(p: Problem, x: Trajectory, T_prime: float | None = None) -> 
     ts = p.ts
     if T_prime is None:
         T_prime = ts.points[-1]
-    core = _ELCore(p, x)
-    k = ts.index_of(T_prime)
+    core = _ELCore(p, x, T_prime)
+    k = core.k
     if k == 0:
         raise ProblemError("T_prime must lie strictly past the initial point")
-    R = core.pointwise(k)
-    F = core.integral_form(k)
+    R = core.pointwise()
+    F = core.integral_form()
     rows_pw = [j for j in el_report_indices(ts) if j <= k]
     rows_int = [j for j in ts.kappa_indices if j <= k]
     el_pw = [(ts.points[j], R[j]) for j in rows_pw]

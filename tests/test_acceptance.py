@@ -27,7 +27,6 @@ from nablats import (
     construct_violating_variation,
     differentiate,
     direct_solve,
-    el_integral_constant_spread,
     el_report_indices,
     el_residual_integral,
     el_residual_pointwise,
@@ -40,6 +39,7 @@ from nablats import (
     integration_by_parts_residual,
     nabla_derivative_fn,
     nabla_integral,
+    residual_report,
     sampled_interval,
     trajectory_to_csv,
     weak_max_compare,
@@ -186,7 +186,7 @@ def test_criterion_4_accumulator_coupled_residuals():
         float(np.max(np.abs(el_residual_pointwise(p, traj, ts.points[j], T_prime))))
         for j in idx
     )
-    spread = float(np.max(el_integral_constant_spread(p, traj, T_prime)))
+    spread = float(np.max(residual_report(p, traj, T_prime).el_integral_constant_spread))
     F = GridFunction(
         ts, np.array([el_residual_integral(p, traj, t, T_prime) for t in ts.points])
     )

@@ -19,8 +19,17 @@ from nablats.calculus import (
     nabla_derivative_fn,
     nabla_integral,
     partial_integrals,
+    running_fsum,
 )
-from nablats.timescale import GapKind, from_points, integers, q_scale, sampled_interval
+from nablats.timescale import (
+    GapKind,
+    from_points,
+    integers,
+    q_scale,
+    sampled_interval,
+    uniform,
+    union,
+)
 
 
 def rel_err(a, b):
@@ -195,6 +204,92 @@ class TestLocalRhoIntegral:
         f = GridFunction.from_callable(ts, lambda t: 1.0)
         with pytest.raises(OutsideKappaError):
             local_rho_integral(f, 0.0)
+
+    @pytest.mark.parametrize(
+        "ts",
+        [
+            integers(-2, 6),
+            uniform(0.0, 1.0, 0.125),
+            sampled_interval(0.0, 2.0, 7),
+            q_scale(1.5, 0.5, 9),
+            union([integers(0, 3), sampled_interval(3.5, 4.5, 5), q_scale(2.0, 8.0, 4)]),
+            from_points([0.0, 0.1, 0.3, 1.0, 1.25, 2.0], ["d", "d", "s", "d", "s"]),
+        ],
+        ids=["integers", "uniform", "sampled_interval", "q_scale", "union", "from_points"],
+    )
+    def test_local_step_is_graininess_on_every_builder(self, ts):
+        # nu(t_i) is the local step at left-scattered points and 0 at
+        # left-dense ones, so the local rho-integral is the one-term quadrature
+        f = GridFunction.scalar(ts, np.random.default_rng(5).uniform(-3.0, 3.0, len(ts)))
+        for i, t in enumerate(ts.points):
+            left_scattered = i > 0 and ts.gap_kinds[i - 1] is GapKind.SCATTERED
+            assert ts.nu(t) == (ts.local_steps[i] if left_scattered else 0.0)
+            if i in ts.kappa_indices:
+                assert np.array_equal(local_rho_integral(f, t), nabla_integral(f, ts.rho(t), t))
+
+
+def _prefix_fsums(terms):
+    """The oracle: math.fsum of every prefix, or the exception it raises."""
+    try:
+        return [math.fsum(terms[: j + 1]) for j in range(len(terms))]
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+def _running(terms):
+    try:
+        return running_fsum(terms).tolist()
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestRunningFsum:
+    @given(st.lists(st.floats(-1e3, 1e3), max_size=80))
+    @settings(max_examples=200, deadline=None)
+    def test_random(self, terms):
+        assert _running(terms) == _prefix_fsums(terms)
+
+    @given(st.lists(finite, max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_wide_exponent(self, terms):
+        assert _running(terms) == _prefix_fsums(terms)
+
+    @given(st.lists(st.floats(1e-300, 1e300), max_size=60))
+    @settings(max_examples=200, deadline=None)
+    def test_alternating(self, mags):
+        terms = [m if j % 2 else -m for j, m in enumerate(mags)]
+        assert _running(terms) == _prefix_fsums(terms)
+
+    @given(st.lists(st.floats(-1e200, 1e200), max_size=40), st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_cancelling(self, half, rnd):
+        terms = half + [-v for v in half] + [1e-300, -1e-300]
+        rnd.shuffle(terms)
+        assert _running(terms) == _prefix_fsums(terms)
+        assert _running(terms)[-1] == 0.0
+
+    @given(st.lists(st.sampled_from([0.0, -0.0]), max_size=20))
+    def test_zeros(self, terms):
+        out = _running(terms)
+        assert out == _prefix_fsums(terms)
+        assert all(math.copysign(1.0, v) == 1.0 for v in out)
+
+    @given(st.floats(allow_nan=False))
+    def test_single_element(self, x):
+        assert _running([x]) == _prefix_fsums([x])
+
+    def test_empty_and_special_values(self):
+        assert _running([]) == []
+        assert _running([1.0, math.inf, 2.0]) == _prefix_fsums([1.0, math.inf, 2.0])
+        assert _running([1.0, math.inf, -math.inf]) is ValueError
+        assert _prefix_fsums([1.0, math.inf, -math.inf]) is ValueError
+        assert _running([1e308, 1e308]) is OverflowError
+        assert _prefix_fsums([1e308, 1e308]) is OverflowError
+        out = running_fsum([1.0, math.nan, 2.0])
+        assert out[0] == 1.0 and math.isnan(out[1]) and math.isnan(out[2])
 
 
 class TestIntegrationByParts:

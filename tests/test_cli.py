@@ -4,12 +4,20 @@ import csv
 import textwrap
 
 import numpy as np
+import pytest
 
+from nablats import cli, solver
 from nablats.cli import main
 from nablats.config import ConfigError, load_config
 from nablats.solver import FREE, SolveOptions, direct_solve
 from nablats.timescale import integers
-from nablats.variational import Problem, Trajectory, trajectory_to_csv
+from nablats.variational import (
+    Problem,
+    Trajectory,
+    el_report_indices,
+    finite_horizon_el_residual,
+    trajectory_to_csv,
+)
 
 BASE_INI = """
 [timescale]
@@ -89,6 +97,23 @@ class TestQuad:
         assert "error" in err
 
 
+MIXED_INI = """
+[timescale]
+family = points
+points = 0, 0.25, 0.5, 1, 2, 3, 3.5, 4, 4.5, 6
+gap_kinds = d, d, s, s, s, d, d, d, s
+
+[problem]
+n = 2
+L = "exp(-0.3*t)*(-(v1^2) - x1^2 - v2^2 + 0.5*x1*x2) - 0.1*z"
+g = "x1^2 + x2*v1"
+x_a = 1.0, -0.5
+
+[report]
+report_out = {dir}/residuals.csv
+"""
+
+
 class TestCheckEl:
     def test_linear_trajectory_passes(self, tmp_path, capsys):
         cfg = write_ini(tmp_path)
@@ -140,6 +165,32 @@ class TestCheckEl:
             assert code == 0, form
             assert f"form: {form}" in out
 
+    @pytest.mark.parametrize("T_prime", [None, "3.5"])
+    def test_finite_form_reports_the_pointwise_statistic(self, tmp_path, capsys, T_prime):
+        cfg = write_ini(tmp_path, MIXED_INI)
+        p = load_config(cfg).require_problem()
+        vals = np.random.default_rng(4).uniform(-1.0, 1.0, (len(p.ts), 2))
+        vals[0] = p.x_a
+        path = tmp_path / "x.csv"
+        trajectory_to_csv(Trajectory.from_values(p, vals), path)
+        extra = [] if T_prime is None else ["--Tprime", T_prime]
+        stats = {}
+        for form in ("pointwise", "finite"):
+            code, out, _ = run(capsys, "check-el", cfg, "--trajectory", str(path), "--form", form, *extra)
+            assert code == 1
+            stats[form] = float(dict(line.split(": ", 1) for line in out.splitlines())["max_residual"])
+        assert stats["finite"] == stats["pointwise"]
+        # the oracle: the finite-horizon residual at every reported point up to T'
+        x = Trajectory.from_values(p, vals)
+        T = p.ts.points[-1] if T_prime is None else float(T_prime)
+        k = p.ts.index_of(T)
+        expected = max(
+            float(np.max(np.abs(finite_horizon_el_residual(p, x, T, p.ts.points[j]))))
+            for j in el_report_indices(p.ts)
+            if j <= k
+        )
+        assert stats["finite"] == expected
+
     def test_off_grid_Tprime_exits_2(self, tmp_path, capsys):
         cfg = write_ini(tmp_path)
         traj = write_trajectory(tmp_path, "x.csv", [0, 1, 2, 3, 4, 5])
@@ -172,6 +223,38 @@ class TestSolve:
         assert [float(r["T_trunc"]) for r in hrows] == [3.0, 5.0]
         assert all(r["trans_applicable"] == "false" for r in hrows)  # pinned terminal
         assert all(float(r["max_el_residual"]) <= 1e-8 for r in hrows)
+
+    @pytest.mark.parametrize(
+        "T_trunc, cuts, solved",
+        [(5.0, "3, 5", [3.0, 5.0]), (4.0, "3, 5", [4.0, 3.0, 5.0]), (3.0, "3, 5", [3.0, 5.0])],
+    )
+    def test_each_horizon_is_solved_once(self, tmp_path, capsys, monkeypatch, T_trunc, cuts, solved):
+        calls = []
+        original = solver.direct_solve
+
+        def counting(p, opts, with_info=False):
+            calls.append(opts.T_trunc)
+            return original(p, opts, with_info)
+
+        monkeypatch.setattr(solver, "direct_solve", counting)
+        monkeypatch.setattr(cli, "direct_solve", counting)
+        body = (
+            BASE_INI.replace("T_trunc = 5", f"T_trunc = {T_trunc}\ntruncations = {cuts}")
+            .replace("pinned: 5.0", "free\ngradient = analytic")
+            .replace('L = "-(v1^2)"', 'L = "-(v1^2) - (x1 - 1)^2"')
+        )
+        cfg = write_ini(tmp_path, body)
+        code, out, _ = run(capsys, "solve", cfg)
+        assert code == 0
+        assert calls == solved
+        # the written trajectory and the summary are those of the T_trunc solve
+        rc = load_config(cfg)
+        traj, info = original(rc.problem, rc.options, with_info=True)
+        with open(tmp_path / "trajectory.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert np.array_equal(np.array([[float(r[1])] for r in rows]), traj.values)
+        assert f"iterations: {info.iterations}" in out
+        assert f"objective: {info.objective!r}" in out
 
     def test_solved_trajectory_passes_check_el(self, tmp_path, capsys):
         cfg = write_ini(tmp_path)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,8 @@ from nablats.variational import (
     el_report_indices,
     el_residual_pointwise,
     evaluate_functional_partial,
+    transversality_residual_T1,
+    transversality_residual_T2,
 )
 
 
@@ -218,6 +222,38 @@ class TestHorizonStudy:
         lines = path.read_text().splitlines()
         assert lines[0] == "T_trunc,max_el_residual,trans_T1,trans_T2,objective,trans_applicable"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("case", ["mixed_optimum", "partial_solve"])
+    def test_rows_match_per_point_residuals(self, case):
+        # the oracle rebuilds the residual at every point of every cut
+        if case == "mixed_optimum":
+            ts = from_points(
+                [0.0, 0.25, 0.5, 0.75, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
+                ["d", "d", "d", "d", "s", "s", "s", "s", "s"],
+            )
+            p = Problem.from_strings(ts, 1, "exp(-0.2*t)*(-(v1^2)-x1^2) - 0.05*z", "x1^2", 1.0)
+            opts = SolveOptions(T_trunc=6.0, grad_tol=1e-9, gradient="analytic", precondition=True)
+            cuts = [1.0, 4.0, 6.0]
+        else:  # one step from the start: the largest residual sits at the cut
+            ts = integers(0, 8)
+            p = make("-(v1^2) + t*x1", ts=ts)
+            opts = SolveOptions(T_trunc=8.0, max_iters=1)
+            cuts = [3.0, 6.0, 8.0]
+        rows = horizon_study(p, cuts, opts)
+        for T, row in zip(cuts, rows):
+            x, info = direct_solve(p, replace(opts, T_trunc=T), with_info=True)
+            assert np.array_equal(row.solution.values, x.values)
+            assert row.info == info
+            K = ts.index_of(T)
+            max_res = 0.0
+            for j in el_report_indices(ts):
+                if j <= K:
+                    r = el_residual_pointwise(p, x, ts.points[j], T)
+                    max_res = max(max_res, float(np.max(np.abs(r))))
+            assert row.max_el_residual == max_res
+            assert row.trans_T1 == abs(transversality_residual_T1(p, x, T))
+            assert row.trans_T2 == abs(transversality_residual_T2(p, x, T))
+            assert row.objective == evaluate_functional_partial(p, x, T)
 
     def test_truncations_must_increase(self):
         p = make("1", ts=integers(0, 4))

@@ -3,8 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from nablats.calculus import GridMismatchError, OutsideKappaError, nabla_integral, GridFunction
-from nablats.expressions import ExprDomainError
+from nablats.calculus import (
+    GridFunction,
+    GridMismatchError,
+    OutsideKappaError,
+    liminf_estimate,
+    nabla_derivative_fn,
+    nabla_integral,
+)
+from nablats.expressions import ExprDomainError, evaluate_many
 from nablats.timescale import GapKind, from_points, integers, sampled_interval
 from nablats.variational import (
     AdmissibilityError,
@@ -14,12 +21,12 @@ from nablats.variational import (
     Sense,
     Trajectory,
     compute_z,
-    el_integral_constant_spread,
     el_report_indices,
     el_residual_integral,
     el_residual_pointwise,
     evaluate_functional_partial,
     finite_horizon_el_residual,
+    path_env,
     residual_report,
     trajectory_from_csv,
     trajectory_to_csv,
@@ -59,7 +66,60 @@ class TestProblemValidation:
             Trajectory.from_values(p, vals)
 
 
+def mixed_problem(sense=Sense.MAX):
+    """n=2, z-coupled, on a grid with a dense start, scattered runs and a dense run (47 points)."""
+    dense = [k / 12 for k in range(12)] + [12.5 + k / 4 for k in range(7)]
+    ts = from_points(
+        sorted(dense + list(range(1, 13)) + list(range(15, 31))),
+        "d" * 12 + "s" * 12 + "d" * 6 + "s" * 16,
+    )
+    L = "exp(-0.1*t)*(-(v1^2) - x1^2 - v2^2 + 0.5*x1*x2) - 0.1*z"
+    if sense is Sense.MIN:
+        L = f"-({L})"
+    return Problem.from_strings(ts, 2, L, "x1^2 + x2*v1", (1.0, -0.5), sense)
+
+
+def random_trajectory(p, seed):
+    vals = np.random.default_rng(seed).uniform(-1.5, 1.5, (len(p.ts), p.n))
+    vals[0] = p.x_a
+    return Trajectory.from_values(p, vals)
+
+
+class TestPathEnv:
+    def test_matches_grid_function_operators(self):
+        p = mixed_problem()
+        x = random_trajectory(p, 1)
+        env = path_env(p.ts, x.values, len(p.ts) - 1)
+        assert np.array_equal(env["t"], p.ts.points_array)
+        for i in range(p.n):
+            assert np.array_equal(env[f"x{i + 1}"], x.x.rho_values()[:, i])
+            assert np.array_equal(env[f"v{i + 1}"], nabla_derivative_fn(x.x).values[:, i])
+
+    def test_batch_axis_matches_single_trajectories(self):
+        p = mixed_problem()
+        xs = [random_trajectory(p, seed).values for seed in range(3)]
+        k = 6
+        batch = path_env(p.ts, np.stack(xs), k)
+        for b, vals in enumerate(xs):
+            single = path_env(p.ts, vals, k)
+            for key in single:
+                if key != "t":
+                    assert np.array_equal(batch[key][b], single[key])
+
+
+def fsum_prefixes(ts, vals):
+    """The oracle: math.fsum of the weighted values over (a, t_j] for every j."""
+    terms = ts.local_steps * vals
+    return [math.fsum(terms[1 : j + 1]) for j in range(len(ts))]
+
+
 class TestComputeZ:
+    def test_prefixes_are_exact_sums(self):
+        p = mixed_problem()
+        x = random_trajectory(p, 5)
+        g = evaluate_many(p.z_integrand, path_env(p.ts, x.values, len(p.ts) - 1))
+        assert compute_z(p, x).values[:, 0].tolist() == fsum_prefixes(p.ts, g)
+
     def test_hand_sum(self):
         # g = x1 * v1 along x(t) = t on integers [0, 3]:
         # z(3) = sum_{t=1..3} (t - 1) * 1 = 0 + 1 + 2 = 3
@@ -81,6 +141,15 @@ class TestComputeZ:
 
 
 class TestFunctional:
+    def test_prefixes_are_exact_sums(self):
+        p = mixed_problem()
+        x = random_trajectory(p, 6)
+        env = path_env(p.ts, x.values, len(p.ts) - 1)
+        env["z"] = np.asarray(fsum_prefixes(p.ts, evaluate_many(p.z_integrand, env)))
+        expected = fsum_prefixes(p.ts, evaluate_many(p.lagrangian, env))
+        for k in range(1, len(p.ts)):
+            assert evaluate_functional_partial(p, x, p.ts.points[k]) == expected[k]
+
     def test_quadratic_speed_cost(self):
         # L = -(v1^2), x linear with slope 1: J_T = -T on the integer scale
         p = make_problem()
@@ -145,7 +214,7 @@ class TestIntegralForm:
         for t in (1.0, 2.0, 3.0, 4.0, 5.0):
             val = el_residual_integral(p, x, t, 5.0)[0]
             assert val == pytest.approx(-2 * slope, rel=1e-14)
-        spread = el_integral_constant_spread(p, x, 5.0)
+        spread = residual_report(p, x, 5.0).el_integral_constant_spread
         assert spread[0] <= 1e-14
 
     def test_equivalence_of_forms_at_scattered_points(self):
@@ -247,6 +316,19 @@ class TestWeakMaxCompare:
         q = make_problem(ts=integers(0, 7))
         with pytest.raises(GridMismatchError):
             weak_max_compare(p, linear_trajectory(p), linear_trajectory(q))
+
+    @pytest.mark.parametrize("sense", [Sense.MAX, Sense.MIN])
+    def test_matches_loop_over_truncated_objectives(self, sense):
+        # the oracle re-evaluates the truncated objective at every T'
+        p = mixed_problem(sense)
+        sign = -1.0 if sense is Sense.MIN else 1.0
+        for seed in range(4):
+            cand, star = random_trajectory(p, 2 * seed), random_trajectory(p, 2 * seed + 1)
+            seq = [
+                (T, sign * (evaluate_functional_partial(p, cand, T) - evaluate_functional_partial(p, star, T)))
+                for T in p.ts.points[1:]
+            ]
+            assert weak_max_compare(p, cand, star) == liminf_estimate(seq).value
 
 
 class TestClassicalLimit:
