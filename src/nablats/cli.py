@@ -182,6 +182,7 @@ def _cmd_solve(args) -> int:
         [
             ("iterations", info.iterations),
             ("converged", "true" if info.converged else "false"),
+            ("stop_reason", info.stop_reason),
             ("criterion", repr(info.grad_norm)),
             ("objective", repr(info.objective)),
             ("trajectory", rc.report.trajectory_out),

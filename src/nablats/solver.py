@@ -9,14 +9,14 @@ the problem at increasing truncations to expose the decay of the
 transversality residuals.
 
 Gradients come in two flavours: central finite differences on the
-trajectory coordinates (the default, fully independent of the symbolic
-layer) and an exact analytic gradient of the discretized objective
-assembled from the symbolic partials.  Deep discounted horizons need
-the analytic gradient: finite differences bottom out near 5e-11 because
-of float cancellation, which drowns the exponentially small gradient
-entries that matter at large times.  Jacobi preconditioning rescales
-each coordinate by its local curvature so that the stopping test reads
-in step units rather than raw gradient units.
+trajectory coordinates (the default, independent of the symbolic layer)
+and an exact analytic gradient of the discretized objective assembled
+from the symbolic partials.  Deep discounted horizons need the analytic
+gradient: finite differences bottom out near 5e-11, which drowns the
+exponentially small entries that matter at large times.  Jacobi
+preconditioning divides each coordinate by the analytic diagonal of the
+Hessian, so that the stopping test reads in step units.  With the analytic
+gradient an iteration costs O(m n); the fd gradient costs O(m^2 n).
 """
 
 from __future__ import annotations
@@ -74,7 +74,8 @@ class SolveOptions:
 
     ``gradient`` selects "fd" (central finite differences) or "analytic"
     (exact gradient of the discretized objective);  ``precondition``
-    rescales the ascent direction by inverse local curvature and then
+    divides the ascent direction by the absolute analytic Hessian diagonal
+    (Jacobi scaling, O(m n), refreshed every 50 iterations) and then
     interprets ``grad_tol`` as a bound on the step, which is the only
     reliable stopping rule when the objective carries strong discounting.
     """
@@ -102,11 +103,16 @@ class SolveOptions:
 
 @dataclass(frozen=True)
 class SolveInfo:
+    """How a solve ended; ``direct_solve`` explains each ``stop_reason``."""
+
     iterations: int
     converged: bool
     grad_norm: float
     objective: float
     objective_log: tuple[float, ...]
+    stop_reason: str
+    curvature_refreshes: int
+    backtracks: int
 
 
 ARMIJO = 1e-4
@@ -131,14 +137,15 @@ class _Engine:
         self.w = np.asarray(ts.local_steps[: self.K + 1])
         # scattered[j - 1]: grid point j is left-scattered
         self.scattered = ts.rho_indices[1 : self.K + 1] < np.arange(1, self.K + 1)
-        free = list(range(1, self.K + 1))
+        # grid rows 1..last are free; a pinned terminal keeps row K
+        self.last = self.K
         if opts.terminal_mode.kind == "pinned":
-            free.remove(self.K)
+            self.last -= 1
             if len(opts.terminal_mode.values) != p.n:
                 raise ProblemError(
                     f"pinned terminal needs {p.n} value(s), got {len(opts.terminal_mode.values)}"
                 )
-        self.free = [(j, c) for j in free for c in range(p.n)]
+        self.free = [(j, c) for j in range(1, self.last + 1) for c in range(p.n)]
 
     def initial_values(self) -> np.ndarray:
         ts, p, opts = self.p.ts, self.p, self.opts
@@ -162,10 +169,16 @@ class _Engine:
         if not np.all(np.isfinite(vals)):
             bad = int(np.argmax(~np.isfinite(vals)))
             raise NonFiniteObjectiveError(
-                f"{what} '{to_source(expr)}' is non-finite at t={env['t'][bad]!r} "
+                f"{what} '{to_source(expr)}' is non-finite at t={float(env['t'][bad])!r} "
                 "during the search"
             )
         return vals
+
+    def _cols(self, key: str, env) -> np.ndarray:
+        """(K, n) array of the partial ``key`` ("Lx", "gxv", ...) per component."""
+        d = self.p.partials if len(key) == 2 else self.p.second_partials
+        what = f"d{key[0]}/d{key[1]}" if len(key) == 2 else f"d2{key[0]}/d{key[1]}d{key[2]}"
+        return np.column_stack([self._eval(e, env, what) for e in d[key]])
 
     def objective(self, x: np.ndarray) -> float:
         # correctly-rounded sums keep the line search honest: once true
@@ -190,6 +203,13 @@ class _Engine:
             grad[i] = (fp - fm) / (2.0 * h)
         return grad
 
+    def _z_path(self, x: np.ndarray):
+        """The path env with z, and the tail sums S of w*L_z from each row to K."""
+        env = self._env(x)
+        env["z"] = np.cumsum(self.w[1:] * self._eval(self.p.z_integrand, env, "z integrand"))
+        Lz = self._eval(self.p.partials["Lz"], env, "dL/dz")
+        return env, np.cumsum((self.w[1:] * Lz)[::-1])[::-1]
+
     def analytic_gradient(self, x: np.ndarray) -> np.ndarray:
         """Exact gradient of the discretized objective.
 
@@ -197,56 +217,50 @@ class _Engine:
         collapses to S at the point where a coordinate first enters the
         accumulation, so each coordinate touches at most four terms.
         """
-        env = self._env(x)
-        gvals = self._eval(self.p.z_integrand, env, "z integrand")
-        env["z"] = np.cumsum(self.w[1:] * gvals)
-        d = self.p.partials
-        Lz = self._eval(d["Lz"], env, "dL/dz")
-        S = np.cumsum((self.w[1:] * Lz)[::-1])[::-1]
-        cols = {}
-        for c in range(self.n):
-            cols[c] = (
-                self._eval(d["Lx"][c], env, "dL/dx"),
-                self._eval(d["Lv"][c], env, "dL/dv"),
-                self._eval(d["gx"][c], env, "dg/dx"),
-                self._eval(d["gv"][c], env, "dg/dv"),
-            )
-        grad = np.empty(len(self.free))
-        for i, (j, c) in enumerate(self.free):
-            Lx, Lv, gx, gv = cols[c]
-            a = j - 1  # array slot for grid index j
-            total = Lv[a] + S[a] * gv[a]
-            if not self.scattered[j - 1]:
-                total += self.w[j] * (Lx[a] + S[a] * gx[a])
-            if j + 1 <= self.K:
-                total -= Lv[a + 1] + S[a + 1] * gv[a + 1]
-                if self.scattered[j]:
-                    total += self.w[j + 1] * (Lx[a + 1] + S[a + 1] * gx[a + 1])
-            grad[i] = total
-        return grad
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        if self.opts.gradient == "analytic":
-            return self.analytic_gradient(x)
-        return self.fd_gradient(x)
+        env, S = self._z_path(x)
+        A = self._cols("Lv", env) + S[:, None] * self._cols("gv", env)
+        B = self.w[1:, None] * (self._cols("Lx", env) + S[:, None] * self._cols("gx", env))
+        # row j: term j through v, and through x when j is left-dense; then
+        # term j + 1 through v, and through x when j + 1 is left-scattered
+        G = np.where(self.scattered[:, None], A, A + B)
+        G[:-1] -= A[1:]
+        G[:-1] = np.where(self.scattered[1:, None], G[:-1] + B[1:], G[:-1])
+        return G[: self.last].ravel()
 
     def curvature(self, x: np.ndarray) -> np.ndarray:
-        """|diagonal curvature| per free coordinate, by differencing the gradient."""
-        diag = np.empty(len(self.free))
-        for i, (j, c) in enumerate(self.free):
-            h = 1e-6 * (1.0 + abs(x[j, c]))
-            xp = x.copy()
-            xp[j, c] = x[j, c] + h
-            gp = self.analytic_gradient(xp)[i]
-            xp[j, c] = x[j, c] - h
-            gm = self.analytic_gradient(xp)[i]
-            diag[i] = abs(gp - gm) / (2.0 * h)
-        return np.maximum(diag, 1e-30)
+        """|Hessian diagonal| of the discretized objective per free coordinate.
+
+        Exact, from the second partials, in O(K n).  Coordinate (j, c) moves
+        term j (v by 1/w_j, x when j is left-dense), term j + 1 (v by
+        -1/w_{j+1}, x when j + 1 is left-scattered), and z by e_j at j, by
+        E = e_j + e_{j+1} after; the z-chain reaches later terms only through
+        the tail sums S of w*L_z and Q of w*L_zz.
+        """
+        env, S = self._z_path(x)
+        S, w = S[:, None], self.w[1:, None]
+        gx, gv, Lxz, Lvz = (self._cols(key, env) for key in ("gx", "gv", "Lxz", "Lvz"))
+        Hxx, Hxv, Hvv = (
+            self._cols("L" + k, env) + S * self._cols("g" + k, env) for k in ("xx", "xv", "vv")
+        )
+        wLzz = w * self._eval(self.p.second_partials["Lzz"], env, "d2L/dzdz")[:, None]
+        Q = np.cumsum(wLzz[::-1], axis=0)[::-1]
+
+        def term(a, b, dz):
+            return w * (a * a * Hxx + 2 * a * b * Hxv + b * b * Hvv + 2 * dz * (a * Lxz + b * Lvz))
+
+        # sensitivities of term k to x_k (a0, b0) and to x_{k-1} (a1, b1)
+        a0, b0 = 1.0 * ~self.scattered[:, None], 1.0 / w
+        a1, b1 = 1.0 * self.scattered[:, None], -1.0 / w
+        e0, e1 = w * (a0 * gx + b0 * gv), w * (a1 * gx + b1 * gv)
+        E = np.zeros_like(e0)  # E[k]: z shift from term k on, for coordinate k - 1
+        E[1:] = e0[:-1] + e1[1:]
+        diag = term(a0, b0, e0) + wLzz * e0 * e0
+        diag[:-1] += (term(a1, b1, E) + Q * E * E)[1:]
+        return np.maximum(np.abs(diag[: self.last].ravel()), 1e-30)
 
     def apply(self, x: np.ndarray, delta: np.ndarray) -> np.ndarray:
         out = x.copy()
-        for i, (j, c) in enumerate(self.free):
-            out[j, c] = x[j, c] + delta[i]
+        out[1 : self.last + 1] = x[1 : self.last + 1] + delta.reshape(-1, self.n)
         return out
 
 
@@ -271,34 +285,38 @@ def direct_solve(p: Problem, opts: SolveOptions, with_info: bool = False):
     """Gradient ascent on the truncated objective over free state values.
 
     Starts from the constant initial state (or the linear interpolant to
-    a pinned terminal), ascends with Armijo backtracking from
-    ``step_init``, and stops when the sup norm of the gradient (or of
-    the preconditioned step, when ``precondition`` is set) falls below
-    ``grad_tol``.  Values beyond the truncation point are frozen; they
+    a pinned terminal) and ascends with Armijo backtracking from
+    ``step_init``.  Values beyond the truncation point are frozen; they
     never enter the truncated objective.  Accepted steps never decrease
-    the objective.
+    the objective.  ``SolveInfo.stop_reason`` says why the search ended:
+    ``grad_tol`` (the sup norm of the gradient, or of the preconditioned
+    step, fell below ``grad_tol``; the only converged case), ``flat`` (50
+    accepted steps in a row left the objective unchanged), ``no_progress``
+    (no step size passed the Armijo test, or the accepted step changed
+    nothing) or ``max_iters``.
     """
     eng = _Engine(p, opts)
     x = eng.initial_values()
     f = eng.objective(x)
     log = [f]
     curv = None
-    converged = False
     crit = math.inf
-    iterations = 0
+    iterations = refreshes = backtracks = 0
+    stop = "max_iters"
     flat = 0  # consecutive accepted steps with no representable objective change
     for it in range(opts.max_iters):
         iterations = it + 1
-        grad = eng.gradient(x)
+        grad = eng.analytic_gradient(x) if opts.gradient == "analytic" else eng.fd_gradient(x)
         if opts.precondition:
             if curv is None or it % 50 == 0:
                 curv = eng.curvature(x)
+                refreshes += 1
             direction = grad / curv
         else:
             direction = grad
         crit = float(np.max(np.abs(direction))) if len(direction) else 0.0
         if crit <= opts.grad_tol:
-            converged = True
+            stop = "grad_tol"
             break
         slope = float(np.dot(grad, direction))
         alpha = opts.step_init
@@ -310,14 +328,17 @@ def direct_solve(p: Problem, opts: SolveOptions, with_info: bool = False):
                 accepted = True
                 break
             alpha *= 0.5
+            backtracks += 1
         if not accepted or (ft == f and np.array_equal(xt, x)):
-            break  # no representable progress at any step size
+            stop = "no_progress"
+            break
         # zero-change steps can still tighten the iterate, but a long run of
         # them means the objective has hit float resolution; stop crawling
         flat = flat + 1 if ft == f else 0
         x, f = xt, ft
         log.append(f)
         if flat >= 50:
+            stop = "flat"
             break
 
     traj = Trajectory.from_values(p, x)
@@ -325,10 +346,13 @@ def direct_solve(p: Problem, opts: SolveOptions, with_info: bool = False):
         return traj
     info = SolveInfo(
         iterations=iterations,
-        converged=converged,
+        converged=stop == "grad_tol",
         grad_norm=crit,
         objective=evaluate_functional_partial(p, traj, opts.T_trunc),
         objective_log=tuple(log),
+        stop_reason=stop,
+        curvature_refreshes=refreshes,
+        backtracks=backtracks,
     )
     return traj, info
 

@@ -27,9 +27,10 @@ residuals:
 All of them read one path (``path_env``: t, x at rho(t) and the nabla
 derivative, then z) and one exact running sum (``calculus.running_fsum``).
 Composite quantities (Lv along the path, gv times the inner integral) are
-nabla-differentiated numerically from their grid samples.  Values that would
-require the undefined derivative at a right-scattered minimum use the
-successor-copy convention and are excluded from reported residual domains.
+nabla-differentiated numerically from their grid samples.  Values that read
+the derivative at the minimum (undefined at a right-scattered minimum, only a
+sample at a right-dense one) use the successor-copy convention and are
+excluded from reported residual domains.
 
 Minimization problems are verified through their maximization mirror: all
 residuals use -L internally when sense is MIN (``evaluate_functional_partial``
@@ -64,7 +65,7 @@ from .expressions import (
     to_source,
     variables,
 )
-from .timescale import GapKind, TimeScale
+from .timescale import TimeScale
 
 
 class ProblemError(ValueError):
@@ -136,6 +137,24 @@ class Problem:
             "Lz": differentiate(L, "z"),
             "gx": [differentiate(g, f"x{i}") for i in range(1, self.n + 1)],
             "gv": [differentiate(g, f"v{i}") for i in range(1, self.n + 1)],
+        }
+
+    @cached_property
+    def second_partials(self) -> dict[str, list[Expr] | Expr]:
+        """The second partials behind the solver's Hessian diagonal: per
+        component c, d2/dx_c2, d2/dx_c dv_c, d2/dv_c2 of L and g, and the z
+        mixes of L; plus L_zz."""
+        d = self.partials
+        return {
+            "Lxx": [differentiate(e, f"x{i}") for i, e in enumerate(d["Lx"], 1)],
+            "Lxv": [differentiate(e, f"v{i}") for i, e in enumerate(d["Lx"], 1)],
+            "Lvv": [differentiate(e, f"v{i}") for i, e in enumerate(d["Lv"], 1)],
+            "Lxz": [differentiate(e, "z") for e in d["Lx"]],
+            "Lvz": [differentiate(e, "z") for e in d["Lv"]],
+            "Lzz": differentiate(d["Lz"], "z"),
+            "gxx": [differentiate(e, f"x{i}") for i, e in enumerate(d["gx"], 1)],
+            "gxv": [differentiate(e, f"v{i}") for i, e in enumerate(d["gx"], 1)],
+            "gvv": [differentiate(e, f"v{i}") for i, e in enumerate(d["gv"], 1)],
         }
 
     @property
@@ -281,9 +300,8 @@ class _ELCore:
         self.I = (P[k] - P[ts.rho_indices])[:, None]
 
     def pointwise(self) -> np.ndarray:
-        """Residual array (m, n); rows past k are meaningless, row at the
-        minimum (and its successor on scattered-start grids) use copied
-        derivative values."""
+        """Residual array (m, n); rows past k are meaningless, and rows 0
+        and 1 use the copied derivative at the minimum."""
         dG = nabla_quotients(self.gv * self.I, self.ts.local_steps)
         dLv = nabla_quotients(self.Lv, self.ts.local_steps)
         return self.gx * self.I - dG + self.Lx - dLv
@@ -304,14 +322,12 @@ class _ELCore:
 def el_report_indices(ts: TimeScale) -> tuple[int, ...]:
     """Kappa indices where the pointwise residual stencil is fully defined.
 
-    On grids whose minimum is right-scattered the successor of the minimum is
-    excluded: its stencil would use the undefined derivative at the minimum
-    (only the successor-copy convention makes it total).
+    Rows 0 and 1 are excluded on every grid: the derivative at the minimum
+    is only the successor-copy convention (undefined at a right-scattered
+    minimum, a one-sided sample at a right-dense one), and the stencils of
+    rows 0 and 1 both read it.
     """
-    idx = ts.kappa_indices
-    if ts.gap_kinds[0] is GapKind.SCATTERED:
-        return tuple(j for j in idx if j >= 2)
-    return idx
+    return tuple(j for j in ts.kappa_indices if j >= 2)
 
 
 def _require_kappa(ts: TimeScale, t: float) -> int:

@@ -2,6 +2,7 @@
 
 import csv
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -255,6 +256,29 @@ class TestSolve:
         assert np.array_equal(np.array([[float(r[1])] for r in rows]), traj.values)
         assert f"iterations: {info.iterations}" in out
         assert f"objective: {info.objective!r}" in out
+
+    def test_sample_config_says_why_it_stopped(self, tmp_path, capsys, monkeypatch):
+        sample = Path(__file__).resolve().parents[1] / "scripts" / "sample_config.ini"
+        monkeypatch.chdir(tmp_path)  # the sample writes its outputs to the working directory
+        code, out, _ = run(capsys, "solve", str(sample))
+        assert code == 0
+        assert "converged: false\nstop_reason: flat\n" in out
+
+    def test_search_leaving_the_domain_reports_a_plain_time(self, tmp_path, capsys):
+        body = (
+            BASE_INI.replace('L = "-(v1^2)"', 'L = "log(x1) - 10*x1^2"')
+            .replace("b = 5", "b = 2")
+            .replace("x_a = 0.0", "x_a = 1.0")
+            .replace("T_trunc = 5", "T_trunc = 2")
+            .replace("pinned: 5.0", "free\ngradient = analytic")
+        )
+        code, out, err = run(capsys, "solve", write_ini(tmp_path, body))
+        assert code == 3
+        assert out == ""
+        assert err == (
+            "error: objective integrand 'log(x1) - 10.0*x1^2.0' is non-finite at t=2.0 "
+            "during the search\n"
+        )
 
     def test_solved_trajectory_passes_check_el(self, tmp_path, capsys):
         cfg = write_ini(tmp_path)
