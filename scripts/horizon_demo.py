@@ -5,8 +5,10 @@ Solves max J = integral of exp(-t) * (-(x^nabla)^2 - (x^rho)^2) over the
 integer grid, truncated at a sequence of growing horizons, and tabulates
 how the first-order quantities settle: the largest pointwise residual of
 the optimality system, both terminal-pairing magnitudes, and the
-objective.  The terminal pairings shrinking toward zero is the numerical
-signature of the free-endpoint condition at infinity.
+objective.  The first pairing is x times the free end's own gradient
+entry, so it vanishes to rounding at every truncated optimum; the second
+shrinking toward zero is the numerical signature of the free-endpoint
+condition at infinity.
 """
 
 import argparse

@@ -17,7 +17,8 @@ A run file is flat INI with these sections (all keys ``key = value``):
 ``[solve]``
     Search options: ``T_trunc`` (required), ``terminal`` (``free`` or
     ``pinned: v1, ..., vn``), ``max_iters``, ``step_init``, ``grad_tol``,
-    ``gradient`` (``fd``/``analytic``), ``precondition`` (boolean), and
+    ``gradient`` (``analytic``, the default, or ``fd``), ``precondition``
+    (boolean: Newton steps on the Hessian band), and
     ``truncations`` (comma list of horizon cut points for the horizon
     table; defaults to just ``T_trunc``).
 
@@ -239,7 +240,7 @@ def _options(cp: configparser.ConfigParser) -> tuple[Optional[SolveOptions], tup
             max_iters=_int(cp, "solve", "max_iters", 2000),
             step_init=_float(cp, "solve", "step_init", 1.0),
             grad_tol=_float(cp, "solve", "grad_tol", 1e-6),
-            gradient=_get(cp, "solve", "gradient", "fd").strip().lower(),
+            gradient=_get(cp, "solve", "gradient", "analytic").strip().lower(),
             precondition=_bool(cp, "solve", "precondition", False),
         )
     except ValueError as exc:

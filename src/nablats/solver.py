@@ -1,22 +1,29 @@
 """Direct maximization of truncated functionals over trajectory values.
 
 The solver treats the state values at grid points after the start (and
-before a pinned terminal point) as optimization variables and performs
-gradient ascent with a backtracking line search on the truncated
-objective.  A brute-force enumerator over a finite value grid serves as
-an independent oracle on tiny instances, and a horizon study re-solves
-the problem at increasing truncations to expose the decay of the
-transversality residuals.
+before a pinned terminal point) as optimization variables and ascends the
+truncated objective with a backtracking line search, along the gradient
+or along Newton steps.  A brute-force enumerator over a finite value grid
+serves as an independent oracle on tiny instances, and a horizon study
+re-solves the problem at increasing truncations to expose the decay of
+the transversality residuals.
 
-Gradients come in two flavours: central finite differences on the
-trajectory coordinates (the default, independent of the symbolic layer)
-and an exact analytic gradient of the discretized objective assembled
-from the symbolic partials.  Deep discounted horizons need the analytic
-gradient: finite differences bottom out near 5e-11, which drowns the
-exponentially small entries that matter at large times.  Jacobi
-preconditioning divides each coordinate by the analytic diagonal of the
-Hessian, so that the stopping test reads in step units.  With the analytic
-gradient an iteration costs O(m n); the fd gradient costs O(m^2 n).
+Gradients come in two flavours: an exact analytic gradient of the
+discretized objective assembled from the symbolic partials (the default)
+and central finite differences on the trajectory coordinates, which are
+independent of the symbolic layer and serve as the tests' oracle.  Deep
+discounted horizons need the analytic gradient: finite differences bottom
+out near 5e-11, which drowns the exponentially small entries that matter
+at large times, and cost O(m^2 n) per gradient.
+
+Each state value enters only the terms at its own grid point and the
+next one, plus the accumulated z, so the Hessian of the discretized
+objective is block tridiagonal with n x n blocks, exactly so when g = 0 or
+when L is affine in z with an x-free coefficient.  Preconditioning solves
+with that band (a Newton step, O(m n^3) per iteration), so that quadratic
+problems converge in one step and the stopping test reads in step units;
+where the negated band is not positive definite an iteration falls back
+to Jacobi scaling by the band's diagonal.
 """
 
 from __future__ import annotations
@@ -72,12 +79,14 @@ def PINNED(*values: float) -> TerminalMode:
 class SolveOptions:
     """Controls for direct_solve / brute_force / horizon_study.
 
-    ``gradient`` selects "fd" (central finite differences) or "analytic"
-    (exact gradient of the discretized objective);  ``precondition``
-    divides the ascent direction by the absolute analytic Hessian diagonal
-    (Jacobi scaling, O(m n), refreshed every 50 iterations) and then
-    interprets ``grad_tol`` as a bound on the step, which is the only
-    reliable stopping rule when the objective carries strong discounting.
+    ``gradient`` selects "analytic" (exact gradient of the discretized
+    objective, the default) or "fd" (central finite differences);
+    ``precondition`` takes the Newton step of the block-tridiagonal Hessian
+    band, recomputed at every iteration (the Jacobi step, the gradient over
+    the absolute band diagonal, where the negated band is not positive
+    definite), and then interprets ``grad_tol`` as a bound on the step,
+    which is the only reliable stopping rule when the objective carries
+    strong discounting.
     """
 
     T_trunc: float
@@ -85,7 +94,7 @@ class SolveOptions:
     max_iters: int = 2000
     step_init: float = 1.0
     grad_tol: float = 1e-6
-    gradient: str = "fd"
+    gradient: str = "analytic"
     precondition: bool = False
 
     def __post_init__(self):
@@ -111,7 +120,7 @@ class SolveInfo:
     objective: float
     objective_log: tuple[float, ...]
     stop_reason: str
-    curvature_refreshes: int
+    fallbacks: int
     backtracks: int
 
 
@@ -146,6 +155,8 @@ class _Engine:
                     f"pinned terminal needs {p.n} value(s), got {len(opts.terminal_mode.values)}"
                 )
         self.free = [(j, c) for j in range(1, self.last + 1) for c in range(p.n)]
+        # the order of the rows and columns of Problem.hessian_partials
+        self.u_names = [f"{s}{i}" for s in "xv" for i in range(1, p.n + 1)]
 
     def initial_values(self) -> np.ndarray:
         ts, p, opts = self.p.ts, self.p, self.opts
@@ -175,10 +186,21 @@ class _Engine:
         return vals
 
     def _cols(self, key: str, env) -> np.ndarray:
-        """(K, n) array of the partial ``key`` ("Lx", "gxv", ...) per component."""
-        d = self.p.partials if len(key) == 2 else self.p.second_partials
-        what = f"d{key[0]}/d{key[1]}" if len(key) == 2 else f"d2{key[0]}/d{key[1]}d{key[2]}"
-        return np.column_stack([self._eval(e, env, what) for e in d[key]])
+        """(K, n) array of the first partial ``key`` ("Lx", "gv", ...) per component."""
+        return np.column_stack(
+            [self._eval(e, env, f"d{key[0]}/d{key[1]}") for e in self.p.partials[key]]
+        )
+
+    def _matrix(self, key: str, env) -> np.ndarray:
+        """(K, 2n, 2n) values of the symmetric second partials ``key`` ("Luu"
+        or "guu") in u = (x1..xn, v1..vn), each expression evaluated once."""
+        exprs, u = self.p.hessian_partials[key], self.u_names
+        out = np.empty((self.K, len(u), len(u)))
+        for i in range(len(u)):
+            for j in range(i, len(u)):
+                what = f"d2{key[0]}/d{u[i]}d{u[j]}"
+                out[:, i, j] = out[:, j, i] = self._eval(exprs[i][j], env, what)
+        return out
 
     def objective(self, x: np.ndarray) -> float:
         # correctly-rounded sums keep the line search honest: once true
@@ -187,9 +209,12 @@ class _Engine:
         # masquerades as a decrease
         env = self._env(x)
         gvals = self._eval(self.p.z_integrand, env, "z integrand")
-        env["z"] = running_fsum(self.w[1:] * gvals)
-        lvals = self._eval(self.p.effective_lagrangian, env, "objective integrand")
-        return math.fsum(self.w[1:] * lvals)
+        try:
+            env["z"] = running_fsum(self.w[1:] * gvals)
+            lvals = self._eval(self.p.effective_lagrangian, env, "objective integrand")
+            return math.fsum(self.w[1:] * lvals)
+        except OverflowError:
+            raise NonFiniteObjectiveError("z or the objective overflows during the search") from None
 
     def fd_gradient(self, x: np.ndarray) -> np.ndarray:
         grad = np.empty(len(self.free))
@@ -227,41 +252,69 @@ class _Engine:
         G[:-1] = np.where(self.scattered[1:, None], G[:-1] + B[1:], G[:-1])
         return G[: self.last].ravel()
 
-    def curvature(self, x: np.ndarray) -> np.ndarray:
-        """|Hessian diagonal| of the discretized objective per free coordinate.
+    def hessian_band(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Block-tridiagonal part of the Hessian of the discretized objective.
 
-        Exact, from the second partials, in O(K n).  Coordinate (j, c) moves
-        term j (v by 1/w_j, x when j is left-dense), term j + 1 (v by
-        -1/w_{j+1}, x when j + 1 is left-scattered), and z by e_j at j, by
-        E = e_j + e_{j+1} after; the z-chain reaches later terms only through
-        the tail sums S of w*L_z and Q of w*L_zz.
+        Returns the diagonal blocks (F, n, n) and the upper blocks (F - 1, n,
+        n) over the free rows, exact, from the second partials, in O(K n^3).
+        Term k reads u_k = (x at rho, v) and z_k; row j moves u_j by D0_j
+        (x when j is left-dense, v by 1/w_j) and u_{j+1} by D1_{j+1} (x when
+        j + 1 is left-scattered, v by -1/w_{j+1}).  Through z, u_i and u_k
+        (i < k) couple by the rank-one a_i c_k^T, with a = w*g_u, b = w*L_uz,
+        c_k = b_k + Q_k a_k and the tail sums S of w*L_z and Q of w*L_zz;
+        so the band is the whole Hessian when g = 0 or when L is affine in z
+        with an x-free coefficient.
         """
         env, S = self._z_path(x)
-        S, w = S[:, None], self.w[1:, None]
-        gx, gv, Lxz, Lvz = (self._cols(key, env) for key in ("gx", "gv", "Lxz", "Lvz"))
-        Hxx, Hxv, Hvv = (
-            self._cols("L" + k, env) + S * self._cols("g" + k, env) for k in ("xx", "xv", "vv")
+        w, h, n = self.w[1:], self.p.hessian_partials, self.n
+        a = w[:, None] * np.hstack([self._cols("gx", env), self._cols("gv", env)])
+        b = w[:, None] * np.column_stack(
+            [self._eval(e, env, f"d2L/d{u}dz") for e, u in zip(h["Luz"], self.u_names)]
         )
-        wLzz = w * self._eval(self.p.second_partials["Lzz"], env, "d2L/dzdz")[:, None]
-        Q = np.cumsum(wLzz[::-1], axis=0)[::-1]
+        Q = np.cumsum((w * self._eval(h["Lzz"], env, "d2L/dzdz"))[::-1])[::-1]
+        c = b + Q[:, None] * a
+        # H[k]: the Hessian of the objective in u_k alone
+        H = self._matrix("Luu", env) + S[:, None, None] * self._matrix("guu", env)
+        H = w[:, None, None] * H + _outer(a, b) + _outer(b, a) + Q[:, None, None] * _outer(a, a)
 
-        def term(a, b, dz):
-            return w * (a * a * Hxx + 2 * a * b * Hxv + b * b * Hvv + 2 * dz * (a * Lxz + b * Lvz))
+        eye = np.eye(n)
+        D0 = np.concatenate([~self.scattered[:, None, None] * eye, (1 / w)[:, None, None] * eye], 1)
+        D1 = np.concatenate([self.scattered[:, None, None] * eye, (-1 / w)[:, None, None] * eye], 1)
 
-        # sensitivities of term k to x_k (a0, b0) and to x_{k-1} (a1, b1)
-        a0, b0 = 1.0 * ~self.scattered[:, None], 1.0 / w
-        a1, b1 = 1.0 * self.scattered[:, None], -1.0 / w
-        e0, e1 = w * (a0 * gx + b0 * gv), w * (a1 * gx + b1 * gv)
-        E = np.zeros_like(e0)  # E[k]: z shift from term k on, for coordinate k - 1
-        E[1:] = e0[:-1] + e1[1:]
-        diag = term(a0, b0, e0) + wLzz * e0 * e0
-        diag[:-1] += (term(a1, b1, E) + Q * E * E)[1:]
-        return np.maximum(np.abs(diag[: self.last].ravel()), 1e-30)
+        def project(P, y):  # P^T y per term
+            return np.einsum("kui,ku->ki", P, y)
+
+        def sandwich(P, R):  # P^T H R per term
+            return np.einsum("kui,kuv,kvj->kij", P, H, R)
+
+        a0, a1, c0, c1 = project(D0, a), project(D1, a), project(D0, c), project(D1, c)
+
+        # row j: term j through D0, term j + 1 through D1, and z between them
+        diag = sandwich(D0, D0) + _ahead(sandwich(D1, D1))
+        diag += _outer(a0, _ahead(c1)) + _outer(_ahead(c1), a0)
+        # rows j and j + 1: term j + 1 directly; z from term j meeting term j + 1
+        # through D0; z from terms j and j + 1 meeting term j + 2 through D1
+        upper = sandwich(D1, D0)[1:] + _outer(a0[:-1], c0[1:])
+        upper += _outer(a0 + _ahead(a1), _ahead(c1, 2))[:-1]
+        F = self.last
+        return diag[:F], upper[: max(F - 1, 0)]
 
     def apply(self, x: np.ndarray, delta: np.ndarray) -> np.ndarray:
         out = x.copy()
         out[1 : self.last + 1] = x[1 : self.last + 1] + delta.reshape(-1, self.n)
         return out
+
+
+def _outer(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Per-row outer products of (K, a) and (K, b) arrays."""
+    return p[:, :, None] * q[:, None, :]
+
+
+def _ahead(A: np.ndarray, s: int = 1) -> np.ndarray:
+    """A[k + s] at row k, zero past the last term."""
+    out = np.zeros_like(A)
+    out[: len(A) - s] = A[s:]
+    return out
 
 
 def free_coordinates(p: Problem, opts: SolveOptions) -> list[tuple[int, int]]:
@@ -281,39 +334,87 @@ def analytic_gradient(p: Problem, values, opts: SolveOptions) -> np.ndarray:
     return eng.analytic_gradient(np.asarray(values, dtype=float))
 
 
+def _band_solve(diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray) -> Optional[np.ndarray]:
+    """Solve M d = rhs for the symmetric block-tridiagonal M with diagonal
+    blocks ``diag`` (F, n, n) and upper blocks ``upper`` (F - 1, n, n).
+
+    Block elimination over rows (a block Cholesky/Thomas sweep), O(F n^3),
+    on M scaled symmetrically by 1/sqrt(|diagonal|): discounted problems
+    carry entries from 1 down to subnormals, whose reciprocals overflow.  A
+    diagonal entry that is exactly 0.0 is factorised as 1: in the solver
+    such a row's terms have underflowed, so its right-hand side is 0 too.
+    Returns None when M is not positive definite, which holds exactly when
+    some pivot (Schur complement) is not.
+    """
+    F, n = rhs.shape
+    if F == 0:
+        return np.zeros((0, n))
+    k = np.arange(n)
+    dg = diag[:, k, k]
+    s = 1.0 / np.sqrt(np.where(dg == 0.0, 1.0, np.abs(dg)))
+    aug = np.concatenate([diag * s[:, :, None] * s[:, None, :], (rhs * s)[:, :, None]], axis=2)
+    aug[:, k, k] = np.where(dg == 0.0, 1.0, aug[:, k, k])  # aug[j] = [M_jj | rhs_j], scaled
+    right = np.concatenate([upper * s[:-1, :, None] * s[1:, None, :], np.zeros((1, n, n))])
+    X = np.empty((F, n, n + 1))  # C_j^{-1} [M_{j,j+1} | y_j], C_j the pivot of row j
+    pivots = np.empty((F, n, n))
+    for j in range(F):
+        if j:
+            aug[j] -= right[j - 1].T @ X[j - 1]
+        pivots[j] = aug[j, :, :n]
+        try:
+            X[j] = np.linalg.solve(pivots[j], np.concatenate([right[j], aug[j, :, n:]], axis=1))
+        except np.linalg.LinAlgError:
+            return None
+    try:
+        np.linalg.cholesky(pivots)
+    except np.linalg.LinAlgError:
+        return None
+    d = np.empty((F, n))
+    d[-1] = X[-1, :, n]
+    for j in range(F - 2, -1, -1):
+        d[j] = X[j, :, n] - X[j, :, :n] @ d[j + 1]
+    return d * s
+
+
 def direct_solve(p: Problem, opts: SolveOptions, with_info: bool = False):
-    """Gradient ascent on the truncated objective over free state values.
+    """Ascent on the truncated objective over free state values.
 
     Starts from the constant initial state (or the linear interpolant to
     a pinned terminal) and ascends with Armijo backtracking from
-    ``step_init``.  Values beyond the truncation point are frozen; they
-    never enter the truncated objective.  Accepted steps never decrease
-    the objective.  ``SolveInfo.stop_reason`` says why the search ended:
-    ``grad_tol`` (the sup norm of the gradient, or of the preconditioned
-    step, fell below ``grad_tol``; the only converged case), ``flat`` (50
-    accepted steps in a row left the objective unchanged), ``no_progress``
-    (no step size passed the Armijo test, or the accepted step changed
-    nothing) or ``max_iters``.
+    ``step_init``, along the gradient or, with ``precondition``, along the
+    Newton step of the Hessian band (``_Engine.hessian_band``); when the
+    negated band is not positive definite that iteration takes the Jacobi
+    step, the gradient over max(|band diagonal|, 1e-30), and counts it in
+    ``SolveInfo.fallbacks``.  Values beyond the truncation point are
+    frozen; they never enter the truncated objective.  Accepted steps never
+    decrease the objective.  ``SolveInfo.stop_reason`` says why the search
+    ended: ``grad_tol`` (the sup norm of the gradient, or of the
+    preconditioned step, fell below ``grad_tol``; the only converged case),
+    ``flat`` (50 accepted steps in a row left the objective unchanged),
+    ``no_progress`` (no step size passed the Armijo test, or the accepted
+    step changed nothing) or ``max_iters``.
     """
     eng = _Engine(p, opts)
     x = eng.initial_values()
     f = eng.objective(x)
     log = [f]
-    curv = None
     crit = math.inf
-    iterations = refreshes = backtracks = 0
+    iterations = fallbacks = backtracks = 0
     stop = "max_iters"
     flat = 0  # consecutive accepted steps with no representable objective change
     for it in range(opts.max_iters):
         iterations = it + 1
         grad = eng.analytic_gradient(x) if opts.gradient == "analytic" else eng.fd_gradient(x)
+        direction = grad
         if opts.precondition:
-            if curv is None or it % 50 == 0:
-                curv = eng.curvature(x)
-                refreshes += 1
-            direction = grad / curv
-        else:
-            direction = grad
+            diag, upper = eng.hessian_band(x)
+            step = _band_solve(-diag, -upper, grad.reshape(-1, eng.n))
+            if step is None:
+                fallbacks += 1
+                curv = np.abs(np.diagonal(diag, axis1=1, axis2=2)).ravel()
+                direction = grad / np.maximum(curv, 1e-30)
+            else:
+                direction = step.ravel()
         crit = float(np.max(np.abs(direction))) if len(direction) else 0.0
         if crit <= opts.grad_tol:
             stop = "grad_tol"
@@ -351,7 +452,7 @@ def direct_solve(p: Problem, opts: SolveOptions, with_info: bool = False):
         objective=evaluate_functional_partial(p, traj, opts.T_trunc),
         objective_log=tuple(log),
         stop_reason=stop,
-        curvature_refreshes=refreshes,
+        fallbacks=fallbacks,
         backtracks=backtracks,
     )
     return traj, info

@@ -140,21 +140,24 @@ class Problem:
         }
 
     @cached_property
-    def second_partials(self) -> dict[str, list[Expr] | Expr]:
-        """The second partials behind the solver's Hessian diagonal: per
-        component c, d2/dx_c2, d2/dx_c dv_c, d2/dv_c2 of L and g, and the z
-        mixes of L; plus L_zz."""
+    def hessian_partials(self) -> dict[str, list | Expr]:
+        """The second partials behind the solver's Hessian band, in the
+        variables u = (x1..xn, v1..vn): the symmetric 2n x 2n matrices "Luu"
+        and "guu" (one expression per pair, shared by both triangles), the
+        2n mixes "Luz" of L with z, and "Lzz"."""
         d = self.partials
+        u = [f"{s}{i}" for s in "xv" for i in range(1, self.n + 1)]
+
+        def matrix(first: list[Expr]) -> list[list[Expr]]:
+            k = range(len(u))
+            upper = {(i, j): differentiate(first[i], u[j]) for i in k for j in k if i <= j}
+            return [[upper[min(i, j), max(i, j)] for j in k] for i in k]
+
         return {
-            "Lxx": [differentiate(e, f"x{i}") for i, e in enumerate(d["Lx"], 1)],
-            "Lxv": [differentiate(e, f"v{i}") for i, e in enumerate(d["Lx"], 1)],
-            "Lvv": [differentiate(e, f"v{i}") for i, e in enumerate(d["Lv"], 1)],
-            "Lxz": [differentiate(e, "z") for e in d["Lx"]],
-            "Lvz": [differentiate(e, "z") for e in d["Lv"]],
+            "Luu": matrix(d["Lx"] + d["Lv"]),
+            "guu": matrix(d["gx"] + d["gv"]),
+            "Luz": [differentiate(d["Lz"], name) for name in u],
             "Lzz": differentiate(d["Lz"], "z"),
-            "gxx": [differentiate(e, f"x{i}") for i, e in enumerate(d["gx"], 1)],
-            "gxv": [differentiate(e, f"v{i}") for i, e in enumerate(d["gx"], 1)],
-            "gvv": [differentiate(e, f"v{i}") for i, e in enumerate(d["gv"], 1)],
         }
 
     @property

@@ -217,12 +217,15 @@ def test_criterion_5_transversality_trend():
     t1 = [row.trans_T1 for row in rows]
     t2 = [row.trans_T2 for row in rows]
     elapsed = time.perf_counter() - start
-    dec1 = all(a > b for a, b in zip(t1, t1[1:]))
+    # T1 is x times the free end's own gradient entry, so at the optimum of each
+    # truncated problem the discrete free-end condition holds and T1 vanishes to
+    # rounding; T2 carries the accumulated L_x and decays with the horizon
+    vanish1 = all(a <= 1e-12 * b for a, b in zip(t1, t2))
     dec2 = all(a > b for a, b in zip(t2, t2[1:]))
-    ok = dec1 and dec2 and t1[-1] <= 1e-3 and t2[-1] <= 1e-3 and elapsed < 120.0
+    ok = vanish1 and dec2 and t1[-1] <= 1e-3 and t2[-1] <= 1e-3 and elapsed < 120.0
     _report(5, "transversality magnitudes decay with the horizon", ok,
-            f"|T1|={['%.2e' % v for v in t1]} |T2|={['%.2e' % v for v in t2]}, "
-            f"finals <= 1e-3; {elapsed:.2f}s < 120s")
+            f"|T1|={['%.2e' % v for v in t1]} <= 1e-12 |T2|, "
+            f"|T2|={['%.2e' % v for v in t2]} decreasing, finals <= 1e-3; {elapsed:.2f}s < 120s")
 
 
 # -- 6: violating variations exist for detectable nonzero functions --------------

@@ -262,7 +262,21 @@ class TestSolve:
         monkeypatch.chdir(tmp_path)  # the sample writes its outputs to the working directory
         code, out, _ = run(capsys, "solve", str(sample))
         assert code == 0
-        assert "converged: false\nstop_reason: flat\n" in out
+        assert "iterations: 2\nconverged: true\nstop_reason: grad_tol\n" in out
+
+    def test_search_overflowing_the_objective_sum_says_so(self, tmp_path, capsys):
+        # L is unbounded above (z grows like x^2, so -x*z like -x^3): a Newton
+        # step lands where every term is finite but their sum overflows
+        body = (
+            BASE_INI.replace('L = "-(v1^2)"', 'L = "-(v1^2)-x1^2 - x1*z"')
+            .replace('g = "0"', 'g = "x1^2"')
+            .replace("x_a = 0.0", "x_a = 1.0")
+            .replace("pinned: 5.0", "free\nprecondition = true")
+        )
+        code, out, err = run(capsys, "solve", write_ini(tmp_path, body))
+        assert code == 3
+        assert out == ""
+        assert err == "error: z or the objective overflows during the search\n"
 
     def test_search_leaving_the_domain_reports_a_plain_time(self, tmp_path, capsys):
         body = (
