@@ -20,10 +20,11 @@ Each state value enters only the terms at its own grid point and the
 next one, plus the accumulated z, so the Hessian of the discretized
 objective is block tridiagonal with n x n blocks, exactly so when g = 0 or
 when L is affine in z with an x-free coefficient.  Preconditioning solves
-with that band (a Newton step, O(m n^3) per iteration), so that quadratic
-problems converge in one step and the stopping test reads in step units;
-where the negated band is not positive definite an iteration falls back
-to Jacobi scaling by the band's diagonal.
+with that band (a Newton step) by block cyclic reduction, O(m n^3) work in
+O(log m) batched numpy levels per iteration, so that quadratic problems
+converge in one step and the stopping test reads in step units; where the
+negated band is not positive definite an iteration falls back to Jacobi
+scaling by the band's diagonal.
 """
 
 from __future__ import annotations
@@ -338,13 +339,18 @@ def _band_solve(diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray) -> Optiona
     """Solve M d = rhs for the symmetric block-tridiagonal M with diagonal
     blocks ``diag`` (F, n, n) and upper blocks ``upper`` (F - 1, n, n).
 
-    Block elimination over rows (a block Cholesky/Thomas sweep), O(F n^3),
-    on M scaled symmetrically by 1/sqrt(|diagonal|): discounted problems
-    carry entries from 1 down to subnormals, whose reciprocals overflow.  A
-    diagonal entry that is exactly 0.0 is factorised as 1: in the solver
-    such a row's terms have underflowed, so its right-hand side is 0 too.
-    Returns None when M is not positive definite, which holds exactly when
-    some pivot (Schur complement) is not.
+    Block cyclic reduction, O(F n^3) in ceil(log2 F) batched levels: each
+    level solves the odd rows' pivots against their couplings and right-hand
+    sides, folds them into the even rows (Schur complements, and new upper
+    blocks between even rows two apart) and recurses on the even rows; the
+    odd rows are recovered on the way back.  This is block Cholesky on the
+    odd-even permutation of M, so M is positive definite exactly when every
+    level's pivots are; they are checked together at the end, and a
+    singular pivot also returns None.  M is first scaled symmetrically by
+    1/sqrt(|diagonal|): discounted problems carry entries from 1 down to
+    subnormals, whose reciprocals overflow.  A diagonal entry that is
+    exactly 0.0 is factorised as 1: in the solver such a row's terms have
+    underflowed, so its right-hand side is 0 too.
     """
     F, n = rhs.shape
     if F == 0:
@@ -354,26 +360,44 @@ def _band_solve(diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray) -> Optiona
     s = 1.0 / np.sqrt(np.where(dg == 0.0, 1.0, np.abs(dg)))
     aug = np.concatenate([diag * s[:, :, None] * s[:, None, :], (rhs * s)[:, :, None]], axis=2)
     aug[:, k, k] = np.where(dg == 0.0, 1.0, aug[:, k, k])  # aug[j] = [M_jj | rhs_j], scaled
+    # right[j] = M_{j,j+1}, scaled; zero past the last row
     right = np.concatenate([upper * s[:-1, :, None] * s[1:, None, :], np.zeros((1, n, n))])
-    X = np.empty((F, n, n + 1))  # C_j^{-1} [M_{j,j+1} | y_j], C_j the pivot of row j
-    pivots = np.empty((F, n, n))
-    for j in range(F):
-        if j:
-            aug[j] -= right[j - 1].T @ X[j - 1]
-        pivots[j] = aug[j, :, :n]
-        try:
-            X[j] = np.linalg.solve(pivots[j], np.concatenate([right[j], aug[j, :, n:]], axis=1))
+    levels, pivots = [], []
+    while len(aug) > 1:
+        h = len(aug) // 2  # odd rows 2i + 1, each between even rows 2i and 2i + 2
+        up, down = right[0 : 2 * h : 2], right[1::2]  # M_{2i,2i+1}, M_{2i+1,2i+2}
+        pivots.append(aug[1::2, :, :n])
+        try:  # X[i] = C_i^{-1} [M_{2i+1,2i} | M_{2i+1,2i+2} | rhs_{2i+1}], C_i the pivot
+            X = np.linalg.solve(
+                pivots[-1], np.concatenate([up.transpose(0, 2, 1), down, aug[1::2, :, n:]], 2)
+            )
         except np.linalg.LinAlgError:
             return None
+        levels.append(X)
+        # Schur complements of the even rows: through row 2i + 1, then row 2i - 1
+        even = aug[0::2].copy()
+        P = up @ X
+        even[:h, :, :n] -= P[:, :, :n]
+        even[:h, :, n:] -= P[:, :, 2 * n :]
+        even[1:] -= (down.transpose(0, 2, 1) @ X[:, :, n:])[: len(even) - 1]
+        right = np.zeros((len(even), n, n))
+        right[:h] = -P[:, :, n : 2 * n]  # -M_{2i,2i+1} C_i^{-1} M_{2i+1,2i+2}
+        aug = even
+    pivots.append(aug[:, :, :n])
     try:
-        np.linalg.cholesky(pivots)
+        d = np.linalg.solve(pivots[-1], aug[:, :, n:])
+        np.linalg.cholesky(np.concatenate(pivots))
     except np.linalg.LinAlgError:
         return None
-    d = np.empty((F, n))
-    d[-1] = X[-1, :, n]
-    for j in range(F - 2, -1, -1):
-        d[j] = X[j, :, n] - X[j, :, :n] @ d[j + 1]
-    return d * s
+    # back-substitution: odd row 2i + 1 from even rows 2i and 2i + 2
+    for X in reversed(levels):
+        h = len(X)
+        ahead = np.concatenate([d[1:], np.zeros((1, n, 1))])[:h]  # zero past the last row
+        odd = X[:, :, 2 * n :] - X[:, :, :n] @ d[:h] - X[:, :, n : 2 * n] @ ahead
+        full = np.empty((len(d) + h, n, 1))
+        full[0::2], full[1::2] = d, odd
+        d = full
+    return d[:, :, 0] * s
 
 
 def direct_solve(p: Problem, opts: SolveOptions, with_info: bool = False):

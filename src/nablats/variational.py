@@ -269,13 +269,16 @@ def compute_z(p: Problem, x: Trajectory) -> GridFunction:
 def evaluate_functional_partial(p: Problem, x: Trajectory, T_prime: float) -> float:
     """The truncated objective: integral of L over (a, T'] along x.
 
-    Always the literal L, independent of the problem sense.
+    Always the literal L, independent of the problem sense.  One exact sum
+    of the terms up to T', bit for bit ``_running_objective(p, x)[k]``; L
+    is evaluated, and checked for non-finite values, over the whole grid.
     """
     _check_trajectory(p, x)
     k = p.ts.index_of(T_prime)
     if k == 0:
         raise ProblemError(f"T_prime={T_prime!r} must lie strictly past the initial point")
-    return float(_running_objective(p, x)[k])
+    lvals = _eval_checked(p.lagrangian, _path(p, x), p.ts, "lagrangian")
+    return math.fsum((p.ts.local_steps * lvals)[1 : k + 1].tolist())
 
 
 # -- Euler-Lagrange residual core ------------------------------------------------

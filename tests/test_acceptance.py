@@ -119,9 +119,10 @@ def test_criterion_2_classical_limit():
         p = Problem.from_strings(ts, 1, "-(v1^2)", "0", [0.0])
         opts = SolveOptions(
             T_trunc=1.0, terminal_mode=PINNED(1.0), gradient="analytic",
-            precondition=True, grad_tol=1e-9, max_iters=60000,
+            precondition=True, grad_tol=1e-9, max_iters=100,
         )
-        traj = direct_solve(p, opts)
+        traj, info = direct_solve(p, opts, with_info=True)
+        assert info.stop_reason == "grad_tol"
         res[n] = max(
             float(np.max(np.abs(el_residual_pointwise(p, traj, ts.points[j], 1.0))))
             for j in el_report_indices(ts)

@@ -1,8 +1,9 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nablats.solver import (
@@ -165,6 +166,53 @@ def coupled_case(seed, n, sense, coupling="full"):
 coupled_cases = dict(
     seed=st.integers(0, 10_000), n=st.sampled_from([1, 2]), sense=st.sampled_from(list(Sense))
 )
+
+
+def synthetic_band(seed, F, n, defect, zeroed):
+    """A random symmetric block-tridiagonal band (diag, upper, rhs).
+
+    Gershgorin-dominant, so positive definite with condition number below
+    300, unless ``defect`` spoils a random row r: "indefinite" scales one
+    diagonal entry of r by a factor in [-1, 0.2]; "singular" makes r's block
+    exactly singular (n >= 2), or rows r and r + 1 exactly dependent (n = 1).
+    ``zeroed`` other scalar rows are zero throughout, right-hand side too,
+    like the rows of the solver whose terms have underflowed.  Returns the
+    band, the right-hand side and the dense matrix with those rows' 0.0
+    diagonal entries replaced by 1, as ``_band_solve`` factorises them.
+    """
+    rng = np.random.default_rng(seed)
+    A = rng.uniform(-1.0, 1.0, (F, n, n))
+    diag = A @ A.transpose(0, 2, 1) / n + 3.0 * n * np.eye(n)
+    upper = rng.uniform(-1.0, 1.0, (F - 1, n, n))
+    scale = 2.0 ** rng.uniform(-1.0, 1.0, (F, n))
+    diag *= scale[:, :, None] * scale[:, None, :]
+    upper *= scale[:-1, :, None] * scale[1:, None, :]
+    rhs = rng.uniform(-1.0, 1.0, (F, n))
+    r = int(rng.integers(0, F - 1)) if defect == "singular" and n == 1 else int(rng.integers(0, F))
+    spoiled = {r}
+    if defect == "indefinite":
+        c = int(rng.integers(0, n))
+        diag[r, c, c] *= rng.uniform(-1.0, 0.2)
+    elif defect == "singular":
+        a = 4.0 ** int(rng.integers(-2, 3))  # keeps the scaled entries exact
+        if n == 1:
+            diag[r] = diag[r + 1] = upper[r] = a
+            spoiled.add(r + 1)
+        else:
+            diag[r] = a * np.eye(n)
+            diag[r, 0, 1] = diag[r, 1, 0] = a
+    rows = [(j, c) for j in range(F) for c in range(n) if j not in spoiled]
+    for i in rng.permutation(len(rows))[:zeroed]:
+        j, c = rows[i]
+        diag[j, c, :] = diag[j, :, c] = rhs[j, c] = 0.0
+        if j:
+            upper[j - 1, :, c] = 0.0
+        if j < F - 1:
+            upper[j, c, :] = 0.0
+    M = assemble(diag, upper)
+    z = np.flatnonzero(np.diagonal(M) == 0.0)
+    M[z, z] = 1.0
+    return diag, upper, rhs, M
 
 
 class TestDirectSolve:
@@ -422,6 +470,48 @@ class TestGradients:
         _, info = direct_solve(p, replace(opts, gradient="fd"), with_info=True)
         assert len(bands) == info.iterations > 1
         assert calls == []
+
+
+class TestBandSolve:
+    @given(
+        seed=st.integers(0, 10_000),
+        F=st.one_of(
+            st.sampled_from([2**k + e for k in range(1, 7) for e in (-1, 0, 1)]),
+            st.integers(1, 70),
+        ),
+        n=st.sampled_from([1, 2, 3]),
+        defect=st.sampled_from(["none", "indefinite", "singular"]),
+        zeroed=st.integers(0, 3),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_dense_solve_or_rejects(self, seed, F, n, defect, zeroed):
+        assume(not (defect == "singular" and n == 1 and F == 1))
+        diag, upper, rhs, M = synthetic_band(seed, F, n, defect, zeroed)
+        d = _band_solve(diag, upper, rhs)
+        eig = np.linalg.eigvalsh(M)
+        if defect == "singular" or eig[0] <= -1e-3 * eig[-1]:
+            assert d is None
+        elif eig[0] >= 1e-3 * eig[-1]:
+            expected = np.linalg.solve(M, rhs.ravel())
+            np.testing.assert_allclose(d.ravel(), expected, rtol=1e-10,
+                                       atol=1e-10 * np.max(np.abs(expected)))
+
+    def test_levels_not_rows(self, monkeypatch):
+        # one batched pivot solve per reduction level and one for the last
+        # row: a per-row sweep would make 1600
+        F = 1600
+        diag, upper, rhs, M = synthetic_band(7, F, 1, "none", 0)
+        calls = []
+        solve = np.linalg.solve
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "solve", counting)
+        d = _band_solve(diag, upper, rhs)
+        assert len(calls) <= math.ceil(math.log2(F)) + 1
+        np.testing.assert_allclose(M @ d.ravel(), rhs.ravel(), rtol=0, atol=1e-12)
 
 
 class TestBruteForce:

@@ -34,6 +34,7 @@ from nablats.variational import (
     transversality_residual_T2,
     weak_max_compare,
 )
+from nablats.variational import _running_objective
 
 
 def make_problem(L="-(v1^2)", g="0", ts=None, x_a=0.0, sense=Sense.MAX):
@@ -66,13 +67,15 @@ class TestProblemValidation:
             Trajectory.from_values(p, vals)
 
 
-def mixed_problem(sense=Sense.MAX):
-    """n=2, z-coupled, on a grid with a dense start, scattered runs and a dense run (47 points)."""
-    dense = [k / 12 for k in range(12)] + [12.5 + k / 4 for k in range(7)]
-    ts = from_points(
-        sorted(dense + list(range(1, 13)) + list(range(15, 31))),
-        "d" * 12 + "s" * 12 + "d" * 6 + "s" * 16,
-    )
+def mixed_problem(sense=Sense.MAX, ts=None):
+    """n=2, z-coupled, by default on a grid with a dense start, scattered runs
+    and a dense run (47 points)."""
+    if ts is None:
+        dense = [k / 12 for k in range(12)] + [12.5 + k / 4 for k in range(7)]
+        ts = from_points(
+            sorted(dense + list(range(1, 13)) + list(range(15, 31))),
+            "d" * 12 + "s" * 12 + "d" * 6 + "s" * 16,
+        )
     L = "exp(-0.1*t)*(-(v1^2) - x1^2 - v2^2 + 0.5*x1*x2) - 0.1*z"
     if sense is Sense.MIN:
         L = f"-({L})"
@@ -149,6 +152,23 @@ class TestFunctional:
         expected = fsum_prefixes(p.ts, evaluate_many(p.lagrangian, env))
         for k in range(1, len(p.ts)):
             assert evaluate_functional_partial(p, x, p.ts.points[k]) == expected[k]
+
+    @pytest.mark.parametrize("sense", list(Sense))
+    def test_one_sum_at_the_horizon_is_the_running_objective(self, sense):
+        # mixed_problem starts dense; the sampled interval is dense throughout
+        for p in (mixed_problem(sense), mixed_problem(sense, sampled_interval(0.0, 2.0, 24))):
+            for seed in range(3):
+                x = random_trajectory(p, seed)
+                J = _running_objective(p, x)
+                for k in range(1, len(p.ts)):
+                    assert evaluate_functional_partial(p, x, p.ts.points[k]) == J[k]
+
+    def test_sum_overflow_past_the_horizon_does_not_raise(self):
+        p = make_problem(L="1e308")
+        x = linear_trajectory(p)
+        assert evaluate_functional_partial(p, x, 1.0) == 1e308
+        with pytest.raises(OverflowError):
+            evaluate_functional_partial(p, x, 2.0)
 
     def test_quadratic_speed_cost(self):
         # L = -(v1^2), x linear with slope 1: J_T = -T on the integer scale
