@@ -37,6 +37,7 @@ is invisible to admissible variations).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional, Sequence
 
@@ -240,7 +241,9 @@ def _cmd_compare(args) -> int:
 # -- parser / entry point ------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first ``main`` call and reused for the process."""
     parser = argparse.ArgumentParser(
         prog="nablats",
         description="Backward-difference calculus and infinite-horizon "

@@ -25,6 +25,14 @@ O(log m) batched numpy levels per iteration, so that quadratic problems
 converge in one step and the stopping test reads in step units; where the
 negated band is not positive definite an iteration falls back to Jacobi
 scaling by the band's diagonal.
+
+Every evaluation runs on the problem's compiled kernels
+(``Problem.kernel``), through ``evaluate_many``: an iteration makes one
+derivative pass, which gives the first partials for the gradient and, with
+preconditioning, the second partials for the band, and each line-search
+probe makes one objective call.  Subtrees that read only t are evaluated
+once per horizon, and a non-finite value anywhere raises
+``NonFiniteObjectiveError`` naming the first non-finite output and its t.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ from typing import Optional
 import numpy as np
 
 from .calculus import running_fsum
-from .expressions import evaluate_many, to_source
+from .expressions import ExprDomainError, evaluate_many
 from .variational import (
     Problem,
     ProblemError,
@@ -126,6 +134,10 @@ class SolveInfo:
 
 
 ARMIJO = 1e-4
+#: kernel groups of the derivative pass: the gradient's first partials, and
+#: with the band the second partials as well
+_FIRST_GROUPS = ("gx", "gv", "Lz", "Lx", "Lv")
+_BAND_GROUPS = _FIRST_GROUPS + ("guu", "Luz", "Lzz", "Luu")
 
 
 class _Engine:
@@ -156,8 +168,6 @@ class _Engine:
                     f"pinned terminal needs {p.n} value(s), got {len(opts.terminal_mode.values)}"
                 )
         self.free = [(j, c) for j in range(1, self.last + 1) for c in range(p.n)]
-        # the order of the rows and columns of Problem.hessian_partials
-        self.u_names = [f"{s}{i}" for s in "xv" for i in range(1, p.n + 1)]
 
     def initial_values(self) -> np.ndarray:
         ts, p, opts = self.p.ts, self.p, self.opts
@@ -174,46 +184,20 @@ class _Engine:
         """``path_env`` on grid rows 1..K; x may carry a leading batch axis."""
         return {key: a[..., 1:] for key, a in path_env(self.p.ts, x, self.K).items()}
 
-    def _eval(self, expr, env, what: str) -> np.ndarray:
-        vals = np.broadcast_to(
-            np.asarray(evaluate_many(expr, env), dtype=float), (self.K,)
-        )
-        if not np.all(np.isfinite(vals)):
-            bad = int(np.argmax(~np.isfinite(vals)))
-            raise NonFiniteObjectiveError(
-                f"{what} '{to_source(expr)}' is non-finite at t={float(env['t'][bad])!r} "
-                "during the search"
-            )
-        return vals
-
-    def _cols(self, key: str, env) -> np.ndarray:
-        """(K, n) array of the first partial ``key`` ("Lx", "gv", ...) per component."""
-        return np.column_stack(
-            [self._eval(e, env, f"d{key[0]}/d{key[1]}") for e in self.p.partials[key]]
-        )
-
-    def _matrix(self, key: str, env) -> np.ndarray:
-        """(K, 2n, 2n) values of the symmetric second partials ``key`` ("Luu"
-        or "guu") in u = (x1..xn, v1..vn), each expression evaluated once."""
-        exprs, u = self.p.hessian_partials[key], self.u_names
-        out = np.empty((self.K, len(u), len(u)))
-        for i in range(len(u)):
-            for j in range(i, len(u)):
-                what = f"d2{key[0]}/d{u[i]}d{u[j]}"
-                out[:, i, j] = out[:, j, i] = self._eval(exprs[i][j], env, what)
-        return out
+    def _run(self, kernel, env, z_sum) -> np.ndarray:
+        try:
+            return evaluate_many(kernel, env, z_sum)
+        except ExprDomainError as exc:
+            raise NonFiniteObjectiveError(f"{exc} during the search") from None
 
     def objective(self, x: np.ndarray) -> float:
         # correctly-rounded sums keep the line search honest: once true
         # improvements drop below one ulp of the objective, probes evaluate
         # bit-identically instead of picking up accumulation noise that
         # masquerades as a decrease
-        env = self._env(x)
-        gvals = self._eval(self.p.z_integrand, env, "z integrand")
         try:
-            env["z"] = running_fsum(self.w[1:] * gvals)
-            lvals = self._eval(self.p.effective_lagrangian, env, "objective integrand")
-            return math.fsum(self.w[1:] * lvals)
+            out = self._run(self.p.kernel("J"), self._env(x), lambda g: running_fsum(self.w[1:] * g))
+            return math.fsum(self.w[1:] * out[1])
         except OverflowError:
             raise NonFiniteObjectiveError("z or the objective overflows during the search") from None
 
@@ -229,23 +213,28 @@ class _Engine:
             grad[i] = (fp - fm) / (2.0 * h)
         return grad
 
-    def _z_path(self, x: np.ndarray):
-        """The path env with z, and the tail sums S of w*L_z from each row to K."""
-        env = self._env(x)
-        env["z"] = np.cumsum(self.w[1:] * self._eval(self.p.z_integrand, env, "z integrand"))
-        Lz = self._eval(self.p.partials["Lz"], env, "dL/dz")
-        return env, np.cumsum((self.w[1:] * Lz)[::-1])[::-1]
+    def derivatives(self, x: np.ndarray, band: bool = False) -> dict[str, np.ndarray]:
+        """One kernel call at x: the first partials (with ``band``, the second
+        partials too), each group (count, K) over grid rows 1..K, and the tail
+        sums S of w*L_z from each row to K."""
+        groups = _BAND_GROUPS if band else _FIRST_GROUPS
+        kernel = self.p.kernel(*groups)
+        out = self._run(kernel, self._env(x), lambda g: np.cumsum(self.w[1:] * g))
+        d = {name: out[kernel.rows[name]] for name in groups}
+        d["S"] = np.cumsum((self.w[1:] * d["Lz"][0])[::-1])[::-1]
+        return d
 
-    def analytic_gradient(self, x: np.ndarray) -> np.ndarray:
-        """Exact gradient of the discretized objective.
+    def analytic_gradient(self, d: dict[str, np.ndarray]) -> np.ndarray:
+        """Exact gradient of the discretized objective from the derivative
+        pass ``d`` at a point.
 
         With S_j the tail sum of w*L_z from j to K, the chain through z
         collapses to S at the point where a coordinate first enters the
         accumulation, so each coordinate touches at most four terms.
         """
-        env, S = self._z_path(x)
-        A = self._cols("Lv", env) + S[:, None] * self._cols("gv", env)
-        B = self.w[1:, None] * (self._cols("Lx", env) + S[:, None] * self._cols("gx", env))
+        S = d["S"]
+        A = d["Lv"].T + S[:, None] * d["gv"].T
+        B = self.w[1:, None] * (d["Lx"].T + S[:, None] * d["gx"].T)
         # row j: term j through v, and through x when j is left-dense; then
         # term j + 1 through v, and through x when j + 1 is left-scattered
         G = np.where(self.scattered[:, None], A, A + B)
@@ -253,8 +242,9 @@ class _Engine:
         G[:-1] = np.where(self.scattered[1:, None], G[:-1] + B[1:], G[:-1])
         return G[: self.last].ravel()
 
-    def hessian_band(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Block-tridiagonal part of the Hessian of the discretized objective.
+    def hessian_band(self, d: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """Block-tridiagonal part of the Hessian of the discretized objective
+        from the derivative pass ``d`` (with ``band``) at a point.
 
         Returns the diagonal blocks (F, n, n) and the upper blocks (F - 1, n,
         n) over the free rows, exact, from the second partials, in O(K n^3).
@@ -266,16 +256,13 @@ class _Engine:
         so the band is the whole Hessian when g = 0 or when L is affine in z
         with an x-free coefficient.
         """
-        env, S = self._z_path(x)
-        w, h, n = self.w[1:], self.p.hessian_partials, self.n
-        a = w[:, None] * np.hstack([self._cols("gx", env), self._cols("gv", env)])
-        b = w[:, None] * np.column_stack(
-            [self._eval(e, env, f"d2L/d{u}dz") for e, u in zip(h["Luz"], self.u_names)]
-        )
-        Q = np.cumsum((w * self._eval(h["Lzz"], env, "d2L/dzdz"))[::-1])[::-1]
+        w, n, S = self.w[1:], self.n, d["S"]
+        a = w[:, None] * np.ascontiguousarray(np.concatenate([d["gx"], d["gv"]]).T)
+        b = w[:, None] * np.ascontiguousarray(d["Luz"].T)
+        Q = np.cumsum((w * d["Lzz"][0])[::-1])[::-1]
         c = b + Q[:, None] * a
         # H[k]: the Hessian of the objective in u_k alone
-        H = self._matrix("Luu", env) + S[:, None, None] * self._matrix("guu", env)
+        H = self._matrix(d["Luu"]) + S[:, None, None] * self._matrix(d["guu"])
         H = w[:, None, None] * H + _outer(a, b) + _outer(b, a) + Q[:, None, None] * _outer(a, a)
 
         eye = np.eye(n)
@@ -299,6 +286,10 @@ class _Engine:
         upper += _outer(a0 + _ahead(a1), _ahead(c1, 2))[:-1]
         F = self.last
         return diag[:F], upper[: max(F - 1, 0)]
+
+    def _matrix(self, rows: np.ndarray) -> np.ndarray:
+        """(K, 2n, 2n) from the (2n)^2 row-major rows of a second-partial group."""
+        return np.ascontiguousarray(rows.reshape(2 * self.n, 2 * self.n, self.K).transpose(2, 0, 1))
 
     def apply(self, x: np.ndarray, delta: np.ndarray) -> np.ndarray:
         out = x.copy()
@@ -332,7 +323,7 @@ def fd_gradient(p: Problem, values, opts: SolveOptions) -> np.ndarray:
 def analytic_gradient(p: Problem, values, opts: SolveOptions) -> np.ndarray:
     """Exact gradient of the discretized truncated objective at ``values``."""
     eng = _Engine(p, opts)
-    return eng.analytic_gradient(np.asarray(values, dtype=float))
+    return eng.analytic_gradient(eng.derivatives(np.asarray(values, dtype=float)))
 
 
 def _band_solve(diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray) -> Optional[np.ndarray]:
@@ -428,10 +419,13 @@ def direct_solve(p: Problem, opts: SolveOptions, with_info: bool = False):
     flat = 0  # consecutive accepted steps with no representable objective change
     for it in range(opts.max_iters):
         iterations = it + 1
-        grad = eng.analytic_gradient(x) if opts.gradient == "analytic" else eng.fd_gradient(x)
+        d = None  # the one derivative pass of this iteration
+        if opts.gradient == "analytic" or opts.precondition:
+            d = eng.derivatives(x, band=opts.precondition)
+        grad = eng.analytic_gradient(d) if opts.gradient == "analytic" else eng.fd_gradient(x)
         direction = grad
         if opts.precondition:
-            diag, upper = eng.hessian_band(x)
+            diag, upper = eng.hessian_band(d)
             step = _band_solve(-diag, -upper, grad.reshape(-1, eng.n))
             if step is None:
                 fallbacks += 1
@@ -536,17 +530,11 @@ def brute_force(p: Problem, opts: SolveOptions, value_grid) -> Trajectory:
 def _batch_objective(eng: _Engine, xb: np.ndarray) -> np.ndarray:
     """Vectorized truncated objective over a batch of head segments."""
     w = eng.w
-    env = eng._env(xb)
-    B = xb.shape[0]
-    g = np.broadcast_to(
-        np.asarray(evaluate_many(eng.p.z_integrand, env), dtype=float), (B, eng.K)
-    )
-    env["z"] = np.cumsum(w[1:] * g, axis=1)
-    lv = np.broadcast_to(
-        np.asarray(evaluate_many(eng.p.effective_lagrangian, env), dtype=float), (B, eng.K)
+    out = evaluate_many(
+        eng.p.kernel("J", check=False), eng._env(xb), lambda g: np.cumsum(w[1:] * g, axis=-1)
     )
     with np.errstate(invalid="ignore"):
-        return lv @ w[1:]
+        return out[1] @ w[1:]
 
 
 # -- horizon study ----------------------------------------------------------

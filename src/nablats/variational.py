@@ -25,7 +25,9 @@ residuals:
   tail infimum of truncated objective differences.
 
 All of them read one path (``path_env``: t, x at rho(t) and the nabla
-derivative, then z) and one exact running sum (``calculus.running_fsum``).
+derivative, then z) and one exact running sum (``calculus.running_fsum``),
+with L, g and their partials from one call of the problem's compiled kernel
+(``Problem.kernel``).
 Composite quantities (Lv along the path, gv times the inner integral) are
 nabla-differentiated numerically from their grid samples.  Values that read
 the derivative at the minimum (undefined at a right-scattered minimum, only a
@@ -57,12 +59,12 @@ from .calculus import (
 )
 from .expressions import (
     Expr,
-    ExprDomainError,
+    Kernel,
     Neg,
+    Program,
     differentiate,
     evaluate_many,
     parse,
-    to_source,
     variables,
 )
 from .timescale import TimeScale
@@ -79,6 +81,12 @@ class AdmissibilityError(ValueError):
 class Sense(enum.Enum):
     MAX = "max"
     MIN = "min"
+
+
+#: the row order of every kernel (``Problem.kernel``); the groups of g, which
+#: never reads z, are evaluated before z is summed
+_KERNEL_GROUPS = ("g", "gx", "gv", "guu", "L", "J", "Lz", "Lx", "Lv", "Luz", "Lzz", "Luu")
+_G_STAGE = frozenset({"g", "gx", "gv", "guu"})
 
 
 def _allowed_vars(n: int, with_z: bool) -> set[str]:
@@ -160,6 +168,58 @@ class Problem:
             "Lzz": differentiate(d["Lz"], "z"),
         }
 
+    @cached_property
+    def _kernels(self) -> tuple[Program, dict]:
+        return Program(), {}
+
+    def kernel(self, *groups: str, check: bool = True) -> Kernel:
+        """The compiled kernel of the z integrand and ``groups``, built once.
+
+        Every kernel of a problem lowers into one hash-consed ``Program``.
+        Groups, one stacked row per expression, in ``_KERNEL_GROUPS`` order
+        whatever the order asked for: "g" (the z integrand, whose running
+        sum is z), "L" (the literal lagrangian), "J" (the maximized
+        integrand, ``effective_lagrangian``), the first partials of
+        ``partials`` ("gx", "gv", "Lz", "Lx", "Lv", one row per component)
+        and the second partials of ``hessian_partials`` ("Luz", "Lzz", and
+        "Luu" and "guu" as (2n)^2 rows in row-major order).  The g-stage
+        groups (g, gx, gv, guu) run before z is summed, the rest after.
+        """
+        program, cache = self._kernels
+        key = (frozenset(groups), check)
+        if key not in cache:
+            unknown = key[0].difference(_KERNEL_GROUPS)
+            if unknown:
+                raise ValueError(f"unknown kernel groups {sorted(unknown)}")
+            names = [name for name in _KERNEL_GROUPS if name == "g" or name in key[0]]
+            stages = ([], [])
+            for name in names:
+                stages[name not in _G_STAGE].append((name, self._outputs(name)))
+            cache[key] = Kernel(program, *stages, check=check)
+        return cache[key]
+
+    def _outputs(self, group: str) -> list[tuple[str, Expr]]:
+        """(label, expression) of each row of a kernel group."""
+        named = {
+            "g": ("z integrand", self.z_integrand),
+            "L": ("lagrangian", self.lagrangian),
+            "J": ("objective integrand", self.effective_lagrangian),
+        }
+        if group in named:
+            return [named[group]]
+        if group in self.partials:
+            first = self.partials[group]
+            label = f"d{group[0]}/d{group[1]}"
+            return [(label, e) for e in first] if isinstance(first, list) else [(label, first)]
+        h = self.hessian_partials
+        u = [f"{s}{i}" for s in "xv" for i in range(1, self.n + 1)]
+        if group == "Luz":
+            return [(f"d2L/d{name}dz", e) for e, name in zip(h["Luz"], u)]
+        if group == "Lzz":
+            return [("d2L/dzdz", h["Lzz"])]
+        k = range(len(u))
+        return [(f"d2{group[0]}/d{u[min(i, j)]}d{u[max(i, j)]}", h[group][i][j]) for i in k for j in k]
+
     @property
     def x_a_array(self) -> np.ndarray:
         return np.asarray(self.x_a)
@@ -235,30 +295,19 @@ def _integrals(terms: np.ndarray) -> np.ndarray:
     return np.concatenate((np.zeros((1,) + sums.shape[1:]), sums))
 
 
-def _eval_checked(expr: Expr, env, ts: TimeScale, what: str) -> np.ndarray:
-    vals = np.broadcast_to(np.asarray(evaluate_many(expr, env), dtype=float), (len(ts),)).copy()
-    bad = ~np.isfinite(vals)
-    if np.any(bad):
-        tau = ts.points[int(np.argmax(bad))]
-        raise ExprDomainError(
-            f"{what} '{to_source(expr)}' is non-finite at tau={tau!r}"
-        )
-    return vals
-
-
-def _path(p: Problem, x: Trajectory) -> dict[str, np.ndarray]:
-    """``path_env`` over the whole grid plus the accumulated z."""
+def _path(p: Problem, x: Trajectory, *groups: str) -> dict[str, np.ndarray]:
+    """One kernel call along x over the whole grid (``path_env``): the
+    accumulated z, and the rows (count, m) of each kernel group."""
     _check_trajectory(p, x)
     env = path_env(p.ts, x.values, len(p.ts) - 1)
-    gvals = _eval_checked(p.z_integrand, env, p.ts, "z integrand")
-    env["z"] = _integrals(p.ts.local_steps * gvals)
-    return env
+    k = p.kernel(*groups)
+    out = evaluate_many(k, env, lambda g: _integrals(p.ts.local_steps * g))
+    return {"z": env["z"], **{name: out[k.rows[name]] for name in groups}}
 
 
 def _running_objective(p: Problem, x: Trajectory) -> np.ndarray:
     """J[j] = integral of the literal L over (a, t_j] along x, for every j."""
-    lvals = _eval_checked(p.lagrangian, _path(p, x), p.ts, "lagrangian")
-    return _integrals(p.ts.local_steps * lvals)
+    return _integrals(p.ts.local_steps * _path(p, x, "L")["L"][0])
 
 
 def compute_z(p: Problem, x: Trajectory) -> GridFunction:
@@ -277,7 +326,7 @@ def evaluate_functional_partial(p: Problem, x: Trajectory, T_prime: float) -> fl
     k = p.ts.index_of(T_prime)
     if k == 0:
         raise ProblemError(f"T_prime={T_prime!r} must lie strictly past the initial point")
-    lvals = _eval_checked(p.lagrangian, _path(p, x), p.ts, "lagrangian")
+    lvals = _path(p, x, "L")["L"][0]
     return math.fsum((p.ts.local_steps * lvals)[1 : k + 1].tolist())
 
 
@@ -288,15 +337,13 @@ class _ELCore:
     """All per-point arrays of the residual operators along x at horizon T' = t_k."""
 
     def __init__(self, p: Problem, x: Trajectory, T_prime: float):
-        env = _path(p, x)
+        d = _path(p, x, "gx", "gv", "Lz", "Lx", "Lv")
         ts = p.ts
         self.x, self.ts = x, ts
-        d = p.partials
-        self.Lz = _eval_checked(d["Lz"], env, ts, "dL/dz")
-        self.Lx = np.column_stack([_eval_checked(e, env, ts, "dL/dx") for e in d["Lx"]])
-        self.Lv = np.column_stack([_eval_checked(e, env, ts, "dL/dv") for e in d["Lv"]])
-        self.gx = np.column_stack([_eval_checked(e, env, ts, "dg/dx") for e in d["gx"]])
-        self.gv = np.column_stack([_eval_checked(e, env, ts, "dg/dv") for e in d["gv"]])
+        self.Lz = d["Lz"][0]
+        self.Lx, self.Lv, self.gx, self.gv = (
+            np.ascontiguousarray(d[key].T) for key in ("Lx", "Lv", "gx", "gv")
+        )
         w = ts.local_steps
         self.CumLx = _integrals(w[:, None] * self.Lx)
         self.nu_true = np.where(ts.rho_indices == np.arange(len(ts)), 0.0, w)

@@ -447,6 +447,44 @@ class TestMalformedInput:
         assert code == 2
 
 
+class TestParserReuse:
+    def test_successive_calls_share_one_parser_and_leak_nothing(self, tmp_path, capsys, monkeypatch):
+        cfg = write_ini(tmp_path)
+        traj = write_trajectory(tmp_path, "x.csv", [0, 1, 2, 3, 4, 5])
+        parser = cli._build_parser()
+        assert cli._build_parser() is parser
+        seen = []
+        parse_args = parser.parse_args
+
+        def recording(argv):
+            args = parse_args(argv)
+            seen.append({key: value for key, value in vars(args).items() if key != "handler"})
+            return args
+
+        monkeypatch.setattr(parser, "parse_args", recording)
+        calls = [
+            (["check-el", cfg, "--trajectory", traj, "--form", "integral", "--Tprime", "3"], 0,
+             dict(command="check-el", config=cfg, trajectory=traj, form="integral", Tprime=3.0)),
+            (["quad", cfg, "--from", "0", "--to", "3"], 0,
+             dict(command="quad", config=cfg, from_t=0.0, to_t=3.0)),
+            (["check-el", cfg, "--trajectory", traj], 0,
+             dict(command="check-el", config=cfg, trajectory=traj, form="pointwise", Tprime=None)),
+            (["solve", cfg], 0, dict(command="solve", config=cfg)),
+            (["lemma", cfg, "--function", traj], 2,
+             dict(command="lemma", config=cfg, function=traj, tol=None)),
+        ]
+        for argv, code, namespace in calls:
+            assert run(capsys, *argv)[0] == code, argv
+            assert seen[-1] == namespace
+        # usage errors and --help keep their exit codes, and leave nothing behind
+        for argv, code in ((["--help"], 0), (["check-el", "--help"], 0), (["frobnicate"], 2),
+                           (["check-el", cfg], 2), (["quad", cfg, "--from", "x", "--to", "1"], 2)):
+            assert run(capsys, *argv)[0] == code, argv
+        code, out, _ = run(capsys, "check-el", cfg, "--trajectory", traj)
+        assert (code, seen[-1]) == (0, calls[2][2])
+        assert "form: pointwise" in out and "T_prime: 5.0" in out
+
+
 class TestConfigLoading:
     def test_full_roundtrip_of_sections(self, tmp_path):
         cfg = write_ini(tmp_path)

@@ -6,13 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nablats.expressions import (
+    FUNCTIONS,
     BinOp,
     Call,
     ExprDomainError,
     ExprSyntaxError,
+    Kernel,
     MissingVariableError,
     Neg,
     Num,
+    Program,
     Var,
     differentiate,
     evaluate,
@@ -184,3 +187,135 @@ def test_symbolic_derivative_matches_central_difference(e, var, seed):
     if max(abs(sym), abs(fd)) > 1e6:  # ill-conditioned central difference
         return
     assert sym == pytest.approx(fd, rel=1e-4, abs=1e-5)
+
+
+# -- compiled kernels ------------------------------------------------------------
+
+
+def _kernel_leaf(names):
+    return st.one_of(
+        st.sampled_from(names).map(Var),
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 3.0]).map(Num),
+        st.floats(-4.0, 4.0, allow_nan=False).map(Num),
+        # a t-only subtree, as in a discount factor
+        st.floats(0.0, 1.0).map(lambda r: Call("exp", BinOp("*", Neg(Num(r)), Var("t")))),
+    )
+
+
+def _kernel_branch(children):
+    return st.one_of(
+        children.map(Neg),
+        st.tuples(st.sampled_from(FUNCTIONS), children).map(lambda a: Call(*a)),
+        st.tuples(st.sampled_from("+-*/^"), children, children).map(lambda a: BinOp(*a)),
+    )
+
+
+def _kernel_trees(names):
+    return st.recursive(_kernel_leaf(names), _kernel_branch, max_leaves=10)
+
+
+@st.composite
+def kernel_outputs(draw):
+    """g-stage and L-stage outputs built from shared pools of subtrees, so one
+    object (and equal copies of it) occurs in many outputs."""
+    g_pool = draw(st.lists(_kernel_trees(["t", "x1", "v1"]), min_size=1, max_size=4))
+    l_pool = g_pool + draw(st.lists(_kernel_trees(["t", "x1", "v1", "z"]), min_size=1, max_size=3))
+
+    def combine(pool):
+        i, j = draw(st.integers(0, len(pool) - 1)), draw(st.integers(0, len(pool) - 1))
+        op = draw(st.sampled_from("+-*/^"))
+        return BinOp(op, pool[i], parse(to_source(pool[j])) if draw(st.booleans()) else pool[j])
+
+    g_out = g_pool + [combine(g_pool) for _ in range(draw(st.integers(0, 3)))]
+    g_out.append(differentiate(g_pool[0], draw(st.sampled_from(["t", "x1", "v1"]))))
+    l_out = [combine(l_pool) for _ in range(draw(st.integers(1, 4)))] + l_pool[-1:]
+    l_out.append(differentiate(l_out[0], draw(st.sampled_from(["t", "x1", "z"]))))
+    return g_out, l_out
+
+
+def _kernel_env(rng, t, batch):
+    shape = (batch, len(t)) if batch else (len(t),)
+    x1, v1 = rng.uniform(-3.0, 3.0, (2,) + shape)
+    x1.flat[rng.integers(0, x1.size)] = 0.0  # and leave the domain of log, /, sqrt, ^
+    return {"t": t, "x1": x1, "v1": v1}
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b, equal_nan=True) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestKernel:
+    @given(outputs=kernel_outputs(), seed=st.integers(0, 2**31 - 1), batch=st.sampled_from([0, 3]))
+    @settings(max_examples=200, deadline=None)
+    def test_every_output_is_bit_identical_to_the_tree_walk(self, outputs, seed, batch):
+        g_out, l_out = outputs
+        kernel = Kernel(
+            Program(),
+            [("g", [(f"g{i}", e) for i, e in enumerate(g_out)])],
+            [("L", [(f"L{i}", e) for i, e in enumerate(l_out)])],
+            check=False,
+        )
+        rng = np.random.default_rng(seed)
+        t = np.sort(rng.uniform(-2.0, 5.0, 7))
+        t[rng.integers(0, 7)] = 0.0
+        # twice on the same t (the t-only values are reused), then on another t
+        for t_now in (t, t, np.sort(rng.uniform(-2.0, 5.0, 7))):
+            env = _kernel_env(rng, t_now, batch)
+            out = evaluate_many(kernel, env, lambda g: np.cumsum(g, axis=-1))
+            shape = np.broadcast_shapes(env["x1"].shape, t_now.shape)
+            assert out.shape == (len(g_out) + len(l_out),) + shape
+            assert _same_bits(env["z"], np.cumsum(out[0], axis=-1))
+            for row, e in zip(out, g_out + l_out):
+                assert _same_bits(row, np.broadcast_to(evaluate_many(e, env), shape)), to_source(e)
+
+    def test_nodes_are_interned_by_operator_and_operand_slots(self):
+        program = Program()
+        a, b = parse("exp(-0.5*t)*x1"), parse("exp(-0.5*t)*x1")
+        assert a is not b and program.lower(a) == program.lower(b)
+        assert program.lower(parse("x1*exp(-0.5*t)")) != program.lower(a)
+        # folded constants keep the sign of zero: x1 + -0.0 is not x1 + 0.0
+        assert program.lower(parse("x1 + -0.0")) != program.lower(parse("x1 + 0.0"))
+        assert program.lower(parse("x1 + -(1 - 1)")) == program.lower(parse("x1 + -0.0"))
+        assert program.nodes[program.lower(parse("2^3 - 1"))] == ("const", 7.0)
+
+    def test_t_only_subtrees_run_once_per_t(self, monkeypatch):
+        exps = []
+        exp = np.exp
+
+        def counting(x):
+            exps.append(np.shape(x))
+            return exp(x)
+
+        from nablats import expressions
+
+        monkeypatch.setitem(expressions._OPS, "exp", counting)
+        kernel = Kernel(Program(), [("g", [("g", parse("exp(-0.1*t)*x1^2"))])], [])
+        t = np.arange(5.0)
+        for x in range(3):
+            evaluate_many(kernel, {"t": t, "x1": np.full(5, float(x))})
+        evaluate_many(kernel, {"t": t + 1.0, "x1": np.zeros(5)})
+        assert exps == [(5,), (5,)]
+
+    def test_non_finite_output_names_the_first_one_and_its_t(self):
+        g = [("z integrand", parse("x1^2"))]
+        L = [("a", parse("x1")), ("b", parse("1/(t - 2)")), ("c", parse("log(t - 3)"))]
+        kernel = Kernel(Program(), [("g", g)], [("L", L)])
+        env = {"t": np.arange(5.0), "x1": np.ones(5)}
+        with pytest.raises(ExprDomainError) as exc:
+            evaluate_many(kernel, env, lambda g: np.cumsum(g))
+        assert str(exc.value) == "b '1.0/(t - 2.0)' is non-finite at t=2.0"
+
+    def test_g_stage_is_checked_before_z_is_summed(self):
+        kernel = Kernel(Program(), [("g", [("z integrand", parse("log(x1)"))])], [("L", [("L", parse("z"))])])
+        env = {"t": np.arange(4.0), "x1": np.array([1.0, 1.0, -1.0, 1.0])}
+
+        def z_sum(g):
+            raise AssertionError("summed a non-finite g")
+
+        with pytest.raises(ExprDomainError) as exc:
+            evaluate_many(kernel, env, z_sum)
+        assert str(exc.value) == "z integrand 'log(x1)' is non-finite at t=2.0"
+
+    def test_g_stage_must_not_read_z(self):
+        with pytest.raises(ValueError):
+            Kernel(Program(), [("g", [("g", parse("z + x1"))])], [])

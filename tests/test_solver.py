@@ -6,6 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from nablats import solver
+from nablats.expressions import evaluate_many
 from nablats.solver import (
     FREE,
     PINNED,
@@ -51,17 +53,29 @@ def dense_start_case():
     return ts, p, opts
 
 
+def gradient_at(eng, x):
+    """The analytic gradient at x, from its own derivative pass."""
+    return eng.analytic_gradient(eng.derivatives(x))
+
+
+def band_at(eng, x):
+    """The Hessian band at x, from its own derivative pass."""
+    return eng.hessian_band(eng.derivatives(x, band=True))
+
+
 def loop_gradient(eng, x):
-    """The per-coordinate loop the vectorised analytic gradient replaced."""
+    """The per-coordinate loop the vectorised analytic gradient replaced, on
+    tree walks of the symbolic partials instead of the compiled kernel."""
+
+    def walk(e):
+        return np.broadcast_to(evaluate_many(e, env), (eng.K,))
+
     env = eng._env(x)
-    env["z"] = np.cumsum(eng.w[1:] * eng._eval(eng.p.z_integrand, env, "z integrand"))
+    env["z"] = np.cumsum(eng.w[1:] * walk(eng.p.z_integrand))
     d = eng.p.partials
-    Lz = eng._eval(d["Lz"], env, "dL/dz")
+    Lz = walk(d["Lz"])
     S = np.cumsum((eng.w[1:] * Lz)[::-1])[::-1]
-    cols = {
-        c: tuple(eng._eval(d[key][c], env, key) for key in ("Lx", "Lv", "gx", "gv"))
-        for c in range(eng.n)
-    }
+    cols = {c: tuple(walk(d[key][c]) for key in ("Lx", "Lv", "gx", "gv")) for c in range(eng.n)}
     grad = np.empty(len(eng.free))
     for i, (j, c) in enumerate(eng.free):
         Lx, Lv, gx, gv = cols[c]
@@ -85,9 +99,9 @@ def fd_curvature(eng, x):
         h = 1e-6 * (1.0 + abs(x[j, c]))
         xp = x.copy()
         xp[j, c] = x[j, c] + h
-        gp = eng.analytic_gradient(xp)[i]
+        gp = gradient_at(eng, xp)[i]
         xp[j, c] = x[j, c] - h
-        gm = eng.analytic_gradient(xp)[i]
+        gm = gradient_at(eng, xp)[i]
         diag[i] = abs(gp - gm) / (2.0 * h)
     return np.maximum(diag, 1e-30)
 
@@ -104,7 +118,7 @@ def fd_hessian(eng, x, h=0.1):
         for k in (2, 1, -1, -2):
             xp = x.copy()
             xp[j, c] = x[j, c] + k * h
-            g.append(eng.analytic_gradient(xp))
+            g.append(gradient_at(eng, xp))
         H[:, i] = (8.0 * (g[1] - g[2]) - (g[0] - g[3])) / (12.0 * h)
     return H
 
@@ -312,7 +326,7 @@ class TestDirectSolve:
         # the first iteration: the gradient over |band diagonal|, halved twice
         eng = _Engine(p, opts)
         x0 = eng.initial_values()
-        jacobi = eng.analytic_gradient(x0) / np.abs(band_diagonal(eng.hessian_band(x0)[0]))
+        jacobi = gradient_at(eng, x0) / np.abs(band_diagonal(band_at(eng, x0)[0]))
         x, info = direct_solve(p, replace(opts, max_iters=1), with_info=True)
         assert (info.fallbacks, info.backtracks) == (1, 2)
         assert np.array_equal(x.values, eng.apply(x0, 0.25 * jacobi))
@@ -399,14 +413,14 @@ class TestGradients:
     @settings(max_examples=40, deadline=None)
     def test_curvature_is_the_hessian_diagonal(self, seed, n, sense):
         eng, x = coupled_case(seed, n, sense)
-        curvature = np.maximum(np.abs(band_diagonal(eng.hessian_band(x)[0])), 1e-30)
+        curvature = np.maximum(np.abs(band_diagonal(band_at(eng, x)[0])), 1e-30)
         np.testing.assert_allclose(curvature, fd_curvature(eng, x), rtol=1e-6, atol=0)
 
     @given(**coupled_cases)
     @settings(max_examples=40, deadline=None)
     def test_band_is_the_hessian_band(self, seed, n, sense):
         eng, x = coupled_case(seed, n, sense)
-        diag, upper = eng.hessian_band(x)
+        diag, upper = band_at(eng, x)
         assert diag.shape == (eng.last, n, n) and upper.shape == (eng.last - 1, n, n)
         rows = np.array([j for j, _ in eng.free])
         band = np.abs(rows[:, None] - rows[None, :]) <= 1
@@ -420,14 +434,14 @@ class TestGradients:
         # affine in z with an x-free coefficient (c = 0), nothing is left off the band
         eng, x = coupled_case(seed, n, sense, coupling)
         H = fd_hessian(eng, x)
-        np.testing.assert_allclose(assemble(*eng.hessian_band(x)), H,
+        np.testing.assert_allclose(assemble(*band_at(eng, x)), H,
                                    rtol=1e-6, atol=1e-12 * np.max(np.abs(H)))
 
     @given(**coupled_cases)
     @settings(max_examples=40, deadline=None)
     def test_band_solve_matches_the_dense_solve(self, seed, n, sense):
         eng, x = coupled_case(seed, n, sense)
-        diag, upper = eng.hessian_band(x)
+        diag, upper = band_at(eng, x)
         M = -assemble(diag, upper)
         rhs = np.random.default_rng(seed).uniform(-1.0, 1.0, (eng.last, n))
         d = _band_solve(-diag, -upper, rhs)
@@ -442,7 +456,7 @@ class TestGradients:
     @settings(max_examples=40, deadline=None)
     def test_vectorised_gradient_and_apply_match_the_loops(self, seed, n, sense):
         eng, x = coupled_case(seed, n, sense)
-        assert np.array_equal(eng.analytic_gradient(x), loop_gradient(eng, x))
+        assert np.array_equal(gradient_at(eng, x), loop_gradient(eng, x))
         delta = np.random.default_rng(seed).uniform(-1, 1, len(eng.free))
         expected = x.copy()
         for i, (j, c) in enumerate(eng.free):
@@ -453,16 +467,16 @@ class TestGradients:
         calls = []
         original = _Engine.analytic_gradient
 
-        def counting(self, x):
+        def counting(self, *args):
             calls.append(1)
-            return original(self, x)
+            return original(self, *args)
 
         bands = []
         band = _Engine.hessian_band
 
-        def counting_band(self, x):
+        def counting_band(self, *args):
             bands.append(1)
-            return band(self, x)
+            return band(self, *args)
 
         monkeypatch.setattr(_Engine, "analytic_gradient", counting)
         monkeypatch.setattr(_Engine, "hessian_band", counting_band)
@@ -470,6 +484,26 @@ class TestGradients:
         _, info = direct_solve(p, replace(opts, gradient="fd"), with_info=True)
         assert len(bands) == info.iterations > 1
         assert calls == []
+
+
+    def test_one_derivative_pass_per_iteration(self, monkeypatch):
+        # every evaluation goes through evaluate_many on a compiled kernel: one
+        # derivative pass per iteration (gradient and band together) plus the
+        # line-search probes, where the tree walks made 21 calls per iteration
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return evaluate_many(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "evaluate_many", counting)
+        _, p, opts = dense_start_case()
+        _, info = direct_solve(p, opts, with_info=True)
+        assert info.stop_reason == "grad_tol"
+        assert 0 < len(calls) / info.iterations <= 3
+        # exactly: the start's objective, one pass per iteration, and a probe
+        # per step size tried in every iteration but the last
+        assert len(calls) == 1 + info.iterations + (info.iterations - 1) + info.backtracks
 
 
 class TestBandSolve:
