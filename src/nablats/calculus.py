@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -177,58 +178,26 @@ def nabla_quotients(values: np.ndarray, steps: np.ndarray) -> np.ndarray:
 def running_fsum(terms) -> np.ndarray:
     """out[j] = math.fsum(terms[: j + 1]), bit for bit, in one pass.
 
-    Keeps Shewchuk's non-overlapping partials (the state of math.fsum)
-    between prefixes and rounds them once per prefix the way math.fsum
-    rounds at its end.  A non-finite term or an intermediate overflow hands
-    the remaining prefixes to math.fsum itself, so special values and
+    Every term is an integer multiple of 2**e0 (e0 <= 0, the exponent of the
+    lowest last bit), so each prefix is an exact integer sum, rounded once
+    by one correctly rounded division, as math.fsum rounds.  Special values,
+    and sums that may reach a quarter of the float range (where math.fsum
+    can overflow part way), take math.fsum per prefix, so they and
     OverflowError come out exactly as from math.fsum.
     """
-    vals = np.asarray(terms, dtype=float).tolist()
-    out: list[float] = []
-    partials: list[float] = []
-    for j, x in enumerate(vals):
-        i = 0
-        for y in partials:
-            if abs(x) < abs(y):
-                x, y = y, x
-            hi = x + y
-            lo = y - (hi - x)
-            if lo:
-                partials[i] = lo
-                i += 1
-            x = hi
-        del partials[i:]
-        if x:
-            if not math.isfinite(x):
-                out += [math.fsum(vals[: k + 1]) for k in range(j, len(vals))]
-                break
-            partials.append(x)
-        out.append(_round_partials(partials))
-    return np.array(out, dtype=float)
-
-
-def _round_partials(partials: list[float]) -> float:
-    """The correctly rounded sum of non-overlapping partials (math.fsum's last step)."""
-    n = len(partials)
-    if not n:
-        return 0.0
-    n -= 1
-    hi, lo = partials[n], 0.0
-    while n > 0:
-        x = hi
-        n -= 1
-        y = partials[n]
-        hi = x + y
-        lo = y - (hi - x)
-        if lo:
-            break
-    # half-even rounding across partials, as in math.fsum
-    if n > 0 and ((lo < 0.0 and partials[n - 1] < 0.0) or (lo > 0.0 and partials[n - 1] > 0.0)):
-        y = lo * 2.0
-        x = hi + y
-        if y == x - hi:
-            hi = x
-    return hi
+    vals = np.asarray(terms, dtype=float)
+    peak = float(np.max(np.abs(vals), initial=0.0))
+    if not peak * len(vals) < 2.0**1021:
+        seq = vals.tolist()
+        return np.array([math.fsum(seq[: j + 1]) for j in range(len(seq))], dtype=float)
+    if peak == 0.0:  # math.fsum of zeros is +0.0
+        return np.zeros(len(vals))
+    mant, exp = np.frexp(vals)  # term = int(mant * 2**53) * 2**(exp - 53), exactly
+    e0 = min(int(exp.min()) - 53, 0)
+    ints = (mant * 2.0**53).astype(np.int64).tolist()
+    scale = 1 << -e0
+    sums = accumulate(m << s for m, s in zip(ints, (exp - (53 + e0)).tolist()))
+    return np.array([s / scale for s in sums], dtype=float)
 
 
 def _integral_terms(f: GridFunction, ia: int, ib: int) -> np.ndarray:

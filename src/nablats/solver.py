@@ -37,7 +37,6 @@ once per horizon, and a non-finite value anywhere raises
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -50,7 +49,10 @@ from .variational import (
     Problem,
     ProblemError,
     Trajectory,
+    _abs_max,
     _ELCore,
+    _rows_up_to,
+    _write_csv_lines,
     el_report_indices,
     evaluate_functional_partial,
     path_env,
@@ -560,7 +562,8 @@ def horizon_study(p: Problem, truncations, opts: SolveOptions) -> list[HorizonRo
     """Re-solve at each truncation and tabulate residual magnitudes.
 
     For every truncation point: solve once, record the largest pointwise
-    Euler-Lagrange residual over reported points up to the truncation,
+    Euler-Lagrange residual over reported points up to the truncation
+    (NaN when any of them is NaN, as ``ResidualReport.max_pointwise``),
     both transversality residual magnitudes at the truncation, and the
     literal objective value, all from one residual core of the solution.
     Transversality is a free-endpoint condition, so rows solved with a
@@ -575,12 +578,11 @@ def horizon_study(p: Problem, truncations, opts: SolveOptions) -> list[HorizonRo
         o = replace(opts, T_trunc=T)
         x, info = direct_solve(p, o, with_info=True)
         core = _ELCore(p, x, T)
-        R = core.pointwise()
-        report = [j for j in el_report_indices(ts) if j <= core.k]
+        reported = core.pointwise()[_rows_up_to(el_report_indices(ts), core.k)]
         rows.append(
             HorizonRow(
                 T_trunc=T,
-                max_el_residual=max([0.0] + [float(np.max(np.abs(R[j]))) for j in report]),
+                max_el_residual=_abs_max(reported),
                 trans_T1=abs(core.trans_T1(core.k)),
                 trans_T2=abs(core.trans_T2(core.k)),
                 trans_applicable=o.terminal_mode.kind == "free",
@@ -592,19 +594,10 @@ def horizon_study(p: Problem, truncations, opts: SolveOptions) -> list[HorizonRo
 
 
 def horizon_table_to_csv(rows: list[HorizonRow], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["T_trunc", "max_el_residual", "trans_T1", "trans_T2", "objective", "trans_applicable"]
-        )
-        for r in rows:
-            writer.writerow(
-                [
-                    repr(r.T_trunc),
-                    repr(r.max_el_residual),
-                    repr(r.trans_T1),
-                    repr(r.trans_T2),
-                    repr(r.objective),
-                    "true" if r.trans_applicable else "false",
-                ]
-            )
+    lines = ["T_trunc,max_el_residual,trans_T1,trans_T2,objective,trans_applicable"]
+    lines += [
+        f"{r.T_trunc!r},{r.max_el_residual!r},{r.trans_T1!r},{r.trans_T2!r},{r.objective!r},"
+        + ("true" if r.trans_applicable else "false")
+        for r in rows
+    ]
+    _write_csv_lines(path, lines)

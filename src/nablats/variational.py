@@ -364,12 +364,17 @@ class _ELCore:
         cum_gI = _integrals(self.ts.local_steps[:, None] * self.gx * self.I)
         return (cum_gI[self.k] - cum_gI) + self.gv * self.I + self.Lv - self.CumLx
 
+    def transversality(self, rows: slice) -> tuple[np.ndarray, np.ndarray]:
+        """T1 and T2 on ``rows``, one batched product each (per row, the ``x @ y`` dot)."""
+        X = self.x.values[rows][:, None, :]
+        bracket = self.Lv[rows] + self.gv[rows] * (self.nu_true[rows] * self.Lz[rows])[:, None]
+        return (X @ bracket[:, :, None])[:, 0, 0], (X @ self.CumLx[rows][:, :, None])[:, 0, 0]
+
     def trans_T1(self, j: int) -> float:
-        bracket = self.Lv[j] + self.gv[j] * (self.nu_true[j] * self.Lz[j])
-        return float(self.x.values[j] @ bracket)
+        return float(self.transversality(slice(j, j + 1))[0][0])
 
     def trans_T2(self, j: int) -> float:
-        return float(self.x.values[j] @ self.CumLx[j])
+        return float(self.transversality(slice(j, j + 1))[1][0])
 
 
 def el_report_indices(ts: TimeScale) -> tuple[int, ...]:
@@ -381,6 +386,17 @@ def el_report_indices(ts: TimeScale) -> tuple[int, ...]:
     rows 0 and 1 both read it.
     """
     return tuple(j for j in ts.kappa_indices if j >= 2)
+
+
+def _rows_up_to(indices, k: int) -> np.ndarray:
+    """The reported grid rows ``indices`` at or before the horizon row k."""
+    rows = np.asarray(indices, dtype=np.intp)
+    return rows[rows <= k]
+
+
+def _abs_max(a: np.ndarray) -> float:
+    """max |a|, 0.0 when empty; NaN if any entry is NaN, so ``<= tol`` fails."""
+    return float(np.max(np.abs(a))) if a.size else 0.0
 
 
 def _require_kappa(ts: TimeScale, t: float) -> int:
@@ -451,66 +467,75 @@ def weak_max_compare(
 
 @dataclass
 class ResidualReport:
-    """First-order residuals of a trajectory at a fixed verification horizon."""
+    """First-order residuals of a trajectory at T' = t_k, as arrays over the
+    rows of ``ts`` (row j sits at ``ts.points[j]``): ``el_pointwise`` (rows,
+    n) at ``pointwise_rows`` (``el_report_indices`` up to k), the integral
+    form ``el_integral`` (rows, n) at ``integral_rows`` (kappa rows up to k)
+    with its max-minus-min ``el_integral_constant_spread`` (n,), and the
+    pairings ``trans_T1`` and ``trans_T2`` (k,) at rows 1..k."""
 
     T_prime: float
-    el_pointwise: list[tuple[float, np.ndarray]]
-    el_integral: list[tuple[float, np.ndarray]]
+    ts: TimeScale
+    pointwise_rows: np.ndarray
+    el_pointwise: np.ndarray
+    integral_rows: np.ndarray
+    el_integral: np.ndarray
     el_integral_constant_spread: np.ndarray
-    trans_T1: list[tuple[float, float]]
-    trans_T2: list[tuple[float, float]]
+    trans_T1: np.ndarray
+    trans_T2: np.ndarray
 
     @property
     def max_pointwise(self) -> float:
-        if not self.el_pointwise:
-            return 0.0
-        return max(float(np.max(np.abs(v))) for _, v in self.el_pointwise)
+        return _abs_max(self.el_pointwise)
 
     @property
     def max_spread(self) -> float:
         return float(np.max(self.el_integral_constant_spread))
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["t", "T_prime", "component", "value", "kind"])
-            for t, vec in self.el_pointwise:
-                for c, v in enumerate(vec, start=1):
-                    wr.writerow([repr(t), repr(self.T_prime), c, repr(float(v)), "el_pointwise"])
-            for t, vec in self.el_integral:
-                for c, v in enumerate(vec, start=1):
-                    wr.writerow([repr(t), repr(self.T_prime), c, repr(float(v)), "el_integral"])
-            for c, v in enumerate(self.el_integral_constant_spread, start=1):
-                wr.writerow([repr(self.T_prime), repr(self.T_prime), c, repr(float(v)), "el_integral_spread"])
-            for t, v in self.trans_T1:
-                wr.writerow([repr(t), repr(self.T_prime), 0, repr(v), "trans_T1"])
-            for t, v in self.trans_T2:
-                wr.writerow([repr(t), repr(self.T_prime), 0, repr(v), "trans_T2"])
+        """Rows t,T_prime,component,value,kind of each family in turn, floats as reprs."""
+        T = repr(self.T_prime)
+        head = [f"{t!r},{T}," for t in self.ts.points[: len(self.trans_T1) + 1]]  # "t,T_prime,"
+        lines = ["t,T_prime,component,value,kind"]
+        families = (self.pointwise_rows, self.el_pointwise), (self.integral_rows, self.el_integral)
+        for (rows, values), kind in zip(families, ("el_pointwise", "el_integral")):
+            pairs = zip(rows.tolist(), values.tolist())
+            lines += [
+                f"{head[j]}{c},{v!r},{kind}" for j, vec in pairs for c, v in enumerate(vec, start=1)
+            ]
+        lines += [
+            f"{T},{T},{c},{v!r},el_integral_spread"
+            for c, v in enumerate(self.el_integral_constant_spread.tolist(), start=1)
+        ]
+        for values, kind in ((self.trans_T1, "trans_T1"), (self.trans_T2, "trans_T2")):
+            lines += [f"{head[j]}0,{v!r},{kind}" for j, v in enumerate(values.tolist(), start=1)]
+        _write_csv_lines(path, lines)
 
 
 def residual_report(p: Problem, x: Trajectory, T_prime: float | None = None) -> ResidualReport:
-    """Evaluate all residual families at one horizon (default: the last point)."""
+    """Evaluate all residual families at one horizon (default: the last point);
+    overflow gives inf or NaN entries, without a numpy warning."""
     ts = p.ts
     if T_prime is None:
         T_prime = ts.points[-1]
-    core = _ELCore(p, x, T_prime)
-    k = core.k
-    if k == 0:
-        raise ProblemError("T_prime must lie strictly past the initial point")
-    R = core.pointwise()
-    F = core.integral_form()
-    rows_pw = [j for j in el_report_indices(ts) if j <= k]
-    rows_int = [j for j in ts.kappa_indices if j <= k]
-    el_pw = [(ts.points[j], R[j]) for j in rows_pw]
-    el_int = [(ts.points[j], F[j]) for j in rows_int]
-    spread = (
-        F[rows_int].max(axis=0) - F[rows_int].min(axis=0)
-        if rows_int
-        else np.zeros(p.n)
-    )
-    t1 = [(ts.points[j], core.trans_T1(j)) for j in range(1, k + 1)]
-    t2 = [(ts.points[j], core.trans_T2(j)) for j in range(1, k + 1)]
-    return ResidualReport(float(T_prime), el_pw, el_int, spread, t1, t2)
+    with np.errstate(all="ignore"):
+        core = _ELCore(p, x, T_prime)
+        k = core.k
+        if k == 0:
+            raise ProblemError("T_prime must lie strictly past the initial point")
+        rows_pw = _rows_up_to(el_report_indices(ts), k)
+        rows_int = _rows_up_to(ts.kappa_indices, k)
+        F = core.integral_form()[rows_int]
+        spread = F.max(axis=0) - F.min(axis=0)
+        t1, t2 = core.transversality(slice(1, k + 1))
+        R = core.pointwise()[rows_pw]
+        return ResidualReport(float(T_prime), ts, rows_pw, R, rows_int, F, spread, t1, t2)
+
+
+def _write_csv_lines(path, lines: list[str]) -> None:
+    """The bytes ``csv.writer`` makes of these lines, whose fields need no quoting."""
+    with open(path, "w", newline="") as fh:
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 # -- trajectory CSV ---------------------------------------------------------------
@@ -518,12 +543,9 @@ def residual_report(p: Problem, x: Trajectory, T_prime: float | None = None) -> 
 
 def trajectory_to_csv(x: Trajectory, path):
     """Write t,x1,...,xn rows with full-precision (round-trip exact) floats."""
-    n = x.x.dim
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["t"] + [f"x{i}" for i in range(1, n + 1)])
-        for j, t in enumerate(x.x.ts.points):
-            wr.writerow([repr(t)] + [repr(float(v)) for v in x.x.values[j]])
+    header = ",".join(["t"] + [f"x{i}" for i in range(1, x.x.dim + 1)])
+    rows = [",".join(map(repr, [t, *vec])) for t, vec in zip(x.x.ts.points, x.x.values.tolist())]
+    _write_csv_lines(path, [header] + rows)
 
 
 def trajectory_from_csv(p: Problem, path) -> Trajectory:

@@ -281,6 +281,35 @@ class TestRunningFsum:
     def test_single_element(self, x):
         assert _running([x]) == _prefix_fsums([x])
 
+    @given(
+        st.lists(
+            st.tuples(st.floats(1.0, 10.0), st.integers(-300, 300), st.booleans()),
+            max_size=60,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_exponents_from_1e_minus_300_to_1e300(self, parts):
+        terms = [(-m if neg else m) * 10.0**e for m, e, neg in parts]
+        assert _running(terms) == _prefix_fsums(terms)
+
+    @given(st.lists(st.integers(-(2**52), 2**52), max_size=60))
+    @settings(max_examples=200, deadline=None)
+    def test_subnormal(self, ints):
+        # multiples of the smallest subnormal, some of them sums into the normal range
+        terms = [k * 5e-324 for k in ints] + [2.2250738585072014e-308, -5e-324]
+        assert _running(terms) == _prefix_fsums(terms)
+
+    @given(st.lists(finite, min_size=1, max_size=30), st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_exact_cancellation(self, half, rnd):
+        # each prefix that closes all pairs is exactly zero, whatever the spread
+        terms = [v for x in half for v in (x, -x)]
+        out = _running(terms)
+        assert out == _prefix_fsums(terms)
+        assert out[1::2] == [0.0] * len(half)
+        rnd.shuffle(terms)
+        assert _running(terms) == _prefix_fsums(terms)
+
     def test_empty_and_special_values(self):
         assert _running([]) == []
         assert _running([1.0, math.inf, 2.0]) == _prefix_fsums([1.0, math.inf, 2.0])

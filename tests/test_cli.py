@@ -1,6 +1,9 @@
 """End-to-end tests of the command-line front end (in-process)."""
 
 import csv
+import os
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
@@ -191,6 +194,38 @@ class TestCheckEl:
             if j <= k
         )
         assert stats["finite"] == expected
+
+    def test_overflowing_pairing_writes_inf_and_nothing_on_stderr(self, tmp_path):
+        # x = 1e300 at t = 5 against Lv = 1e10*cos(v1): T1 overflows there
+        body = BASE_INI.replace("b = 5", "b = 10").replace('"-(v1^2)"', '"1e10*sin(v1)"')
+        cfg = write_ini(tmp_path, body)
+        p = Problem.from_strings(integers(0, 10), 1, "1e10*sin(v1)", "0", [0.0])
+        vals = np.zeros(11)
+        vals[5] = 1e300
+        traj = tmp_path / "x.csv"
+        trajectory_to_csv(Trajectory.from_values(p, vals), traj)
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "nablats", "check-el", cfg, "--trajectory", str(traj)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.stderr == ""
+        assert done.returncode == 1
+        assert "status: FAIL" in done.stdout
+        lines = (tmp_path / "residuals.csv").read_text().splitlines()
+        assert "5.0,10.0,0,-inf,trans_T1" in lines
+
+    def test_nan_residual_row_fails(self, tmp_path, capsys):
+        # the tail integral overflows at t = 3 only: rows 3 and 4 are NaN, row 2 is 0
+        cfg = write_ini(tmp_path, BASE_INI.replace('"-(v1^2)"', '"z*1e308*cos(pi*(t-1)/3)"'))
+        traj = write_trajectory(tmp_path, "x.csv", [0, 0, 0, 0, 0, 0])
+        code, out, err = run(capsys, "check-el", cfg, "--trajectory", traj)
+        assert code == 1
+        assert "max_residual: nan" in out
+        assert "status: FAIL" in out
+        assert err == ""
+        lines = (tmp_path / "residuals.csv").read_text().splitlines()
+        assert "3.0,5.0,1,nan,el_pointwise" in lines
 
     def test_off_grid_Tprime_exits_2(self, tmp_path, capsys):
         cfg = write_ini(tmp_path)

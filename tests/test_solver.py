@@ -1,5 +1,7 @@
+import csv
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from nablats.solver import (
     FREE,
     PINNED,
     EnumerationGuardError,
+    HorizonRow,
     NonFiniteObjectiveError,
     SolveOptions,
     _band_solve,
@@ -27,6 +30,7 @@ from nablats.solver import (
 from nablats.timescale import from_points, integers, sampled_interval
 from nablats.variational import (
     Problem,
+    _ELCore,
     Sense,
     el_report_indices,
     el_residual_pointwise,
@@ -640,6 +644,55 @@ class TestHorizonStudy:
         assert lines[0] == "T_trunc,max_el_residual,trans_T1,trans_T2,objective,trans_applicable"
         assert len(lines) == 3
 
+    @given(
+        st.lists(
+            st.tuples(st.floats(), st.floats(), st.floats(), st.floats(), st.floats(), st.booleans()),
+            max_size=6,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_csv_matches_the_per_row_writer(self, tmp_path_factory, fields):
+        rows = [
+            HorizonRow(*f[:4], f[5], solution=None, info=SimpleNamespace(objective=f[4]))
+            for f in fields
+        ]
+        d = tmp_path_factory.mktemp("horizon")
+        horizon_table_to_csv(rows, d / "new.csv")
+        with open(d / "old.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(
+                ["T_trunc", "max_el_residual", "trans_T1", "trans_T2", "objective", "trans_applicable"]
+            )
+            for r in rows:
+                writer.writerow(
+                    [
+                        repr(r.T_trunc),
+                        repr(r.max_el_residual),
+                        repr(r.trans_T1),
+                        repr(r.trans_T2),
+                        repr(r.objective),
+                        "true" if r.trans_applicable else "false",
+                    ]
+                )
+        assert (d / "new.csv").read_bytes() == (d / "old.csv").read_bytes()
+
+    def test_a_nan_residual_row_makes_the_maximum_nan(self, monkeypatch):
+        # a NaN in a reported row past the first is not skipped, as the
+        # maximum over a list starting at 0.0 did
+        original = _ELCore.pointwise
+
+        def with_nan(self):
+            R = original(self).copy()
+            R[3] = np.nan
+            return R
+
+        p = make("-(v1^2)", ts=integers(0, 6))
+        (clean,) = horizon_study(p, [6.0], SolveOptions(T_trunc=6.0))
+        monkeypatch.setattr(_ELCore, "pointwise", with_nan)
+        (row,) = horizon_study(p, [6.0], SolveOptions(T_trunc=6.0))
+        assert math.isfinite(clean.max_el_residual)
+        assert math.isnan(row.max_el_residual)
+
     @pytest.mark.parametrize("case", ["mixed_optimum", "partial_solve"])
     def test_rows_match_per_point_residuals(self, case):
         # the oracle rebuilds the residual at every point of every cut
@@ -673,11 +726,12 @@ class TestHorizonStudy:
         assert info.converged
         report = residual_report(p, x, 6.0)
         # rows 0 and 1 read the copied derivative at the minimum (2.2 and 1.5 here)
-        assert [t for t, _ in report.el_pointwise] == list(ts.points[2:])
+        t = ts.points_array[report.pointwise_rows]
+        assert t.tolist() == list(ts.points[2:])
         # on the integer tail the optimum meets the residual to solver accuracy;
         # the dense rows and the first step after them carry the O(h) error of
         # the backward stencil on sampled gaps (0.14 to 0.57 at h = 0.25)
-        assert max(abs(r[0]) for t, r in report.el_pointwise if t >= 3.0) < 1e-8
+        assert np.max(np.abs(report.el_pointwise[t >= 3.0, 0])) < 1e-8
         assert report.max_pointwise < 0.6
 
     def test_truncations_must_increase(self):

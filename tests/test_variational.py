@@ -1,7 +1,10 @@
+import csv
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nablats.calculus import (
     GridFunction,
@@ -34,7 +37,7 @@ from nablats.variational import (
     transversality_residual_T2,
     weak_max_compare,
 )
-from nablats.variational import _running_objective
+from nablats.variational import _ELCore, _running_objective
 
 
 def make_problem(L="-(v1^2)", g="0", ts=None, x_a=0.0, sense=Sense.MAX):
@@ -390,7 +393,10 @@ class TestResidualReport:
         rep = residual_report(p, x)
         assert rep.T_prime == 5.0
         assert len(rep.el_pointwise) == len(el_report_indices(p.ts))
+        assert rep.pointwise_rows.tolist() == list(el_report_indices(p.ts))
+        assert rep.el_pointwise.shape == (len(el_report_indices(p.ts)), 1)
         assert len(rep.trans_T1) == len(p.ts) - 1
+        assert rep.trans_T1.shape == rep.trans_T2.shape == (len(p.ts) - 1,)
         path = tmp_path / "residuals.csv"
         rep.write_csv(path)
         header = path.read_text().splitlines()[0]
@@ -407,6 +413,154 @@ class TestResidualReport:
         r_min = el_residual_pointwise(p_min, x_min, 3.0, 6.0)
         r_max = el_residual_pointwise(p_max, x_max, 3.0, 6.0)
         assert np.array_equal(r_min, r_max)
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def report_cases(draw):
+    """A grid of scattered and dense runs (possibly starting dense, dense
+    steps non-uniform), n in {1, 2}, either sense, T' mid-grid or last,
+    and a random admissible trajectory."""
+    runs = draw(st.lists(st.tuples(st.sampled_from("sd"), st.integers(1, 4)), min_size=1, max_size=5))
+    kinds = "".join(kind * count for kind, count in runs)
+    if len(kinds) < 3:
+        kinds += "s" * (3 - len(kinds))
+    steps = [
+        draw(st.sampled_from([1.0, 0.5, 2.0])) if kind == "s" else draw(st.floats(0.05, 0.4))
+        for kind in kinds
+    ]
+    ts = from_points(np.cumsum([0.0] + steps).tolist(), kinds)
+    n = draw(st.sampled_from([1, 2]))
+    sense = draw(st.sampled_from([Sense.MAX, Sense.MIN]))
+    if n == 1:
+        L, g, x_a = "exp(-0.1*t)*(-(v1^2) - x1^2) - 0.1*z*x1", "x1^2 + v1", (0.5,)
+        if sense is Sense.MIN:
+            L = f"-({L})"
+        p = Problem.from_strings(ts, 1, L, g, x_a, sense)
+    else:
+        p = mixed_problem(sense, ts)
+    x = random_trajectory(p, draw(st.integers(0, 10_000)))
+    T_prime = draw(st.sampled_from([ts.points[len(ts) // 2], ts.points[-1]]))
+    return p, x, T_prime
+
+
+def per_row_report(p, x, T_prime):
+    """The per-row report: reported rows as (t, row) pairs, and T1 and T2
+    as (t, value) pairs from one dot product per row."""
+    ts = p.ts
+    core = _ELCore(p, x, T_prime)
+    k = core.k
+    R, F = core.pointwise(), core.integral_form()
+    rows_pw = [j for j in el_report_indices(ts) if j <= k]
+    rows_int = [j for j in ts.kappa_indices if j <= k]
+    spread = F[rows_int].max(axis=0) - F[rows_int].min(axis=0)
+
+    def t1(j):
+        bracket = core.Lv[j] + core.gv[j] * (core.nu_true[j] * core.Lz[j])
+        return float(x.values[j] @ bracket)
+
+    return {
+        "el_pointwise": [(ts.points[j], R[j]) for j in rows_pw],
+        "el_integral": [(ts.points[j], F[j]) for j in rows_int],
+        "spread": spread,
+        "trans_T1": [(ts.points[j], t1(j)) for j in range(1, k + 1)],
+        "trans_T2": [(ts.points[j], float(x.values[j] @ core.CumLx[j])) for j in range(1, k + 1)],
+    }
+
+
+def per_row_report_csv(report, T_prime, path):
+    """The residual CSV written one ``csv.writer`` row at a time."""
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(["t", "T_prime", "component", "value", "kind"])
+        for kind in ("el_pointwise", "el_integral"):
+            for t, vec in report[kind]:
+                for c, v in enumerate(vec, start=1):
+                    wr.writerow([repr(t), repr(T_prime), c, repr(float(v)), kind])
+        for c, v in enumerate(report["spread"], start=1):
+            wr.writerow([repr(T_prime), repr(T_prime), c, repr(float(v)), "el_integral_spread"])
+        for kind in ("trans_T1", "trans_T2"):
+            for t, v in report[kind]:
+                wr.writerow([repr(t), repr(T_prime), 0, repr(v), kind])
+
+
+def per_row_trajectory_csv(x, path):
+    """The trajectory CSV written one ``csv.writer`` row at a time."""
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(["t"] + [f"x{i}" for i in range(1, x.x.dim + 1)])
+        for j, t in enumerate(x.x.ts.points):
+            wr.writerow([repr(t)] + [repr(float(v)) for v in x.x.values[j]])
+
+
+class TestReportArrays:
+    @given(report_cases())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_the_per_row_report_and_writer(self, tmp_path_factory, case):
+        p, x, T_prime = case
+        report = residual_report(p, x, T_prime)
+        oracle = per_row_report(p, x, T_prime)
+        ts = p.ts
+        families = (("el_pointwise", report.pointwise_rows), ("el_integral", report.integral_rows))
+        for kind, rows in families:
+            values = getattr(report, kind)
+            assert [ts.points[j] for j in rows.tolist()] == [t for t, _ in oracle[kind]]
+            assert values.shape == (len(oracle[kind]), p.n)
+            assert np.array_equal(values, np.array([r for _, r in oracle[kind]]).reshape(-1, p.n))
+        assert np.array_equal(report.el_integral_constant_spread, oracle["spread"])
+        assert report.trans_T1.tolist() == [v for _, v in oracle["trans_T1"]]
+        assert report.trans_T2.tolist() == [v for _, v in oracle["trans_T2"]]
+        k = len(report.trans_T1)
+        assert [ts.points[j] for j in range(1, k + 1)] == [t for t, _ in oracle["trans_T1"]]
+        assert report.max_pointwise == max(float(np.max(np.abs(r))) for _, r in oracle["el_pointwise"])
+        d = tmp_path_factory.mktemp("report")
+        report.write_csv(d / "new.csv")
+        per_row_report_csv(oracle, float(T_prime), d / "old.csv")
+        assert (d / "new.csv").read_bytes() == (d / "old.csv").read_bytes()
+
+    @given(report_cases(), st.lists(finite_floats, min_size=1, max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_trajectory_csv_matches_the_per_row_writer(self, tmp_path_factory, case, pool):
+        p, x, _ = case
+        # every float the trajectory holds: -0.0, subnormals, 1e308 and the like
+        vals = np.resize(np.array(pool + [-0.0]), (len(p.ts), p.n))
+        vals[0] = p.x_a
+        x = Trajectory.from_values(p, vals)
+        d = tmp_path_factory.mktemp("trajectory")
+        trajectory_to_csv(x, d / "new.csv")
+        per_row_trajectory_csv(x, d / "old.csv")
+        assert (d / "new.csv").read_bytes() == (d / "old.csv").read_bytes()
+        assert np.array_equal(trajectory_from_csv(p, d / "new.csv").values, vals)
+
+    def test_report_makes_no_per_row_transversality_calls(self, monkeypatch):
+        calls = []
+        for name in ("trans_T1", "trans_T2"):
+            original = getattr(_ELCore, name)
+
+            def counting(self, j, original=original, name=name):
+                calls.append(name)
+                return original(self, j)
+
+            monkeypatch.setattr(_ELCore, name, counting)
+        p = mixed_problem()
+        x = random_trajectory(p, 3)
+        residual_report(p, x)
+        assert calls == []
+        transversality_residual_T1(p, x, p.ts.points[-1])
+        transversality_residual_T2(p, x, p.ts.points[-1])
+        assert calls == ["trans_T1", "trans_T2"]
+
+    def test_a_nan_row_anywhere_makes_the_maximum_nan(self):
+        # L = z*f(t) with g = 0: the tail integral I of f overflows to -inf at
+        # t = 3 only, and gx*I = 0*(-inf) puts NaN in rows 3 and 4, after a
+        # finite row 2 (the maximum over the rows once skipped them)
+        p = make_problem(L="z*1e308*cos(pi*(t-1)/3)")
+        report = residual_report(p, Trajectory.constant(p))
+        assert np.isfinite(report.el_pointwise[0, 0])
+        assert np.isnan(report.el_pointwise[1:3, 0]).all()
+        assert math.isnan(report.max_pointwise)
 
 
 class TestTrajectoryCsv:
