@@ -36,8 +36,6 @@ def main() -> int:
     p = Problem.from_strings(ts, 1, "exp(-t)*(-(v1^2)-x1^2)", "0", [1.0])
     opts = SolveOptions(
         T_trunc=float(T_max),
-        gradient="analytic",
-        precondition=True,
         grad_tol=args.grad_tol,
         max_iters=5000,
     )

@@ -55,8 +55,6 @@ def main() -> int:
     opts = SolveOptions(
         T_trunc=1.0,
         terminal_mode=PINNED(math.sinh(1.0)),
-        gradient="analytic",
-        precondition=True,
         grad_tol=1e-10,
         max_iters=60000,
     )

@@ -6,7 +6,7 @@ Layers, bottom to top:
 - :mod:`nablats.timescale` — finite grids mixing exact isolated points
   with sampled continuum stretches.
 - :mod:`nablats.calculus` — nabla derivative/integral, integration by
-  parts, partial sums and lim-inf tail estimates.
+  parts, exact running sums and lim-inf tail estimates.
 - :mod:`nablats.expressions` — a small arithmetic expression language
   with symbolic differentiation, used for integrands.
 - :mod:`nablats.variational` — problem statements, first-order residuals
@@ -14,7 +14,7 @@ Layers, bottom to top:
   pointwise one cut at T'), transversality, and weak-maximality comparison.
 - :mod:`nablats.fundamental` — constructive positive-pairing variations
   certifying that a nonzero residual is detectable.
-- :mod:`nablats.solver` — direct search on truncated objectives, brute
+- :mod:`nablats.solver` — Newton search on truncated objectives, brute
   force oracle, horizon studies.
 - :mod:`nablats.config` / :mod:`nablats.cli` — INI run files and the
   ``nablats`` command.
@@ -29,12 +29,9 @@ from .calculus import (
     ReversedBoundsError,
     integration_by_parts_residual,
     liminf_estimate,
-    liminf_tail,
     local_rho_integral,
-    nabla_derivative,
     nabla_derivative_fn,
     nabla_integral,
-    partial_integrals,
 )
 from .config import ConfigError, ReportConfig, RunConfig, load_config
 from .expressions import (
@@ -66,10 +63,8 @@ from .solver import (
     SolveInfo,
     SolveOptions,
     TerminalMode,
-    analytic_gradient,
     brute_force,
     direct_solve,
-    fd_gradient,
     free_coordinates,
     horizon_study,
     horizon_table_to_csv,
@@ -143,7 +138,6 @@ __all__ = [
     "TimeScaleError",
     "Trajectory",
     "Variation",
-    "analytic_gradient",
     "brute_force",
     "compute_z",
     "construct_violating_variation",
@@ -157,7 +151,6 @@ __all__ = [
     "evaluate",
     "evaluate_functional_partial",
     "evaluate_many",
-    "fd_gradient",
     "finite_horizon_el_residual",
     "free_coordinates",
     "from_points",
@@ -166,14 +159,11 @@ __all__ = [
     "integers",
     "integration_by_parts_residual",
     "liminf_estimate",
-    "liminf_tail",
     "load_config",
     "local_rho_integral",
-    "nabla_derivative",
     "nabla_derivative_fn",
     "nabla_integral",
     "parse",
-    "partial_integrals",
     "q_scale",
     "residual_report",
     "sampled_interval",

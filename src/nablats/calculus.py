@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .timescale import GapKind, TimeScale
+from .timescale import TimeScale
 
 
 class CalculusError(ValueError):
@@ -44,7 +44,7 @@ class GridMismatchError(CalculusError):
 
 
 class EmptyTailError(CalculusError):
-    """No partial-integral entries at or beyond the requested T."""
+    """An empty partial-integral sequence has no tail."""
 
 
 @dataclass(frozen=True)
@@ -90,9 +90,6 @@ class GridFunction:
     def value_at(self, t: float) -> np.ndarray:
         return self.values[self.ts.index_of(t)]
 
-    def component(self, c: int) -> np.ndarray:
-        return self.values[:, c]
-
     def rho_values(self) -> np.ndarray:
         """Array of f(rho(t)) for every grid point t."""
         return self.values[self.ts.rho_indices]
@@ -130,25 +127,6 @@ class GridFunction:
 
 
 # -- derivative ---------------------------------------------------------------
-
-
-def nabla_derivative(f: GridFunction, t: float) -> np.ndarray:
-    """Nabla derivative of f at grid point t (t must lie in the kappa set).
-
-    Exact difference quotient at left-scattered points; backward difference
-    over the sampling step at left-dense points.  At a right-dense minimum
-    the forward difference over the first sampling step is used (the
-    one-sided limit).
-    """
-    ts = f.ts
-    i = ts.index_of(t)
-    if i == 0:
-        if ts.gap_kinds[0] is GapKind.SCATTERED:
-            raise OutsideKappaError(
-                f"{t!r} is the right-scattered minimum; outside the kappa set"
-            )
-        return (f.values[1] - f.values[0]) / ts.local_steps[1]
-    return (f.values[i] - f.values[i - 1]) / ts.local_steps[i]
 
 
 def nabla_derivative_fn(f: GridFunction) -> GridFunction:
@@ -249,32 +227,7 @@ def integration_by_parts_residual(f: GridFunction, g: GridFunction, a: float, b:
     return float(np.max(np.abs(lhs - rhs))) if f.dim else 0.0
 
 
-def partial_integrals(f: GridFunction, a: float) -> list[tuple[float, float | np.ndarray]]:
-    """[(T', integral of f over (a, T'])] for every grid point T' > a.
-
-    Scalar grid functions yield float values; vector ones yield arrays.
-    """
-    ts = f.ts
-    ia = ts.index_of(a)
-    terms = _integral_terms(f, ia, len(ts) - 1)
-    sums = np.empty(terms.shape)
-    for c in range(f.dim):
-        sums[:, c] = running_fsum(terms[:, c])
-    return [
-        (t, float(row[0]) if f.dim == 1 else row)
-        for t, row in zip(ts.points[ia + 1 :], sums)
-    ]
-
-
 # -- tail infima --------------------------------------------------------------
-
-
-def liminf_tail(seq: Sequence[tuple[float, float]], T: float) -> float:
-    """inf of values over entries with T' >= T."""
-    tail = [v for tp, v in seq if tp >= T]
-    if not tail:
-        raise EmptyTailError(f"no entries with T' >= {T!r}")
-    return min(tail)
 
 
 class LimInfEstimate(NamedTuple):

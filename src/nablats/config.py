@@ -16,11 +16,13 @@ A run file is flat INI with these sections (all keys ``key = value``):
 
 ``[solve]``
     Search options: ``T_trunc`` (required), ``terminal`` (``free`` or
-    ``pinned: v1, ..., vn``), ``max_iters``, ``step_init``, ``grad_tol``,
-    ``gradient`` (``analytic``, the default, or ``fd``), ``precondition``
-    (boolean: Newton steps on the Hessian band), and
-    ``truncations`` (comma list of horizon cut points for the horizon
-    table; defaults to just ``T_trunc``).
+    ``pinned: v1, ..., vn``), ``max_iters``, ``step_init``, ``grad_tol``
+    (bound on the sup norm of the Newton step), and ``truncations`` (comma
+    list of horizon cut points for the horizon table; defaults to just
+    ``T_trunc``).  Every search takes Newton steps on the Hessian band with
+    the analytic gradient; older files may still say ``gradient =
+    analytic`` and ``precondition = true``, and any other value of either
+    key is an error.
 
 ``[report]``
     ``tolerance`` (pass/fail threshold for residual and margin checks,
@@ -241,7 +243,7 @@ def _options(cp: configparser.ConfigParser) -> tuple[Optional[SolveOptions], tup
             step_init=_float(cp, "solve", "step_init", 1.0),
             grad_tol=_float(cp, "solve", "grad_tol", 1e-6),
             gradient=_get(cp, "solve", "gradient", "analytic").strip().lower(),
-            precondition=_bool(cp, "solve", "precondition", False),
+            precondition=_bool(cp, "solve", "precondition", True),
         )
     except ValueError as exc:
         raise ConfigError(f"[solve]: {exc}") from exc

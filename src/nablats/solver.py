@@ -1,38 +1,32 @@
 """Direct maximization of truncated functionals over trajectory values.
 
 The solver treats the state values at grid points after the start (and
-before a pinned terminal point) as optimization variables and ascends the
-truncated objective with a backtracking line search, along the gradient
-or along Newton steps.  A brute-force enumerator over a finite value grid
-serves as an independent oracle on tiny instances, and a horizon study
-re-solves the problem at increasing truncations to expose the decay of
-the transversality residuals.
+before a pinned terminal point) as optimization variables and maximizes
+the truncated objective by Newton's method with a backtracking line search
+(Boyd and Vandenberghe, *Convex Optimization*, section 9.5).  A brute-force
+enumerator over a finite value grid serves as an independent oracle on
+tiny instances, and a horizon study re-solves the problem at increasing
+truncations to expose the decay of the transversality residuals.
 
-Gradients come in two flavours: an exact analytic gradient of the
-discretized objective assembled from the symbolic partials (the default)
-and central finite differences on the trajectory coordinates, which are
-independent of the symbolic layer and serve as the tests' oracle.  Deep
-discounted horizons need the analytic gradient: finite differences bottom
-out near 5e-11, which drowns the exponentially small entries that matter
-at large times, and cost O(m^2 n) per gradient.
-
-Each state value enters only the terms at its own grid point and the
-next one, plus the accumulated z, so the Hessian of the discretized
-objective is block tridiagonal with n x n blocks, exactly so when g = 0 or
-when L is affine in z with an x-free coefficient.  Preconditioning solves
-with that band (a Newton step) by block cyclic reduction, O(m n^3) work in
-O(log m) batched numpy levels per iteration, so that quadratic problems
-converge in one step and the stopping test reads in step units; where the
-negated band is not positive definite an iteration falls back to Jacobi
-scaling by the band's diagonal.
+The gradient is the exact gradient of the discretized objective,
+assembled from the symbolic partials in O(m n).  Each state value enters
+only the terms at its own grid point and the next one, plus the
+accumulated z, so the Hessian of the discretized objective is block
+tridiagonal with n x n blocks, exactly so when g = 0 or when L is affine
+in z with an x-free coefficient.  Every iteration solves with that band
+(the Newton step) by block cyclic reduction, O(m n^3) work in O(log m)
+batched numpy levels, so that quadratic problems converge in one step and
+the stopping test reads in step units; where the negated band is not
+positive definite an iteration falls back to Jacobi scaling by the band's
+diagonal.
 
 Every evaluation runs on the problem's compiled kernels
 (``Problem.kernel``), through ``evaluate_many``: an iteration makes one
-derivative pass, which gives the first partials for the gradient and, with
-preconditioning, the second partials for the band, and each line-search
-probe makes one objective call.  Subtrees that read only t are evaluated
-once per horizon, and a non-finite value anywhere raises
-``NonFiniteObjectiveError`` naming the first non-finite output and its t.
+derivative pass, which gives the first partials for the gradient and the
+second partials for the band, and each line-search probe makes one
+objective call.  Subtrees that read only t are evaluated once per horizon,
+and a non-finite value anywhere raises ``NonFiniteObjectiveError`` naming
+the first non-finite output and its t.
 """
 
 from __future__ import annotations
@@ -90,14 +84,11 @@ def PINNED(*values: float) -> TerminalMode:
 class SolveOptions:
     """Controls for direct_solve / brute_force / horizon_study.
 
-    ``gradient`` selects "analytic" (exact gradient of the discretized
-    objective, the default) or "fd" (central finite differences);
-    ``precondition`` takes the Newton step of the block-tridiagonal Hessian
-    band, recomputed at every iteration (the Jacobi step, the gradient over
-    the absolute band diagonal, where the negated band is not positive
-    definite), and then interprets ``grad_tol`` as a bound on the step,
-    which is the only reliable stopping rule when the objective carries
-    strong discounting.
+    ``grad_tol`` bounds the sup norm of the Newton step, the only reliable
+    stopping rule when the objective carries strong discounting.
+    ``gradient`` and ``precondition`` name the one search there is (the
+    analytic gradient, Newton steps on the Hessian band) and accept only
+    "analytic" and True: older run files spell them out.
     """
 
     T_trunc: float
@@ -106,7 +97,7 @@ class SolveOptions:
     step_init: float = 1.0
     grad_tol: float = 1e-6
     gradient: str = "analytic"
-    precondition: bool = False
+    precondition: bool = True
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -115,8 +106,16 @@ class SolveOptions:
             raise ValueError("step_init must be positive")
         if not self.grad_tol > 0:
             raise ValueError("grad_tol must be positive")
-        if self.gradient not in ("fd", "analytic"):
-            raise ValueError("gradient must be 'fd' or 'analytic'")
+        if self.gradient != "analytic":
+            raise ValueError(
+                f"gradient = {self.gradient!r}: the finite-difference search was removed; "
+                "the gradient is always 'analytic'"
+            )
+        if self.precondition is not True:
+            raise ValueError(
+                f"precondition = {self.precondition!r}: plain gradient ascent was removed; "
+                "every search takes Newton steps"
+            )
         if self.terminal_mode.kind not in ("free", "pinned"):
             raise ValueError("unknown terminal mode")
 
@@ -136,10 +135,9 @@ class SolveInfo:
 
 
 ARMIJO = 1e-4
-#: kernel groups of the derivative pass: the gradient's first partials, and
-#: with the band the second partials as well
-_FIRST_GROUPS = ("gx", "gv", "Lz", "Lx", "Lv")
-_BAND_GROUPS = _FIRST_GROUPS + ("guu", "Luz", "Lzz", "Luu")
+#: kernel groups of the derivative pass: the gradient's first partials and
+#: the band's second partials
+_DERIVATIVE_GROUPS = ("gx", "gv", "Lz", "Lx", "Lv", "guu", "Luz", "Lzz", "Luu")
 
 
 class _Engine:
@@ -203,26 +201,13 @@ class _Engine:
         except OverflowError:
             raise NonFiniteObjectiveError("z or the objective overflows during the search") from None
 
-    def fd_gradient(self, x: np.ndarray) -> np.ndarray:
-        grad = np.empty(len(self.free))
-        for i, (j, c) in enumerate(self.free):
-            h = 1e-6 * (1.0 + abs(x[j, c]))
-            xp = x.copy()
-            xp[j, c] = x[j, c] + h
-            fp = self.objective(xp)
-            xp[j, c] = x[j, c] - h
-            fm = self.objective(xp)
-            grad[i] = (fp - fm) / (2.0 * h)
-        return grad
-
-    def derivatives(self, x: np.ndarray, band: bool = False) -> dict[str, np.ndarray]:
-        """One kernel call at x: the first partials (with ``band``, the second
-        partials too), each group (count, K) over grid rows 1..K, and the tail
-        sums S of w*L_z from each row to K."""
-        groups = _BAND_GROUPS if band else _FIRST_GROUPS
-        kernel = self.p.kernel(*groups)
+    def derivatives(self, x: np.ndarray) -> dict[str, np.ndarray]:
+        """One kernel call at x: the first and second partials, each group
+        (count, K) over grid rows 1..K, and the tail sums S of w*L_z from
+        each row to K."""
+        kernel = self.p.kernel(*_DERIVATIVE_GROUPS)
         out = self._run(kernel, self._env(x), lambda g: np.cumsum(self.w[1:] * g))
-        d = {name: out[kernel.rows[name]] for name in groups}
+        d = {name: out[kernel.rows[name]] for name in _DERIVATIVE_GROUPS}
         d["S"] = np.cumsum((self.w[1:] * d["Lz"][0])[::-1])[::-1]
         return d
 
@@ -246,7 +231,7 @@ class _Engine:
 
     def hessian_band(self, d: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         """Block-tridiagonal part of the Hessian of the discretized objective
-        from the derivative pass ``d`` (with ``band``) at a point.
+        from the derivative pass ``d`` at a point.
 
         Returns the diagonal blocks (F, n, n) and the upper blocks (F - 1, n,
         n) over the free rows, exact, from the second partials, in O(K n^3).
@@ -293,6 +278,21 @@ class _Engine:
         """(K, 2n, 2n) from the (2n)^2 row-major rows of a second-partial group."""
         return np.ascontiguousarray(rows.reshape(2 * self.n, 2 * self.n, self.K).transpose(2, 0, 1))
 
+    def non_finite(self, d, grad, direction) -> NonFiniteObjectiveError:
+        """The error for an iteration whose step or slope is not finite: the
+        first of S, the gradient and the step with a non-finite entry, at the
+        time of its first such row."""
+        for name, a, width in (
+            ("the tail sum of w*L_z", d["S"], 1),
+            ("the gradient", grad, self.n),
+            ("the step", direction, self.n),
+        ):
+            bad = np.flatnonzero(~np.isfinite(a))
+            if bad.size:
+                t = self.p.ts.points[1 + bad[0] // width]
+                return NonFiniteObjectiveError(f"{name} is non-finite at t={t!r} during the search")
+        return NonFiniteObjectiveError("the ascent slope overflows during the search")
+
     def apply(self, x: np.ndarray, delta: np.ndarray) -> np.ndarray:
         out = x.copy()
         out[1 : self.last + 1] = x[1 : self.last + 1] + delta.reshape(-1, self.n)
@@ -314,18 +314,6 @@ def _ahead(A: np.ndarray, s: int = 1) -> np.ndarray:
 def free_coordinates(p: Problem, opts: SolveOptions) -> list[tuple[int, int]]:
     """(grid index, component) pairs the solver treats as variables."""
     return list(_Engine(p, opts).free)
-
-
-def fd_gradient(p: Problem, values, opts: SolveOptions) -> np.ndarray:
-    """Central-difference gradient of the truncated objective at ``values``."""
-    eng = _Engine(p, opts)
-    return eng.fd_gradient(np.asarray(values, dtype=float))
-
-
-def analytic_gradient(p: Problem, values, opts: SolveOptions) -> np.ndarray:
-    """Exact gradient of the discretized truncated objective at ``values``."""
-    eng = _Engine(p, opts)
-    return eng.analytic_gradient(eng.derivatives(np.asarray(values, dtype=float)))
 
 
 def _band_solve(diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray) -> Optional[np.ndarray]:
@@ -394,22 +382,22 @@ def _band_solve(diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray) -> Optiona
 
 
 def direct_solve(p: Problem, opts: SolveOptions, with_info: bool = False):
-    """Ascent on the truncated objective over free state values.
+    """Newton ascent on the truncated objective over free state values.
 
     Starts from the constant initial state (or the linear interpolant to
-    a pinned terminal) and ascends with Armijo backtracking from
-    ``step_init``, along the gradient or, with ``precondition``, along the
-    Newton step of the Hessian band (``_Engine.hessian_band``); when the
-    negated band is not positive definite that iteration takes the Jacobi
-    step, the gradient over max(|band diagonal|, 1e-30), and counts it in
-    ``SolveInfo.fallbacks``.  Values beyond the truncation point are
+    a pinned terminal) and steps along the Newton step of the Hessian band
+    (``_Engine.hessian_band``) with Armijo backtracking from ``step_init``;
+    when the negated band is not positive definite that iteration takes the
+    Jacobi step, the gradient over max(|band diagonal|, 1e-30), and counts
+    it in ``SolveInfo.fallbacks``.  Values beyond the truncation point are
     frozen; they never enter the truncated objective.  Accepted steps never
     decrease the objective.  ``SolveInfo.stop_reason`` says why the search
-    ended: ``grad_tol`` (the sup norm of the gradient, or of the
-    preconditioned step, fell below ``grad_tol``; the only converged case),
-    ``flat`` (50 accepted steps in a row left the objective unchanged),
-    ``no_progress`` (no step size passed the Armijo test, or the accepted
-    step changed nothing) or ``max_iters``.
+    ended: ``grad_tol`` (the sup norm of the step fell below ``grad_tol``;
+    the only converged case), ``flat`` (50 accepted steps in a row left the
+    objective unchanged), ``no_progress`` (no step size passed the Armijo
+    test, or the accepted step changed nothing) or ``max_iters``.  A
+    non-finite tail sum, gradient or step raises
+    ``NonFiniteObjectiveError``.
     """
     eng = _Engine(p, opts)
     x = eng.initial_values()
@@ -421,12 +409,9 @@ def direct_solve(p: Problem, opts: SolveOptions, with_info: bool = False):
     flat = 0  # consecutive accepted steps with no representable objective change
     for it in range(opts.max_iters):
         iterations = it + 1
-        d = None  # the one derivative pass of this iteration
-        if opts.gradient == "analytic" or opts.precondition:
-            d = eng.derivatives(x, band=opts.precondition)
-        grad = eng.analytic_gradient(d) if opts.gradient == "analytic" else eng.fd_gradient(x)
-        direction = grad
-        if opts.precondition:
+        with np.errstate(all="ignore"):  # a non-finite pass is diagnosed below
+            d = eng.derivatives(x)  # the one derivative pass of this iteration
+            grad = eng.analytic_gradient(d)
             diag, upper = eng.hessian_band(d)
             step = _band_solve(-diag, -upper, grad.reshape(-1, eng.n))
             if step is None:
@@ -435,11 +420,13 @@ def direct_solve(p: Problem, opts: SolveOptions, with_info: bool = False):
                 direction = grad / np.maximum(curv, 1e-30)
             else:
                 direction = step.ravel()
+            slope = float(np.dot(grad, direction))
         crit = float(np.max(np.abs(direction))) if len(direction) else 0.0
+        if not (math.isfinite(crit) and math.isfinite(slope)):
+            raise eng.non_finite(d, grad, direction)
         if crit <= opts.grad_tol:
             stop = "grad_tol"
             break
-        slope = float(np.dot(grad, direction))
         alpha = opts.step_init
         accepted = False
         for _ in range(80):
@@ -577,14 +564,16 @@ def horizon_study(p: Problem, truncations, opts: SolveOptions) -> list[HorizonRo
     for T in cuts:
         o = replace(opts, T_trunc=T)
         x, info = direct_solve(p, o, with_info=True)
-        core = _ELCore(p, x, T)
-        reported = core.pointwise()[_rows_up_to(el_report_indices(ts), core.k)]
+        with np.errstate(all="ignore"):  # overflow gives inf or NaN, as in residual_report
+            core = _ELCore(p, x, T)
+            reported = core.pointwise()[_rows_up_to(el_report_indices(ts), core.k)]
+            t1, t2 = core.transversality(slice(core.k, core.k + 1))
         rows.append(
             HorizonRow(
                 T_trunc=T,
                 max_el_residual=_abs_max(reported),
-                trans_T1=abs(core.trans_T1(core.k)),
-                trans_T2=abs(core.trans_T2(core.k)),
+                trans_T1=abs(float(t1[0])),
+                trans_T2=abs(float(t2[0])),
                 trans_applicable=o.terminal_mode.kind == "free",
                 solution=x,
                 info=info,

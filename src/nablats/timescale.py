@@ -1,4 +1,4 @@
-"""Finite time-scale grids: jump operators, graininess, point classification.
+"""Finite time-scale grids: the backward jump, graininess and the kappa set.
 
 A grid is a strictly increasing tuple of real points together with a *kind*
 for each adjacent gap:
@@ -9,9 +9,8 @@ for each adjacent gap:
   that belongs to the scale but is represented only through its samples.
 
 All point lookups compare floats exactly; no snapping is performed.  The
-backward jump at the minimum and the forward jump at the maximum follow the
-standard boundary conventions rho(t_0) = t_0 and sigma(t_m) = t_m, so the
-minimum is left-dense and the maximum right-dense by convention.
+backward jump at the minimum follows the standard boundary convention
+rho(t_0) = t_0, so the minimum is left-dense by convention.
 """
 
 from __future__ import annotations
@@ -36,35 +35,6 @@ class PointNotInScaleError(TimeScaleError):
 class GapKind(enum.Enum):
     SCATTERED = "scattered"
     DENSE_SAMPLE = "dense_sample"
-
-
-class Side(enum.Enum):
-    DENSE = "dense"
-    SCATTERED = "scattered"
-
-
-@dataclass(frozen=True)
-class PointClass:
-    """Local classification of a grid point (left/right density)."""
-
-    left: Side
-    right: Side
-
-    @property
-    def is_isolated(self) -> bool:
-        return self.left is Side.SCATTERED and self.right is Side.SCATTERED
-
-    @property
-    def is_dense(self) -> bool:
-        return self.left is Side.DENSE and self.right is Side.DENSE
-
-    @property
-    def is_left_scattered(self) -> bool:
-        return self.left is Side.SCATTERED
-
-    @property
-    def is_right_scattered(self) -> bool:
-        return self.right is Side.SCATTERED
 
 
 @dataclass(frozen=True)
@@ -120,6 +90,8 @@ class TimeScale:
 
     @cached_property
     def kappa_indices(self) -> tuple[int, ...]:
+        """Indices of the points where the nabla derivative is defined: all
+        but the minimum exactly when the minimum is right-scattered."""
         if self.gap_kinds[0] is GapKind.SCATTERED:
             return tuple(range(1, len(self.points)))
         return tuple(range(len(self.points)))
@@ -152,33 +124,10 @@ class TimeScale:
         """Backward jump; rho(min) = min, rho(t) = t at left-dense points."""
         return self.points[self.rho_indices[self.index_of(t)]]
 
-    def sigma(self, t: float) -> float:
-        """Forward jump; sigma(max) = max, sigma(t) = t at right-dense points."""
-        i = self.index_of(t)
-        if i == len(self.points) - 1 or self.gap_kinds[i] is GapKind.DENSE_SAMPLE:
-            return self.points[i]
-        return self.points[i + 1]
-
     def nu(self, t: float) -> float:
         """Backward graininess nu(t) = t - rho(t)."""
         i = self.index_of(t)
         return self.points[i] - self.points[self.rho_indices[i]]
-
-    def classify(self, t: float) -> PointClass:
-        i = self.index_of(t)
-        left = Side.DENSE if self.rho_indices[i] == i else Side.SCATTERED  # rho(min) = min
-        if i == len(self.points) - 1:
-            right = Side.DENSE  # sigma(max) = max
-        else:
-            right = Side.DENSE if self.gap_kinds[i] is GapKind.DENSE_SAMPLE else Side.SCATTERED
-        return PointClass(left, right)
-
-    def kappa_set(self) -> tuple[float, ...]:
-        """Grid points where the nabla derivative is defined.
-
-        Excludes the minimum exactly when the minimum is right-scattered.
-        """
-        return tuple(self.points[i] for i in self.kappa_indices)
 
     @property
     def all_scattered(self) -> bool:

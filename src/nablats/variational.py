@@ -370,12 +370,6 @@ class _ELCore:
         bracket = self.Lv[rows] + self.gv[rows] * (self.nu_true[rows] * self.Lz[rows])[:, None]
         return (X @ bracket[:, :, None])[:, 0, 0], (X @ self.CumLx[rows][:, :, None])[:, 0, 0]
 
-    def trans_T1(self, j: int) -> float:
-        return float(self.transversality(slice(j, j + 1))[0][0])
-
-    def trans_T2(self, j: int) -> float:
-        return float(self.transversality(slice(j, j + 1))[1][0])
-
 
 def el_report_indices(ts: TimeScale) -> tuple[int, ...]:
     """Kappa indices where the pointwise residual stencil is fully defined.
@@ -432,13 +426,13 @@ def el_residual_integral(p: Problem, x: Trajectory, t: float, T_prime: float) ->
 def transversality_residual_T1(p: Problem, x: Trajectory, T_prime: float) -> float:
     """x(T') . [Lv(T') + gv(T') * nu(T') * Lz(T')]."""
     core = _ELCore(p, x, T_prime)
-    return core.trans_T1(core.k)
+    return float(core.transversality(slice(core.k, core.k + 1))[0][0])
 
 
 def transversality_residual_T2(p: Problem, x: Trajectory, T_prime: float) -> float:
     """x(T') . integral of Lx over (a, T']."""
     core = _ELCore(p, x, T_prime)
-    return core.trans_T2(core.k)
+    return float(core.transversality(slice(core.k, core.k + 1))[1][0])
 
 
 def weak_max_compare(

@@ -118,8 +118,7 @@ def test_criterion_2_classical_limit():
         ts = sampled_interval(0.0, 1.0, n)
         p = Problem.from_strings(ts, 1, "-(v1^2)", "0", [0.0])
         opts = SolveOptions(
-            T_trunc=1.0, terminal_mode=PINNED(1.0), gradient="analytic",
-            precondition=True, grad_tol=1e-9, max_iters=100,
+            T_trunc=1.0, terminal_mode=PINNED(1.0), grad_tol=1e-9, max_iters=100,
         )
         traj, info = direct_solve(p, opts, with_info=True)
         assert info.stop_reason == "grad_tol"
@@ -210,10 +209,7 @@ def test_criterion_5_transversality_trend():
     start = time.perf_counter()
     ts = integers(0, 30)
     p = Problem.from_strings(ts, 1, "exp(-t)*(-(v1^2)-x1^2)", "0", [1.0])
-    opts = SolveOptions(
-        T_trunc=30.0, gradient="analytic", precondition=True,
-        grad_tol=1e-9, max_iters=2000,
-    )
+    opts = SolveOptions(T_trunc=30.0, grad_tol=1e-9, max_iters=2000)
     rows = horizon_study(p, [10.0, 20.0, 30.0], opts)
     t1 = [row.trans_T1 for row in rows]
     t2 = [row.trans_T2 for row in rows]

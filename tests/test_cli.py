@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -314,12 +315,14 @@ class TestSolve:
         assert err == "error: z or the objective overflows during the search\n"
 
     def test_search_leaving_the_domain_reports_a_plain_time(self, tmp_path, capsys):
+        # the Newton step from x1 = 1 is -19/21; twice that leaves the domain
+        # of log at the one free row that L reads, x1(rho(2))
         body = (
             BASE_INI.replace('L = "-(v1^2)"', 'L = "log(x1) - 10*x1^2"')
             .replace("b = 5", "b = 2")
             .replace("x_a = 0.0", "x_a = 1.0")
             .replace("T_trunc = 5", "T_trunc = 2")
-            .replace("pinned: 5.0", "free\ngradient = analytic")
+            .replace("pinned: 5.0", "free\nstep_init = 2")
         )
         code, out, err = run(capsys, "solve", write_ini(tmp_path, body))
         assert code == 3
@@ -328,6 +331,21 @@ class TestSolve:
             "error: objective integrand 'log(x1) - 10.0*x1^2.0' is non-finite at t=2.0 "
             "during the search\n"
         )
+
+    def test_non_finite_derivative_pass_exits_3_without_warnings(self, tmp_path, capsys):
+        # every L_z = 1e308*cos(pi*(t-1)/3) is finite, but the tail sums of
+        # w*L_z overflow from t = 3 down: the search stops on the first pass
+        # instead of stepping on with NaN
+        body = BASE_INI.replace('L = "-(v1^2)"', 'L = "z*1e308*cos(pi*(t-1)/3)"').replace(
+            "pinned: 5.0", "free"
+        )
+        cfg = write_ini(tmp_path, body)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "solve", cfg)
+        assert caught == []
+        assert (code, out) == (3, "")
+        assert err == "error: the tail sum of w*L_z is non-finite at t=1.0 during the search\n"
 
     def test_solved_trajectory_passes_check_el(self, tmp_path, capsys):
         cfg = write_ini(tmp_path)
@@ -475,6 +493,18 @@ class TestMalformedInput:
         code = main(["frobnicate"])
         capsys.readouterr()
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "setting, search",
+        [("precondition = false", "plain gradient ascent"),
+         ("gradient = fd", "finite-difference search")],
+    )
+    def test_removed_search_exits_2(self, tmp_path, capsys, setting, search):
+        body = BASE_INI.replace("grad_tol = 1e-10", f"grad_tol = 1e-10\n{setting}")
+        code, out, err = run(capsys, "solve", write_ini(tmp_path, body))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: [solve]: ") and err.count("\n") == 1
+        assert f"{search} was removed" in err
 
     def test_pinned_without_values(self, tmp_path, capsys):
         cfg = write_ini(tmp_path, BASE_INI.replace("terminal = pinned: 5.0", "terminal = pinned:"))

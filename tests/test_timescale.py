@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from nablats.timescale import (
     GapKind,
     PointNotInScaleError,
-    Side,
     TimeScale,
     TimeScaleError,
     from_points,
@@ -16,6 +15,21 @@ from nablats.timescale import (
     uniform,
     union,
 )
+
+
+def left_scattered(ts, t):
+    return ts.nu(t) > 0.0
+
+
+def right_scattered(ts, t):
+    """A gap to a successor that is a hole of the scale; the maximum is
+    right-dense by convention."""
+    i = ts.index_of(t)
+    return i < len(ts) - 1 and ts.gap_kinds[i] is GapKind.SCATTERED
+
+
+def kappa_points(ts):
+    return tuple(ts.points[i] for i in ts.kappa_indices)
 
 
 def junction_scale(n=4):
@@ -29,26 +43,26 @@ class TestJumpOperators:
     def test_integer_scale_interior(self):
         ts = integers(0, 5)
         assert ts.rho(3.0) == 2.0
-        assert ts.sigma(3.0) == 4.0
+        assert ts.rho(4.0) == 3.0
         assert ts.nu(3.0) == 1.0
 
     def test_boundary_conventions(self):
         ts = integers(0, 5)
         assert ts.rho(0.0) == 0.0
-        assert ts.sigma(5.0) == 5.0
+        assert not right_scattered(ts, 5.0)
         assert ts.nu(0.0) == 0.0
 
     def test_sampled_interval_is_dense(self):
         ts = sampled_interval(0.0, 1.0, 4)
         assert ts.points == (0.0, 0.25, 0.5, 0.75, 1.0)
         assert ts.rho(0.5) == 0.5
-        assert ts.sigma(0.5) == 0.5
+        assert ts.rho(0.75) == 0.75
         assert ts.nu(0.5) == 0.0
 
     def test_q_scale(self):
         ts = q_scale(2.0, 1.0, 4)
         assert ts.points == (1.0, 2.0, 4.0, 8.0)
-        assert ts.sigma(2.0) == 4.0
+        assert ts.rho(4.0) == 2.0
         assert ts.nu(8.0) == 4.0
 
     def test_off_grid_point_raises(self):
@@ -61,36 +75,37 @@ class TestJumpOperators:
 
 class TestClassify:
     def test_isolated(self):
-        assert integers(0, 5).classify(3.0).is_isolated
+        ts = integers(0, 5)
+        assert left_scattered(ts, 3.0) and right_scattered(ts, 3.0)
 
     def test_dense(self):
-        assert sampled_interval(0.0, 1.0, 4).classify(0.5).is_dense
+        ts = sampled_interval(0.0, 1.0, 4)
+        assert not left_scattered(ts, 0.5) and not right_scattered(ts, 0.5)
 
     def test_junction(self):
         ts = junction_scale()
-        cls = ts.classify(1.0)
-        assert cls.left is Side.SCATTERED
-        assert cls.right is Side.DENSE
+        assert left_scattered(ts, 1.0)
+        assert not right_scattered(ts, 1.0)
 
     def test_boundary_classification(self):
         ts = integers(0, 5)
-        assert ts.classify(0.0).left is Side.DENSE  # rho(min) = min
-        assert ts.classify(0.0).right is Side.SCATTERED
-        assert ts.classify(5.0).right is Side.DENSE  # sigma(max) = max
+        assert not left_scattered(ts, 0.0)  # rho(min) = min
+        assert right_scattered(ts, 0.0)
+        assert not right_scattered(ts, 5.0)  # sigma(max) = max
 
 
 class TestKappaSet:
     def test_scattered_minimum_excluded(self):
-        assert integers(0, 5).kappa_set() == (1.0, 2.0, 3.0, 4.0, 5.0)
+        assert kappa_points(integers(0, 5)) == (1.0, 2.0, 3.0, 4.0, 5.0)
 
     def test_dense_minimum_included(self):
         ts = sampled_interval(0.0, 1.0, 4)
-        assert ts.kappa_set() == ts.points
+        assert kappa_points(ts) == ts.points
 
     def test_junction_minimum_excluded(self):
         ts = junction_scale()
-        assert 0.0 not in ts.kappa_set()
-        assert ts.kappa_set()[0] == 1.0
+        assert 0.0 not in kappa_points(ts)
+        assert kappa_points(ts)[0] == 1.0
 
 
 class TestBuilders:
@@ -148,17 +163,16 @@ def test_grid_invariants(pts, data):
     assert from_points(ts.points, ts.gap_kinds) == ts
 
     for t in ts.points:
-        assert ts.rho(t) <= t <= ts.sigma(t)
-        assert (ts.nu(t) == 0.0) == (ts.classify(t).left is Side.DENSE)
+        assert ts.rho(t) <= t
+        assert (ts.nu(t) == 0.0) == (ts.rho_indices[ts.index_of(t)] == ts.index_of(t))
         assert ts.nu(t) == t - ts.rho(t)
 
     # kappa set matches the right-scattered-minimum rule
     if ts.gap_kinds[0] is GapKind.SCATTERED:
-        assert ts.kappa_set() == ts.points[1:]
+        assert kappa_points(ts) == ts.points[1:]
     else:
-        assert ts.kappa_set() == ts.points
+        assert kappa_points(ts) == ts.points
 
-    # interior isolated points: rho(sigma(t)) == t
-    for t in ts.points[1:-1]:
-        if ts.classify(t).is_isolated:
-            assert ts.rho(ts.sigma(t)) == t
+    # a right-scattered point is the backward jump of its successor
+    for i, t in enumerate(ts.points[:-1]):
+        assert (ts.rho(ts.points[i + 1]) == t) == right_scattered(ts, t)

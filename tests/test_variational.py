@@ -536,21 +536,22 @@ class TestReportArrays:
 
     def test_report_makes_no_per_row_transversality_calls(self, monkeypatch):
         calls = []
-        for name in ("trans_T1", "trans_T2"):
-            original = getattr(_ELCore, name)
+        original = _ELCore.transversality
 
-            def counting(self, j, original=original, name=name):
-                calls.append(name)
-                return original(self, j)
+        def counting(self, rows):
+            calls.append((rows.start, rows.stop))
+            return original(self, rows)
 
-            monkeypatch.setattr(_ELCore, name, counting)
+        monkeypatch.setattr(_ELCore, "transversality", counting)
         p = mixed_problem()
         x = random_trajectory(p, 3)
-        residual_report(p, x)
-        assert calls == []
-        transversality_residual_T1(p, x, p.ts.points[-1])
-        transversality_residual_T2(p, x, p.ts.points[-1])
-        assert calls == ["trans_T1", "trans_T2"]
+        k = len(p.ts) - 1
+        report = residual_report(p, x)
+        assert calls == [(1, k + 1)]  # one batched call over rows 1..k
+        T1 = transversality_residual_T1(p, x, p.ts.points[-1])
+        T2 = transversality_residual_T2(p, x, p.ts.points[-1])
+        assert calls[1:] == [(k, k + 1), (k, k + 1)]
+        assert (T1, T2) == (report.trans_T1[-1], report.trans_T2[-1])
 
     def test_a_nan_row_anywhere_makes_the_maximum_nan(self):
         # L = z*f(t) with g = 0: the tail integral I of f overflows to -inf at
