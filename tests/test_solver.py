@@ -311,6 +311,19 @@ class TestDirectSolve:
             (SolveOptions(T_trunc=6.0, grad_tol=1e-300, max_iters=20000), "no_progress"),
             # past float resolution: 50 accepted steps leave the objective as it was
             (SolveOptions(T_trunc=200.0, grad_tol=1e-300, max_iters=20000), "flat"),
+            # the same two stops with the terminal value pinned
+            (
+                SolveOptions(
+                    T_trunc=200.0, terminal_mode=PINNED(0.5), grad_tol=1e-300, max_iters=20000
+                ),
+                "flat",
+            ),
+            (
+                SolveOptions(
+                    T_trunc=6.0, terminal_mode=PINNED(0.5), grad_tol=1e-300, max_iters=20000
+                ),
+                "no_progress",
+            ),
         ],
     )
     def test_stop_reason(self, opts, reason):
@@ -473,6 +486,36 @@ class TestGradients:
         for i, (j, c) in enumerate(eng.free):
             expected[j, c] = x[j, c] + delta[i]
         assert np.array_equal(eng.apply(x, delta), expected)
+
+    def test_curvature_never_calls_the_gradient(self, monkeypatch):
+        # the band reads the second partials of the derivative pass; the
+        # gradient is taken once per iteration beside it, never inside it
+        inside_band = []
+        calls_in_band = []
+        gradient = _Engine.analytic_gradient
+        band = _Engine.hessian_band
+
+        def counting(self, *args):
+            if inside_band:
+                calls_in_band.append(1)
+            return gradient(self, *args)
+
+        bands = []
+
+        def counting_band(self, *args):
+            bands.append(1)
+            inside_band.append(1)
+            try:
+                return band(self, *args)
+            finally:
+                inside_band.pop()
+
+        monkeypatch.setattr(_Engine, "analytic_gradient", counting)
+        monkeypatch.setattr(_Engine, "hessian_band", counting_band)
+        _, p, opts = dense_start_case()
+        _, info = direct_solve(p, opts, with_info=True)
+        assert len(bands) == info.iterations > 1
+        assert calls_in_band == []
 
     def test_one_derivative_pass_per_iteration(self, monkeypatch):
         # every evaluation goes through evaluate_many on a compiled kernel: one
