@@ -234,17 +234,17 @@ def _options(cp: configparser.ConfigParser) -> tuple[Optional[SolveOptions], tup
     if not cp.has_section("solve"):
         return None, ()
     T_trunc = _float(cp, "solve", "T_trunc")
-    terminal = _terminal(_get(cp, "solve", "terminal", "free"))
+    fields = dict(  # read first: a malformed value's ConfigError names its own section
+        T_trunc=T_trunc,
+        terminal_mode=_terminal(_get(cp, "solve", "terminal", "free")),
+        max_iters=_int(cp, "solve", "max_iters", 2000),
+        step_init=_float(cp, "solve", "step_init", 1.0),
+        grad_tol=_float(cp, "solve", "grad_tol", 1e-6),
+        gradient=_get(cp, "solve", "gradient", "analytic").strip().lower(),
+        precondition=_bool(cp, "solve", "precondition", True),
+    )
     try:
-        opts = SolveOptions(
-            T_trunc=T_trunc,
-            terminal_mode=terminal,
-            max_iters=_int(cp, "solve", "max_iters", 2000),
-            step_init=_float(cp, "solve", "step_init", 1.0),
-            grad_tol=_float(cp, "solve", "grad_tol", 1e-6),
-            gradient=_get(cp, "solve", "gradient", "analytic").strip().lower(),
-            precondition=_bool(cp, "solve", "precondition", True),
-        )
+        opts = SolveOptions(**fields)
     except ValueError as exc:
         raise ConfigError(f"[solve]: {exc}") from exc
     raw_cuts = _get(cp, "solve", "truncations", None)

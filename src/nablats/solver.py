@@ -8,6 +8,12 @@ enumerator over a finite value grid serves as an independent oracle on
 tiny instances, and a horizon study re-solves the problem at increasing
 truncations to expose the decay of the transversality residuals.
 
+The enumerator walks the tree of assignments by grid row, depth first in
+lexicographic order, so the first maximizer wins: row j's term is evaluated
+once per distinct prefix, sum_j G^(n j) rows for G values per coordinate,
+in chunks of at most max(_BATCH, G^n) assignments, and the objective is
+summed in row order.
+
 The gradient is the exact gradient of the discretized objective,
 assembled from the symbolic partials in O(m n).  Each state value enters
 only the terms at its own grid point and the next one, plus the
@@ -37,7 +43,7 @@ from typing import Optional
 
 import numpy as np
 
-from .calculus import running_fsum
+from .calculus import nabla_quotients, running_fsum
 from .expressions import ExprDomainError, evaluate_many
 from .variational import (
     Problem,
@@ -479,7 +485,15 @@ def brute_force(p: Problem, opts: SolveOptions, value_grid) -> Trajectory:
     values of ``value_grid``; assignments are enumerated in lexicographic
     order and the first maximizer wins, which makes the result invariant
     under permutation of the input grid.  Guarded to at most 10^7
-    assignments.
+    assignments; a non-finite objective ranks below every finite one.
+
+    Level j of the prefix tree extends each prefix by the G^n values of row
+    j (or the pinned value of row K); one kernel call evaluates row j's term
+    alone, from the prefix's row j - 1, z and partial objective: sum_j
+    G^(n min(j, last)) rows, about G^F G/(G - 1), not K G^F.  Chunks of at
+    most max(``_BATCH``, G^n) assignments go depth first in lexicographic
+    order.  z adds its terms as a running sum does, bit for bit; the
+    objective is summed in row order.
     """
     eng = _Engine(p, opts)
     grid = np.array(sorted(set(float(v) for v in value_grid)))
@@ -491,39 +505,44 @@ def brute_force(p: Problem, opts: SolveOptions, value_grid) -> Trajectory:
         raise EnumerationGuardError(
             f"{G}^{F} = {total} assignments exceed the enumeration guard of {GUARD}"
         )
-    base = eng.initial_values()
-    K = eng.K
-    weights = G ** np.arange(F - 1, -1, -1, dtype=np.int64)
-
-    best_val = -math.inf
-    best_x = None
-    for start in range(0, total, _BATCH):
-        ids = np.arange(start, min(start + _BATCH, total), dtype=np.int64)
-        B = ids.size
-        xb = np.tile(base[: K + 1], (B, 1, 1))
-        for i, (j, c) in enumerate(eng.free):
-            xb[:, j, c] = grid[(ids[:, None] // weights[i]) % G].ravel()
-        vals = _batch_objective(eng, xb)
-        vals = np.where(np.isfinite(vals), vals, -math.inf)
-        k = int(np.argmax(vals))
-        if vals[k] > best_val:
-            best_val = float(vals[k])
-            best_x = xb[k].copy()
-    if best_x is None or best_val == -math.inf:
+    ts, n, K, w = p.ts, eng.n, eng.K, eng.w
+    base, kernel, per = eng.initial_values(), p.kernel("J", check=False), G**n
+    # the values of one free row, lexicographic, once for each prefix of a chunk
+    row_values = np.tile(grid[np.indices((G,) * n).reshape(n, -1).T], (max(1, _BATCH // per), 1))
+    best_val, best_id = -math.inf, -1
+    # chunks of prefixes up to row j - 1: (j, row j - 1, z, partial objective, id)
+    stack = [(1, base[:1], np.zeros(1), np.zeros(1), np.zeros(1, dtype=np.int64))]
+    with np.errstate(all="ignore"):  # overflow scores -inf
+        while stack:
+            j, prev, z, J, ids = stack.pop()
+            if j <= eng.last:
+                cur = row_values[: len(ids) * per]
+                ids = (ids[:, None] * per + np.arange(per)).ravel()
+                prev, z, J = prev.repeat(per, 0), z.repeat(per), J.repeat(per)
+            else:
+                cur = np.broadcast_to(base[j], prev.shape)
+            head = np.stack([prev, cur], axis=1)  # rows j - 1 and j, as path_env reads them
+            v = nabla_quotients(head, ts.local_steps[j - 1 : j + 1])[:, 1]
+            xr = head[:, ts.rho_indices[j] - j + 1]
+            env = {"t": ts.points_array[j : j + 1]}
+            for i in range(n):
+                env[f"x{i + 1}"], env[f"v{i + 1}"] = xr[:, i], v[:, i]
+            out = evaluate_many(kernel, env, lambda g: w[j] * g if j == 1 else z + w[j] * g)
+            z, J = env["z"], J + w[j] * out[1]
+            if j == K:
+                vals = np.where(np.isfinite(J), J, -math.inf)
+                k = int(np.argmax(vals))
+                if vals[k] > best_val:
+                    best_val, best_id = float(vals[k]), int(ids[k])
+                continue
+            step = max(1, _BATCH // per) if j < eng.last else _BATCH
+            for s in reversed(range(0, len(ids), step)):
+                stack.append((j + 1, *(a[s : s + step] for a in (cur, z, J, ids))))
+    if best_id < 0:
         raise NonFiniteObjectiveError("every enumerated assignment gave a non-finite objective")
     full = base.copy()
-    full[: K + 1] = best_x
+    full[1 : eng.last + 1] = grid[best_id // G ** np.arange(F - 1, -1, -1) % G].reshape(-1, n)
     return Trajectory.from_values(p, full)
-
-
-def _batch_objective(eng: _Engine, xb: np.ndarray) -> np.ndarray:
-    """Vectorized truncated objective over a batch of head segments."""
-    w = eng.w
-    out = evaluate_many(
-        eng.p.kernel("J", check=False), eng._env(xb), lambda g: np.cumsum(w[1:] * g, axis=-1)
-    )
-    with np.errstate(invalid="ignore"):
-        return out[1] @ w[1:]
 
 
 # -- horizon study ----------------------------------------------------------

@@ -506,6 +506,17 @@ class TestMalformedInput:
         assert err.startswith("error: [solve]: ") and err.count("\n") == 1
         assert f"{search} was removed" in err
 
+    @pytest.mark.parametrize(
+        "setting, message",
+        [("precondition = maybe", "[solve] precondition = 'maybe' is not a boolean"),
+         ("max_iters = abc", "[solve] max_iters = 'abc' is not an integer"),
+         ("grad_tol = tiny", "[solve] grad_tol = 'tiny' is not a number")],
+    )
+    def test_malformed_solve_value_names_its_section_once(self, tmp_path, capsys, setting, message):
+        body = BASE_INI.replace("grad_tol = 1e-10", setting)
+        code, out, err = run(capsys, "solve", write_ini(tmp_path, body))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_pinned_without_values(self, tmp_path, capsys):
         cfg = write_ini(tmp_path, BASE_INI.replace("terminal = pinned: 5.0", "terminal = pinned:"))
         code, _, err = run(capsys, "solve", cfg)

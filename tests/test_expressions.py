@@ -264,7 +264,8 @@ class TestKernel:
             out = evaluate_many(kernel, env, lambda g: np.cumsum(g, axis=-1))
             shape = np.broadcast_shapes(env["x1"].shape, t_now.shape)
             assert out.shape == (len(g_out) + len(l_out),) + shape
-            assert _same_bits(env["z"], np.cumsum(out[0], axis=-1))
+            with np.errstate(all="ignore"):  # the oracle sum may meet inf - inf too
+                assert _same_bits(env["z"], np.cumsum(out[0], axis=-1))
             for row, e in zip(out, g_out + l_out):
                 assert _same_bits(row, np.broadcast_to(evaluate_many(e, env), shape)), to_source(e)
 

@@ -1,0 +1,57 @@
+"""The library never prints: only the command-line front end writes to the
+standard streams; everything else reports through return values, exceptions
+or ``logging.getLogger("nablats")``."""
+
+import ast
+from pathlib import Path
+
+import nablats
+
+PACKAGE = Path(nablats.__file__).parent
+STREAMS = {"stdout", "stderr", "__stdout__", "__stderr__"}
+
+
+def stream_uses(path: Path) -> list[str]:
+    """Each print call and each reference to sys.stdout or sys.stderr in a module."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print":
+            found.append(f"print at line {node.lineno}")
+        elif (isinstance(node, ast.Attribute) and node.attr in STREAMS
+              and isinstance(node.value, ast.Name) and node.value.id == "sys"):
+            found.append(f"sys.{node.attr} at line {node.lineno}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "sys":
+            found += [f"from sys import {a.name} at line {node.lineno}"
+                      for a in node.names if a.name in STREAMS]
+    return found
+
+
+def test_only_the_cli_writes_to_the_standard_streams():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert PACKAGE / "cli.py" in modules and len(modules) > 5
+    offenders = {p.name: stream_uses(p) for p in modules if p.name != "cli.py"}
+    assert {name: uses for name, uses in offenders.items() if uses} == {}
+
+
+def test_the_scan_sees_the_cli_output():
+    uses = stream_uses(PACKAGE / "cli.py")
+    assert any(u.startswith("print") for u in uses)
+    assert any(u.startswith("sys.stderr") for u in uses)
+
+
+def test_the_scan_catches_each_form(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "import sys\n"
+        "from sys import stderr\n"
+        "print('x')\n"
+        "sys.stdout.write('y')\n"
+        "def f(): print('z', file=sys.stderr)\n"
+    )
+    assert sorted(stream_uses(module)) == [
+        "from sys import stderr at line 2",
+        "print at line 3",
+        "print at line 5",
+        "sys.stderr at line 5",
+        "sys.stdout at line 4",
+    ]

@@ -3,6 +3,7 @@ import math
 import warnings
 from dataclasses import replace
 from types import SimpleNamespace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -588,6 +589,64 @@ class TestBandSolve:
         np.testing.assert_allclose(M @ d.ravel(), rhs.ravel(), rtol=0, atol=1e-12)
 
 
+def flat_objectives(p, opts, value_grid):
+    """The flat evaluation ``brute_force`` replaced, as an oracle: full
+    trajectories of every assignment in batches of 4096, the J kernel on all
+    K rows (2 K G^F elements), the objective as one product with the
+    weights.  Returns the sorted grid and the objective of each assignment
+    by lexicographic id, -inf where it is not finite."""
+    eng = _Engine(p, opts)
+    grid = np.array(sorted(set(float(v) for v in value_grid)))
+    G, F, K, w = grid.size, len(eng.free), eng.K, eng.w
+    weights = G ** np.arange(F - 1, -1, -1, dtype=np.int64)
+    base = eng.initial_values()
+    vals = np.empty(G**F)
+    with np.errstate(all="ignore"):
+        for start in range(0, G**F, 4096):
+            ids = np.arange(start, min(start + 4096, G**F), dtype=np.int64)
+            xb = np.tile(base[: K + 1], (ids.size, 1, 1))
+            for i, (j, c) in enumerate(eng.free):
+                xb[:, j, c] = grid[(ids // weights[i]) % G]
+            out = evaluate_many(
+                p.kernel("J", check=False), eng._env(xb), lambda g: np.cumsum(w[1:] * g, axis=-1)
+            )
+            vals[ids] = out[1] @ w[1:]
+    return grid, np.where(np.isfinite(vals), vals, -np.inf)
+
+
+def assignment_id(p, opts, grid, x):
+    """The lexicographic id of x's free coordinates over the sorted grid."""
+    digits = [int(np.searchsorted(grid, x.values[j, c])) for j, c in free_coordinates(p, opts)]
+    return sum(d * len(grid) ** i for i, d in enumerate(reversed(digits)))
+
+
+def enumeration_case(seed, n, sense):
+    """A small brute-force instance: a mixed grid with a dense row inside
+    the horizon, a z-coupled L, a g in x and v, a random horizon, terminal
+    mode and value grid."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 6 if n == 1 else 4))
+    K = int(rng.integers(1, m + 1))
+    kinds = [str(k) for k in rng.choice(["s", "d"], m)]
+    kinds[int(rng.integers(K))] = "d"
+    ts = from_points(np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 1.0, m))]).tolist(), kinds)
+
+    def c(lo, hi):
+        return round(float(rng.uniform(lo, hi)), 4)
+
+    comps = range(1, n + 1)
+    L = (
+        f"exp(-{c(0.0, 0.3)}*t)*("
+        + " ".join(f"-(v{i}^2) - x{i}^2 + {c(-0.3, 0.3)}*x{i}*v{i}" for i in comps)
+        + f") - {c(0.0, 0.3)}*z + {c(-0.05, 0.05)}*x1*z - {c(0.0, 0.01)}*z^2"
+    )
+    g = " + ".join(f"x{i}^2 + {c(0.0, 0.1)}*x{i}*v{i} + {c(0.0, 0.1)}*v{i}^2" for i in comps)
+    p = Problem.from_strings(ts, n, L, g, rng.uniform(-1, 1, n).tolist(), sense)
+    terminal = PINNED(*rng.uniform(-1, 1, n)) if rng.random() < 0.4 else FREE
+    values = rng.uniform(-1.5, 1.5, int(rng.integers(2, 5 if n == 1 else 4))).tolist()
+    return p, SolveOptions(T_trunc=ts.points[K], terminal_mode=terminal), values
+
+
 class TestBruteForce:
     def test_single_free_point_picks_zero(self):
         ts = sampled_interval(0.0, 1.0, 1)
@@ -638,6 +697,67 @@ class TestBruteForce:
         p = make("1", ts=integers(0, 3))
         x = brute_force(p, SolveOptions(T_trunc=3.0), [0.5, -0.5])
         assert np.all(x.values[1:, 0] == -0.5)
+
+    @pytest.mark.parametrize("batch", [1, 2, 5])
+    def test_ties_break_lexicographically_across_chunks(self, monkeypatch, batch):
+        # every assignment ties; chunks of `batch` prefixes must be visited in
+        # lexicographic order and a later chunk's equal value must not win
+        monkeypatch.setattr(solver, "_BATCH", batch)
+        p = Problem.from_strings(integers(0, 3), 2, "exp(-t)", "x1^2", [0.0, 0.0])
+        x = brute_force(p, SolveOptions(T_trunc=3.0), [0.5, -0.5, 0.0])
+        assert np.all(x.values[1:] == -0.5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(**coupled_cases, batch=st.sampled_from([1, 5, solver._BATCH]))
+    def test_pick_is_the_flat_oracle_argmax(self, seed, n, sense, batch):
+        p, opts, values = enumeration_case(seed, n, sense)
+        with patch.object(solver, "_BATCH", batch):
+            x = brute_force(p, opts, values)
+        grid, vals = flat_objectives(p, opts, values)
+        best, pick = int(np.argmax(vals)), assignment_id(p, opts, grid, x)
+        assert pick == best or abs(vals[pick] - vals[best]) <= 1e-12 * max(1.0, abs(vals[best]))
+        # everything but the free coordinates is the start, pinned or frozen value
+        frozen = _Engine(p, opts).initial_values()
+        for j, c in free_coordinates(p, opts):
+            frozen[j, c] = x.values[j, c]
+        assert np.array_equal(x.values, frozen)
+
+    @pytest.mark.parametrize(
+        "n, G, terminal",
+        [(1, 9, FREE), (2, 5, PINNED(0.0, 0.0)), (1, 3, PINNED(0.5)), (2, 70, PINNED(0.0, 0.0))],
+    )
+    def test_evaluates_each_row_once_per_prefix(self, monkeypatch, n, G, terminal):
+        # the flat evaluation takes 2 K G^F elements: 2 * 6 * 9^6 = 6,377,292
+        # against 2 * 597,870 here for n = 1, G = 9
+        K = 6 if G < 70 else 2
+        ts = integers(0, K)
+        p = Problem.from_strings(ts, n, "-(v1^2) - x1^2 - 0.01*z", "x1^2", [1.0] * n)
+        opts = SolveOptions(T_trunc=float(K), terminal_mode=terminal)
+        shapes = []
+
+        def counting(*args, **kwargs):
+            out = evaluate_many(*args, **kwargs)
+            shapes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(solver, "evaluate_many", counting)
+        brute_force(p, opts, np.linspace(0.0, 1.0, G))
+        last = K - (terminal.kind == "pinned")
+        rows = sum(G ** (n * min(j, last)) for j in range(1, K + 1))
+        assert sum(math.prod(shape) for shape in shapes) == 2 * rows
+        assert max(shape[1] for shape in shapes) <= max(solver._BATCH, G**n)
+
+    def test_overflowing_assignments_score_minus_inf_without_a_warning(self):
+        p = make("-(v1^2)-x1^2", "x1^2", ts=integers(0, 3), x_a=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = brute_force(p, SolveOptions(T_trunc=3.0), [-1e308, 0.0, 1e308])
+        assert np.array_equal(x.values[:, 0], [1.0, 0.0, 0.0, 0.0])
+
+    def test_no_finite_assignment_raises(self):
+        p = make("log(x1)", ts=integers(0, 2), x_a=1.0)
+        with pytest.raises(NonFiniteObjectiveError, match="every enumerated assignment"):
+            brute_force(p, SolveOptions(T_trunc=2.0), [-1.0, -2.0])
 
 
 class TestHorizonStudy:
