@@ -28,6 +28,7 @@ import numpy as np
 
 from .calculus import GridFunction, GridMismatchError, nabla_derivative_fn, nabla_integral
 from .timescale import GapKind, TimeScale
+from .variational import AdmissibilityError
 
 
 class CaseTag(Enum):
@@ -83,6 +84,8 @@ def _resolve_scale(g: GridFunction, ts: Optional[TimeScale]) -> TimeScale:
 def _require_scalar(g: GridFunction) -> np.ndarray:
     if g.values.shape[1] != 1:
         raise ValueError("a scalar grid function is required")
+    if not np.all(np.isfinite(g.values)):
+        raise AdmissibilityError("function contains non-finite values")
     return g.values[:, 0]
 
 
@@ -192,7 +195,7 @@ def construct_violating_variation(
 
     candidates = []
     for j in range(1, m + 1):
-        if not np.isfinite(vals[j]) or abs(vals[j]) <= tol:
+        if abs(vals[j]) <= tol:
             continue
         if ts.gap_kinds[j - 1] is GapKind.SCATTERED and j < 2:
             continue  # its only coefficient is eta at the minimum, pinned to 0

@@ -21,10 +21,10 @@ accumulated z, so the Hessian of the discretized objective is block
 tridiagonal with n x n blocks, exactly so when g = 0 or when L is affine
 in z with an x-free coefficient.  Every iteration solves with that band
 (the Newton step) by block cyclic reduction, O(m n^3) work in O(log m)
-batched numpy levels, so that quadratic problems converge in one step and
-the stopping test reads in step units; where the negated band is not
-positive definite an iteration falls back to Jacobi scaling by the band's
-diagonal.
+batched levels and one small dense solve, so that quadratic problems
+converge in one step and the stopping test reads in step units; where the
+negated band is not positive definite an iteration falls back to Jacobi
+scaling by the band's diagonal.
 
 Every evaluation runs on the problem's compiled kernels
 (``Problem.kernel``), through ``evaluate_many``: an iteration makes one
@@ -38,6 +38,7 @@ the first non-finite output and its t.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -138,12 +139,17 @@ class SolveInfo:
     stop_reason: str
     fallbacks: int
     backtracks: int
+    phase_seconds: dict[str, float] = field(compare=False)  # wall time in each of _PHASES
 
 
 ARMIJO = 1e-4
 #: kernel groups of the derivative pass: the gradient's first partials and
 #: the band's second partials
 _DERIVATIVE_GROUPS = ("gx", "gv", "Lz", "Lx", "Lv", "guu", "Luz", "Lzz", "Luu")
+#: the timed phases of an iteration; band_solve includes the Jacobi fallback
+_PHASES = ("derivatives", "gradient", "band_assembly", "band_solve", "line_search")
+#: ``_band_solve`` stops cyclic reduction at this many unknowns, a dense tail
+_TAIL = 64
 
 
 class _Engine:
@@ -326,22 +332,21 @@ def _band_solve(diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray) -> Optiona
     """Solve M d = rhs for the symmetric block-tridiagonal M with diagonal
     blocks ``diag`` (F, n, n) and upper blocks ``upper`` (F - 1, n, n).
 
-    Block cyclic reduction, O(F n^3) in ceil(log2 F) batched levels: each
-    level solves the odd rows' pivots against their couplings and right-hand
-    sides, folds them into the even rows (Schur complements, and new upper
-    blocks between even rows two apart) and recurses on the even rows; the
-    odd rows are recovered on the way back.  This is block Cholesky on the
+    Block cyclic reduction, O(F n^3): each batched level solves the odd
+    rows' pivots against their couplings and right-hand sides, folds them
+    into the even rows (Schur complements, and new upper blocks between even
+    rows two apart) and recurses on the even rows until one row or at most
+    ``_TAIL`` unknowns remain, a tail solved as one dense matrix; the odd
+    rows are recovered on the way back.  This is block Cholesky on the
     odd-even permutation of M, so M is positive definite exactly when every
-    level's pivots are; they are checked together at the end, and a
-    singular pivot also returns None.  M is first scaled symmetrically by
-    1/sqrt(|diagonal|): discounted problems carry entries from 1 down to
-    subnormals, whose reciprocals overflow.  A diagonal entry that is
-    exactly 0.0 is factorised as 1: in the solver such a row's terms have
-    underflowed, so its right-hand side is 0 too.
+    level's pivots and the tail are: one batched Cholesky tests the pivots,
+    one the tail, and a singular pivot also returns None.  M is first scaled
+    symmetrically by 1/sqrt(|diagonal|): discounted problems carry entries
+    from 1 down to subnormals, whose reciprocals overflow.  A diagonal entry
+    that is exactly 0.0 is factorised as 1: in the solver such a row's terms
+    have underflowed, so its right-hand side is 0 too.
     """
     F, n = rhs.shape
-    if F == 0:
-        return np.zeros((0, n))
     k = np.arange(n)
     dg = diag[:, k, k]
     s = 1.0 / np.sqrt(np.where(dg == 0.0, 1.0, np.abs(dg)))
@@ -350,7 +355,7 @@ def _band_solve(diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray) -> Optiona
     # right[j] = M_{j,j+1}, scaled; zero past the last row
     right = np.concatenate([upper * s[:-1, :, None] * s[1:, None, :], np.zeros((1, n, n))])
     levels, pivots = [], []
-    while len(aug) > 1:
+    while len(aug) > 1 and len(aug) * n > _TAIL:
         h = len(aug) // 2  # odd rows 2i + 1, each between even rows 2i and 2i + 2
         up, down = right[0 : 2 * h : 2], right[1::2]  # M_{2i,2i+1}, M_{2i+1,2i+2}
         pivots.append(aug[1::2, :, :n])
@@ -370,10 +375,17 @@ def _band_solve(diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray) -> Optiona
         right = np.zeros((len(even), n, n))
         right[:h] = -P[:, :, n : 2 * n]  # -M_{2i,2i+1} C_i^{-1} M_{2i+1,2i+2}
         aug = even
-    pivots.append(aug[:, :, :n])
+    E, i = len(aug), np.arange(len(aug))
+    tail = np.zeros((E, n, E, n))  # tail[a, :, b] = M_ab over the remaining rows
+    tail[i, :, i] = aug[:, :, :n]
+    tail[i[:-1], :, i[1:]] = right[: E - 1]
+    tail[i[1:], :, i[:-1]] = right[: E - 1].transpose(0, 2, 1)
+    tail = tail.reshape(E * n, E * n)
     try:
-        d = np.linalg.solve(pivots[-1], aug[:, :, n:])
-        np.linalg.cholesky(np.concatenate(pivots))
+        if pivots:
+            np.linalg.cholesky(np.concatenate(pivots))
+        np.linalg.cholesky(tail)
+        d = np.linalg.solve(tail, aug[:, :, n:].reshape(E * n, 1)).reshape(E, n, 1)
     except np.linalg.LinAlgError:
         return None
     # back-substitution: odd row 2i + 1 from even rows 2i and 2i + 2
@@ -413,12 +425,17 @@ def direct_solve(p: Problem, opts: SolveOptions, with_info: bool = False):
     iterations = fallbacks = backtracks = 0
     stop = "max_iters"
     flat = 0  # consecutive accepted steps with no representable objective change
+    phases = dict.fromkeys(_PHASES, 0.0)
     for it in range(opts.max_iters):
         iterations = it + 1
+        clock = time.perf_counter()
         with np.errstate(all="ignore"):  # a non-finite pass is diagnosed below
             d = eng.derivatives(x)  # the one derivative pass of this iteration
+            clock = _lap(phases, "derivatives", clock)
             grad = eng.analytic_gradient(d)
+            clock = _lap(phases, "gradient", clock)
             diag, upper = eng.hessian_band(d)
+            clock = _lap(phases, "band_assembly", clock)
             step = _band_solve(-diag, -upper, grad.reshape(-1, eng.n))
             if step is None:
                 fallbacks += 1
@@ -427,6 +444,7 @@ def direct_solve(p: Problem, opts: SolveOptions, with_info: bool = False):
             else:
                 direction = step.ravel()
             slope = float(np.dot(grad, direction))
+        clock = _lap(phases, "band_solve", clock)
         crit = float(np.max(np.abs(direction))) if len(direction) else 0.0
         if not (math.isfinite(crit) and math.isfinite(slope)):
             raise eng.non_finite(d, grad, direction)
@@ -443,6 +461,7 @@ def direct_solve(p: Problem, opts: SolveOptions, with_info: bool = False):
                 break
             alpha *= 0.5
             backtracks += 1
+        _lap(phases, "line_search", clock)
         if not accepted or (ft == f and np.array_equal(xt, x)):
             stop = "no_progress"
             break
@@ -467,8 +486,15 @@ def direct_solve(p: Problem, opts: SolveOptions, with_info: bool = False):
         stop_reason=stop,
         fallbacks=fallbacks,
         backtracks=backtracks,
+        phase_seconds=phases,
     )
     return traj, info
+
+
+def _lap(phases: dict[str, float], phase: str, since: float) -> float:
+    """Add the time since ``since`` to ``phase``; return the time now."""
+    phases[phase] += (now := time.perf_counter()) - since
+    return now
 
 
 # -- brute force oracle -----------------------------------------------------

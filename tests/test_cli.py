@@ -406,6 +406,19 @@ class TestLemma:
         value = float(next(l.split(":")[1] for l in out.splitlines() if l.startswith("witness_value")))
         assert value > 0.0
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_function_exits_2(self, tmp_path, capsys, value):
+        # without the bad value at t = 4, the spikes at 3 and 5 have a witness
+        cfg = write_ini(tmp_path, BASE_INI.replace("b = 5", "b = 10"))
+        path = tmp_path / "f.csv"
+        with open(path, "w", newline="") as fh:
+            wr = csv.writer(fh)
+            wr.writerow(["t", "f"])
+            for t in range(11):
+                wr.writerow([float(t), {3: "0.5", 4: value, 5: "0.5"}.get(t, "0.0")])
+        code, out, err = run(capsys, "lemma", cfg, "--function", str(path))
+        assert (code, out, err) == (2, "", "error: function contains non-finite values\n")
+
     def test_wrong_grid_exits_2(self, tmp_path, capsys):
         cfg = write_ini(tmp_path)
         path = tmp_path / "short.csv"

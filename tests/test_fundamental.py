@@ -10,6 +10,7 @@ from nablats.fundamental import (
     witness_value,
 )
 from nablats.timescale import GapKind, from_points, integers, sampled_interval
+from nablats.variational import AdmissibilityError
 
 
 def grid_fn(ts, values):
@@ -174,6 +175,21 @@ class TestSoundness:
         g = GridFunction(ts, np.ones((4, 2)))
         with pytest.raises(ValueError):
             construct_violating_variation(g, ts)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_function_is_rejected(self, value):
+        # f = 0.5 at t = 3 and 5 would give a witness without the bad value at 4
+        ts = integers(0, 10)
+        g = grid_fn(ts, [0, 0, 0, 0.5, value, 0.5, 0, 0, 0, 0, 0])
+        eta = grid_fn(ts, [0, 0, 0.5, 0, 0, 0, 0, 0, 0, 0, 0])
+        for call in (
+            lambda: construct_violating_variation(g, ts),
+            lambda: witness_value(g, eta, ts),
+            lambda: witness_value(eta, g, ts),
+            lambda: dubois_reymond_check(g, ts),
+        ):
+            with pytest.raises(AdmissibilityError, match="^function contains non-finite values$"):
+                call()
 
     def test_witness_with_zero_g_is_zero(self):
         ts = integers(0, 5)

@@ -1,5 +1,6 @@
 import csv
 import math
+import time
 import warnings
 from dataclasses import replace
 from types import SimpleNamespace
@@ -251,6 +252,20 @@ def synthetic_band(seed, F, n, defect, zeroed):
 
 
 class TestDirectSolve:
+    def test_phase_seconds_account_for_part_of_the_wall_time(self):
+        p = Problem.from_strings(integers(0, 1600), 1, "exp(-t)*(-(v1^2)-x1^2)", "0", 1.0, Sense.MAX)
+        start = time.perf_counter()
+        _, info = direct_solve(p, SolveOptions(T_trunc=1600.0), with_info=True)
+        wall = time.perf_counter() - start
+        assert info.iterations == 2
+        assert set(info.phase_seconds) == {
+            "derivatives", "gradient", "band_assembly", "band_solve", "line_search"
+        }
+        assert all(v >= 0.0 for v in info.phase_seconds.values())
+        assert sum(info.phase_seconds.values()) <= wall
+        # left out of comparisons: equal outcomes compare equal
+        assert info == replace(info, phase_seconds={})
+
     def test_pure_state_cost_goes_to_zero(self):
         p = make("-(x1^2)", x_a=0.0)
         x, info = direct_solve(p, SolveOptions(T_trunc=6.0), with_info=True)
@@ -547,19 +562,46 @@ class TestGradients:
         assert len(calls) == 1 + info.iterations + (info.iterations - 1) + info.backtracks
 
 
+def tail_rows(F, n):
+    """The rows ``_band_solve`` leaves to its dense tail, and the levels of
+    cyclic reduction above it."""
+    levels = 0
+    while F > 1 and F * n > solver._TAIL:
+        F, levels = F - F // 2, levels + 1
+    return F, levels
+
+
+class RecordingCholesky:
+    """Stands in for ``np.linalg.cholesky``: records each matrix it is given
+    and the number of dimensions of each one it rejects."""
+
+    def __init__(self, monkeypatch):
+        self.seen, self.rejected = [], []
+        self.cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", self)
+
+    def __call__(self, a):
+        self.seen.append(a)
+        try:
+            return self.cholesky(a)
+        except np.linalg.LinAlgError:
+            self.rejected.append(a.ndim)
+            raise
+
+
 class TestBandSolve:
     @given(
         seed=st.integers(0, 10_000),
-        F=st.one_of(
-            st.sampled_from([2**k + e for k in range(1, 7) for e in (-1, 0, 1)]),
-            st.integers(1, 70),
-        ),
         n=st.sampled_from([1, 2, 3]),
+        # (k, e): F = (_TAIL // n) 2^k + e rows, just below, at and just above
+        # the largest band that runs no level (k = 0), or 1 to 3 levels (k = 1, 2)
+        size=st.one_of(st.tuples(st.integers(0, 2), st.sampled_from([-1, 0, 1])), st.integers(1, 70)),
         defect=st.sampled_from(["none", "indefinite", "singular"]),
         zeroed=st.integers(0, 3),
     )
     @settings(max_examples=300, deadline=None)
-    def test_matches_the_dense_solve_or_rejects(self, seed, F, n, defect, zeroed):
+    def test_matches_the_dense_solve_or_rejects(self, seed, n, size, defect, zeroed):
+        F = size if isinstance(size, int) else max(1, solver._TAIL // n * 2 ** size[0] + size[1])
         assume(not (defect == "singular" and n == 1 and F == 1))
         diag, upper, rhs, M = synthetic_band(seed, F, n, defect, zeroed)
         d = _band_solve(diag, upper, rhs)
@@ -571,9 +613,23 @@ class TestBandSolve:
             np.testing.assert_allclose(d.ravel(), expected, rtol=1e-10,
                                        atol=1e-10 * np.max(np.abs(expected)))
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("row, rejected_by", [(1, "pivots"), (0, "tail")])
+    def test_a_defect_is_caught_by_the_pivots_or_the_tail(self, monkeypatch, n, row, rejected_by):
+        # three levels above the tail: row 1 is a first-level pivot, row 0
+        # stays even at every level and ends in the dense tail
+        F = 4 * solver._TAIL // n + 1
+        assert tail_rows(F, n)[1] == 3
+        diag, upper, rhs, _ = synthetic_band(5, F, n, "none", 0)
+        diag[row, 0, 0] *= -1.0  # a negative diagonal entry: M is indefinite
+        chol = RecordingCholesky(monkeypatch)
+        assert _band_solve(diag, upper, rhs) is None
+        # the levels' pivots go through one batched (3-d) call, the tail a 2-d one
+        assert chol.rejected == [3 if rejected_by == "pivots" else 2]
+
     def test_levels_not_rows(self, monkeypatch):
-        # one batched pivot solve per reduction level and one for the last
-        # row: a per-row sweep would make 1600
+        # one batched pivot solve per reduction level above the dense tail and
+        # one for the tail: a per-row sweep would make 1600
         F = 1600
         diag, upper, rhs, M = synthetic_band(7, F, 1, "none", 0)
         calls = []
@@ -585,8 +641,19 @@ class TestBandSolve:
 
         monkeypatch.setattr(np.linalg, "solve", counting)
         d = _band_solve(diag, upper, rhs)
-        assert len(calls) <= math.ceil(math.log2(F)) + 1
+        assert len(calls) == tail_rows(F, 1)[1] + 1
         np.testing.assert_allclose(M @ d.ravel(), rhs.ravel(), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_no_dense_tail_above_the_threshold(self, monkeypatch, n):
+        # the dense tail is the one 2-d Cholesky; the batched pivots are n x n
+        F = 1600
+        diag, upper, rhs, _ = synthetic_band(11, F, n, "none", 0)
+        chol = RecordingCholesky(monkeypatch)
+        assert _band_solve(diag, upper, rhs) is not None
+        tails = [a.shape for a in chol.seen if a.ndim == 2]
+        assert len(tails) == 1 and tails[0][0] <= solver._TAIL
+        assert all(a.shape[-2:] == (n, n) for a in chol.seen if a.ndim == 3)
 
 
 def flat_objectives(p, opts, value_grid):
