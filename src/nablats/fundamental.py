@@ -256,7 +256,11 @@ def dubois_reymond_check(
     hv = _require_scalar(h)
     start = ts.points[0] if a is None else a
     mask = ts.points_array >= start - 1e-15
-    spread = float(np.max(hv[mask]) - np.min(hv[mask]))
-    deriv = nabla_derivative_fn(h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        spread = float(np.max(hv[mask]) - np.min(hv[mask]))
+        deriv = nabla_derivative_fn(h)
+    bad = np.flatnonzero(~np.isfinite(deriv.values[1:, 0]))  # row 0 copies row 1
+    if bad.size:  # a finite h whose quotients overflow
+        raise AdmissibilityError(f"the nabla derivative is non-finite at t={ts.points[1 + bad[0]]!r}")
     variation = construct_violating_variation(deriv, ts, tol=tol)
     return DuboisReymondResult(is_constant=variation is None, spread=spread, variation=variation)

@@ -246,49 +246,45 @@ class _Engine:
         from the derivative pass ``d`` at a point.
 
         Returns the diagonal blocks (F, n, n) and the upper blocks (F - 1, n,
-        n) over the free rows, exact, from the second partials, in O(K n^3).
-        Term k reads u_k = (x at rho, v) and z_k; row j moves u_j by D0_j
-        (x when j is left-dense, v by 1/w_j) and u_{j+1} by D1_{j+1} (x when
-        j + 1 is left-scattered, v by -1/w_{j+1}).  Through z, u_i and u_k
-        (i < k) couple by the rank-one a_i c_k^T, with a = w*g_u, b = w*L_uz,
-        c_k = b_k + Q_k a_k and the tail sums S of w*L_z and Q of w*L_zz;
-        so the band is the whole Hessian when g = 0 or when L is affine in z
-        with an x-free coefficient.
+        n) over the free rows, exact, from the second partials, in O(K n^2).
+        Term k reads u_k = (x at rho, v) and z_k; row j moves u_j by
+        D0_j = [(1 - sc_j) I; I/w_j] and u_{j+1} by D1_{j+1} = [sc_{j+1} I;
+        -I/w_{j+1}], sc the left-scattered flag.  So each D^T H D of term k's
+        Hessian H = [[xx, xv], [vx, vv]] weighs the four n x n blocks by
+        per-row scalars, in the kernel's (..., K) layout; sc (1 - sc) = 0
+        drops xx between rows.  Through z, u_i and u_k (i < k) couple by the
+        rank-one a_i c_k^T, with a = w*g_u, b = w*L_uz, c_k = b_k + Q_k a_k
+        and the tail sums S of w*L_z and Q of w*L_zz; so the band is the
+        whole Hessian when g = 0 or when L is affine in z with an x-free
+        coefficient.
         """
-        w, n, S = self.w[1:], self.n, d["S"]
-        a = w[:, None] * np.ascontiguousarray(np.concatenate([d["gx"], d["gv"]]).T)
-        b = w[:, None] * np.ascontiguousarray(d["Luz"].T)
+        w, n, K, S = self.w[1:], self.n, self.K, d["S"]
+        sc = self.scattered.astype(float)
+        ds, iw = 1.0 - sc, 1.0 / w
+        a = w * np.concatenate([d["gx"], d["gv"]])
+        b = w * d["Luz"]
         Q = np.cumsum((w * d["Lzz"][0])[::-1])[::-1]
-        c = b + Q[:, None] * a
-        # H[k]: the Hessian of the objective in u_k alone
-        H = self._matrix(d["Luu"]) + S[:, None, None] * self._matrix(d["guu"])
-        H = w[:, None, None] * H + _outer(a, b) + _outer(b, a) + Q[:, None, None] * _outer(a, a)
-
-        eye = np.eye(n)
-        D0 = np.concatenate([~self.scattered[:, None, None] * eye, (1 / w)[:, None, None] * eye], 1)
-        D1 = np.concatenate([self.scattered[:, None, None] * eye, (-1 / w)[:, None, None] * eye], 1)
-
-        def project(P, y):  # P^T y per term
-            return np.einsum("kui,ku->ki", P, y)
-
-        def sandwich(P, R):  # P^T H R per term
-            return np.einsum("kui,kuv,kvj->kij", P, H, R)
-
-        a0, a1, c0, c1 = project(D0, a), project(D1, a), project(D0, c), project(D1, c)
-
+        # H[:, :, k]: the Hessian of the objective in u_k alone
+        H = (w * (d["Luu"] + S * d["guu"])).reshape(2 * n, 2 * n, K)
+        H = H + a[:, None] * b + b[:, None] * a + Q * (a[:, None] * a)
+        # its blocks, v scaled by 1/w as in D0 and D1; sums add x terms before v
+        # terms, in the order of the products D^T H D
+        xx, xv, vx, vv = H[:n, :n], H[:n, n:] * iw, H[n:, :n] * iw, H[n:, n:] * iw * iw
+        # (a, c) projected on D0 and D1: a0, c0 and a1, c1
+        ac = np.stack([a, b + Q * a])
+        (a0, c0), (a1, c1) = ds * ac[:, :n] + iw * ac[:, n:], sc * ac[:, :n] - iw * ac[:, n:]
+        c1n = np.zeros_like(c1)
+        c1n[:, :-1] = c1[:, 1:]  # c1 of the next term
         # row j: term j through D0, term j + 1 through D1, and z between them
-        diag = sandwich(D0, D0) + _ahead(sandwich(D1, D1))
-        diag += _outer(a0, _ahead(c1)) + _outer(_ahead(c1), a0)
+        diag = ds * (xx + xv + vx) + vv
+        diag[..., :-1] += (sc * (xx - xv - vx) + vv)[..., 1:]
+        diag += a0[:, None] * c1n + c1n[:, None] * a0
         # rows j and j + 1: term j + 1 directly; z from term j meeting term j + 1
         # through D0; z from terms j and j + 1 meeting term j + 2 through D1
-        upper = sandwich(D1, D0)[1:] + _outer(a0[:-1], c0[1:])
-        upper += _outer(a0 + _ahead(a1), _ahead(c1, 2))[:-1]
+        upper = (sc * xv - ds * vx - vv)[..., 1:] + a0[:, None, :-1] * c0[:, 1:]
+        upper += (a0[:, :-1] + a1[:, 1:])[:, None] * c1n[:, 1:]
         F = self.last
-        return diag[:F], upper[: max(F - 1, 0)]
-
-    def _matrix(self, rows: np.ndarray) -> np.ndarray:
-        """(K, 2n, 2n) from the (2n)^2 row-major rows of a second-partial group."""
-        return np.ascontiguousarray(rows.reshape(2 * self.n, 2 * self.n, self.K).transpose(2, 0, 1))
+        return diag[..., :F].transpose(2, 0, 1), upper[..., : max(F - 1, 0)].transpose(2, 0, 1)
 
     def non_finite(self, d, grad, direction) -> NonFiniteObjectiveError:
         """The error for an iteration whose step or slope is not finite: the
@@ -309,18 +305,6 @@ class _Engine:
         out = x.copy()
         out[1 : self.last + 1] = x[1 : self.last + 1] + delta.reshape(-1, self.n)
         return out
-
-
-def _outer(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Per-row outer products of (K, a) and (K, b) arrays."""
-    return p[:, :, None] * q[:, None, :]
-
-
-def _ahead(A: np.ndarray, s: int = 1) -> np.ndarray:
-    """A[k + s] at row k, zero past the last term."""
-    out = np.zeros_like(A)
-    out[: len(A) - s] = A[s:]
-    return out
 
 
 def free_coordinates(p: Problem, opts: SolveOptions) -> list[tuple[int, int]]:

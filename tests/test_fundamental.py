@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -216,6 +218,16 @@ class TestDuboisReymond:
             GridFunction(ts, np.ones((6, 1))), res.variation.eta, ts
         )
         assert deriv_witness > 0.0
+
+    def test_overflowing_derivative_is_rejected_without_a_warning(self):
+        # h is finite, but its backward quotients over steps of 2.5e-11 are not
+        ts = sampled_interval(0.0, 1e-10, 4)
+        h = grid_fn(ts, [0.0, 1e308, -1e308, 0.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(AdmissibilityError) as exc:
+                dubois_reymond_check(h, ts)
+        assert str(exc.value) == f"the nabla derivative is non-finite at t={ts.points[1]!r}"
 
     def test_mean_zero_oscillation_antiderivative(self):
         ts = integers(0, 6)

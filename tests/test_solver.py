@@ -161,6 +161,49 @@ def band_diagonal(diag):
     return np.diagonal(diag, axis1=1, axis2=2).ravel()
 
 
+def einsum_band(eng, d):
+    """The assembly ``_Engine.hessian_band`` replaced, as an oracle: term k's
+    2n x 2n Hessian H_k, the (K, 2n, n) selectors D0 = [(1 - sc) I; I/w] and
+    D1 = [sc I; -I/w], the sandwiches D^T H D as three-operand einsums and the
+    z couplings a0, a1, c0, c1 as projections D^T a and D^T c."""
+    w, n, K, S = eng.w[1:], eng.n, eng.K, d["S"]
+
+    def matrix(rows):  # (K, 2n, 2n) from (2n)^2 row-major kernel rows
+        return np.ascontiguousarray(rows.reshape(2 * n, 2 * n, K).transpose(2, 0, 1))
+
+    def outer(p, q):
+        return p[:, :, None] * q[:, None, :]
+
+    def ahead(A, s=1):  # A[k + s] at row k, zero past the last term
+        out = np.zeros_like(A)
+        out[: len(A) - s] = A[s:]
+        return out
+
+    a = w[:, None] * np.ascontiguousarray(np.concatenate([d["gx"], d["gv"]]).T)
+    b = w[:, None] * np.ascontiguousarray(d["Luz"].T)
+    Q = np.cumsum((w * d["Lzz"][0])[::-1])[::-1]
+    c = b + Q[:, None] * a
+    H = matrix(d["Luu"]) + S[:, None, None] * matrix(d["guu"])
+    H = w[:, None, None] * H + outer(a, b) + outer(b, a) + Q[:, None, None] * outer(a, a)
+    eye = np.eye(n)
+    D0 = np.concatenate([~eng.scattered[:, None, None] * eye, (1 / w)[:, None, None] * eye], 1)
+    D1 = np.concatenate([eng.scattered[:, None, None] * eye, (-1 / w)[:, None, None] * eye], 1)
+
+    def project(P, y):
+        return np.einsum("kui,ku->ki", P, y)
+
+    def sandwich(P, R):
+        return np.einsum("kui,kuv,kvj->kij", P, H, R)
+
+    a0, a1, c0, c1 = project(D0, a), project(D1, a), project(D0, c), project(D1, c)
+    diag = sandwich(D0, D0) + ahead(sandwich(D1, D1))
+    diag += outer(a0, ahead(c1)) + outer(ahead(c1), a0)
+    upper = sandwich(D1, D0)[1:] + outer(a0[:-1], c0[1:])
+    upper += outer(a0 + ahead(a1), ahead(c1, 2))[:-1]
+    F = eng.last
+    return diag[:F], upper[: max(F - 1, 0)]
+
+
 def coupled_case(seed, n, sense, coupling="full"):
     """A random mixed grid, a z-coupled L with nonzero L_zz, L_xz and L_vz, a g
     in x and v, a random horizon and terminal mode, and a random state.
@@ -180,7 +223,7 @@ def coupled_case(seed, n, sense, coupling="full"):
     L = (
         f"exp(-{c(0.0, 0.05)}*t)*("
         + " ".join(f"-(v{i}^2) - x{i}^2 + {c(0.05, 0.2)}*x{i}*v{i}" for i in comps)
-        + (" + 0.5*x1*x2" if n == 2 else "")
+        + "".join(f" + 0.5*x{i}*x{i + 1}" for i in range(1, n))
         + f") - {c(0.2, 0.3)}*z"
     )
     Lz = f" - {c(0.001, 0.005)}*z^2" + "".join(
@@ -200,7 +243,7 @@ def coupled_case(seed, n, sense, coupling="full"):
 
 
 coupled_cases = dict(
-    seed=st.integers(0, 10_000), n=st.sampled_from([1, 2]), sense=st.sampled_from(list(Sense))
+    seed=st.integers(0, 10_000), n=st.sampled_from([1, 2, 3]), sense=st.sampled_from(list(Sense))
 )
 
 
@@ -477,6 +520,19 @@ class TestGradients:
         np.testing.assert_allclose(assemble(*band_at(eng, x)), H,
                                    rtol=1e-6, atol=1e-12 * np.max(np.abs(H)))
 
+    @given(**coupled_cases, coupling=st.sampled_from(["full", "g0", "affine"]))
+    @settings(max_examples=100, deadline=None)
+    def test_band_matches_the_einsum_oracle(self, seed, n, sense, coupling):
+        # the per-row block weights give the selector sandwiches' numbers, and
+        # an entry the oracle leaves exactly 0.0 stays 0.0: _band_solve
+        # factorises a 0.0 diagonal entry as 1
+        eng, x = coupled_case(seed, n, sense, coupling)
+        d = eng.derivatives(x)
+        for got, expected in zip(eng.hessian_band(d), einsum_band(eng, d)):
+            assert got.shape == expected.shape
+            np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0)
+            assert np.array_equal(got == 0.0, expected == 0.0)
+
     @given(**coupled_cases)
     @settings(max_examples=40, deadline=None)
     def test_band_solve_matches_the_dense_solve(self, seed, n, sense):
@@ -560,6 +616,50 @@ class TestGradients:
         # exactly: the start's objective, one pass per iteration, and a probe
         # per step size tried in every iteration but the last
         assert len(calls) == 1 + info.iterations + (info.iterations - 1) + info.backtracks
+
+
+#: the benchmark's two solve workloads: L with its discount rate, g, sense, grid, cuts
+SCATTERED = ("exp(-{rho}*t)*(-(v1^2)-x1^2-(v2^2)-x2^2+0.5*x1*x2) - 0.01*z", "x1^2", Sense.MAX,
+             integers(0, 120), (40.0, 80.0, 120.0))
+STIFF = ("exp(-{rho}*t)*((v1^2)+x1^2+0.1*x1^4)", "0", Sense.MIN,
+         from_points([k / 10 for k in range(21)] + list(range(3, 41)), ["d"] * 20 + ["s"] * 38),
+         (40.0,))
+NEWTON_2 = (2, "grad_tol", 0, 0)
+#: each design point's (rho, x_a) and each cut's (iterations, stop_reason,
+#: fallbacks, backtracks), as the einsum band assembly solved them
+DESIGN_POINTS = [
+    (SCATTERED, (0.063378278, 0.710198683, -0.869817347), [NEWTON_2] * 3),
+    (SCATTERED, (0.073998559, 0.557667951, 0.316039959), [NEWTON_2] * 3),
+    (SCATTERED, (0.085684808, 1.29811167, -0.18237831), [NEWTON_2] * 3),
+    (SCATTERED, (0.095533179, 1.451843535, -0.619546876), [NEWTON_2] * 3),
+    (SCATTERED, (0.102582638, 0.83207939, -0.323405553), [NEWTON_2] * 3),
+    (SCATTERED, (0.116787021, 1.158349098, 0.653706931), [NEWTON_2] * 3),
+    (SCATTERED, (0.127175362, 1.082240847, 0.812842313), [NEWTON_2] * 3),
+    (SCATTERED, (0.133121416, 0.948164026, 0.143398689), [NEWTON_2] * 3),
+    (STIFF, (0.058224085, 0.812842313), [(5, "grad_tol", 0, 0)]),
+    (STIFF, (0.070983777, 0.566698197), [(4, "grad_tol", 0, 0)]),
+    (STIFF, (0.082106011, 2.096223339), [(6, "grad_tol", 0, 0)]),
+    (STIFF, (0.095707939, 2.426594447), [(6, "grad_tol", 0, 0)]),
+    (STIFF, (0.103381085, 1.064565954), [(5, "grad_tol", 0, 0)]),
+    (STIFF, (0.119022656, 1.929384053), [(6, "grad_tol", 0, 0)]),
+    (STIFF, (0.131916474, 1.65368707), [(6, "grad_tol", 0, 0)]),
+    (STIFF, (0.145185347, 1.334456953), [(5, "grad_tol", 0, 0)]),
+]
+
+
+@pytest.mark.parametrize(
+    "workload, point, counts", DESIGN_POINTS,
+    ids=[f"{'scattered' if w is SCATTERED else 'stiff'}-{pt[0]}" for w, pt, _ in DESIGN_POINTS],
+)
+def test_design_point_counts(workload, point, counts):
+    # the solve workloads' 16 design points (horizon table and all) take the
+    # same Newton iterations with the same stop, fallbacks and backtracks
+    L, g, sense, ts, cuts = workload
+    rho, *x_a = point
+    p = Problem.from_strings(ts, len(x_a), L.format(rho=rho), g, x_a, sense)
+    rows = horizon_study(p, cuts, SolveOptions(T_trunc=cuts[-1], grad_tol=1e-9))
+    assert [(r.info.iterations, r.info.stop_reason, r.info.fallbacks, r.info.backtracks)
+            for r in rows] == counts
 
 
 def tail_rows(F, n):
