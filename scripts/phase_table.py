@@ -4,35 +4,26 @@
 Solves the n = 2 z-coupled problem of the ``solve_scattered`` benchmark
 workload, max of exp(-0.1 t)(-(v1^2) - x1^2 - (v2^2) - x2^2 + 0.5 x1 x2)
 - 0.01 z with g = x1^2 from x_a = (1, 0), over integers(0, m) truncated at
-m, and prints ``SolveInfo.phase_seconds`` as a Markdown table: for each m,
-the best of ``--repeats`` solves in every phase, in milliseconds, summed
-over the solve's iterations.
+m, and prints ``SolveInfo.phase_seconds`` as a Markdown table: for each m in
+``SIZES``, the best of ``REPEATS`` solves in every phase, in milliseconds,
+summed over the solve's iterations.
 
-    PYTHONPATH=src python scripts/phase_table.py --sizes 100,400,1600
+    PYTHONPATH=src python scripts/phase_table.py
 """
-
-import argparse
 
 from nablats import Problem, SolveOptions, direct_solve, integers
 
 L = "exp(-0.1*t)*(-(v1^2)-x1^2-(v2^2)-x2^2+0.5*x1*x2) - 0.01*z"
+SIZES = (100, 400, 1600)
+REPEATS = 3
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--sizes", default="100,400,1600",
-                    help="comma-separated grid sizes m (default %(default)s)")
-    ap.add_argument("--repeats", type=int, default=3, help="solves per size (default %(default)s)")
-    args = ap.parse_args()
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    if not sizes or min(sizes) < 1 or args.repeats < 1:
-        ap.error("--sizes needs at least one m >= 1 and --repeats must be at least 1")
-
     rows = []
-    for m in sizes:
+    for m in SIZES:
         p = Problem.from_strings(integers(0, m), 2, L, "x1^2", [1.0, 0.0])
         opts = SolveOptions(T_trunc=float(m), grad_tol=1e-9)
-        infos = [direct_solve(p, opts, with_info=True)[1] for _ in range(args.repeats)]
+        infos = [direct_solve(p, opts, with_info=True)[1] for _ in range(REPEATS)]
         phases = list(infos[0].phase_seconds)
         best = [min(info.phase_seconds[ph] for info in infos) * 1e3 for ph in phases]
         rows.append((m, infos[0].iterations, best))
