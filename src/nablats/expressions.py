@@ -18,17 +18,24 @@ dispatches on it): the values are bit for bit those of the tree walk, each
 shared subtree is evaluated once per call and each subtree of t alone once
 per t array, and the stacked result is checked for non-finite values once
 per stage.
+
+``bind_shape`` compiles a problem once per shape and process: requests
+that differ only in their lifted literals (``Param``) bind their values.
 """
 
 from __future__ import annotations
 
+import copy
+import logging
 import math
 import operator
 import re
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Union
+from typing import Callable, Mapping, Union
 
 import numpy as np
+
+_log = logging.getLogger("nablats")
 
 
 class ExprSyntaxError(ValueError):
@@ -78,7 +85,29 @@ class Call:
     arg: "Expr"
 
 
-Expr = Union[Num, Var, Neg, BinOp, Call]
+class Param:
+    """A lifted literal: bound value ``key`` if an int, else a fold (op,
+    operands...) of literals made by ``differentiate``.  A plain class: a
+    dataclass costs a millisecond of import."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key: Union[int, tuple]):
+        self.key = key
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Param) and self.key == other.key
+
+    def __hash__(self) -> int:
+        return hash(self.key)
+
+    def __repr__(self) -> str:
+        return f"Param({self.key!r})"
+
+
+# not typing.Union, whose cache would keep this module and its shapes alive
+# after a re-import
+Expr = Num | Var | Neg | BinOp | Call | Param
 
 FUNCTIONS = ("exp", "log", "sin", "cos", "sqrt")
 CONSTANTS = {"pi": math.pi, "e": math.e}
@@ -384,28 +413,30 @@ def _eval_many(e: Expr, env) -> np.ndarray:
 
 
 #: what a slot's value varies with, ordered so an operation has its operands' maximum
-_CONST, _T, _XV, _Z = range(4)
+_CONST, _PARAM, _T, _XV, _Z = range(5)
+#: how many t arrays a binding keeps t-only values for; the first kept goes first
+T_ARRAYS_KEPT = 8
 
 
 class Program:
-    """One hash-consed program shared by every kernel of a problem.
+    """One hash-consed program shared by every kernel of a shape.
 
     Lowering gives each distinct node one slot, interned by its operator and
     its operands' slots, so equal subtrees share a slot however they were
     built.  Slots are numbered operands first, so slot order is an
-    evaluation order.  Subtrees without variables are folded at lowering
-    with the numpy operations ``evaluate_many`` applies to their 0-d arrays,
-    so a folded value is bit for bit the value of the tree walk; constants
-    are interned by their bits, which keeps -0.0 apart from 0.0.
-    Subtrees that read t alone are evaluated once per t array (``t_values``).
+    evaluation order.  Subtrees without variables or parameters are folded
+    at lowering with the numpy operations ``evaluate_many`` applies to their
+    0-d arrays, so a folded value is bit for bit the value of the tree walk;
+    constants are interned by their bits, which keeps -0.0 apart from 0.0.
+    Subtrees of parameters alone are evaluated the same way once per binding
+    (``Kernel.bind``), and subtrees that read t alone once per t array.
     """
 
     def __init__(self):
-        self.nodes: list[tuple] = []  # (op, operand slots...), ("var", name) or ("const", value)
-        self.kinds: list[int] = []  # _CONST, _T, _XV or _Z
+        self.nodes: list[tuple] = []  # (op, operand slots...), ("var", name), ("param", i) or ("const", value)
+        self.kinds: list[int] = []  # _CONST, _PARAM, _T, _XV or _Z
         self._slots: dict[tuple, int] = {}
         self._lowered: dict[int, tuple[Expr, int]] = {}  # id(node) -> (node, slot)
-        self._t_values: dict[bytes, dict[int, np.ndarray]] = {}
 
     def lower(self, e: Expr) -> int:
         """The slot of ``e``, lowering and interning its nodes on first sight."""
@@ -417,6 +448,8 @@ class Program:
         elif isinstance(e, Var):
             kind = _T if e.name == "t" else _Z if e.name == "z" else _XV
             slot = self._new(("var", e.name), ("var", e.name), kind)
+        elif isinstance(e, Param) and isinstance(e.key, int):
+            slot = self._new(("param", e.key), ("param", e.key), _PARAM)
         else:
             if isinstance(e, BinOp) and e.op in _BINARY:
                 key = (e.op, self.lower(e.left), self.lower(e.right))
@@ -426,6 +459,8 @@ class Program:
                 key = (e.fn, self.lower(e.arg))
             elif isinstance(e, Call):
                 raise ValueError(f"unknown function {e.fn!r}")
+            elif isinstance(e, Param):
+                key = (e.key[0], *map(self.lower, e.key[1:]))
             else:
                 raise TypeError(f"not an expression node: {e!r}")
             slot = self._slots.get(key)
@@ -451,10 +486,6 @@ class Program:
     def _const(self, value) -> int:
         return self._new(("const", np.asarray(value, dtype=float).tobytes()), ("const", value), _CONST)
 
-    def t_values(self, t: np.ndarray) -> dict[int, np.ndarray]:
-        """The cache of t-only slot values on this t array."""
-        return self._t_values.setdefault(t.tobytes(), {})
-
 
 class Kernel:
     """Outputs of one ``Program`` evaluated together at one point.
@@ -464,7 +495,8 @@ class Kernel:
     ``rows[group]`` is the slice of a group's rows.  The first g-stage row
     is the z integrand; no g-stage output may read z.  With ``check``, a
     non-finite output raises ``ExprDomainError`` naming the first such
-    output (in row order) by its label and source, and its first t.
+    output (in row order) by its label and source, and its first t.  A
+    kernel that reads a ``Param`` runs once bound (``bind``).
     """
 
     def __init__(self, program: Program, g_stage, l_stage, check: bool = True):
@@ -482,20 +514,25 @@ class Kernel:
         nodes, kinds = program.nodes, program.kinds
         if any(kinds[s] == _Z for s in g_needed):
             raise ValueError("a g-stage output reads z")
-        # vals[slot] in a call: constants now, variables and t-only values on entry
+        # vals[slot] in a call: constants now, parameters on binding, variables
+        # and t-only values on entry
         self.template: list = [None] * (max(slots, default=-1) + 1)
-        self.vars, self.z_slot = [], None
-        self.t_ops, self.g_ops, self.l_ops = [], [], []
+        self.vars, self.params, self.z_slot = [], [], None
+        self.p_ops, self.t_ops, self.g_ops, self.l_ops = [], [], [], []
         for s in sorted(g_needed | l_needed):
             op, *args = nodes[s]
             if op == "const":
                 self.template[s] = args[0]
+            elif op == "param":
+                self.params.append((s, args[0]))
             elif op == "var" and args[0] == "z":
                 self.z_slot = s
             elif op == "var":
                 self.vars.append((s, args[0]))
             else:
-                ops = self.t_ops if kinds[s] == _T else self.g_ops if s in g_needed else self.l_ops
+                kind = kinds[s]
+                ops = (self.p_ops if kind == _PARAM else self.t_ops if kind == _T
+                       else self.g_ops if s in g_needed else self.l_ops)
                 ops.append((s, _OPS[op], args[0], args[1] if len(args) > 1 else None))
         # drop each intermediate after its last reader, as the tree walk does,
         # so that a batch holds few temporaries at a time
@@ -508,6 +545,8 @@ class Kernel:
                 frees[last[s]].append(s)
         steps = [step + (tuple(free),) for step, free in zip(steps, frees)]
         self.g_ops, self.l_ops = steps[: len(self.g_ops)], steps[len(self.g_ops) :]
+        self.values: tuple = ()
+        self.t_values: dict[bytes, dict[int, np.ndarray]] = {}
 
     def _needed(self, slots) -> set[int]:
         seen, todo = set(), list(slots)
@@ -516,9 +555,22 @@ class Kernel:
             if s not in seen:
                 seen.add(s)
                 op, *args = self.program.nodes[s]
-                if op not in ("const", "var"):
+                if op not in ("const", "var", "param"):
                     todo += args
         return seen
+
+    def bind(self, values, t_values: dict) -> "Kernel":
+        """A copy with ``Param(i)`` bound to ``values[i]`` and its t-only
+        values kept in ``t_values``."""
+        bound = copy.copy(self)
+        bound.values, bound.t_values = tuple(values), t_values
+        vals = bound.template = self.template.copy()
+        for s, i in self.params:
+            vals[s] = np.asarray(values[i])
+        with np.errstate(all="ignore"):
+            for s, op, a, b in self.p_ops:
+                vals[s] = op(vals[a]) if b is None else op(vals[a], vals[b])
+        return bound
 
     def run(self, env, z_sum=None) -> np.ndarray:
         """Evaluate every output on ``env``; call through ``evaluate_many``.
@@ -533,7 +585,10 @@ class Kernel:
         for s, name in self.vars:
             vals[s] = _var_value(env, name)
         if self.t_ops:
-            cache = self.program.t_values(_var_value(env, "t"))
+            t_key = _var_value(env, "t").tobytes()
+            cache = self.t_values.get(t_key)
+            if cache is None:
+                cache = _touch(self.t_values, t_key, {}, T_ARRAYS_KEPT)
             for s, op, a, b in self.t_ops:
                 if s not in cache:
                     cache[s] = op(vals[a]) if b is None else op(vals[a], vals[b])
@@ -561,124 +616,264 @@ class Kernel:
             j = int(np.argmax(bad[r].any(axis=0)))
             t = np.broadcast_to(_var_value(env, "t"), out.shape[-1:])[j]
             label, e, _ = self.outputs[start + r]
-            raise ExprDomainError(f"{label} '{to_source(e)}' is non-finite at t={float(t)!r}")
+            source = to_source(substitute(e, self.values))
+            raise ExprDomainError(f"{label} '{source}' is non-finite at t={float(t)!r}")
+
+
+def _touch(cache: dict, key, value, size: int):
+    """``value``, stored as the newest entry of ``cache`` of ``size``."""
+    cache.pop(key, None)
+    cache[key] = value
+    if len(cache) > size:
+        del cache[next(iter(cache))]
+    return value
+
+
+# -- shapes: compiled once per process, bound per request -------------------------
+
+
+#: how many shapes the process keeps compiled; the least recently bound goes first
+SHAPES_KEPT = 16
+_SHAPES: dict[tuple, "Shape"] = {}
+
+
+def _kept(value, exponent: bool) -> bool:
+    """A literal that stays in its shape: ``differentiate`` branches on an
+    exponent (the power rule folds exponent - 1) and on 0 and 1."""
+    return exponent or value == 0.0 or value == 1.0
+
+
+def _shape_key(e: Expr, key: list, values: list, exponent: bool = False) -> None:
+    """Append e's shape to ``key`` (kept literals by repr: -0.0 is not 0.0)
+    and its lifted literals to ``values``, in prefix order."""
+    if isinstance(e, Num):
+        if _kept(e.value, exponent):
+            key.append(repr(e.value))
+        else:
+            key.append(None)
+            values.append(e.value)
+    elif isinstance(e, Var):
+        key.append(e.name)
+    elif isinstance(e, BinOp):
+        key.append(e.op)
+        _shape_key(e.left, key, values)
+        _shape_key(e.right, key, values, e.op == "^")
+    elif isinstance(e, (Neg, Call)):
+        key.append(getattr(e, "fn", "neg"))
+        _shape_key(e.arg, key, values)
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+
+
+def _rebuild(e: Expr, leaf, exponent: bool = False) -> Expr:
+    """e with each leaf replaced by ``leaf(node, whether it is an exponent)``."""
+    if isinstance(e, Neg):
+        return Neg(_rebuild(e.arg, leaf))
+    if isinstance(e, Call):
+        return Call(e.fn, _rebuild(e.arg, leaf))
+    if isinstance(e, BinOp):
+        return BinOp(e.op, _rebuild(e.left, leaf), _rebuild(e.right, leaf, e.op == "^"))
+    return leaf(e, exponent)
+
+
+def _fold(e: Expr, values) -> float:
+    """A Num or Param under ``values``, folded as ``differentiate`` folds."""
+    if isinstance(e, Num):
+        return e.value
+    if isinstance(e.key, int):
+        return values[e.key]
+    return _OPS[e.key[0]](*(_fold(a, values) for a in e.key[1:]))
+
+
+def substitute(e: Expr, values) -> Expr:
+    """e with each ``Param`` replaced by its literal under ``values``: the
+    expression ``differentiate`` gives on the literals themselves."""
+    return _rebuild(e, lambda leaf, _: Num(_fold(leaf, values)) if isinstance(leaf, Param) else leaf)
+
+
+class Shape:
+    """One compiled shape: ``derived`` from the lifted expressions under
+    ``values``, the outcome of each test of a fold made meanwhile
+    (``equals``), which other values must repeat (``hold``), and one
+    ``Program`` with its ``Kernel``s."""
+
+    def __init__(self, values):
+        self.values, self.tests, self.derived = values, {}, None
+        self.program, self.kernels = Program(), {}
+
+    def equals(self, e: Param, value: float) -> bool:
+        self.tests[e, value] = outcome = _fold(e, self.values) == value
+        return outcome
+
+    def hold(self, values) -> bool:
+        return all((_fold(e, values) == value) is outcome for (e, value), outcome in self.tests.items())
+
+
+class Binding:
+    """A shape's kernels bound to one request's values, and its t-only values."""
+
+    def __init__(self, shape: Shape, values):
+        self.shape, self.values = shape, tuple(values)
+        self.t_values: dict[bytes, dict[int, np.ndarray]] = {}
+        self._bound: dict = {}
+
+    def kernel(self, key, build: Callable[[Shape, object], Kernel]) -> Kernel:
+        """Kernel ``key``, compiled by ``build(shape, key)`` once per shape."""
+        bound = self._bound.get(key)
+        if bound is None:
+            kernel = self.shape.kernels.get(key)
+            if kernel is None:
+                kernel = self.shape.kernels[key] = build(self.shape, key)
+                _log.debug("compiled kernel %s of a shape with %d parameters: %d slots",
+                           "+".join(kernel.rows), len(self.values), len(self.shape.program.nodes))
+            bound = self._bound[key] = kernel.bind(self.values, self.t_values)
+        return bound
+
+
+def bind_shape(trees, tag, derive: Callable[..., object]) -> Binding:
+    """``trees`` bound to their shape, cached in the process or derived now
+    by ``derive(tag, *lifted trees, shape)``, which passes the shape to
+    ``differentiate`` as its guards.  The shape is ``tag`` and the trees
+    with each literal lifted but exponents and values equal to 0 or 1.
+    """
+    key, values = [tag], []
+    for e in trees:
+        _shape_key(e, key, values)
+    key = tuple(key)
+    shape = _SHAPES.get(key)
+    if shape is None or not shape.hold(values):
+        shape, count = Shape(values), iter(range(len(values)))
+
+        def lift(leaf, exponent):  # numbered in the order of _shape_key
+            return Param(next(count)) if isinstance(leaf, Num) and not _kept(leaf.value, exponent) else leaf
+
+        shape.derived = derive(tag, *(_rebuild(e, lift) for e in trees), shape)
+    return Binding(_touch(_SHAPES, key, shape, SHAPES_KEPT), values)
 
 
 # -- symbolic differentiation ---------------------------------------------------
 
 
-def _is_num(e: Expr, value: float | None = None) -> bool:
-    return isinstance(e, Num) and (value is None or e.value == value)
+def _is_num(e: Expr, value: float, guards: Shape | None) -> bool:
+    """e is a literal equal to ``value`` (0 or 1, so never a lifted one); a
+    fold is tested by ``guards``."""
+    if isinstance(e, Num):
+        return e.value == value
+    return isinstance(e, Param) and not isinstance(e.key, int) and guards.equals(e, value)
 
 
-def _add(a: Expr, b: Expr) -> Expr:
-    if _is_num(a, 0.0):
+def _fold_literals(op: str, *args: Expr) -> Expr | None:
+    """op folded on literals: a Num or a Param fold; None on non-literals."""
+    if all(isinstance(a, Num) for a in args):
+        return Num(_OPS[op](*(a.value for a in args)))
+    if all(isinstance(a, (Num, Param)) for a in args):
+        return Param((op, *args))
+    return None
+
+
+def _add(a: Expr, b: Expr, g) -> Expr:
+    if _is_num(a, 0.0, g):
         return b
-    if _is_num(b, 0.0):
+    if _is_num(b, 0.0, g):
         return a
-    if isinstance(a, Num) and isinstance(b, Num):
-        return Num(a.value + b.value)
-    return BinOp("+", a, b)
+    return _fold_literals("+", a, b) or BinOp("+", a, b)
 
 
-def _sub(a: Expr, b: Expr) -> Expr:
-    if _is_num(b, 0.0):
+def _sub(a: Expr, b: Expr, g) -> Expr:
+    if _is_num(b, 0.0, g):
         return a
-    if _is_num(a, 0.0):
+    if _is_num(a, 0.0, g):
         return _neg(b)
-    if isinstance(a, Num) and isinstance(b, Num):
-        return Num(a.value - b.value)
-    return BinOp("-", a, b)
+    return _fold_literals("-", a, b) or BinOp("-", a, b)
 
 
 def _neg(a: Expr) -> Expr:
-    if isinstance(a, Num):
-        return Num(-a.value)
     if isinstance(a, Neg):
         return a.arg
-    return Neg(a)
+    return _fold_literals("neg", a) or Neg(a)
 
 
-def _mul(a: Expr, b: Expr) -> Expr:
-    if _is_num(a, 0.0) or _is_num(b, 0.0):
+def _mul(a: Expr, b: Expr, g) -> Expr:
+    if _is_num(a, 0.0, g) or _is_num(b, 0.0, g):
         return Num(0.0)
-    if _is_num(a, 1.0):
+    if _is_num(a, 1.0, g):
         return b
-    if _is_num(b, 1.0):
+    if _is_num(b, 1.0, g):
         return a
-    if isinstance(a, Num) and isinstance(b, Num):
-        return Num(a.value * b.value)
-    return BinOp("*", a, b)
+    return _fold_literals("*", a, b) or BinOp("*", a, b)
 
 
-def _div(a: Expr, b: Expr) -> Expr:
-    if _is_num(a, 0.0):
+def _div(a: Expr, b: Expr, g) -> Expr:
+    if _is_num(a, 0.0, g):
         return Num(0.0)
-    if _is_num(b, 1.0):
+    if _is_num(b, 1.0, g):
         return a
     return BinOp("/", a, b)
 
 
-def _pow(a: Expr, b: Expr) -> Expr:
-    if _is_num(b, 1.0):
+def _pow(a: Expr, b: Expr, g) -> Expr:
+    if _is_num(b, 1.0, g):
         return a
-    if _is_num(b, 0.0):
+    if _is_num(b, 0.0, g):
         return Num(1.0)
     return BinOp("^", a, b)
 
 
-def differentiate(e: Expr, var: str) -> Expr:
+def differentiate(e: Expr, var: str, guards: Shape | None = None) -> Expr:
     """Symbolic partial derivative with light constant folding.
 
     Constant exponents use the power rule; a general f^g is rewritten as
-    exp(g * log(f)) before differentiating.
+    exp(g * log(f)) before differentiating.  ``guards`` tests folds of
+    lifted literals (``Shape.equals``).
     """
-    if isinstance(e, Num):
+    g = guards
+    if isinstance(e, (Num, Param)):
         return Num(0.0)
     if isinstance(e, Var):
         return Num(1.0 if e.name == var else 0.0)
     if isinstance(e, Neg):
-        return _neg(differentiate(e.arg, var))
+        return _neg(differentiate(e.arg, var, g))
     if isinstance(e, Call):
-        du = differentiate(e.arg, var)
-        if _is_num(du, 0.0):
+        du = differentiate(e.arg, var, g)
+        if _is_num(du, 0.0, g):
             return Num(0.0)
         u = e.arg
         if e.fn == "exp":
-            return _mul(Call("exp", u), du)
+            return _mul(Call("exp", u), du, g)
         if e.fn == "log":
-            return _div(du, u)
+            return _div(du, u, g)
         if e.fn == "sin":
-            return _mul(Call("cos", u), du)
+            return _mul(Call("cos", u), du, g)
         if e.fn == "cos":
-            return _neg(_mul(Call("sin", u), du))
+            return _neg(_mul(Call("sin", u), du, g))
         if e.fn == "sqrt":
-            return _div(du, _mul(Num(2.0), Call("sqrt", u)))
+            return _div(du, _mul(Num(2.0), Call("sqrt", u), g), g)
         raise ValueError(f"unknown function {e.fn!r}")
     if isinstance(e, BinOp):
         if e.op == "+":
-            return _add(differentiate(e.left, var), differentiate(e.right, var))
+            return _add(differentiate(e.left, var, g), differentiate(e.right, var, g), g)
         if e.op == "-":
-            return _sub(differentiate(e.left, var), differentiate(e.right, var))
+            return _sub(differentiate(e.left, var, g), differentiate(e.right, var, g), g)
         if e.op == "*":
             return _add(
-                _mul(differentiate(e.left, var), e.right),
-                _mul(e.left, differentiate(e.right, var)),
+                _mul(differentiate(e.left, var, g), e.right, g),
+                _mul(e.left, differentiate(e.right, var, g), g),
+                g,
             )
         if e.op == "/":
-            df, dg = differentiate(e.left, var), differentiate(e.right, var)
-            if _is_num(dg, 0.0):
-                return _div(df, e.right)
-            num = _sub(_mul(df, e.right), _mul(e.left, dg))
-            return _div(num, _mul(e.right, e.right))
+            df, dg = differentiate(e.left, var, g), differentiate(e.right, var, g)
+            if _is_num(dg, 0.0, g):
+                return _div(df, e.right, g)
+            num = _sub(_mul(df, e.right, g), _mul(e.left, dg, g), g)
+            return _div(num, _mul(e.right, e.right, g), g)
         if e.op == "^":
             base, expo = e.left, e.right
             if isinstance(expo, Num):
-                db = differentiate(base, var)
-                if _is_num(db, 0.0):
+                db = differentiate(base, var, g)
+                if _is_num(db, 0.0, g):
                     return Num(0.0)
-                return _mul(_mul(expo, _pow(base, Num(expo.value - 1.0))), db)
+                return _mul(_mul(expo, _pow(base, Num(expo.value - 1.0), g), g), db, g)
             # general base^exponent via exp(exponent * log(base))
-            rewritten = Call("exp", _mul(expo, Call("log", base)))
-            return differentiate(rewritten, var)
+            rewritten = Call("exp", _mul(expo, Call("log", base), g))
+            return differentiate(rewritten, var, g)
     raise TypeError(f"not an expression node: {e!r}")

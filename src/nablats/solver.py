@@ -37,6 +37,7 @@ the first non-finite output and its t.
 
 from __future__ import annotations
 
+import logging
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -58,6 +59,9 @@ from .variational import (
     evaluate_functional_partial,
     path_env,
 )
+
+
+_log = logging.getLogger("nablats")
 
 
 class NonFiniteObjectiveError(ValueError):
@@ -111,6 +115,8 @@ class SolveOptions:
             raise ValueError("max_iters must be at least 1")
         if not self.step_init > 0:
             raise ValueError("step_init must be positive")
+        if not math.isfinite(self.step_init):  # the first probe would leave the reals
+            raise ValueError("step_init must be finite")
         if not self.grad_tol > 0:
             raise ValueError("grad_tol must be positive")
         if self.gradient != "analytic":
@@ -423,6 +429,7 @@ def direct_solve(p: Problem, opts: SolveOptions, with_info: bool = False):
             step = _band_solve(-diag, -upper, grad.reshape(-1, eng.n))
             if step is None:
                 fallbacks += 1
+                _log.debug("direct_solve: iteration %d falls back to the Jacobi step", iterations)
                 curv = np.abs(np.diagonal(diag, axis1=1, axis2=2)).ravel()
                 direction = grad / np.maximum(curv, 1e-30)
             else:

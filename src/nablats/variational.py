@@ -58,13 +58,15 @@ from .calculus import (
     running_fsum,
 )
 from .expressions import (
+    Binding,
     Expr,
     Kernel,
     Neg,
-    Program,
+    bind_shape,
     differentiate,
     evaluate_many,
     parse,
+    substitute,
     variables,
 )
 from .timescale import TimeScale
@@ -97,6 +99,69 @@ def _allowed_vars(n: int, with_z: bool) -> set[str]:
     if with_z:
         names.add("z")
     return names
+
+
+def _derive(tag, L: Expr, g: Expr, guards) -> dict:
+    """The expressions of one problem shape (``expressions.bind_shape``):
+    the z integrand, the literal and the maximized lagrangian, their first
+    and second partials, and the (label, expression) rows of every kernel
+    group, from one ``differentiate`` pass."""
+    n, sense = tag
+    J = Neg(L) if sense is Sense.MIN else L
+    xs, vs = [f"x{i}" for i in range(1, n + 1)], [f"v{i}" for i in range(1, n + 1)]
+    u = xs + vs
+    first = {
+        "Lx": [differentiate(J, name, guards) for name in xs],
+        "Lv": [differentiate(J, name, guards) for name in vs],
+        "Lz": differentiate(J, "z", guards),
+        "gx": [differentiate(g, name, guards) for name in xs],
+        "gv": [differentiate(g, name, guards) for name in vs],
+    }
+
+    def matrix(grad: list[Expr]) -> list[list[Expr]]:
+        k = range(len(u))
+        upper = {(i, j): differentiate(grad[i], u[j], guards) for i in k for j in k if i <= j}
+        return [[upper[min(i, j), max(i, j)] for j in k] for i in k]
+
+    second = {
+        "Luu": matrix(first["Lx"] + first["Lv"]),
+        "guu": matrix(first["gx"] + first["gv"]),
+        "Luz": [differentiate(first["Lz"], name, guards) for name in u],
+        "Lzz": differentiate(first["Lz"], "z", guards),
+    }
+    rows = {"g": [("z integrand", g)], "L": [("lagrangian", L)], "J": [("objective integrand", J)]}
+    for group, exprs in first.items():
+        label = f"d{group[0]}/d{group[1]}"
+        rows[group] = [(label, e) for e in exprs] if isinstance(exprs, list) else [(label, exprs)]
+    rows["Luz"] = [(f"d2L/d{name}dz", e) for e, name in zip(second["Luz"], u)]
+    rows["Lzz"] = [("d2L/dzdz", second["Lzz"])]
+    for group in ("Luu", "guu"):
+        k = range(len(u))
+        rows[group] = [(f"d2{group[0]}/d{u[min(i, j)]}d{u[max(i, j)]}", second[group][i][j])
+                       for i in k for j in k]
+    return {"partials": first, "hessian_partials": second, "rows": rows}
+
+
+def _compile_kernel(shape, key) -> Kernel:
+    """The kernel of a shape for ``Problem.kernel``'s key (groups, check)."""
+    groups, check = key
+    unknown = groups.difference(_KERNEL_GROUPS)
+    if unknown:
+        raise ValueError(f"unknown kernel groups {sorted(unknown)}")
+    stages = ([], [])
+    for name in _KERNEL_GROUPS:
+        if name == "g" or name in groups:
+            stages[name not in _G_STAGE].append((name, shape.derived["rows"][name]))
+    return Kernel(shape.program, *stages, check=check)
+
+
+def _substituted(obj, values):
+    """``substitute`` over the expressions of a dict of (nested) lists."""
+    if isinstance(obj, dict):
+        return {key: _substituted(v, values) for key, v in obj.items()}
+    if isinstance(obj, list):
+        return [_substituted(v, values) for v in obj]
+    return substitute(obj, values)
 
 
 @dataclass(frozen=True)
@@ -132,93 +197,39 @@ class Problem:
         return cls(ts, n, parse(lagrangian), parse(z_integrand), tuple(x_a), sense)
 
     @cached_property
-    def effective_lagrangian(self) -> Expr:
-        """The maximized integrand: L itself, or -L for minimization."""
-        return Neg(self.lagrangian) if self.sense is Sense.MIN else self.lagrangian
+    def _binding(self) -> Binding:
+        """This problem's constants bound to its shape's compiled form."""
+        return bind_shape((self.lagrangian, self.z_integrand), (self.n, self.sense), _derive)
 
     @cached_property
     def partials(self) -> dict[str, list[Expr] | Expr]:
-        L, g = self.effective_lagrangian, self.z_integrand
-        return {
-            "Lx": [differentiate(L, f"x{i}") for i in range(1, self.n + 1)],
-            "Lv": [differentiate(L, f"v{i}") for i in range(1, self.n + 1)],
-            "Lz": differentiate(L, "z"),
-            "gx": [differentiate(g, f"x{i}") for i in range(1, self.n + 1)],
-            "gv": [differentiate(g, f"v{i}") for i in range(1, self.n + 1)],
-        }
+        """The first partials of the maximized L ("Lx", "Lv", "Lz") and of g
+        ("gx", "gv"), one expression per component ("Lz" one alone)."""
+        return _substituted(self._binding.shape.derived["partials"], self._binding.values)
 
     @cached_property
     def hessian_partials(self) -> dict[str, list | Expr]:
         """The second partials behind the solver's Hessian band, in the
         variables u = (x1..xn, v1..vn): the symmetric 2n x 2n matrices "Luu"
-        and "guu" (one expression per pair, shared by both triangles), the
-        2n mixes "Luz" of L with z, and "Lzz"."""
-        d = self.partials
-        u = [f"{s}{i}" for s in "xv" for i in range(1, self.n + 1)]
-
-        def matrix(first: list[Expr]) -> list[list[Expr]]:
-            k = range(len(u))
-            upper = {(i, j): differentiate(first[i], u[j]) for i in k for j in k if i <= j}
-            return [[upper[min(i, j), max(i, j)] for j in k] for i in k]
-
-        return {
-            "Luu": matrix(d["Lx"] + d["Lv"]),
-            "guu": matrix(d["gx"] + d["gv"]),
-            "Luz": [differentiate(d["Lz"], name) for name in u],
-            "Lzz": differentiate(d["Lz"], "z"),
-        }
-
-    @cached_property
-    def _kernels(self) -> tuple[Program, dict]:
-        return Program(), {}
+        and "guu", the 2n mixes "Luz" of L with z, and "Lzz"."""
+        return _substituted(self._binding.shape.derived["hessian_partials"], self._binding.values)
 
     def kernel(self, *groups: str, check: bool = True) -> Kernel:
-        """The compiled kernel of the z integrand and ``groups``, built once.
+        """The compiled kernel of the z integrand and ``groups``, bound to
+        this problem's constants.
 
-        Every kernel of a problem lowers into one hash-consed ``Program``.
-        Groups, one stacked row per expression, in ``_KERNEL_GROUPS`` order
+        Every kernel of a shape (``expressions.bind_shape``) lowers into one
+        hash-consed ``Program`` and is compiled once per process.  Groups,
+        one stacked row per expression, in ``_KERNEL_GROUPS`` order
         whatever the order asked for: "g" (the z integrand, whose running
         sum is z), "L" (the literal lagrangian), "J" (the maximized
-        integrand, ``effective_lagrangian``), the first partials of
+        integrand: L, or -L for minimization), the first partials of
         ``partials`` ("gx", "gv", "Lz", "Lx", "Lv", one row per component)
         and the second partials of ``hessian_partials`` ("Luz", "Lzz", and
         "Luu" and "guu" as (2n)^2 rows in row-major order).  The g-stage
         groups (g, gx, gv, guu) run before z is summed, the rest after.
         """
-        program, cache = self._kernels
-        key = (frozenset(groups), check)
-        if key not in cache:
-            unknown = key[0].difference(_KERNEL_GROUPS)
-            if unknown:
-                raise ValueError(f"unknown kernel groups {sorted(unknown)}")
-            names = [name for name in _KERNEL_GROUPS if name == "g" or name in key[0]]
-            stages = ([], [])
-            for name in names:
-                stages[name not in _G_STAGE].append((name, self._outputs(name)))
-            cache[key] = Kernel(program, *stages, check=check)
-        return cache[key]
-
-    def _outputs(self, group: str) -> list[tuple[str, Expr]]:
-        """(label, expression) of each row of a kernel group."""
-        named = {
-            "g": ("z integrand", self.z_integrand),
-            "L": ("lagrangian", self.lagrangian),
-            "J": ("objective integrand", self.effective_lagrangian),
-        }
-        if group in named:
-            return [named[group]]
-        if group in self.partials:
-            first = self.partials[group]
-            label = f"d{group[0]}/d{group[1]}"
-            return [(label, e) for e in first] if isinstance(first, list) else [(label, first)]
-        h = self.hessian_partials
-        u = [f"{s}{i}" for s in "xv" for i in range(1, self.n + 1)]
-        if group == "Luz":
-            return [(f"d2L/d{name}dz", e) for e, name in zip(h["Luz"], u)]
-        if group == "Lzz":
-            return [("d2L/dzdz", h["Lzz"])]
-        k = range(len(u))
-        return [(f"d2{group[0]}/d{u[min(i, j)]}d{u[max(i, j)]}", h[group][i][j]) for i in k for j in k]
+        return self._binding.kernel((frozenset(groups), check), _compile_kernel)
 
     @property
     def x_a_array(self) -> np.ndarray:

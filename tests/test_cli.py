@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nablats import cli, solver
+from nablats import cli, expressions, solver, variational
 from nablats.cli import main
 from nablats.config import ConfigError, load_config
 from nablats.solver import FREE, SolveOptions, direct_solve
@@ -535,6 +535,19 @@ class TestMalformedInput:
         code, _, err = run(capsys, "solve", cfg)
         assert code == 2
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_infinite_step_init_exits_2_before_the_search(self, tmp_path, capsys):
+        # the first line-search probe of an infinite step would leave the reals
+        body = (
+            BASE_INI.replace("b = 5", "b = 10")
+            .replace('L = "-(v1^2)"', 'L = "-(v1^2)-x1^2"')
+            .replace("x_a = 0.0", "x_a = 1.0")
+            .replace("T_trunc = 5", "T_trunc = 10")
+            .replace("pinned: 5.0", "free\nstep_init = inf")
+        )
+        code, out, err = run(capsys, "solve", write_ini(tmp_path, body))
+        assert (code, out, err) == (2, "", "error: [solve]: step_init must be finite\n")
+
 
 class TestParserReuse:
     def test_successive_calls_share_one_parser_and_leak_nothing(self, tmp_path, capsys, monkeypatch):
@@ -572,6 +585,57 @@ class TestParserReuse:
         code, out, _ = run(capsys, "check-el", cfg, "--trajectory", traj)
         assert (code, seen[-1]) == (0, calls[2][2])
         assert "form: pointwise" in out and "T_prime: 5.0" in out
+
+
+class TestShapeReuse:
+    """Requests that repeat a problem's shape with new constants, in one process."""
+
+    @staticmethod
+    def discounted(tmp_path, rho, x_a="1.0", name="run.ini"):
+        body = (
+            BASE_INI.replace('L = "-(v1^2)"', f'L = "exp(-{rho}*t)*(-0.5*v1^2 - 3*x1^2)"')
+            .replace("x_a = 0.0", f"x_a = {x_a}")
+            .replace("pinned: 5.0", "free")
+        )
+        return write_ini(tmp_path, body, name)
+
+    def test_a_repeated_shape_is_neither_differentiated_nor_lowered_again(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(expressions, "_SHAPES", {})
+        calls = {"differentiate": 0, "lower": 0}
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return counted
+
+        derive = counting("differentiate", expressions.differentiate)
+        monkeypatch.setattr(expressions, "differentiate", derive)
+        monkeypatch.setattr(variational, "differentiate", derive)
+        monkeypatch.setattr(expressions.Program, "lower", counting("lower", expressions.Program.lower))
+        traj = str(tmp_path / "trajectory.csv")
+        counts = []
+        for rho in (0.1, 0.2):
+            cfg = self.discounted(tmp_path, rho)
+            assert run(capsys, "solve", cfg)[0] == 0
+            assert run(capsys, "check-el", cfg, "--trajectory", traj)[0] == 0
+            counts.append(dict(calls))
+            calls.update(differentiate=0, lower=0)
+        assert min(counts[0].values()) > 0
+        assert counts[1] == {"differentiate": 0, "lower": 0}
+
+    def test_each_request_names_its_own_constants(self, tmp_path, capsys):
+        for rho in (0.1, 0.2):
+            cfg = self.discounted(tmp_path, rho, x_a="1e200")
+            code, out, err = run(capsys, "solve", cfg)
+            assert (code, out) == (3, "")
+            assert err == (
+                f"error: objective integrand 'exp(-{rho}*t)*(-0.5*v1^2.0 - 3.0*x1^2.0)' "
+                "is non-finite at t=1.0 during the search\n"
+            )
 
 
 class TestConfigLoading:

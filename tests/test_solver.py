@@ -1,4 +1,5 @@
 import csv
+import logging
 import math
 import time
 import warnings
@@ -402,7 +403,7 @@ class TestDirectSolve:
             assert info.iterations == {"grad_tol": 2, "max_iters": 1, "no_progress": 3}[reason]
         assert info.fallbacks == 0
 
-    def test_double_well_falls_back_to_jacobi(self):
+    def test_double_well_falls_back_to_jacobi(self, caplog):
         # L_xx = 4 - 12 x^2 > 0 near the start x = 0.1: the negated band is
         # not positive definite there, so those iterations take the Jacobi step
         p = make("-(v1^2)-(x1^2-1)^2", ts=integers(0, 8), x_a=0.1)
@@ -411,8 +412,14 @@ class TestDirectSolve:
         eng = _Engine(p, opts)
         x0 = eng.initial_values()
         jacobi = gradient_at(eng, x0) / np.abs(band_diagonal(band_at(eng, x0)[0]))
+        caplog.set_level(logging.DEBUG, logger="nablats")
         x, info = direct_solve(p, replace(opts, max_iters=1), with_info=True)
         assert (info.fallbacks, info.backtracks) == (1, 2)
+        # one record for the fallback (others may record the kernels' compiles)
+        fallbacks = [r for r in caplog.records if r.funcName == "direct_solve"]
+        assert [(r.name, r.levelno, r.getMessage()) for r in fallbacks] == [
+            ("nablats", logging.DEBUG, "direct_solve: iteration 1 falls back to the Jacobi step")
+        ]
         assert np.array_equal(x.values, eng.apply(x0, 0.25 * jacobi))
         x, info = direct_solve(p, opts, with_info=True)
         assert info.stop_reason == "grad_tol"
