@@ -90,7 +90,6 @@ from .variational import (
     Trajectory,
     compute_z,
     el_report_indices,
-    el_residual_integral,
     el_residual_pointwise,
     evaluate_functional_partial,
     finite_horizon_el_residual,
@@ -146,7 +145,6 @@ __all__ = [
     "direct_solve",
     "dubois_reymond_check",
     "el_report_indices",
-    "el_residual_integral",
     "el_residual_pointwise",
     "evaluate",
     "evaluate_functional_partial",

@@ -53,10 +53,9 @@ from .variational import (
     Trajectory,
     _abs_max,
     _ELCore,
-    _rows_up_to,
     _write_csv_lines,
-    el_report_indices,
     evaluate_functional_partial,
+    objective_gradient,
     path_env,
 )
 
@@ -185,7 +184,6 @@ class _Engine:
                 raise ProblemError(
                     f"pinned terminal needs {p.n} value(s), got {len(opts.terminal_mode.values)}"
                 )
-        self.free = [(j, c) for j in range(1, self.last + 1) for c in range(p.n)]
 
     def initial_values(self) -> np.ndarray:
         ts, p, opts = self.p.ts, self.p, self.opts
@@ -230,21 +228,11 @@ class _Engine:
         return d
 
     def analytic_gradient(self, d: dict[str, np.ndarray]) -> np.ndarray:
-        """Exact gradient of the discretized objective from the derivative
-        pass ``d`` at a point.
-
-        With S_j the tail sum of w*L_z from j to K, the chain through z
-        collapses to S at the point where a coordinate first enters the
-        accumulation, so each coordinate touches at most four terms.
-        """
-        S = d["S"]
-        A = d["Lv"].T + S[:, None] * d["gv"].T
-        B = self.w[1:, None] * (d["Lx"].T + S[:, None] * d["gx"].T)
-        # row j: term j through v, and through x when j is left-dense; then
-        # term j + 1 through v, and through x when j + 1 is left-scattered
-        G = np.where(self.scattered[:, None], A, A + B)
-        G[:-1] -= A[1:]
-        G[:-1] = np.where(self.scattered[1:, None], G[:-1] + B[1:], G[:-1])
+        """Exact gradient of the discretized objective over the free rows,
+        from the derivative pass ``d`` at a point (``objective_gradient``
+        with the tail sums S)."""
+        G = objective_gradient(*(d[key].T for key in ("Lx", "Lv", "gx", "gv")), d["S"],
+                               self.w[1:], self.scattered)
         return G[: self.last].ravel()
 
     def hessian_band(self, d: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -315,7 +303,7 @@ class _Engine:
 
 def free_coordinates(p: Problem, opts: SolveOptions) -> list[tuple[int, int]]:
     """(grid index, component) pairs the solver treats as variables."""
-    return list(_Engine(p, opts).free)
+    return [(j, c) for j in range(1, _Engine(p, opts).last + 1) for c in range(p.n)]
 
 
 def _band_solve(diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray) -> Optional[np.ndarray]:
@@ -516,7 +504,7 @@ def brute_force(p: Problem, opts: SolveOptions, value_grid) -> Trajectory:
     grid = np.array(sorted(set(float(v) for v in value_grid)))
     if grid.size == 0:
         raise ValueError("value_grid must be nonempty")
-    G, F = grid.size, len(eng.free)
+    G, F = grid.size, eng.last * eng.n
     total = G**F
     if total > GUARD:
         raise EnumerationGuardError(
@@ -592,7 +580,6 @@ def horizon_study(p: Problem, truncations, opts: SolveOptions) -> list[HorizonRo
     Transversality is a free-endpoint condition, so rows solved with a
     pinned terminal carry ``trans_applicable=False``.
     """
-    ts = p.ts
     cuts = [float(T) for T in truncations]
     if sorted(cuts) != cuts or len(set(cuts)) != len(cuts):
         raise ProblemError("truncations must be strictly increasing")
@@ -602,7 +589,7 @@ def horizon_study(p: Problem, truncations, opts: SolveOptions) -> list[HorizonRo
         x, info = direct_solve(p, o, with_info=True)
         with np.errstate(all="ignore"):  # overflow gives inf or NaN, as in residual_report
             core = _ELCore(p, x, T)
-            reported = core.pointwise()[_rows_up_to(el_report_indices(ts), core.k)]
+            _, reported = core.stationarity()
             t1, t2 = core.transversality(slice(core.k, core.k + 1))
         rows.append(
             HorizonRow(

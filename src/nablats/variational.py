@@ -14,9 +14,12 @@ rho(t), ``v1..vn`` its nabla derivative, and ``z`` the accumulated integral.
 This module evaluates truncated functionals and the first-order optimality
 residuals:
 
-* the pointwise Euler-Lagrange residual at horizon T',
+* the pointwise Euler-Lagrange residual at horizon T': row j is the
+  derivative in x(rho(t_j)) of the objective truncated at T', over the step
+  t_j - t_{j-1}, the solver's own condition (``objective_gradient``); where
+  t_j and its predecessor are left-scattered it is the paper's
       gx*I - (gv*I)^nabla + Lx - Lv^nabla,     I(t) = int_{rho(t)}^{T'} Lz,
-  which vanishes along a maximizer for every t and every T' >= t; the
+  and on dense runs the integral form reads the continuous condition.  The
   finite-horizon residual at T' (``check-el --form finite``) is this
   residual, so it gives the pointwise statistic at T';
 * the integral (Dubois-Reymond) form, constant in t at a maximizer;
@@ -28,11 +31,6 @@ All of them read one path (``path_env``: t, x at rho(t) and the nabla
 derivative, then z) and one exact running sum (``calculus.running_fsum``),
 with L, g and their partials from one call of the problem's compiled kernel
 (``Problem.kernel``).
-Composite quantities (Lv along the path, gv times the inner integral) are
-nabla-differentiated numerically from their grid samples.  Values that read
-the derivative at the minimum (undefined at a right-scattered minimum, only a
-sample at a right-dense one) use the successor-copy convention and are
-excluded from reported residual domains.
 
 Minimization problems are verified through their maximization mirror: all
 residuals use -L internally when sense is MIN (``evaluate_functional_partial``
@@ -344,6 +342,23 @@ def evaluate_functional_partial(p: Problem, x: Trajectory, T_prime: float) -> fl
 # -- Euler-Lagrange residual core ------------------------------------------------
 
 
+def objective_gradient(Lx, Lv, gx, gv, S, w, scattered) -> np.ndarray:
+    """The gradient (K, n) of the discretized objective truncated at row K in
+    the state values of rows 1..K, from the first partials (K, n) of the
+    maximized L and of g, the tail sums S (K,) of w*L_z from each row to K,
+    the steps w and the left-scattered flags on rows 1..K.  Through z the
+    chain collapses to S at the row where a coordinate first enters the
+    accumulation, so each row touches at most four terms."""
+    A = Lv + S[:, None] * gv
+    B = w[:, None] * (Lx + S[:, None] * gx)
+    # row j: term j through v, and through x when j is left-dense; then
+    # term j + 1 through v, and through x when j + 1 is left-scattered
+    G = np.where(scattered[:, None], A, A + B)
+    G[:-1] -= A[1:]
+    G[:-1] = np.where(scattered[1:, None], G[:-1] + B[1:], G[:-1])
+    return G
+
+
 class _ELCore:
     """All per-point arrays of the residual operators along x at horizon T' = t_k."""
 
@@ -359,16 +374,22 @@ class _ELCore:
         self.CumLx = _integrals(w[:, None] * self.Lx)
         self.nu_true = np.where(ts.rho_indices == np.arange(len(ts)), 0.0, w)
         self.k = k = ts.index_of(T_prime)
-        P = _integrals(w * self.Lz)  # P[j] = int_a^{t_j} Lz
+        self.P = P = _integrals(w * self.Lz)  # P[j] = int_a^{t_j} Lz
         # I[j] = integral of Lz over (rho(t_j), T'], one column per component
         self.I = (P[k] - P[ts.rho_indices])[:, None]
 
-    def pointwise(self) -> np.ndarray:
-        """Residual array (m, n); rows past k are meaningless, and rows 0
-        and 1 use the copied derivative at the minimum."""
-        dG = nabla_quotients(self.gv * self.I, self.ts.local_steps)
-        dLv = nabla_quotients(self.Lv, self.ts.local_steps)
-        return self.gx * self.I - dG + self.Lx - dLv
+    def stationarity(self) -> tuple[np.ndarray, np.ndarray]:
+        """The pointwise residual: the rows ``el_report_indices(ts, k)`` and,
+        on them, dJ_{T'}/dx(rho(t_j)) / w_j, (rows, n), from
+        ``objective_gradient`` with the exact tail sums P[k] - P[j - 1]."""
+        ts, k = self.ts, self.k
+        live = slice(1, k + 1)
+        G = objective_gradient(
+            self.Lx[live], self.Lv[live], self.gx[live], self.gv[live], self.P[k] - self.P[:k],
+            ts.local_steps[live], ts.rho_indices[live] < np.arange(1, k + 1),
+        )
+        rows = np.asarray(el_report_indices(ts, k), dtype=np.intp)
+        return rows, G[ts.rho_indices[rows] - 1] / ts.local_steps[rows, None]
 
     def integral_form(self) -> np.ndarray:
         """Dubois-Reymond form array (m, n): constant in t at a maximizer."""
@@ -382,21 +403,16 @@ class _ELCore:
         return (X @ bracket[:, :, None])[:, 0, 0], (X @ self.CumLx[rows][:, :, None])[:, 0, 0]
 
 
-def el_report_indices(ts: TimeScale) -> tuple[int, ...]:
-    """Kappa indices where the pointwise residual stencil is fully defined.
+def el_report_indices(ts: TimeScale, k: int | None = None) -> tuple[int, ...]:
+    """The rows j <= k (default: the last row) of the pointwise residual.
 
-    Rows 0 and 1 are excluded on every grid: the derivative at the minimum
-    is only the successor-copy convention (undefined at a right-scattered
-    minimum, a one-sided sample at a right-dense one), and the stencils of
-    rows 0 and 1 both read it.
+    Row j reads the first-order condition in x(rho(t_j)), so it is reported
+    when rho(t_j) is neither the pinned start nor the free end t_k, whose
+    condition T1 carries.  On scattered grids these are rows 2..k.
     """
-    return tuple(j for j in ts.kappa_indices if j >= 2)
-
-
-def _rows_up_to(indices, k: int) -> np.ndarray:
-    """The reported grid rows ``indices`` at or before the horizon row k."""
-    rows = np.asarray(indices, dtype=np.intp)
-    return rows[rows <= k]
+    k = len(ts) - 1 if k is None else k
+    rho = ts.rho_indices[: k + 1]
+    return tuple(np.flatnonzero((rho > 0) & (rho < k)).tolist())
 
 
 def _abs_max(a: np.ndarray) -> float:
@@ -417,21 +433,13 @@ def finite_horizon_el_residual(p: Problem, x: Trajectory, b: float, t: float) ->
 
 
 def el_residual_pointwise(p: Problem, x: Trajectory, t: float, T_prime: float) -> np.ndarray:
-    """Pointwise residual at t with tail integrals cut at T' (T' >= t)."""
-    core = _ELCore(p, x, T_prime)
+    """Pointwise residual at t, a row of ``el_report_indices`` at T' >= t."""
     j = _require_kappa(p.ts, t)
-    if j > core.k:
-        raise ProblemError(f"t={t!r} exceeds T_prime={T_prime!r}")
-    return core.pointwise()[j]
-
-
-def el_residual_integral(p: Problem, x: Trajectory, t: float, T_prime: float) -> np.ndarray:
-    """Integral (Dubois-Reymond) form at t; constant in t at a maximizer."""
-    core = _ELCore(p, x, T_prime)
-    j = p.ts.index_of(t)
-    if j > core.k:
-        raise ProblemError(f"t={t!r} exceeds T_prime={T_prime!r}")
-    return core.integral_form()[j]
+    rows, R = _ELCore(p, x, T_prime).stationarity()
+    if j not in rows:
+        raise ProblemError(f"t={t!r} is past T_prime={T_prime!r}, or x(rho(t)) is the "
+                           "pinned start or the free end")
+    return R[np.searchsorted(rows, j)]
 
 
 def transversality_residual_T1(p: Problem, x: Trajectory, T_prime: float) -> float:
@@ -474,7 +482,7 @@ def weak_max_compare(
 class ResidualReport:
     """First-order residuals of a trajectory at T' = t_k, as arrays over the
     rows of ``ts`` (row j sits at ``ts.points[j]``): ``el_pointwise`` (rows,
-    n) at ``pointwise_rows`` (``el_report_indices`` up to k), the integral
+    n) at ``pointwise_rows`` (``el_report_indices(ts, k)``), the integral
     form ``el_integral`` (rows, n) at ``integral_rows`` (kappa rows up to k)
     with its max-minus-min ``el_integral_constant_spread`` (n,), and the
     pairings ``trans_T1`` and ``trans_T2`` (k,) at rows 1..k."""
@@ -528,12 +536,11 @@ def residual_report(p: Problem, x: Trajectory, T_prime: float | None = None) -> 
         k = core.k
         if k == 0:
             raise ProblemError("T_prime must lie strictly past the initial point")
-        rows_pw = _rows_up_to(el_report_indices(ts), k)
-        rows_int = _rows_up_to(ts.kappa_indices, k)
+        rows_int = np.arange(ts.kappa_indices[0], k + 1)
         F = core.integral_form()[rows_int]
         spread = F.max(axis=0) - F.min(axis=0)
         t1, t2 = core.transversality(slice(1, k + 1))
-        R = core.pointwise()[rows_pw]
+        rows_pw, R = core.stationarity()
         return ResidualReport(float(T_prime), ts, rows_pw, R, rows_int, F, spread, t1, t2)
 
 

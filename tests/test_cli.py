@@ -191,8 +191,7 @@ class TestCheckEl:
         k = p.ts.index_of(T)
         expected = max(
             float(np.max(np.abs(finite_horizon_el_residual(p, x, T, p.ts.points[j]))))
-            for j in el_report_indices(p.ts)
-            if j <= k
+            for j in el_report_indices(p.ts, k)
         )
         assert stats["finite"] == expected
 

@@ -74,8 +74,8 @@ def fd_gradient(eng, x):
     coordinates: independent of the symbolic partials, the oracle of the
     analytic gradient.  Its error bottoms out near 5e-11, and it costs
     O(m^2 n) per gradient."""
-    grad = np.empty(len(eng.free))
-    for i, (j, c) in enumerate(eng.free):
+    grad = np.empty(eng.last * eng.n)
+    for i, (j, c) in enumerate(free_coordinates(eng.p, eng.opts)):
         h = 1e-6 * (1.0 + abs(x[j, c]))
         xp = x.copy()
         xp[j, c] = x[j, c] + h
@@ -99,8 +99,8 @@ def loop_gradient(eng, x):
     Lz = walk(d["Lz"])
     S = np.cumsum((eng.w[1:] * Lz)[::-1])[::-1]
     cols = {c: tuple(walk(d[key][c]) for key in ("Lx", "Lv", "gx", "gv")) for c in range(eng.n)}
-    grad = np.empty(len(eng.free))
-    for i, (j, c) in enumerate(eng.free):
+    grad = np.empty(eng.last * eng.n)
+    for i, (j, c) in enumerate(free_coordinates(eng.p, eng.opts)):
         Lx, Lv, gx, gv = cols[c]
         a = j - 1
         total = Lv[a] + S[a] * gv[a]
@@ -117,8 +117,8 @@ def loop_gradient(eng, x):
 def fd_curvature(eng, x):
     """|diagonal curvature| by central differences of the analytic gradient:
     the O(m^2) refresh the analytic Hessian diagonal replaced."""
-    diag = np.empty(len(eng.free))
-    for i, (j, c) in enumerate(eng.free):
+    diag = np.empty(eng.last * eng.n)
+    for i, (j, c) in enumerate(free_coordinates(eng.p, eng.opts)):
         h = 1e-6 * (1.0 + abs(x[j, c]))
         xp = x.copy()
         xp[j, c] = x[j, c] + h
@@ -135,8 +135,8 @@ def fd_hessian(eng, x, h=0.1):
     the state, so the gradient is cubic along every coordinate and the stencil
     is exact up to rounding; the wide step keeps that rounding below 1e-9 of
     every entry."""
-    H = np.empty((len(eng.free), len(eng.free)))
-    for i, (j, c) in enumerate(eng.free):
+    H = np.empty((eng.last * eng.n, eng.last * eng.n))
+    for i, (j, c) in enumerate(free_coordinates(eng.p, eng.opts)):
         g = []
         for k in (2, 1, -1, -2):
             xp = x.copy()
@@ -496,7 +496,7 @@ class TestGradients:
         eng = _Engine(p, opts)
         x = direct_solve(p, opts).values
         assert np.max(np.abs(fd_gradient(eng, x))) <= 1e-7
-        nearby = eng.apply(x, np.full(len(eng.free), 1e-3))
+        nearby = eng.apply(x, np.full(eng.last * eng.n, 1e-3))
         assert np.allclose(fd_gradient(eng, nearby), gradient_at(eng, nearby), rtol=1e-5, atol=1e-9)
 
     @given(**coupled_cases)
@@ -512,7 +512,7 @@ class TestGradients:
         eng, x = coupled_case(seed, n, sense)
         diag, upper = band_at(eng, x)
         assert diag.shape == (eng.last, n, n) and upper.shape == (eng.last - 1, n, n)
-        rows = np.array([j for j, _ in eng.free])
+        rows = np.array([j for j, _ in free_coordinates(eng.p, eng.opts)])
         band = np.abs(rows[:, None] - rows[None, :]) <= 1
         np.testing.assert_allclose(assemble(diag, upper)[band], fd_hessian(eng, x)[band],
                                    rtol=1e-6, atol=0)
@@ -560,9 +560,9 @@ class TestGradients:
     def test_vectorised_gradient_and_apply_match_the_loops(self, seed, n, sense):
         eng, x = coupled_case(seed, n, sense)
         assert np.array_equal(gradient_at(eng, x), loop_gradient(eng, x))
-        delta = np.random.default_rng(seed).uniform(-1, 1, len(eng.free))
+        delta = np.random.default_rng(seed).uniform(-1, 1, eng.last * eng.n)
         expected = x.copy()
-        for i, (j, c) in enumerate(eng.free):
+        for i, (j, c) in enumerate(free_coordinates(eng.p, eng.opts)):
             expected[j, c] = x[j, c] + delta[i]
         assert np.array_equal(eng.apply(x, delta), expected)
 
@@ -669,6 +669,90 @@ def test_design_point_counts(workload, point, counts):
             for r in rows] == counts
 
 
+@pytest.mark.parametrize(
+    "workload, point", [(w, pt) for w, pt, _ in DESIGN_POINTS],
+    ids=[f"{'scattered' if w is SCATTERED else 'stiff'}-{pt[0]}" for w, pt, _ in DESIGN_POINTS],
+)
+def test_design_point_passes_its_own_check(workload, point):
+    # check-el's pointwise rows are the solver's own stationarity, so every
+    # converged cut passes at the run files' tolerance, the dense start of
+    # the stiff grid included
+    L, g, sense, ts, cuts = workload
+    rho, *x_a = point
+    p = Problem.from_strings(ts, len(x_a), L.format(rho=rho), g, x_a, sense)
+    for row in horizon_study(p, cuts, SolveOptions(T_trunc=cuts[-1], grad_tol=1e-9)):
+        assert row.info.converged
+        report = residual_report(p, row.solution, row.T_trunc)
+        assert report.max_pointwise == row.max_el_residual <= 1e-6
+
+
+@st.composite
+def mirror_cases(draw):
+    """A convex z-coupled cost C on a grid of scattered and dense runs
+    (possibly starting dense, dense steps non-uniform), n in {1, 2}, and
+    solve options: MIN of C and MAX of -(C) are mirrors."""
+    runs = draw(st.lists(st.tuples(st.sampled_from("sd"), st.integers(1, 5)), min_size=1, max_size=5))
+    kinds = "".join(kind * count for kind, count in runs)
+    if len(kinds) < 3:
+        kinds += "s" * (3 - len(kinds))
+    steps = [
+        draw(st.sampled_from([1.0, 0.5, 2.0])) if kind == "s" else draw(st.floats(0.05, 0.4))
+        for kind in kinds
+    ]
+    ts = from_points(np.cumsum([0.0] + steps).tolist(), kinds)
+    n = draw(st.sampled_from([1, 2]))
+    rho, c = draw(st.sampled_from([0.05, 0.1, 0.3])), draw(st.sampled_from([0.0, 0.05, 0.2]))
+    if n == 1:
+        cost, g, x_a = f"exp(-{rho}*t)*(v1^2 + x1^2) + {c}*z", "x1^2 + 0.5*v1^2", (1.0,)
+    else:
+        cost = f"exp(-{rho}*t)*(v1^2 + x1^2 + v2^2 + x2^2 - 0.5*x1*x2) + {c}*z"
+        g, x_a = "x1^2 + 0.5*v2^2", (1.0, -0.5)
+    T = draw(st.sampled_from([ts.points[len(ts) // 2], ts.points[-1]]))
+    terminal = draw(st.sampled_from([FREE, PINNED(*[0.25] * n)]))
+    opts = SolveOptions(T_trunc=T, terminal_mode=terminal, grad_tol=1e-9)
+    return ts, n, cost, g, x_a, opts
+
+
+class TestSelfCheck:
+    @given(mirror_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_a_converged_solve_passes_its_own_check(self, case):
+        ts, n, cost, g, x_a, opts = case
+        p_min = Problem.from_strings(ts, n, cost, g, x_a, Sense.MIN)
+        p_max = Problem.from_strings(ts, n, f"-({cost})", g, x_a, Sense.MAX)
+        reports = []
+        for p in (p_min, p_max):
+            x, info = direct_solve(p, opts, with_info=True)
+            assert info.converged
+            report = residual_report(p, x, opts.T_trunc)
+            assert report.max_pointwise <= 1e-6  # the run files' default tolerance
+            reports.append((x, report))
+        (x_min, r_min), (x_max, r_max) = reports
+        assert np.array_equal(x_min.values, x_max.values)
+        for name in ("pointwise_rows", "el_pointwise", "el_integral", "trans_T1", "trans_T2"):
+            assert np.array_equal(getattr(r_min, name), getattr(r_max, name))
+
+    def test_alternating_steps_optimum_reads_stationary(self):
+        # steps alternating h and 3h over [0, 1], pinned -(v1^2) - x1^2: the
+        # discrete optimum's O(h^2) error alternates, so no second-difference
+        # stencil certifies it; the rows read its stationarity, and the
+        # integral form's spread falls at O(h)
+        spreads = []
+        for pairs in (20, 40, 80, 160):
+            pts = np.concatenate([[0.0], np.cumsum([1.0, 3.0] * pairs)]) / (4.0 * pairs)
+            pts[-1] = 1.0
+            ts = from_points(pts.tolist(), "d" * (2 * pairs))
+            p = make("-(v1^2)-x1^2", ts=ts)
+            opts = SolveOptions(T_trunc=1.0, terminal_mode=PINNED(1.0), grad_tol=1e-9)
+            x, info = direct_solve(p, opts, with_info=True)
+            assert info.converged
+            report = residual_report(p, x)
+            assert report.pointwise_rows.tolist() == list(range(1, 2 * pairs))
+            assert report.max_pointwise <= 1e-8
+            spreads.append(report.max_spread)
+        assert all(fine <= coarse / 1.9 for coarse, fine in zip(spreads, spreads[1:]))
+
+
 def tail_rows(F, n):
     """The rows ``_band_solve`` leaves to its dense tail, and the levels of
     cyclic reduction above it."""
@@ -771,7 +855,7 @@ def flat_objectives(p, opts, value_grid):
     by lexicographic id, -inf where it is not finite."""
     eng = _Engine(p, opts)
     grid = np.array(sorted(set(float(v) for v in value_grid)))
-    G, F, K, w = grid.size, len(eng.free), eng.K, eng.w
+    G, F, K, w = grid.size, eng.last * eng.n, eng.K, eng.w
     weights = G ** np.arange(F - 1, -1, -1, dtype=np.int64)
     base = eng.initial_values()
     vals = np.empty(G**F)
@@ -779,7 +863,7 @@ def flat_objectives(p, opts, value_grid):
         for start in range(0, G**F, 4096):
             ids = np.arange(start, min(start + 4096, G**F), dtype=np.int64)
             xb = np.tile(base[: K + 1], (ids.size, 1, 1))
-            for i, (j, c) in enumerate(eng.free):
+            for i, (j, c) in enumerate(free_coordinates(eng.p, eng.opts)):
                 xb[:, j, c] = grid[(ids // weights[i]) % G]
             out = evaluate_many(
                 p.kernel("J", check=False), eng._env(xb), lambda g: np.cumsum(w[1:] * g, axis=-1)
@@ -1007,16 +1091,17 @@ class TestHorizonStudy:
     def test_a_nan_residual_row_makes_the_maximum_nan(self, monkeypatch):
         # a NaN in a reported row past the first is not skipped, as the
         # maximum over a list starting at 0.0 did
-        original = _ELCore.pointwise
+        original = _ELCore.stationarity
 
         def with_nan(self):
-            R = original(self).copy()
-            R[3] = np.nan
-            return R
+            rows, R = original(self)
+            R = R.copy()
+            R[1] = np.nan
+            return rows, R
 
         p = make("-(v1^2)", ts=integers(0, 6))
         (clean,) = horizon_study(p, [6.0], SolveOptions(T_trunc=6.0))
-        monkeypatch.setattr(_ELCore, "pointwise", with_nan)
+        monkeypatch.setattr(_ELCore, "stationarity", with_nan)
         (row,) = horizon_study(p, [6.0], SolveOptions(T_trunc=6.0))
         assert math.isfinite(clean.max_el_residual)
         assert math.isnan(row.max_el_residual)
@@ -1050,10 +1135,9 @@ class TestHorizonStudy:
             assert row.info == info
             K = ts.index_of(T)
             max_res = 0.0
-            for j in el_report_indices(ts):
-                if j <= K:
-                    r = el_residual_pointwise(p, x, ts.points[j], T)
-                    max_res = max(max_res, float(np.max(np.abs(r))))
+            for j in el_report_indices(ts, K):
+                r = el_residual_pointwise(p, x, ts.points[j], T)
+                max_res = max(max_res, float(np.max(np.abs(r))))
             assert row.max_el_residual == max_res
             assert row.trans_T1 == abs(transversality_residual_T1(p, x, T))
             assert row.trans_T2 == abs(transversality_residual_T2(p, x, T))
@@ -1064,14 +1148,15 @@ class TestHorizonStudy:
         x, info = direct_solve(p, opts, with_info=True)
         assert info.converged
         report = residual_report(p, x, 6.0)
-        # rows 0 and 1 read the copied derivative at the minimum (2.2 and 1.5 here)
+        # row 0 reads the pinned start, x(rho(0)) = x(0); row 1 is the
+        # stationarity in x(0.25) and reads no derivative at the minimum; rows
+        # 1.0 and 2.0 both read x(1.0), each over its own step
         t = ts.points_array[report.pointwise_rows]
-        assert t.tolist() == list(ts.points[2:])
-        # on the integer tail the optimum meets the residual to solver accuracy;
-        # the dense rows and the first step after them carry the O(h) error of
-        # the backward stencil on sampled gaps (0.14 to 0.57 at h = 0.25)
+        assert t.tolist() == list(ts.points[1:])
+        # every row is the solver's own first-order condition, dense and
+        # junction rows included, so the optimum meets all of them
         assert np.max(np.abs(report.el_pointwise[t >= 3.0, 0])) < 1e-8
-        assert report.max_pointwise < 0.6
+        assert report.max_pointwise < 1e-8
 
     def test_truncations_must_increase(self):
         p = make("1", ts=integers(0, 4))

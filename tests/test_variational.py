@@ -13,9 +13,10 @@ from nablats.calculus import (
     liminf_estimate,
     nabla_derivative_fn,
     nabla_integral,
+    nabla_quotients,
 )
 from nablats.expressions import ExprDomainError, evaluate_many
-from nablats.timescale import GapKind, from_points, integers, sampled_interval
+from nablats.timescale import GapKind, from_points, integers, q_scale, sampled_interval
 from nablats.variational import (
     AdmissibilityError,
     Problem,
@@ -25,7 +26,6 @@ from nablats.variational import (
     Trajectory,
     compute_z,
     el_report_indices,
-    el_residual_integral,
     el_residual_pointwise,
     evaluate_functional_partial,
     finite_horizon_el_residual,
@@ -222,12 +222,120 @@ class TestPointwiseResidual:
         with pytest.raises(OutsideKappaError):
             el_residual_pointwise(p, linear_trajectory(p), 0.0, 5.0)
 
+    def test_unreported_rows_raise(self):
+        p = make_problem()
+        x = linear_trajectory(p)
+        for t, T in ((4.0, 3.0), (1.0, 5.0)):  # past T'; x(rho(1)) is the pinned start
+            with pytest.raises(ProblemError):
+                el_residual_pointwise(p, x, t, T)
+        q = make_problem(ts=sampled_interval(0.0, 1.0, 4))
+        for t in (0.0, 0.5):  # the pinned start, and the free end at T' = 0.5
+            with pytest.raises(ProblemError):
+                el_residual_pointwise(q, linear_trajectory(q), t, 0.5)
+        assert el_residual_pointwise(q, linear_trajectory(q), 0.25, 0.5)[0] == 0.0
+
     def test_report_indices_skip_min_successor_on_scattered_start(self):
+        # row j reads the condition in x(rho(t_j)): row 1 of a scattered start
+        # reads the pinned start x(0)
         assert el_report_indices(integers(0, 5)) == (2, 3, 4, 5)
-        # a dense start keeps the minimum in kappa, but rows 0 and 1 still
-        # read the copied derivative at the minimum
+        assert el_report_indices(integers(0, 5), 3) == (2, 3)
+        # on a dense start x(rho(t_j)) = x(t_j): row 0 is the pinned start,
+        # and the left-dense end row is the free end, carried by T1
         ts = sampled_interval(0.0, 1.0, 4)
-        assert el_report_indices(ts) == (2, 3, 4)
+        assert el_report_indices(ts) == (1, 2, 3)
+        assert el_report_indices(ts, 2) == (1,)
+
+
+def stencil_residual(p, x, T_prime):
+    """The second-difference stencil the pointwise rows replaced, as an
+    oracle: gx*I - (gv*I)^nabla + Lx - Lv^nabla with I(t) the integral of
+    Lz over (rho(t), T'], on every grid row (m, n)."""
+    core = _ELCore(p, x, T_prime)
+    w = p.ts.local_steps
+    dG = nabla_quotients(core.gv * core.I, w)
+    return core.gx * core.I - dG + core.Lx - nabla_quotients(core.Lv, w)
+
+
+def fd_stationarity(p, x, T_prime, j, h=1e-5):
+    """Central differences of the maximized objective truncated at T' in
+    x(rho(t_j)), divided by the step t_j - t_{j-1}: independent of the
+    symbolic partials."""
+    sign = -1.0 if p.sense is Sense.MIN else 1.0
+    i = p.ts.rho_indices[j]
+    out = np.empty(p.n)
+    for c in range(p.n):
+        vals = []
+        for step in (h, -h):
+            moved = x.values.copy()
+            moved[i, c] += step
+            vals.append(evaluate_functional_partial(p, Trajectory.from_values(p, moved), T_prime))
+        out[c] = sign * (vals[0] - vals[1]) / (2.0 * h) / p.ts.local_steps[j]
+    return out
+
+
+#: z-coupled problems for the stationarity oracles: n -> (L, g, x_a)
+COUPLED = {
+    1: ("exp(-0.1*t)*(-(v1^2) - x1^2) - 0.1*z*x1", "x1^2 + v1", (0.5,)),
+    2: ("exp(-0.1*t)*(-(v1^2) - x1^2 - v2^2 + 0.5*x1*x2) - 0.1*z", "x1^2 + x2*v1", (1.0, -0.5)),
+}
+
+
+class TestStationarityRows:
+    @pytest.mark.parametrize("grid", ["integers", "q_scale", "mixed"])
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("sense", [Sense.MAX, Sense.MIN])
+    def test_matches_the_stencil_where_t_and_its_predecessor_are_scattered(self, grid, n, sense):
+        ts = {
+            "integers": integers(0, 12),
+            "q_scale": q_scale(1.3, 1.0, 12),
+            "mixed": from_points(
+                [0.0, 0.2, 0.3, 0.6, 1.0, 2.0, 3.0, 3.5, 3.6, 3.8, 4.8, 5.8, 7.0],
+                "ddddsssddsss",
+            ),
+        }[grid]
+        L, g, x_a = COUPLED[n]
+        p = Problem.from_strings(ts, n, L if sense is Sense.MAX else f"-({L})", g, x_a, sense)
+        both = [j for j in range(2, len(ts)) if ts.rho_indices[j - 1] == j - 2
+                and ts.rho_indices[j] == j - 1]
+        for seed in range(3):
+            x = random_trajectory(p, seed)
+            for T in (ts.points[len(ts) // 2], ts.points[-1]):
+                report = residual_report(p, x, T)
+                rows = report.pointwise_rows.tolist()
+                R = stencil_residual(p, x, T)
+                checked = [j for j in both if j in rows]
+                assert checked
+                for j in checked:
+                    got = report.el_pointwise[rows.index(j)]
+                    np.testing.assert_allclose(got, R[j], rtol=1e-12,
+                                               atol=1e-12 * np.max(np.abs(R[checked])))
+        if grid != "mixed":  # every reported row of a scattered grid
+            assert both[0] == 2 and both == list(el_report_indices(ts))
+
+    @pytest.mark.parametrize("case", ["mixed", "dense_start", "alternating", "q_scale"])
+    @pytest.mark.parametrize("sense", [Sense.MAX, Sense.MIN])
+    def test_every_row_is_the_derivative_of_the_truncated_objective(self, case, sense):
+        # dense and junction rows included: row j is the derivative of the
+        # objective truncated at T' in x(rho(t_j)), over the step to t_j
+        if case == "mixed":
+            p = mixed_problem(sense)
+        else:
+            ts = {
+                "dense_start": from_points([k / 8 for k in range(9)] + [2.0, 3.0, 4.0], "d" * 8 + "ss" + "s"),
+                "alternating": from_points(np.cumsum([0.0] + [0.1, 0.3] * 5).tolist(), "d" * 10),
+                "q_scale": q_scale(1.3, 1.0, 10),
+            }[case]
+            L, g, x_a = COUPLED[1]
+            p = Problem.from_strings(ts, 1, L if sense is Sense.MAX else f"-({L})", g, x_a, sense)
+        ts = p.ts
+        x = random_trajectory(p, 5)
+        for T in (ts.points[len(ts) // 2], ts.points[-1]):
+            report = residual_report(p, x, T)
+            rows = report.pointwise_rows.tolist()
+            k = ts.index_of(T)
+            assert rows == [j for j in range(1, k + 1) if 0 < ts.rho_indices[j] < k]
+            for j, got in zip(rows, report.el_pointwise):
+                np.testing.assert_allclose(got, fd_stationarity(p, x, T, j), rtol=1e-6, atol=1e-6)
 
 
 class TestIntegralForm:
@@ -236,32 +344,37 @@ class TestIntegralForm:
         slope = 1.5
         p = make_problem()
         x = linear_trajectory(p, slope)
-        for t in (1.0, 2.0, 3.0, 4.0, 5.0):
-            val = el_residual_integral(p, x, t, 5.0)[0]
+        report = residual_report(p, x, 5.0)
+        assert report.integral_rows.tolist() == [1, 2, 3, 4, 5]
+        for val in report.el_integral[:, 0]:
             assert val == pytest.approx(-2 * slope, rel=1e-14)
-        spread = residual_report(p, x, 5.0).el_integral_constant_spread
+        spread = report.el_integral_constant_spread
         assert spread[0] <= 1e-14
 
     def test_equivalence_of_forms_at_scattered_points(self):
         # nabla derivative of the integral form = -(pointwise residual), an
-        # algebraic identity that must hold for arbitrary trajectories
+        # algebraic identity that must hold for arbitrary trajectories where
+        # t and its predecessor are left-scattered (t = 3.0, 4.5, 6.0)
         ts = from_points(
-            [0.0, 1.0, 1.25, 1.5, 2.5, 3.0, 4.5],
-            ["s", "d", "d", "s", "s", "s"],
+            [0.0, 1.0, 1.25, 1.5, 2.5, 3.0, 4.5, 6.0],
+            ["s", "d", "d", "s", "s", "s", "s"],
         )
         p = Problem.from_strings(ts, 1, "-(v1^2) - z - x1^2/4", "x1^2 + x1*v1/2", 0.5)
         rng = np.random.default_rng(7)
         vals = np.concatenate([[0.5], rng.uniform(-1, 1, len(ts) - 1)])[:, None]
         x = Trajectory.from_values(p, vals)
         T = ts.points[-1]
+        report = residual_report(p, x, T)
+        F = dict(zip(report.integral_rows.tolist(), report.el_integral[:, 0]))
+        checked = []
         for j, t in enumerate(ts.points):
-            if j == 0 or ts.gap_kinds[j - 1] is not GapKind.SCATTERED:
+            if j < 2 or GapKind.DENSE_SAMPLE in ts.gap_kinds[j - 2 : j]:
                 continue
-            F_t = el_residual_integral(p, x, t, T)[0]
-            F_prev = el_residual_integral(p, x, ts.points[j - 1], T)[0]
-            dF = (F_t - F_prev) / ts.local_steps[j]
+            checked.append(t)
+            dF = (F[j] - F[j - 1]) / ts.local_steps[j]
             R = el_residual_pointwise(p, x, t, T)[0]
             assert abs(dF + R) <= 1e-8 * max(1.0, abs(dF), abs(R))
+        assert checked == [3.0, 4.5, 6.0]
 
 
 class TestTransversality:
@@ -371,9 +484,10 @@ class TestClassicalLimit:
         assert r_coarse <= 1e-12
         assert r_fine <= max(r_coarse / 1.8, 1e-12)
 
-    def test_curved_extremal_residual_is_first_order(self):
-        # L = -(v1^2) - x1^2 has extremal sinh(t); the sampled residual
-        # shrinks linearly with the step
+    def test_curved_extremal_residual_is_second_order(self):
+        # L = -(v1^2) - x1^2 has extremal sinh(t); a row reads the first-order
+        # condition of the sampled problem, which the sampled extremal meets
+        # to O(h^2) on a uniform dense grid
         def max_residual(n):
             ts = sampled_interval(0.0, 1.0, n)
             p = Problem.from_strings(ts, 1, "-(v1^2) - x1^2", "0", 0.0)
@@ -381,7 +495,7 @@ class TestClassicalLimit:
             return residual_report(p, x).max_pointwise
 
         r_coarse, r_fine = max_residual(64), max_residual(128)
-        assert r_fine <= r_coarse / 1.8
+        assert r_fine <= r_coarse / 3.5
 
 
 class TestResidualReport:
@@ -452,8 +566,9 @@ def per_row_report(p, x, T_prime):
     ts = p.ts
     core = _ELCore(p, x, T_prime)
     k = core.k
-    R, F = core.pointwise(), core.integral_form()
-    rows_pw = [j for j in el_report_indices(ts) if j <= k]
+    F = core.integral_form()
+    # row j reads x(rho(t_j)), neither the pinned start nor the free end
+    rows_pw = [j for j in range(1, k + 1) if 0 < ts.rho_indices[j] < k]
     rows_int = [j for j in ts.kappa_indices if j <= k]
     spread = F[rows_int].max(axis=0) - F[rows_int].min(axis=0)
 
@@ -462,7 +577,8 @@ def per_row_report(p, x, T_prime):
         return float(x.values[j] @ bracket)
 
     return {
-        "el_pointwise": [(ts.points[j], R[j]) for j in rows_pw],
+        "el_pointwise": [(ts.points[j], el_residual_pointwise(p, x, ts.points[j], T_prime))
+                         for j in rows_pw],
         "el_integral": [(ts.points[j], F[j]) for j in rows_int],
         "spread": spread,
         "trans_T1": [(ts.points[j], t1(j)) for j in range(1, k + 1)],
@@ -514,7 +630,9 @@ class TestReportArrays:
         assert report.trans_T2.tolist() == [v for _, v in oracle["trans_T2"]]
         k = len(report.trans_T1)
         assert [ts.points[j] for j in range(1, k + 1)] == [t for t, _ in oracle["trans_T1"]]
-        assert report.max_pointwise == max(float(np.max(np.abs(r))) for _, r in oracle["el_pointwise"])
+        assert report.max_pointwise == max(
+            (float(np.max(np.abs(r))) for _, r in oracle["el_pointwise"]), default=0.0
+        )
         d = tmp_path_factory.mktemp("report")
         report.write_csv(d / "new.csv")
         per_row_report_csv(oracle, float(T_prime), d / "old.csv")
