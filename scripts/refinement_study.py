@@ -3,9 +3,10 @@
 
 For the objective J = integral of -( (x^nabla)^2 + (x^rho)^2 ), whose
 continuum extremal is x(t) = sinh(t), the script evaluates the pointwise
-residual at the sampled extremal on sampled_interval(0, 1, n).  A row of
-that residual is the derivative of the sampled objective in x(t_j),
-divided by the step: the first-order condition of the sampled problem.
+residual at the sampled extremal on sampled_interval(0, 1, n).  The row at
+t_j of that residual is the derivative of the sampled objective in
+x(t_{j-1}), divided by the step: the first-order condition of the sampled
+problem.
 On a uniform grid it is a centred second difference, so at the sampled
 extremal it shrinks with the square of the step (a ratio near 4 per
 halving).  The script also solves the pinned problem at one resolution and

@@ -10,8 +10,10 @@ file format):
 ``check-el CONFIG --trajectory CSV [--form pointwise|integral|finite] [--Tprime T]``
     First-order residual report for a stored trajectory; writes the full
     residual CSV and passes or fails on the chosen residual family.  A
-    ``pointwise`` row at t is the derivative in x(rho(t)) of the objective
-    truncated at T', over the step to t: the condition ``solve`` zeros.
+    ``pointwise`` row at t is the derivative in x at the grid point before t
+    of the objective truncated at T', over the step to t: the condition
+    ``solve`` zeros, one row for each state value between the pinned start
+    and T'.
     ``finite`` is the finite-horizon residual at T', which is the pointwise
     residual with its tail integrals cut at T', so it gives the same
     statistic as ``pointwise``.

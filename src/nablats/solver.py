@@ -589,7 +589,7 @@ def horizon_study(p: Problem, truncations, opts: SolveOptions) -> list[HorizonRo
         x, info = direct_solve(p, o, with_info=True)
         with np.errstate(all="ignore"):  # overflow gives inf or NaN, as in residual_report
             core = _ELCore(p, x, T)
-            _, reported = core.stationarity()
+            reported = core.stationarity()
             t1, t2 = core.transversality(slice(core.k, core.k + 1))
         rows.append(
             HorizonRow(

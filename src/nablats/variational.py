@@ -14,10 +14,11 @@ rho(t), ``v1..vn`` its nabla derivative, and ``z`` the accumulated integral.
 This module evaluates truncated functionals and the first-order optimality
 residuals:
 
-* the pointwise Euler-Lagrange residual at horizon T': row j is the
-  derivative in x(rho(t_j)) of the objective truncated at T', over the step
-  t_j - t_{j-1}, the solver's own condition (``objective_gradient``); where
-  t_j and its predecessor are left-scattered it is the paper's
+* the pointwise Euler-Lagrange residual at horizon T': row j = 2..k is the
+  derivative in x(t_{j-1}) of the objective truncated at T', over the step
+  t_j - t_{j-1}, the solver's own condition (``objective_gradient``), one
+  row per free state value; where t_j and its predecessor are left-scattered
+  (so t_{j-1} = rho(t_j)) it is the paper's
       gx*I - (gv*I)^nabla + Lx - Lv^nabla,     I(t) = int_{rho(t)}^{T'} Lz,
   and on dense runs the integral form reads the continuous condition.  The
   finite-horizon residual at T' (``check-el --form finite``) is this
@@ -378,18 +379,17 @@ class _ELCore:
         # I[j] = integral of Lz over (rho(t_j), T'], one column per component
         self.I = (P[k] - P[ts.rho_indices])[:, None]
 
-    def stationarity(self) -> tuple[np.ndarray, np.ndarray]:
-        """The pointwise residual: the rows ``el_report_indices(ts, k)`` and,
-        on them, dJ_{T'}/dx(rho(t_j)) / w_j, (rows, n), from
-        ``objective_gradient`` with the exact tail sums P[k] - P[j - 1]."""
+    def stationarity(self) -> np.ndarray:
+        """The pointwise residual on rows 2..k (``el_report_indices``), (k - 1, n):
+        row j is dJ_{T'}/dx(t_{j-1}) / w_j, from ``objective_gradient`` with
+        the exact tail sums P[k] - P[j - 1]."""
         ts, k = self.ts, self.k
         live = slice(1, k + 1)
         G = objective_gradient(
             self.Lx[live], self.Lv[live], self.gx[live], self.gv[live], self.P[k] - self.P[:k],
             ts.local_steps[live], ts.rho_indices[live] < np.arange(1, k + 1),
         )
-        rows = np.asarray(el_report_indices(ts, k), dtype=np.intp)
-        return rows, G[ts.rho_indices[rows] - 1] / ts.local_steps[rows, None]
+        return G[:-1] / ts.local_steps[2 : k + 1, None]
 
     def integral_form(self) -> np.ndarray:
         """Dubois-Reymond form array (m, n): constant in t at a maximizer."""
@@ -404,15 +404,14 @@ class _ELCore:
 
 
 def el_report_indices(ts: TimeScale, k: int | None = None) -> tuple[int, ...]:
-    """The rows j <= k (default: the last row) of the pointwise residual.
+    """The rows 2..k (k default: the last row) of the pointwise residual.
 
-    Row j reads the first-order condition in x(rho(t_j)), so it is reported
-    when rho(t_j) is neither the pinned start nor the free end t_k, whose
-    condition T1 carries.  On scattered grids these are rows 2..k.
+    Row j reads the first-order condition in x(t_{j-1}), so each state value
+    the objective truncated at t_k leaves free has one row: x(t_0) is the
+    pinned start, and the condition of the free end x(t_k) T1 carries.
     """
     k = len(ts) - 1 if k is None else k
-    rho = ts.rho_indices[: k + 1]
-    return tuple(np.flatnonzero((rho > 0) & (rho < k)).tolist())
+    return tuple(range(2, k + 1))
 
 
 def _abs_max(a: np.ndarray) -> float:
@@ -435,11 +434,10 @@ def finite_horizon_el_residual(p: Problem, x: Trajectory, b: float, t: float) ->
 def el_residual_pointwise(p: Problem, x: Trajectory, t: float, T_prime: float) -> np.ndarray:
     """Pointwise residual at t, a row of ``el_report_indices`` at T' >= t."""
     j = _require_kappa(p.ts, t)
-    rows, R = _ELCore(p, x, T_prime).stationarity()
-    if j not in rows:
-        raise ProblemError(f"t={t!r} is past T_prime={T_prime!r}, or x(rho(t)) is the "
-                           "pinned start or the free end")
-    return R[np.searchsorted(rows, j)]
+    if not 2 <= j <= p.ts.index_of(T_prime):
+        raise ProblemError(f"t={t!r} is not a pointwise row at T_prime={T_prime!r}: "
+                           "rows run from the third grid point to T'")
+    return _ELCore(p, x, T_prime).stationarity()[j - 2]
 
 
 def transversality_residual_T1(p: Problem, x: Trajectory, T_prime: float) -> float:
@@ -540,8 +538,8 @@ def residual_report(p: Problem, x: Trajectory, T_prime: float | None = None) -> 
         F = core.integral_form()[rows_int]
         spread = F.max(axis=0) - F.min(axis=0)
         t1, t2 = core.transversality(slice(1, k + 1))
-        rows_pw, R = core.stationarity()
-        return ResidualReport(float(T_prime), ts, rows_pw, R, rows_int, F, spread, t1, t2)
+        R = core.stationarity()
+        return ResidualReport(float(T_prime), ts, np.arange(2, k + 1), R, rows_int, F, spread, t1, t2)
 
 
 def _write_csv_lines(path, lines: list[str]) -> None:

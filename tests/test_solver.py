@@ -747,7 +747,7 @@ class TestSelfCheck:
             x, info = direct_solve(p, opts, with_info=True)
             assert info.converged
             report = residual_report(p, x)
-            assert report.pointwise_rows.tolist() == list(range(1, 2 * pairs))
+            assert report.pointwise_rows.tolist() == list(range(2, 2 * pairs + 1))
             assert report.max_pointwise <= 1e-8
             spreads.append(report.max_spread)
         assert all(fine <= coarse / 1.9 for coarse, fine in zip(spreads, spreads[1:]))
@@ -1094,10 +1094,9 @@ class TestHorizonStudy:
         original = _ELCore.stationarity
 
         def with_nan(self):
-            rows, R = original(self)
-            R = R.copy()
+            R = original(self).copy()
             R[1] = np.nan
-            return rows, R
+            return R
 
         p = make("-(v1^2)", ts=integers(0, 6))
         (clean,) = horizon_study(p, [6.0], SolveOptions(T_trunc=6.0))
@@ -1148,11 +1147,11 @@ class TestHorizonStudy:
         x, info = direct_solve(p, opts, with_info=True)
         assert info.converged
         report = residual_report(p, x, 6.0)
-        # row 0 reads the pinned start, x(rho(0)) = x(0); row 1 is the
-        # stationarity in x(0.25) and reads no derivative at the minimum; rows
-        # 1.0 and 2.0 both read x(1.0), each over its own step
+        # row j reads x(t_{j-1}): the row at 0.5 is the stationarity in
+        # x(0.25), and no row reads the pinned start or a derivative at the
+        # minimum; x(1.0), before the first scattered gap, has one row, at 2.0
         t = ts.points_array[report.pointwise_rows]
-        assert t.tolist() == list(ts.points[1:])
+        assert t.tolist() == list(ts.points[2:])
         # every row is the solver's own first-order condition, dense and
         # junction rows included, so the optimum meets all of them
         assert np.max(np.abs(report.el_pointwise[t >= 3.0, 0])) < 1e-8

@@ -37,7 +37,7 @@ from nablats.variational import (
     transversality_residual_T2,
     weak_max_compare,
 )
-from nablats.variational import _ELCore, _running_objective
+from nablats.variational import _abs_max, _ELCore, _running_objective
 
 
 def make_problem(L="-(v1^2)", g="0", ts=None, x_a=0.0, sense=Sense.MAX):
@@ -225,25 +225,23 @@ class TestPointwiseResidual:
     def test_unreported_rows_raise(self):
         p = make_problem()
         x = linear_trajectory(p)
-        for t, T in ((4.0, 3.0), (1.0, 5.0)):  # past T'; x(rho(1)) is the pinned start
+        for t, T in ((4.0, 3.0), (1.0, 5.0)):  # past T'; row 1 reads the pinned start
             with pytest.raises(ProblemError):
                 el_residual_pointwise(p, x, t, T)
         q = make_problem(ts=sampled_interval(0.0, 1.0, 4))
-        for t in (0.0, 0.5):  # the pinned start, and the free end at T' = 0.5
+        for t in (0.0, 0.25, 0.75):  # rows 0 and 1 on a dense start, and past T' = 0.5
             with pytest.raises(ProblemError):
                 el_residual_pointwise(q, linear_trajectory(q), t, 0.5)
-        assert el_residual_pointwise(q, linear_trajectory(q), 0.25, 0.5)[0] == 0.0
+        assert el_residual_pointwise(q, linear_trajectory(q), 0.5, 0.5)[0] == 0.0
 
     def test_report_indices_skip_min_successor_on_scattered_start(self):
-        # row j reads the condition in x(rho(t_j)): row 1 of a scattered start
-        # reads the pinned start x(0)
+        # row j reads the condition in x(t_{j-1}): row 1 would read the
+        # pinned start x(0), on a scattered start as on a dense one
         assert el_report_indices(integers(0, 5)) == (2, 3, 4, 5)
         assert el_report_indices(integers(0, 5), 3) == (2, 3)
-        # on a dense start x(rho(t_j)) = x(t_j): row 0 is the pinned start,
-        # and the left-dense end row is the free end, carried by T1
         ts = sampled_interval(0.0, 1.0, 4)
-        assert el_report_indices(ts) == (1, 2, 3)
-        assert el_report_indices(ts, 2) == (1,)
+        assert el_report_indices(ts) == (2, 3, 4)
+        assert el_report_indices(ts, 2) == (2,)
 
 
 def stencil_residual(p, x, T_prime):
@@ -258,10 +256,10 @@ def stencil_residual(p, x, T_prime):
 
 def fd_stationarity(p, x, T_prime, j, h=1e-5):
     """Central differences of the maximized objective truncated at T' in
-    x(rho(t_j)), divided by the step t_j - t_{j-1}: independent of the
+    x(t_{j-1}), divided by the step t_j - t_{j-1}: independent of the
     symbolic partials."""
     sign = -1.0 if p.sense is Sense.MIN else 1.0
-    i = p.ts.rho_indices[j]
+    i = j - 1
     out = np.empty(p.n)
     for c in range(p.n):
         vals = []
@@ -271,6 +269,44 @@ def fd_stationarity(p, x, T_prime, j, h=1e-5):
             vals.append(evaluate_functional_partial(p, Trajectory.from_values(p, moved), T_prime))
         out[c] = sign * (vals[0] - vals[1]) / (2.0 * h) / p.ts.local_steps[j]
     return out
+
+
+def junction_grid():
+    """A dense start, scattered gaps, and a dense run after them: x(3.5) is
+    rho of no grid point."""
+    return from_points([0.0, 0.2, 0.3, 0.6, 1.0, 2.0, 3.0, 3.5, 3.6, 3.8, 4.8, 5.8, 7.0],
+                       "ddddsssddsss")
+
+
+def held_optimum(p, T_prime, held, value):
+    """The state that makes the objective truncated at T' stationary in every
+    value x(t_1)..x(t_k) but x(t_held), which is held at ``value``, for an
+    objective quadratic in the state: its gradient and Hessian from its own
+    differences at unit steps, exact up to rounding and independent of the
+    symbolic partials."""
+    k, n = p.ts.index_of(T_prime), p.n
+    base = np.tile(p.x_a_array, (len(p.ts), 1))
+
+    def J(u):
+        vals = base.copy()
+        vals[1 : k + 1] += u.reshape(k, n)
+        return evaluate_functional_partial(p, Trajectory.from_values(p, vals), T_prime)
+
+    E = np.eye(k * n)
+    J0, up, down = J(np.zeros(k * n)), [J(e) for e in E], [J(-e) for e in E]
+    b = (np.array(up) - down) / 2.0
+    H = np.diag(np.array(up) + down - 2.0 * J0)
+    for a in range(k * n):
+        for c in range(a):
+            H[a, c] = H[c, a] = J(E[a] + E[c]) - up[a] - up[c] + J0
+    fixed = [(held - 1) * n + c for c in range(n)]
+    free = [a for a in range(k * n) if a not in fixed]
+    u = np.zeros(k * n)
+    u[fixed] = np.asarray(value) - base[held]
+    u[free] = np.linalg.solve(H[np.ix_(free, free)], -b[free] - H[np.ix_(free, fixed)] @ u[fixed])
+    vals = base.copy()
+    vals[1 : k + 1] += u.reshape(k, n)
+    return Trajectory.from_values(p, vals)
 
 
 #: z-coupled problems for the stationarity oracles: n -> (L, g, x_a)
@@ -288,10 +324,7 @@ class TestStationarityRows:
         ts = {
             "integers": integers(0, 12),
             "q_scale": q_scale(1.3, 1.0, 12),
-            "mixed": from_points(
-                [0.0, 0.2, 0.3, 0.6, 1.0, 2.0, 3.0, 3.5, 3.6, 3.8, 4.8, 5.8, 7.0],
-                "ddddsssddsss",
-            ),
+            "mixed": junction_grid(),
         }[grid]
         L, g, x_a = COUPLED[n]
         p = Problem.from_strings(ts, n, L if sense is Sense.MAX else f"-({L})", g, x_a, sense)
@@ -312,11 +345,12 @@ class TestStationarityRows:
         if grid != "mixed":  # every reported row of a scattered grid
             assert both[0] == 2 and both == list(el_report_indices(ts))
 
-    @pytest.mark.parametrize("case", ["mixed", "dense_start", "alternating", "q_scale"])
+    @pytest.mark.parametrize("case", ["mixed", "junction", "dense_start", "alternating", "q_scale"])
     @pytest.mark.parametrize("sense", [Sense.MAX, Sense.MIN])
     def test_every_row_is_the_derivative_of_the_truncated_objective(self, case, sense):
         # dense and junction rows included: row j is the derivative of the
-        # objective truncated at T' in x(rho(t_j)), over the step to t_j
+        # objective truncated at T' in x(t_{j-1}), over the step to t_j, so
+        # every state value T' leaves free, x(t_1)..x(t_{k-1}), has one row
         if case == "mixed":
             p = mixed_problem(sense)
         else:
@@ -324,6 +358,7 @@ class TestStationarityRows:
                 "dense_start": from_points([k / 8 for k in range(9)] + [2.0, 3.0, 4.0], "d" * 8 + "ss" + "s"),
                 "alternating": from_points(np.cumsum([0.0] + [0.1, 0.3] * 5).tolist(), "d" * 10),
                 "q_scale": q_scale(1.3, 1.0, 10),
+                "junction": junction_grid(),
             }[case]
             L, g, x_a = COUPLED[1]
             p = Problem.from_strings(ts, 1, L if sense is Sense.MAX else f"-({L})", g, x_a, sense)
@@ -333,9 +368,30 @@ class TestStationarityRows:
             report = residual_report(p, x, T)
             rows = report.pointwise_rows.tolist()
             k = ts.index_of(T)
-            assert rows == [j for j in range(1, k + 1) if 0 < ts.rho_indices[j] < k]
+            assert [j - 1 for j in rows] == list(range(1, k))
             for j, got in zip(rows, report.el_pointwise):
                 np.testing.assert_allclose(got, fd_stationarity(p, x, T, j), rtol=1e-6, atol=1e-6)
+
+    @pytest.mark.parametrize("case", ["junction", "mixed"])
+    def test_a_wrong_value_after_a_scattered_gap_before_a_dense_run_fails(self, case):
+        # x(t_i) after a scattered gap and before a dense run is rho of no
+        # grid point; the row at t_{i+1} reads its condition.  Held at a wrong
+        # value with every other state value stationary, only that row fails.
+        if case == "junction":
+            p, T, t = Problem.from_strings(junction_grid(), 2, *COUPLED[2]), 7.0, 3.5
+        else:
+            p, T, t = mixed_problem(), 13.0, 12.5
+        ts = p.ts
+        i = ts.index_of(t)
+        assert i not in ts.rho_indices
+        x = held_optimum(p, T, i, (2.0, 2.0))
+        report = residual_report(p, x, T)
+        rows = report.pointwise_rows.tolist()
+        assert [j - 1 for j in rows] == list(range(1, ts.index_of(T)))
+        at = rows.index(i + 1)
+        assert np.min(np.abs(report.el_pointwise[at])) > 0.05
+        assert np.max(np.abs(np.delete(report.el_pointwise, at, axis=0))) <= 1e-8
+        assert report.max_pointwise > 1e-6  # check-el fails at its default tolerance
 
 
 class TestIntegralForm:
@@ -560,6 +616,30 @@ def report_cases(draw):
     return p, x, T_prime
 
 
+def loop_stationarity(core, j):
+    """Row j of the pointwise residual, term by term: the derivative in
+    x(t_{j-1}) of the objective truncated at t_k, over the step w_j.  Terms
+    j - 1 and j read x(t_{j-1}) through v, and through x(rho(t)) where
+    rho(t) = t_{j-1}; through z each reads it with the weight S, the
+    integral of Lz from that term to t_k (by math.fsum)."""
+    w, rho, i = core.ts.local_steps, core.ts.rho_indices, j - 1
+
+    def S(r):
+        return math.fsum((w * core.Lz)[r : core.k + 1].tolist())
+
+    def through_v(r):
+        return core.Lv[r] + S(r) * core.gv[r]
+
+    def through_x(r):
+        return w[r] * (core.Lx[r] + S(r) * core.gx[r])
+
+    grad = through_v(i) - through_v(j)
+    for r in (i, j):
+        if rho[r] == i:
+            grad = grad + through_x(r)
+    return grad / w[j]
+
+
 def per_row_report(p, x, T_prime):
     """The per-row report: reported rows as (t, row) pairs, and T1 and T2
     as (t, value) pairs from one dot product per row."""
@@ -567,8 +647,8 @@ def per_row_report(p, x, T_prime):
     core = _ELCore(p, x, T_prime)
     k = core.k
     F = core.integral_form()
-    # row j reads x(rho(t_j)), neither the pinned start nor the free end
-    rows_pw = [j for j in range(1, k + 1) if 0 < ts.rho_indices[j] < k]
+    # row j reads x(t_{j-1}), neither the pinned start nor the free end
+    rows_pw = range(2, k + 1)
     rows_int = [j for j in ts.kappa_indices if j <= k]
     spread = F[rows_int].max(axis=0) - F[rows_int].min(axis=0)
 
@@ -577,8 +657,7 @@ def per_row_report(p, x, T_prime):
         return float(x.values[j] @ bracket)
 
     return {
-        "el_pointwise": [(ts.points[j], el_residual_pointwise(p, x, ts.points[j], T_prime))
-                         for j in rows_pw],
+        "el_pointwise": [(ts.points[j], loop_stationarity(core, j)) for j in rows_pw],
         "el_integral": [(ts.points[j], F[j]) for j in rows_int],
         "spread": spread,
         "trans_T1": [(ts.points[j], t1(j)) for j in range(1, k + 1)],
@@ -624,7 +703,14 @@ class TestReportArrays:
             values = getattr(report, kind)
             assert [ts.points[j] for j in rows.tolist()] == [t for t, _ in oracle[kind]]
             assert values.shape == (len(oracle[kind]), p.n)
-            assert np.array_equal(values, np.array([r for _, r in oracle[kind]]).reshape(-1, p.n))
+            expected = np.array([r for _, r in oracle[kind]]).reshape(-1, p.n)
+            if kind == "el_integral":
+                assert np.array_equal(values, expected)
+            else:  # summed in another order
+                np.testing.assert_allclose(values, expected, rtol=1e-10,
+                                           atol=1e-10 * (1.0 + _abs_max(expected)))
+        # the writer's bytes from the report's own pointwise values
+        oracle["el_pointwise"] = [(t, r) for (t, _), r in zip(oracle["el_pointwise"], report.el_pointwise)]
         assert np.array_equal(report.el_integral_constant_spread, oracle["spread"])
         assert report.trans_T1.tolist() == [v for _, v in oracle["trans_T1"]]
         assert report.trans_T2.tolist() == [v for _, v in oracle["trans_T2"]]
