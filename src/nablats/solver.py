@@ -6,7 +6,8 @@ the truncated objective by Newton's method with a backtracking line search
 (Boyd and Vandenberghe, *Convex Optimization*, section 9.5).  A brute-force
 enumerator over a finite value grid serves as an independent oracle on
 tiny instances, and a horizon study re-solves the problem at increasing
-truncations to expose the decay of the transversality residuals.
+truncations to expose the decay of the transversality residuals, each cut
+certified from the derivative pass its search ended on.
 
 The enumerator walks the tree of assignments by grid row, depth first in
 lexicographic order, so the first maximizer wins: row j's term is evaluated
@@ -27,12 +28,15 @@ negated band is not positive definite an iteration falls back to Jacobi
 scaling by the band's diagonal.
 
 Every evaluation runs on the problem's compiled kernels
-(``Problem.kernel``), through ``evaluate_many``: an iteration makes one
+(``Problem.kernel``), through ``evaluate_many``, on grid rows 1..K, the
+rows the objective truncated at t_K reads: an iteration makes one
 derivative pass, which gives the first partials for the gradient and the
 second partials for the band, and each line-search probe makes one
-objective call.  Subtrees that read only t are evaluated once per horizon,
-and a non-finite value anywhere raises ``NonFiniteObjectiveError`` naming
-the first non-finite output and its t.
+objective call.  Both sum z exactly (``running_fsum``), so the last pass is
+the first-order certificate of the solution (``variational._ELCore``) and
+the last objective its value.  Subtrees that read only t are evaluated
+once per horizon, and a non-finite value anywhere raises
+``NonFiniteObjectiveError`` naming the first non-finite output and its t.
 """
 
 from __future__ import annotations
@@ -50,11 +54,12 @@ from .expressions import ExprDomainError, evaluate_many
 from .variational import (
     Problem,
     ProblemError,
+    Sense,
     Trajectory,
+    _EL_GROUPS,
     _abs_max,
     _ELCore,
     _write_csv_lines,
-    evaluate_functional_partial,
     objective_gradient,
     path_env,
 )
@@ -220,9 +225,12 @@ class _Engine:
     def derivatives(self, x: np.ndarray) -> dict[str, np.ndarray]:
         """One kernel call at x: the first and second partials, each group
         (count, K) over grid rows 1..K, and the tail sums S of w*L_z from
-        each row to K."""
+        each row to K.  z is the exact running sum the objective takes, so
+        the partials are those ``_residual_core`` certifies, bit for bit; it
+        is summed only when the partials read it."""
         kernel = self.p.kernel(*_DERIVATIVE_GROUPS)
-        out = self._run(kernel, self._env(x), lambda g: np.cumsum(self.w[1:] * g))
+        z_sum = None if kernel.z_slot is None else (lambda g: running_fsum(self.w[1:] * g))
+        out = self._run(kernel, self._env(x), z_sum)
         d = {name: out[kernel.rows[name]] for name in _DERIVATIVE_GROUPS}
         d["S"] = np.cumsum((self.w[1:] * d["Lz"][0])[::-1])[::-1]
         return d
@@ -393,7 +401,9 @@ def direct_solve(p: Problem, opts: SolveOptions, with_info: bool = False):
     objective unchanged), ``no_progress`` (no step size passed the Armijo
     test, or the accepted step changed nothing) or ``max_iters``.  A
     non-finite tail sum, gradient or step raises
-    ``NonFiniteObjectiveError``.
+    ``NonFiniteObjectiveError``.  ``SolveInfo.objective`` is the search's
+    own objective at the solution, read as the literal integral of L: bit
+    for bit ``evaluate_functional_partial``.
     """
     eng = _Engine(p, opts)
     x = eng.initial_values()
@@ -408,7 +418,7 @@ def direct_solve(p: Problem, opts: SolveOptions, with_info: bool = False):
         iterations = it + 1
         clock = time.perf_counter()
         with np.errstate(all="ignore"):  # a non-finite pass is diagnosed below
-            d = eng.derivatives(x)  # the one derivative pass of this iteration
+            d, d_at = eng.derivatives(x), x  # the one derivative pass of this iteration
             clock = _lap(phases, "derivatives", clock)
             grad = eng.analytic_gradient(d)
             clock = _lap(phases, "gradient", clock)
@@ -453,6 +463,8 @@ def direct_solve(p: Problem, opts: SolveOptions, with_info: bool = False):
             stop = "flat"
             break
 
+    global _final_pass
+    _final_pass = (p, eng.K, x, d if d_at is x else None)
     traj = Trajectory.from_values(p, x)
     if not with_info:
         return traj
@@ -460,7 +472,8 @@ def direct_solve(p: Problem, opts: SolveOptions, with_info: bool = False):
         iterations=iterations,
         converged=stop == "grad_tol",
         grad_norm=crit,
-        objective=evaluate_functional_partial(p, traj, opts.T_trunc),
+        # the literal objective; 0.0 - f keeps a zero sum +0.0, as math.fsum gives it
+        objective=f if p.sense is Sense.MAX else 0.0 - f,
         objective_log=tuple(log),
         stop_reason=stop,
         fallbacks=fallbacks,
@@ -468,6 +481,30 @@ def direct_solve(p: Problem, opts: SolveOptions, with_info: bool = False):
         phase_seconds=phases,
     )
     return traj, info
+
+
+#: a one-entry cache of the derivative pass at the values the last
+#: ``direct_solve`` returned: (problem, K, values, pass), the pass None when
+#: it was taken before the last step.  ``horizon_study`` solves each cut
+#: through ``direct_solve``, the one entry point of a search (which
+#: ``perfbench/spans.py`` wraps), and reads the pass from here; an entry for
+#: another (problem, K, values) is not used, so the cache changes no result
+_final_pass: tuple = (None, 0, None, None)
+
+
+def _residual_core(p: Problem, opts: SolveOptions, x: Trajectory) -> _ELCore:
+    """The residual core of the solution x at ``opts.T_trunc`` from the
+    derivative pass its ``direct_solve`` ended on, or from one more pass when
+    the last step moved x after it (a ``max_iters`` or ``flat`` stop).  The
+    pass never evaluates the start, so the core's row 0, which only the
+    integral form reads, is NaN."""
+    eng = _Engine(p, opts)
+    solved, K, values, d = _final_pass
+    if d is None or solved is not p or K != eng.K or not np.array_equal(values, x.values):
+        d = eng.derivatives(x.values)
+    parts = {key: np.concatenate([np.full((len(d[key]), 1), np.nan), d[key]], axis=1)
+             for key in _EL_GROUPS}
+    return _ELCore(p.ts, x.values, eng.K, parts)
 
 
 def _lap(phases: dict[str, float], phase: str, since: float) -> float:
@@ -574,9 +611,13 @@ def horizon_study(p: Problem, truncations, opts: SolveOptions) -> list[HorizonRo
 
     For every truncation point: solve once, record the largest pointwise
     Euler-Lagrange residual over reported points up to the truncation
-    (NaN when any of them is NaN, as ``ResidualReport.max_pointwise``),
-    both transversality residual magnitudes at the truncation, and the
-    literal objective value, all from one residual core of the solution.
+    (NaN when any of them is NaN, as ``ResidualReport.max_pointwise``) and
+    both transversality residual magnitudes at the truncation, from the
+    residual core (``variational._ELCore``) of the derivative pass the
+    search ended on, and the literal objective value the search found.
+    These are bit for bit what ``residual_report`` and
+    ``evaluate_functional_partial`` give for the solution, and like the
+    truncated objective they read grid rows up to the truncation only.
     Transversality is a free-endpoint condition, so rows solved with a
     pinned terminal carry ``trans_applicable=False``.
     """
@@ -588,7 +629,7 @@ def horizon_study(p: Problem, truncations, opts: SolveOptions) -> list[HorizonRo
         o = replace(opts, T_trunc=T)
         x, info = direct_solve(p, o, with_info=True)
         with np.errstate(all="ignore"):  # overflow gives inf or NaN, as in residual_report
-            core = _ELCore(p, x, T)
+            core = _residual_core(p, o, x)
             reported = core.stationarity()
             t1, t2 = core.transversality(slice(core.k, core.k + 1))
         rows.append(

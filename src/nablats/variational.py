@@ -31,7 +31,11 @@ residuals:
 All of them read one path (``path_env``: t, x at rho(t) and the nabla
 derivative, then z) and one exact running sum (``calculus.running_fsum``),
 with L, g and their partials from one call of the problem's compiled kernel
-(``Problem.kernel``).
+(``Problem.kernel``).  A quantity at horizon T' = t_k reads grid rows
+0..k only, as the truncated objective does.  The pointwise residual and
+transversality come from one residual core (``_ELCore``), built from the
+first partials on those rows: along a trajectory for ``check-el``, and from
+the solver's last derivative pass for the horizon table.
 
 Minimization problems are verified through their maximization mirror: all
 residuals use -L internally when sense is MIN (``evaluate_functional_partial``
@@ -305,24 +309,24 @@ def _integrals(terms: np.ndarray) -> np.ndarray:
     return np.concatenate((np.zeros((1,) + sums.shape[1:]), sums))
 
 
-def _path(p: Problem, x: Trajectory, *groups: str) -> dict[str, np.ndarray]:
-    """One kernel call along x over the whole grid (``path_env``): the
-    accumulated z, and the rows (count, m) of each kernel group."""
+def _path(p: Problem, x: Trajectory, k: int, *groups: str) -> dict[str, np.ndarray]:
+    """One kernel call along x on grid rows 0..k (``path_env``): the
+    accumulated z, and the rows (count, k + 1) of each kernel group."""
     _check_trajectory(p, x)
-    env = path_env(p.ts, x.values, len(p.ts) - 1)
-    k = p.kernel(*groups)
-    out = evaluate_many(k, env, lambda g: _integrals(p.ts.local_steps * g))
-    return {"z": env["z"], **{name: out[k.rows[name]] for name in groups}}
+    env = path_env(p.ts, x.values, k)
+    kernel = p.kernel(*groups)
+    out = evaluate_many(kernel, env, lambda g: _integrals(p.ts.local_steps[: k + 1] * g))
+    return {"z": env["z"], **{name: out[kernel.rows[name]] for name in groups}}
 
 
 def _running_objective(p: Problem, x: Trajectory) -> np.ndarray:
     """J[j] = integral of the literal L over (a, t_j] along x, for every j."""
-    return _integrals(p.ts.local_steps * _path(p, x, "L")["L"][0])
+    return _integrals(p.ts.local_steps * _path(p, x, len(p.ts) - 1, "L")["L"][0])
 
 
 def compute_z(p: Problem, x: Trajectory) -> GridFunction:
     """The accumulated constraint integral z along x; z(a) = 0."""
-    return GridFunction.scalar(p.ts, _path(p, x)["z"])
+    return GridFunction.scalar(p.ts, _path(p, x, len(p.ts) - 1)["z"])
 
 
 def evaluate_functional_partial(p: Problem, x: Trajectory, T_prime: float) -> float:
@@ -330,14 +334,15 @@ def evaluate_functional_partial(p: Problem, x: Trajectory, T_prime: float) -> fl
 
     Always the literal L, independent of the problem sense.  One exact sum
     of the terms up to T', bit for bit ``_running_objective(p, x)[k]``; L
-    is evaluated, and checked for non-finite values, over the whole grid.
+    is evaluated, and checked for non-finite values, on grid rows 0..k, the
+    rows the truncated objective reads.
     """
     _check_trajectory(p, x)
     k = p.ts.index_of(T_prime)
     if k == 0:
         raise ProblemError(f"T_prime={T_prime!r} must lie strictly past the initial point")
-    lvals = _path(p, x, "L")["L"][0]
-    return math.fsum((p.ts.local_steps * lvals)[1 : k + 1].tolist())
+    lvals = _path(p, x, k, "L")["L"][0]
+    return math.fsum((p.ts.local_steps[: k + 1] * lvals)[1:].tolist())
 
 
 # -- Euler-Lagrange residual core ------------------------------------------------
@@ -360,24 +365,46 @@ def objective_gradient(Lx, Lv, gx, gv, S, w, scattered) -> np.ndarray:
     return G
 
 
-class _ELCore:
-    """All per-point arrays of the residual operators along x at horizon T' = t_k."""
+#: the kernel groups of the residual core
+_EL_GROUPS = ("gx", "gv", "Lz", "Lx", "Lv")
 
-    def __init__(self, p: Problem, x: Trajectory, T_prime: float):
-        d = _path(p, x, "gx", "gv", "Lz", "Lx", "Lv")
-        ts = p.ts
-        self.x, self.ts = x, ts
-        self.Lz = d["Lz"][0]
+
+class _ELCore:
+    """All per-point arrays of the residual operators along x at horizon
+    T' = t_k, on grid rows 0..k, the rows the objective truncated at T' reads.
+
+    Built from the first partials on those rows, ``parts`` (the kernel rows
+    (count, k + 1) of each of ``_EL_GROUPS``) and the state ``values``:
+    ``along`` takes them from one kernel call along a trajectory, the solver
+    from its derivative pass at the solution.  Only the integral form reads
+    row 0.
+    """
+
+    def __init__(self, ts: TimeScale, values: np.ndarray, k: int, parts: dict[str, np.ndarray]):
+        self.ts, self.k, self.values = ts, k, values[: k + 1]
+        self.Lz = parts["Lz"][0]
         self.Lx, self.Lv, self.gx, self.gv = (
-            np.ascontiguousarray(d[key].T) for key in ("Lx", "Lv", "gx", "gv")
+            np.ascontiguousarray(parts[key].T) for key in ("Lx", "Lv", "gx", "gv")
         )
-        w = ts.local_steps
-        self.CumLx = _integrals(w[:, None] * self.Lx)
-        self.nu_true = np.where(ts.rho_indices == np.arange(len(ts)), 0.0, w)
-        self.k = k = ts.index_of(T_prime)
+        w = ts.local_steps[: k + 1]
+        rho = ts.rho_indices[: k + 1]
+        self.nu_true = np.where(rho == np.arange(k + 1), 0.0, w)
         self.P = P = _integrals(w * self.Lz)  # P[j] = int_a^{t_j} Lz
         # I[j] = integral of Lz over (rho(t_j), T'], one column per component
-        self.I = (P[k] - P[ts.rho_indices])[:, None]
+        self.I = (P[k] - P[rho])[:, None]
+
+    @classmethod
+    def along(cls, p: Problem, x: Trajectory, T_prime: float) -> "_ELCore":
+        """The core of x at T' from one kernel call on rows 0..k (``_path``)."""
+        k = p.ts.index_of(T_prime)
+        if k == 0:
+            raise ProblemError(f"T_prime={T_prime!r} must lie strictly past the initial point")
+        return cls(p.ts, x.values, k, _path(p, x, k, *_EL_GROUPS))
+
+    @cached_property
+    def CumLx(self) -> np.ndarray:
+        """CumLx[j] = integral of Lx over (a, t_j], (k + 1, n)."""
+        return _integrals(self.ts.local_steps[: self.k + 1, None] * self.Lx)
 
     def stationarity(self) -> np.ndarray:
         """The pointwise residual on rows 2..k (``el_report_indices``), (k - 1, n):
@@ -392,15 +419,24 @@ class _ELCore:
         return G[:-1] / ts.local_steps[2 : k + 1, None]
 
     def integral_form(self) -> np.ndarray:
-        """Dubois-Reymond form array (m, n): constant in t at a maximizer."""
-        cum_gI = _integrals(self.ts.local_steps[:, None] * self.gx * self.I)
+        """Dubois-Reymond form array (k + 1, n): constant in t at a maximizer."""
+        cum_gI = _integrals(self.ts.local_steps[: self.k + 1, None] * self.gx * self.I)
         return (cum_gI[self.k] - cum_gI) + self.gv * self.I + self.Lv - self.CumLx
 
     def transversality(self, rows: slice) -> tuple[np.ndarray, np.ndarray]:
-        """T1 and T2 on ``rows``, one batched product each (per row, the ``x @ y`` dot)."""
-        X = self.x.values[rows][:, None, :]
+        """T1 and T2 on ``rows``, one batched product each (per row, the ``x @ y`` dot).
+
+        On the horizon row alone CumLx[k] is the exact column total of
+        w*Lx, bit for bit the last running sum, so no running sum is taken.
+        """
+        X = self.values[rows][:, None, :]
         bracket = self.Lv[rows] + self.gv[rows] * (self.nu_true[rows] * self.Lz[rows])[:, None]
-        return (X @ bracket[:, :, None])[:, 0, 0], (X @ self.CumLx[rows][:, :, None])[:, 0, 0]
+        if rows.start < self.k:
+            cum = self.CumLx[rows]
+        else:
+            terms = self.ts.local_steps[1 : self.k + 1, None] * self.Lx[1:]
+            cum = np.array([[math.fsum(col) for col in terms.T.tolist()]])
+        return (X @ bracket[:, :, None])[:, 0, 0], (X @ cum[:, :, None])[:, 0, 0]
 
 
 def el_report_indices(ts: TimeScale, k: int | None = None) -> tuple[int, ...]:
@@ -437,18 +473,18 @@ def el_residual_pointwise(p: Problem, x: Trajectory, t: float, T_prime: float) -
     if not 2 <= j <= p.ts.index_of(T_prime):
         raise ProblemError(f"t={t!r} is not a pointwise row at T_prime={T_prime!r}: "
                            "rows run from the third grid point to T'")
-    return _ELCore(p, x, T_prime).stationarity()[j - 2]
+    return _ELCore.along(p, x, T_prime).stationarity()[j - 2]
 
 
 def transversality_residual_T1(p: Problem, x: Trajectory, T_prime: float) -> float:
     """x(T') . [Lv(T') + gv(T') * nu(T') * Lz(T')]."""
-    core = _ELCore(p, x, T_prime)
+    core = _ELCore.along(p, x, T_prime)
     return float(core.transversality(slice(core.k, core.k + 1))[0][0])
 
 
 def transversality_residual_T2(p: Problem, x: Trajectory, T_prime: float) -> float:
     """x(T') . integral of Lx over (a, T']."""
-    core = _ELCore(p, x, T_prime)
+    core = _ELCore.along(p, x, T_prime)
     return float(core.transversality(slice(core.k, core.k + 1))[1][0])
 
 
@@ -530,10 +566,8 @@ def residual_report(p: Problem, x: Trajectory, T_prime: float | None = None) -> 
     if T_prime is None:
         T_prime = ts.points[-1]
     with np.errstate(all="ignore"):
-        core = _ELCore(p, x, T_prime)
+        core = _ELCore.along(p, x, T_prime)
         k = core.k
-        if k == 0:
-            raise ProblemError("T_prime must lie strictly past the initial point")
         rows_int = np.arange(ts.kappa_indices[0], k + 1)
         F = core.integral_form()[rows_int]
         spread = F.max(axis=0) - F.min(axis=0)

@@ -1,4 +1,4 @@
-"""Acceptance gate: eight end-to-end checks at fixed tolerances.
+"""Acceptance gate: nine end-to-end checks at fixed tolerances.
 
 Each test prints exactly one summary line
 
@@ -411,3 +411,77 @@ def test_criterion_8_symbolic_derivative_oracle():
     _report(8, "symbolic partials match central differences", ok,
             f"{checked}/200 expressions, worst rel err {worst:.2e} <= 1e-5; "
             f"{elapsed:.2f}s < 5s")
+
+
+# -- 9: truncated maximizers approach the closed-form infinite-horizon one ---------
+
+
+def _per_step(values, cuts):
+    """The factor by which |values| falls per unit of T' between consecutive cuts."""
+    return [abs(b / a) ** (1.0 / (t1 - t0))
+            for a, b, t0, t1 in zip(values, values[1:], cuts, cuts[1:])]
+
+
+def test_criterion_9_closed_form_infinite_horizon():
+    # on the integers, L = exp(-rho*t)*(-v1^2 - x1^2 + c*z) with g = x1^2 (g = 0
+    # for c = 0) is maximized over the infinite horizon by x_k = lambda^k: with
+    # beta = exp(-rho), c*z weighs x^2 by a = 1 - c/(1 - beta), and lambda is
+    # the root in (0, 1) of beta*lambda^2 - (1 + beta + beta*a)*lambda + 1 = 0
+    start = time.perf_counter()
+    rho = 0.3
+    beta = math.exp(-rho)
+    ts = integers(0, 80)
+    cuts = [10.0, 20.0, 40.0, 80.0]
+    opts = SolveOptions(T_trunc=80.0, grad_tol=1e-12)
+    rng = np.random.default_rng(909)
+    checks, detail = [], []
+    for c, g, expected in ((0.0, "0", 0.468476), (0.1, "x1^2", 0.561956)):
+        a = 1.0 - c / (1.0 - beta)
+        b = 1.0 + beta + beta * a
+        lam = (b - math.sqrt(b * b - 4.0 * beta)) / (2.0 * beta)
+        p = Problem.from_strings(ts, 1, f"exp(-{rho}*t)*(-(v1^2) - x1^2 + {c}*z)", g, [1.0])
+        star = Trajectory.from_values(p, lam ** np.arange(len(ts)))
+        rows = horizon_study(p, cuts, opts)
+        # the truncated maximizers on rows 0..5: the free end pulls them off
+        # lambda^k by (beta*lambda^2)^T'; with c > 0 the objective truncated at
+        # T' also misses the z tail, c times the integral of exp(-rho*t) past T',
+        # which falls as beta^T'
+        rate = beta if c else beta * lam**2
+        errors = [float(np.max(np.abs(r.solution.values[:6, 0] - star.values[:6, 0]))) for r in rows]
+        resolved = [e for e in errors if e > 1e-14]
+        fit = _per_step(resolved, cuts[: len(resolved)])
+        # T1 and T2 along lambda^k, at each cut: both are per-row products
+        along = residual_report(p, star, cuts[-1])
+        at_cuts = [int(T) - 1 for T in cuts]
+        t1, t2 = along.trans_T1[at_cuts], along.trans_T2[at_cuts]
+        # at the truncated maximizers T1 is the free end's own condition, at
+        # rounding, and T2 falls as lambda^T' while x(T') is resolved
+        table_t2 = [r.trans_T2 for r in rows[:3]]
+        residual = max(r.max_el_residual for r in rows)
+        spread = max(residual_report(p, r.solution, r.T_trunc).max_spread for r in rows)
+        margins = []
+        for _ in range(5):
+            vals = star.values.copy()
+            vals[1:11, 0] += rng.uniform(-0.3, 0.3, 10)
+            margins.append(weak_max_compare(p, Trajectory.from_values(p, vals), star))
+        checks += [
+            abs(lam - expected) < 1e-6,
+            len(resolved) >= 2 and all(abs(f / rate - 1.0) < 0.01 for f in fit),
+            all(e <= 1e-14 for e in errors[len(resolved):]),
+            all(abs(f / (beta * lam**2) - 1.0) < 1e-9 for f in _per_step(t1, cuts)),
+            all(abs(f / lam - 1.0) < 1e-3 for f in _per_step(t2, cuts)),
+            all(abs(f / lam - 1.0) < 0.01 for f in _per_step(table_t2, cuts[:3])),
+            all(r.trans_T1 <= 1e-12 * t for r, t in zip(rows, table_t2)),
+            residual <= 1e-14 and spread <= 1e-14,
+            c > 0 or along.max_pointwise <= 1e-15,
+            max(margins) < 0.0,
+        ]
+        detail.append(
+            f"c={c}: lambda {lam:.6f}, error/step {[f'{f:.4f}' for f in fit]} ~ {rate:.4f}, "
+            f"T1/step {_per_step(t1, cuts)[0]:.4f}, T2/step {_per_step(t2, cuts)[0]:.4f}, "
+            f"residual {residual:.1e}, spread {spread:.1e}, margin {max(margins):.1e}"
+        )
+    elapsed = time.perf_counter() - start
+    ok = all(checks) and elapsed < 30.0
+    _report(9, "truncated maximizers approach the closed form", ok,
+            f"{'; '.join(detail)}; {elapsed:.2f}s < 30s")

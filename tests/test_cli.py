@@ -292,6 +292,28 @@ class TestSolve:
         assert f"iterations: {info.iterations}" in out
         assert f"objective: {info.objective!r}" in out
 
+    def test_rows_past_the_truncation_are_never_evaluated(self, tmp_path, capsys):
+        # sqrt(6.5 - t) is NaN at t = 7 and 8, rows the problem truncated at 6
+        # never reads: the solve, its horizon table and check-el at T' = 6 pass
+        body = (
+            BASE_INI.replace("b = 5", "b = 8")
+            .replace('L = "-(v1^2)"', 'L = "exp(-0.1*t)*(-(v1^2) - x1^2) + 1e-3*sqrt(6.5 - t)"')
+            .replace("x_a = 0.0", "x_a = 1.0")
+            .replace("T_trunc = 5", "T_trunc = 6\ntruncations = 3, 6")
+            .replace("pinned: 5.0", "free")
+        )
+        cfg = write_ini(tmp_path, body)
+        code, out, err = run(capsys, "solve", cfg)
+        assert (code, err) == (0, "")
+        assert "converged: true" in out
+        code, out, err = run(capsys, "check-el", cfg, "--trajectory", str(tmp_path / "trajectory.csv"),
+                             "--form", "finite", "--Tprime", "6")
+        assert (code, err) == (0, "")
+        assert "status: PASS" in out
+        with open(tmp_path / "horizon.csv", newline="") as fh:
+            row = list(csv.DictReader(fh))[-1]
+        assert f"max_residual: {row['max_el_residual']}" in out
+
     def test_sample_config_says_why_it_stopped(self, tmp_path, capsys, monkeypatch):
         sample = Path(__file__).resolve().parents[1] / "scripts" / "sample_config.ini"
         monkeypatch.chdir(tmp_path)  # the sample writes its outputs to the working directory

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nablats import solver
-from nablats.expressions import evaluate_many
+from nablats import solver, variational
+from nablats.calculus import running_fsum
+from nablats.expressions import Neg, evaluate_many
 from nablats.solver import (
     FREE,
     PINNED,
@@ -94,7 +95,7 @@ def loop_gradient(eng, x):
         return np.broadcast_to(evaluate_many(e, env), (eng.K,))
 
     env = eng._env(x)
-    env["z"] = np.cumsum(eng.w[1:] * walk(eng.p.z_integrand))
+    env["z"] = running_fsum(eng.w[1:] * walk(eng.p.z_integrand))
     d = eng.p.partials
     Lz = walk(d["Lz"])
     S = np.cumsum((eng.w[1:] * Lz)[::-1])[::-1]
@@ -1018,7 +1019,63 @@ class TestBruteForce:
             brute_force(p, SolveOptions(T_trunc=2.0), [-1.0, -2.0])
 
 
+@st.composite
+def certificate_cases(draw):
+    """A horizon study: a ``coupled_case`` problem, or the z-nonlinear L =
+    exp(-0.1*t)*(-(v1^2)-x1^2) - 0.05*z^2 with g = x1^2, on the case's mixed
+    grid with its terminal mode; for ``min`` the mirror -L, so that both
+    senses are well posed.  Two cuts, and ``max_iters`` 1 (the last step
+    moves x after the last derivative pass) or enough to converge."""
+    eng, _ = coupled_case(draw(st.integers(0, 10_000)), draw(st.sampled_from([1, 2, 3])), Sense.MAX)
+    p, terminal = eng.p, eng.opts.terminal_mode
+    if draw(st.booleans()):
+        p = make("exp(-0.1*t)*(-(v1^2)-x1^2) - 0.05*z^2", g="x1^2", ts=p.ts, x_a=1.0)
+        terminal = PINNED(terminal.values[0]) if terminal.values else FREE
+    if draw(st.sampled_from(list(Sense))) is Sense.MIN:
+        p = Problem(p.ts, p.n, Neg(p.lagrangian), p.z_integrand, p.x_a, Sense.MIN)
+    cuts = [p.ts.points[max(1, eng.K // 2)], p.ts.points[eng.K]]
+    opts = SolveOptions(T_trunc=cuts[-1], terminal_mode=terminal, grad_tol=1e-9,
+                        max_iters=draw(st.sampled_from([1, 100])))
+    return p, cuts, opts
+
+
 class TestHorizonStudy:
+    @given(certificate_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_rows_are_the_certificate_of_the_solution(self, case):
+        # each row's residuals are those residual_report finds for its
+        # solution, and its objective the literal truncated objective, bit for bit
+        p, cuts, opts = case
+        for row in horizon_study(p, cuts, opts):
+            report = residual_report(p, row.solution, row.T_trunc)
+            got = (row.max_el_residual, row.trans_T1, row.trans_T2, row.info.objective)
+            expected = (report.max_pointwise, abs(report.trans_T1[-1]), abs(report.trans_T2[-1]),
+                        evaluate_functional_partial(p, row.solution, row.T_trunc))
+            assert [repr(float(v)) for v in got] == [repr(float(v)) for v in expected]
+
+    @pytest.mark.parametrize("max_iters", [1, 2000])
+    def test_rows_read_the_last_derivative_pass(self, monkeypatch, max_iters):
+        # no kernel call along the path and no objective evaluation: a cut
+        # takes one pass per iteration, and one more only when the last step
+        # moved x after the last pass
+        calls = []
+        for name in ("_path", "evaluate_functional_partial"):
+            original = getattr(variational, name)
+            monkeypatch.setattr(variational, name,
+                                lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
+        passes = []
+        derivatives = _Engine.derivatives
+        monkeypatch.setattr(_Engine, "derivatives",
+                            lambda self, x: passes.append(self.K) or derivatives(self, x))
+        ts, p, opts = dense_start_case()
+        rows = horizon_study(p, [4.0, 6.0], replace(opts, max_iters=max_iters))
+        assert calls == []
+        assert [r.info.stop_reason for r in rows] == ["max_iters" if max_iters == 1 else "grad_tol"] * 2
+        extra = 1 if max_iters == 1 else 0
+        assert [passes.count(ts.index_of(T)) for T in (4.0, 6.0)] == [
+            r.info.iterations + extra for r in rows
+        ]
+
     def test_constant_lagrangian_rows(self):
         p = make("1", ts=integers(0, 8))
         rows = horizon_study(p, [4.0, 8.0], SolveOptions(T_trunc=8.0))

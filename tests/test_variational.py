@@ -187,8 +187,21 @@ class TestFunctional:
 
     def test_horizon_must_follow_start(self):
         p = make_problem()
-        with pytest.raises(ProblemError):
-            evaluate_functional_partial(p, linear_trajectory(p), 0.0)
+        for fn in (evaluate_functional_partial, residual_report, transversality_residual_T1,
+                   transversality_residual_T2):
+            with pytest.raises(ProblemError, match="strictly past the initial point"):
+                fn(p, linear_trajectory(p), 0.0)
+
+    def test_rows_past_the_horizon_are_never_evaluated(self):
+        # sqrt(2.5 - t) is NaN from t = 3 on: the objective truncated at 2 and
+        # the residuals at T' = 2 read rows 0..2 only
+        p = make_problem(L="-(v1^2) + sqrt(2.5 - t)*x1")
+        x = linear_trajectory(p)
+        assert math.isfinite(evaluate_functional_partial(p, x, 2.0))
+        report = residual_report(p, x, 2.0)
+        assert np.isfinite(report.el_pointwise).all() and np.isfinite(report.trans_T2).all()
+        with pytest.raises(ExprDomainError, match="t=3.0"):
+            evaluate_functional_partial(p, x, 3.0)
 
 
 class TestPointwiseResidual:
@@ -247,9 +260,9 @@ class TestPointwiseResidual:
 def stencil_residual(p, x, T_prime):
     """The second-difference stencil the pointwise rows replaced, as an
     oracle: gx*I - (gv*I)^nabla + Lx - Lv^nabla with I(t) the integral of
-    Lz over (rho(t), T'], on every grid row (m, n)."""
-    core = _ELCore(p, x, T_prime)
-    w = p.ts.local_steps
+    Lz over (rho(t), T'], on grid rows 0..k (k + 1, n)."""
+    core = _ELCore.along(p, x, T_prime)
+    w = p.ts.local_steps[: core.k + 1]
     dG = nabla_quotients(core.gv * core.I, w)
     return core.gx * core.I - dG + core.Lx - nabla_quotients(core.Lv, w)
 
@@ -622,7 +635,7 @@ def loop_stationarity(core, j):
     j - 1 and j read x(t_{j-1}) through v, and through x(rho(t)) where
     rho(t) = t_{j-1}; through z each reads it with the weight S, the
     integral of Lz from that term to t_k (by math.fsum)."""
-    w, rho, i = core.ts.local_steps, core.ts.rho_indices, j - 1
+    w, rho, i = core.ts.local_steps[: core.k + 1], core.ts.rho_indices, j - 1
 
     def S(r):
         return math.fsum((w * core.Lz)[r : core.k + 1].tolist())
@@ -644,7 +657,7 @@ def per_row_report(p, x, T_prime):
     """The per-row report: reported rows as (t, row) pairs, and T1 and T2
     as (t, value) pairs from one dot product per row."""
     ts = p.ts
-    core = _ELCore(p, x, T_prime)
+    core = _ELCore.along(p, x, T_prime)
     k = core.k
     F = core.integral_form()
     # row j reads x(t_{j-1}), neither the pinned start nor the free end
