@@ -5,8 +5,10 @@ Solves the n = 2 z-coupled problem of the ``solve_scattered`` benchmark
 workload, max of exp(-0.1 t)(-(v1^2) - x1^2 - (v2^2) - x2^2 + 0.5 x1 x2)
 - 0.01 z with g = x1^2 from x_a = (1, 0), over integers(0, m) truncated at
 m, and prints ``SolveInfo.phase_seconds`` as a Markdown table: for each m in
-``SIZES``, the best of ``REPEATS`` solves in every phase, in milliseconds,
-summed over the solve's iterations.
+``SIZES``, the iterations and band factorizations of the solve (the band of
+this linear-quadratic problem is fixed, so it is factored once), then the
+best of ``REPEATS`` solves in every phase, in milliseconds, summed over the
+solve's iterations.
 
     PYTHONPATH=src python scripts/phase_table.py
 """
@@ -26,12 +28,14 @@ def main() -> int:
         infos = [direct_solve(p, opts, with_info=True)[1] for _ in range(REPEATS)]
         phases = list(infos[0].phase_seconds)
         best = [min(info.phase_seconds[ph] for info in infos) * 1e3 for ph in phases]
-        rows.append((m, infos[0].iterations, best))
+        rows.append((m, infos[0].iterations, infos[0].factorizations, best))
 
-    print("| m | iterations | " + " | ".join(ph.replace("_", " ") for ph in phases) + " |")
-    print("| --- " * (len(phases) + 2) + "|")
-    for m, iterations, best in rows:
-        print(f"| {m} | {iterations} | " + " | ".join(f"{v:.2f} ms" for v in best) + " |")
+    print("| m | iterations | factorizations | "
+          + " | ".join(ph.replace("_", " ") for ph in phases) + " |")
+    print("| --- " * (len(phases) + 3) + "|")
+    for m, iterations, factorizations, best in rows:
+        print(f"| {m} | {iterations} | {factorizations} | "
+              + " | ".join(f"{v:.2f} ms" for v in best) + " |")
     return 0
 
 

@@ -21,11 +21,15 @@ only the terms at its own grid point and the next one, plus the
 accumulated z, so the Hessian of the discretized objective is block
 tridiagonal with n x n blocks, exactly so when g = 0 or when L is affine
 in z with an x-free coefficient.  Every iteration solves with that band
-(the Newton step) by block cyclic reduction, O(m n^3) work in O(log m)
-batched levels and one small dense solve, so that quadratic problems
-converge in one step and the stopping test reads in step units; where the
-negated band is not positive definite an iteration falls back to Jacobi
-scaling by the band's diagonal.
+(the Newton step), factored by block cyclic reduction, O(m n^3) work in
+O(log m) batched levels and one small dense solve, so that quadratic
+problems converge in one step and the stopping test reads in step units;
+where the negated band is not positive definite an iteration falls back to
+Jacobi scaling by the band's diagonal.  On linear-quadratic problems
+(``Problem.fixed_band``: L_uu, g_uu and L_z read t alone) the band is the
+same at every point, so a search assembles and factors it at its first
+iteration and later iterations only sweep a new gradient through the
+factors.
 
 Every evaluation runs on the problem's compiled kernels
 (``Problem.kernel``), through ``evaluate_many``, on grid rows 1..K, the
@@ -139,7 +143,8 @@ class SolveOptions:
 
 @dataclass(frozen=True)
 class SolveInfo:
-    """How a solve ended; ``direct_solve`` explains each ``stop_reason``."""
+    """How a solve ended; ``direct_solve`` explains each ``stop_reason``
+    and when the band is factored."""
 
     iterations: int
     converged: bool
@@ -149,6 +154,7 @@ class SolveInfo:
     stop_reason: str
     fallbacks: int
     backtracks: int
+    factorizations: int  # band factorizations attempted, failed ones included
     phase_seconds: dict[str, float] = field(compare=False)  # wall time in each of _PHASES
 
 
@@ -314,9 +320,12 @@ def free_coordinates(p: Problem, opts: SolveOptions) -> list[tuple[int, int]]:
     return [(j, c) for j in range(1, _Engine(p, opts).last + 1) for c in range(p.n)]
 
 
-def _band_solve(diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray) -> Optional[np.ndarray]:
+def _band_solve(diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray) -> Optional[tuple]:
     """Solve M d = rhs for the symmetric block-tridiagonal M with diagonal
-    blocks ``diag`` (F, n, n) and upper blocks ``upper`` (F - 1, n, n).
+    blocks ``diag`` (F, n, n) and upper blocks ``upper`` (F - 1, n, n);
+    return d and the factors ``_band_sweep`` solves another right-hand side
+    with: the scale, per level the odd rows' pivots, their couplings up and
+    down to the even rows and their solution X, and the tail matrix.
 
     Block cyclic reduction, O(F n^3): each batched level solves the odd
     rows' pivots against their couplings and right-hand sides, folds them
@@ -340,18 +349,18 @@ def _band_solve(diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray) -> Optiona
     aug[:, k, k] = np.where(dg == 0.0, 1.0, aug[:, k, k])  # aug[j] = [M_jj | rhs_j], scaled
     # right[j] = M_{j,j+1}, scaled; zero past the last row
     right = np.concatenate([upper * s[:-1, :, None] * s[1:, None, :], np.zeros((1, n, n))])
-    levels, pivots = [], []
+    levels = []
     while len(aug) > 1 and len(aug) * n > _TAIL:
         h = len(aug) // 2  # odd rows 2i + 1, each between even rows 2i and 2i + 2
         up, down = right[0 : 2 * h : 2], right[1::2]  # M_{2i,2i+1}, M_{2i+1,2i+2}
-        pivots.append(aug[1::2, :, :n])
+        pivots = aug[1::2, :, :n]
         try:  # X[i] = C_i^{-1} [M_{2i+1,2i} | M_{2i+1,2i+2} | rhs_{2i+1}], C_i the pivot
             X = np.linalg.solve(
-                pivots[-1], np.concatenate([up.transpose(0, 2, 1), down, aug[1::2, :, n:]], 2)
+                pivots, np.concatenate([up.transpose(0, 2, 1), down, aug[1::2, :, n:]], 2)
             )
         except np.linalg.LinAlgError:
             return None
-        levels.append(X)
+        levels.append((pivots, up, down, X))
         # Schur complements of the even rows: through row 2i + 1, then row 2i - 1
         even = aug[0::2].copy()
         P = up @ X
@@ -368,21 +377,50 @@ def _band_solve(diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray) -> Optiona
     tail[i[1:], :, i[:-1]] = right[: E - 1].transpose(0, 2, 1)
     tail = tail.reshape(E * n, E * n)
     try:
-        if pivots:
-            np.linalg.cholesky(np.concatenate(pivots))
+        if levels:
+            np.linalg.cholesky(np.concatenate([C for C, *_ in levels]))
         np.linalg.cholesky(tail)
         d = np.linalg.solve(tail, aug[:, :, n:].reshape(E * n, 1)).reshape(E, n, 1)
     except np.linalg.LinAlgError:
         return None
-    # back-substitution: odd row 2i + 1 from even rows 2i and 2i + 2
-    for X in reversed(levels):
-        h = len(X)
+    solved = [(X[:, :, :n], X[:, :, n : 2 * n], X[:, :, 2 * n :]) for *_, X in levels]
+    return _back_substitute(solved, d) * s, (s, levels, tail)
+
+
+def _band_sweep(factors: tuple, rhs: np.ndarray) -> np.ndarray:
+    """Solve M d = rhs with the factors ``_band_solve`` left for M: per
+    level one batched pivot solve for the odd rows' right-hand sides, folded
+    into the even rows; one tail solve; and the back-substitution of
+    ``_band_solve``.  The same elimination, so the same d up to rounding."""
+    s, levels, tail = factors
+    n = rhs.shape[1]
+    r = (rhs * s)[:, :, None]
+    solved = []
+    for pivots, up, down, X in levels:
+        y = np.linalg.solve(pivots, r[1::2])  # C_i^{-1} rhs_{2i+1}
+        solved.append((X[:, :, :n], X[:, :, n : 2 * n], y))
+        even = r[0::2].copy()
+        even[: len(y)] -= up @ y
+        even[1:] -= (down.transpose(0, 2, 1) @ y)[: len(even) - 1]
+        r = even
+    d = np.linalg.solve(tail, r.reshape(-1, 1)).reshape(-1, n, 1)
+    return _back_substitute(solved, d) * s
+
+
+def _back_substitute(levels, d: np.ndarray) -> np.ndarray:
+    """The rows of a cyclic reduction from its tail solution d (E, n, 1):
+    per level, last first, odd row 2i + 1 is y_i - lo_i d_2i - hi_i d_{2i+2}
+    from the level's (lo, hi, y) = C^{-1} (M_{2i+1,2i}, M_{2i+1,2i+2},
+    rhs_{2i+1}).  Returns (F, n)."""
+    n = d.shape[1]
+    for lo, hi, y in reversed(levels):
+        h = len(y)
         ahead = np.concatenate([d[1:], np.zeros((1, n, 1))])[:h]  # zero past the last row
-        odd = X[:, :, 2 * n :] - X[:, :, :n] @ d[:h] - X[:, :, n : 2 * n] @ ahead
+        odd = y - lo @ d[:h] - hi @ ahead
         full = np.empty((len(d) + h, n, 1))
         full[0::2], full[1::2] = d, odd
         d = full
-    return d[:, :, 0] * s
+    return d[:, :, 0]
 
 
 def direct_solve(p: Problem, opts: SolveOptions, with_info: bool = False):
@@ -393,8 +431,13 @@ def direct_solve(p: Problem, opts: SolveOptions, with_info: bool = False):
     (``_Engine.hessian_band``) with Armijo backtracking from ``step_init``;
     when the negated band is not positive definite that iteration takes the
     Jacobi step, the gradient over max(|band diagonal|, 1e-30), and counts
-    it in ``SolveInfo.fallbacks``.  Values beyond the truncation point are
-    frozen; they never enter the truncated objective.  Accepted steps never
+    it in ``SolveInfo.fallbacks``.  A fixed band (``Problem.fixed_band``) is
+    assembled and factored at the first iteration only: later iterations
+    solve with its factors (``_band_sweep``), or take the Jacobi step by its
+    diagonal when it failed.  ``SolveInfo.factorizations`` counts the
+    factorizations attempted: 1 for a fixed band, else one per iteration.
+    Values beyond the truncation point are frozen; they never enter the
+    truncated objective.  Accepted steps never
     decrease the objective.  ``SolveInfo.stop_reason`` says why the search
     ended: ``grad_tol`` (the sup norm of the step fell below ``grad_tol``;
     the only converged case), ``flat`` (50 accepted steps in a row left the
@@ -410,7 +453,8 @@ def direct_solve(p: Problem, opts: SolveOptions, with_info: bool = False):
     f = eng.objective(x)
     log = [f]
     crit = math.inf
-    iterations = fallbacks = backtracks = 0
+    iterations = fallbacks = backtracks = factorizations = 0
+    diag = factors = None  # the band and its factors, once assembled
     stop = "max_iters"
     flat = 0  # consecutive accepted steps with no representable objective change
     phases = dict.fromkeys(_PHASES, 0.0)
@@ -422,9 +466,14 @@ def direct_solve(p: Problem, opts: SolveOptions, with_info: bool = False):
             clock = _lap(phases, "derivatives", clock)
             grad = eng.analytic_gradient(d)
             clock = _lap(phases, "gradient", clock)
-            diag, upper = eng.hessian_band(d)
-            clock = _lap(phases, "band_assembly", clock)
-            step = _band_solve(-diag, -upper, grad.reshape(-1, eng.n))
+            rhs = grad.reshape(-1, eng.n)
+            if diag is None or not p.fixed_band:
+                diag, upper = eng.hessian_band(d)
+                clock = _lap(phases, "band_assembly", clock)
+                factorizations += 1
+                step, factors = _band_solve(-diag, -upper, rhs) or (None, None)
+            else:  # a fixed band: the first iteration's, factored then
+                step = None if factors is None else _band_sweep(factors, rhs)
             if step is None:
                 fallbacks += 1
                 _log.debug("direct_solve: iteration %d falls back to the Jacobi step", iterations)
@@ -478,6 +527,7 @@ def direct_solve(p: Problem, opts: SolveOptions, with_info: bool = False):
         stop_reason=stop,
         fallbacks=fallbacks,
         backtracks=backtracks,
+        factorizations=factorizations,
         phase_seconds=phases,
     )
     return traj, info

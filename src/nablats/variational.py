@@ -32,10 +32,12 @@ All of them read one path (``path_env``: t, x at rho(t) and the nabla
 derivative, then z) and one exact running sum (``calculus.running_fsum``),
 with L, g and their partials from one call of the problem's compiled kernel
 (``Problem.kernel``).  A quantity at horizon T' = t_k reads grid rows
-0..k only, as the truncated objective does.  The pointwise residual and
-transversality come from one residual core (``_ELCore``), built from the
-first partials on those rows: along a trajectory for ``check-el``, and from
-the solver's last derivative pass for the horizon table.
+1..k only, as the truncated objective does; the start, row 0, is evaluated
+only for the integral form on a dense start, the one quantity that reads
+it.  The pointwise residual and transversality come from one residual core
+(``_ELCore``), built from the first partials on those rows: along a
+trajectory for ``check-el``, and from the solver's last derivative pass for
+the horizon table.
 
 Minimization problems are verified through their maximization mirror: all
 residuals use -L internally when sense is MIN (``evaluate_functional_partial``
@@ -142,7 +144,13 @@ def _derive(tag, L: Expr, g: Expr, guards) -> dict:
         k = range(len(u))
         rows[group] = [(f"d2{group[0]}/d{u[min(i, j)]}d{u[max(i, j)]}", second[group][i][j])
                        for i in k for j in k]
-    return {"partials": first, "hessian_partials": second, "rows": rows}
+    # the solver's band reads L_uu, g_uu, the tail sums of L_z and, through
+    # the z couplings, L_uz, L_zz and g_u; where L_uu, g_uu and L_z read t
+    # alone, L_uz and L_zz (partials of L_z) are literal zeros, so every z
+    # coupling is a product with an exact zero and the band is fixed
+    fixed_band = all(variables(e) <= {"t"}
+                     for e in [first["Lz"], *sum(second["Luu"] + second["guu"], [])])
+    return {"partials": first, "hessian_partials": second, "rows": rows, "fixed_band": fixed_band}
 
 
 def _compile_kernel(shape, key) -> Kernel:
@@ -216,6 +224,13 @@ class Problem:
         variables u = (x1..xn, v1..vn): the symmetric 2n x 2n matrices "Luu"
         and "guu", the 2n mixes "Luz" of L with z, and "Lzz"."""
         return _substituted(self._binding.shape.derived["hessian_partials"], self._binding.values)
+
+    @property
+    def fixed_band(self) -> bool:
+        """Whether the solver's Hessian band is the same at every point:
+        decided once per shape, true when L_uu, g_uu and L_z read t alone
+        (a linear-quadratic problem), so that a search factors it once."""
+        return self._binding.shape.derived["fixed_band"]
 
     def kernel(self, *groups: str, check: bool = True) -> Kernel:
         """The compiled kernel of the z integrand and ``groups``, bound to
@@ -309,14 +324,24 @@ def _integrals(terms: np.ndarray) -> np.ndarray:
     return np.concatenate((np.zeros((1,) + sums.shape[1:]), sums))
 
 
-def _path(p: Problem, x: Trajectory, k: int, *groups: str) -> dict[str, np.ndarray]:
-    """One kernel call along x on grid rows 0..k (``path_env``): the
-    accumulated z, and the rows (count, k + 1) of each kernel group."""
+def _path(p: Problem, x: Trajectory, k: int, *groups: str, start: int = 1) -> dict[str, np.ndarray]:
+    """One kernel call along x on grid rows start..k (``path_env``): the
+    accumulated z, and the rows (count, k + 1) of each kernel group, on rows
+    0..k.  Row 0 carries zero weight in every integral, so only the integral
+    form on a dense start reads it; with ``start`` 1 it is not evaluated, as
+    in the solver, and its rows are NaN (z is 0.0 there)."""
     _check_trajectory(p, x)
-    env = path_env(p.ts, x.values, k)
+    env = {key: a[..., start:] for key, a in path_env(p.ts, x.values, k).items()}
     kernel = p.kernel(*groups)
-    out = evaluate_many(kernel, env, lambda g: _integrals(p.ts.local_steps[: k + 1] * g))
-    return {"z": env["z"], **{name: out[kernel.rows[name]] for name in groups}}
+    w = p.ts.local_steps[1 : k + 1]
+
+    def z_sum(g):  # z on the evaluated rows: 0.0 at row 0, then the running sum of w*g
+        return np.concatenate((np.zeros(1 - start), running_fsum(w * g[1 - start :])))
+
+    out = evaluate_many(kernel, env, z_sum)
+    out = np.concatenate((np.full((len(out), start), np.nan), out), axis=1)
+    z = np.concatenate((np.zeros(start), env["z"]))
+    return {"z": z, **{name: out[kernel.rows[name]] for name in groups}}
 
 
 def _running_objective(p: Problem, x: Trajectory) -> np.ndarray:
@@ -334,7 +359,7 @@ def evaluate_functional_partial(p: Problem, x: Trajectory, T_prime: float) -> fl
 
     Always the literal L, independent of the problem sense.  One exact sum
     of the terms up to T', bit for bit ``_running_objective(p, x)[k]``; L
-    is evaluated, and checked for non-finite values, on grid rows 0..k, the
+    is evaluated, and checked for non-finite values, on grid rows 1..k, the
     rows the truncated objective reads.
     """
     _check_trajectory(p, x)
@@ -377,7 +402,8 @@ class _ELCore:
     (count, k + 1) of each of ``_EL_GROUPS``) and the state ``values``:
     ``along`` takes them from one kernel call along a trajectory, the solver
     from its derivative pass at the solution.  Only the integral form reads
-    row 0.
+    row 0, and only ``residual_report`` on a dense start evaluates it; it is
+    NaN otherwise.
     """
 
     def __init__(self, ts: TimeScale, values: np.ndarray, k: int, parts: dict[str, np.ndarray]):
@@ -394,12 +420,14 @@ class _ELCore:
         self.I = (P[k] - P[rho])[:, None]
 
     @classmethod
-    def along(cls, p: Problem, x: Trajectory, T_prime: float) -> "_ELCore":
-        """The core of x at T' from one kernel call on rows 0..k (``_path``)."""
+    def along(cls, p: Problem, x: Trajectory, T_prime: float, start: int = 1) -> "_ELCore":
+        """The core of x at T' from one kernel call on rows start..k
+        (``_path``); ``start`` is 0 only for the integral form on a dense
+        start."""
         k = p.ts.index_of(T_prime)
         if k == 0:
             raise ProblemError(f"T_prime={T_prime!r} must lie strictly past the initial point")
-        return cls(p.ts, x.values, k, _path(p, x, k, *_EL_GROUPS))
+        return cls(p.ts, x.values, k, _path(p, x, k, *_EL_GROUPS, start=start))
 
     @cached_property
     def CumLx(self) -> np.ndarray:
@@ -566,7 +594,8 @@ def residual_report(p: Problem, x: Trajectory, T_prime: float | None = None) -> 
     if T_prime is None:
         T_prime = ts.points[-1]
     with np.errstate(all="ignore"):
-        core = _ELCore.along(p, x, T_prime)
+        # the integral form's rows are the kappa rows: row 0 on a dense start
+        core = _ELCore.along(p, x, T_prime, start=ts.kappa_indices[0])
         k = core.k
         rows_int = np.arange(ts.kappa_indices[0], k + 1)
         F = core.integral_form()[rows_int]

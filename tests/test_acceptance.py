@@ -14,6 +14,8 @@ import random
 import time
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nablats import (
     FREE,
@@ -485,3 +487,48 @@ def test_criterion_9_closed_form_infinite_horizon():
     ok = all(checks) and elapsed < 30.0
     _report(9, "truncated maximizers approach the closed form", ok,
             f"{'; '.join(detail)}; {elapsed:.2f}s < 30s")
+
+
+def test_criterion_9_drawn_rates():
+    # criterion 9's closed forms at drawn rho and c = share*(1 - beta), so
+    # that a = 1 - c/(1 - beta) >= 0.25, with g = 0 for c = 0: the truncated
+    # maximizers approach lambda^k at the predicted rate (between the last two
+    # resolved cuts, where the other decaying term is below rounding), T1 and
+    # T2 along lambda^k fall as (beta*lambda^2)^T' and lambda^T', and the
+    # band of these linear-quadratic problems is factored once per cut
+    start = time.perf_counter()
+    ts = integers(0, 80)
+    cuts = [10.0, 20.0, 40.0, 80.0]
+    opts = SolveOptions(T_trunc=80.0, grad_tol=1e-12)
+    drawn = []
+
+    @given(rho=st.floats(0.1, 0.7), share=st.one_of(st.just(0.0), st.floats(0.02, 0.75)))
+    @settings(max_examples=25, deadline=None, database=None)
+    def rates(rho, share):
+        beta = math.exp(-rho)
+        c = share * (1.0 - beta)
+        b = 1.0 + beta + beta * (1.0 - share)
+        lam = (b - math.sqrt(b * b - 4.0 * beta)) / (2.0 * beta)
+        p = Problem.from_strings(ts, 1, f"exp(-{rho!r}*t)*(-(v1^2) - x1^2 + {c!r}*z)",
+                                 "x1^2" if c else "0", [1.0])
+        star = Trajectory.from_values(p, lam ** np.arange(len(ts)))
+        rows = horizon_study(p, cuts, opts)
+        rate = beta if c else beta * lam**2
+        errors = [float(np.max(np.abs(r.solution.values[:6, 0] - star.values[:6, 0]))) for r in rows]
+        resolved = [e for e in errors if e > 1e-14]
+        along = residual_report(p, star, cuts[-1])
+        at_cuts = [int(T) - 1 for T in cuts]
+        t1, t2 = along.trans_T1[at_cuts], along.trans_T2[at_cuts]
+        assert p.fixed_band
+        assert [(r.info.converged, r.info.factorizations) for r in rows] == [(True, 1)] * len(cuts)
+        assert len(resolved) >= 2
+        assert abs(_per_step(resolved, cuts)[-1] / rate - 1.0) < 0.01
+        assert all(abs(f / (beta * lam**2) - 1.0) < 1e-9 for f in _per_step(t1, cuts))
+        assert all(abs(f / lam - 1.0) < 1e-3 for f in _per_step(t2, cuts))
+        drawn.append(c)
+
+    rates()
+    elapsed = time.perf_counter() - start
+    _report(9, "truncated maximizers approach the closed form at drawn rho and c", elapsed < 30.0,
+            f"{len(drawn)} draws, {drawn.count(0.0)} with g = 0, each cut factored once; "
+            f"{elapsed:.2f}s < 30s")

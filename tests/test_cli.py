@@ -378,6 +378,28 @@ class TestSolve:
         assert code == 0
         assert "status: PASS" in out
 
+    def test_a_lagrangian_singular_at_the_start_passes_its_own_checks(self, tmp_path, capsys):
+        # -x1^2/t is not finite at t = 0, the right-scattered start, whose
+        # term carries zero weight: solve never evaluates it, and neither do
+        # check-el in any form, compare or the truncated objective
+        body = (BASE_INI.replace('L = "-(v1^2)"', 'L = "-(v1^2) - x1^2/t"')
+                .replace("b = 5", "b = 6").replace("x_a = 0.0", "x_a = 1.0")
+                .replace("T_trunc = 5\nterminal = pinned: 5.0", "T_trunc = 6\nterminal = free"))
+        cfg = write_ini(tmp_path, body)
+        code, out, err = run(capsys, "solve", cfg)
+        assert (code, err) == (0, "")
+        assert "objective: -1.4739186931501764\n" in out
+        traj = str(tmp_path / "trajectory.csv")
+        for form in ("pointwise", "integral", "finite"):
+            code, out, err = run(capsys, "check-el", cfg, "--trajectory", traj, "--form", form)
+            assert (code, err) == (0, "")
+            assert "status: PASS" in out
+        code, out, err = run(capsys, "compare", cfg, "--candidate", traj, "--star", traj)
+        assert (code, out, err) == (0, "margin: 0.0\ntolerance: 1e-06\nstatus: PASS\n", "")
+        p = load_config(cfg).require_problem()
+        x = variational.trajectory_from_csv(p, traj)
+        assert variational.evaluate_functional_partial(p, x, 6.0) == -1.4739186931501764
+
 
 class TestLemma:
     def test_zero_function_exits_4(self, tmp_path, capsys):

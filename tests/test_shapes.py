@@ -185,14 +185,15 @@ class TestBinding:
     ])
     def test_non_finite_errors_name_the_problems_own_constants(self, L, x_a, message):
         # both problems share one shape; whichever compiled it, each error
-        # shows the constants of its own problem
+        # shows the constants of its own problem, at the first row the
+        # objective reads, in the search and along a trajectory alike
         p = Problem.from_strings(integers(0, 6), 1, L, "0", x_a)
         with pytest.raises(NonFiniteObjectiveError) as exc:
             direct_solve(p, SolveOptions(T_trunc=6.0))
         assert str(exc.value) == f"{message} is non-finite at t=1.0 during the search"
         with pytest.raises(ExprDomainError) as exc:
             evaluate_functional_partial(p, Trajectory.constant(p), 6.0)
-        assert str(exc.value) == f"{message.replace('objective integrand', 'lagrangian')} is non-finite at t=0.0"
+        assert str(exc.value) == f"{message.replace('objective integrand', 'lagrangian')} is non-finite at t=1.0"
 
     def test_each_kernel_compile_logs_its_groups_and_slots(self, caplog):
         expressions._SHAPES.clear()

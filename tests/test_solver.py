@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from nablats import solver, variational
 from nablats.calculus import running_fsum
-from nablats.expressions import Neg, evaluate_many
+from nablats.expressions import Neg, Num, evaluate_many
 from nablats.solver import (
     FREE,
     PINNED,
@@ -23,6 +23,7 @@ from nablats.solver import (
     NonFiniteObjectiveError,
     SolveOptions,
     _band_solve,
+    _band_sweep,
     _Engine,
     brute_force,
     direct_solve,
@@ -161,6 +162,12 @@ def assemble(diag, upper):
 
 def band_diagonal(diag):
     return np.diagonal(diag, axis1=1, axis2=2).ravel()
+
+
+def band_step(diag, upper, rhs):
+    """``_band_solve``'s solution, or None where it rejects the band."""
+    solved = _band_solve(diag, upper, rhs)
+    return None if solved is None else solved[0]
 
 
 def einsum_band(eng, d):
@@ -361,7 +368,7 @@ class TestDirectSolve:
         x, info = direct_solve(p, SolveOptions(T_trunc=1.0), with_info=True)
         assert x.values[1, 0] == 0.0
         assert (info.iterations, info.stop_reason, info.converged) == (2, "grad_tol", True)
-        assert (info.backtracks, info.fallbacks) == (0, 0)
+        assert (info.backtracks, info.fallbacks, info.factorizations) == (0, 0, 1)
 
     @pytest.mark.parametrize(
         "opts, reason",
@@ -426,9 +433,27 @@ class TestDirectSolve:
         assert info.stop_reason == "grad_tol"
         assert info.fallbacks > 0
         assert info.iterations <= 10  # Jacobi scaling alone takes 87
+        # L_xx reads x: a band per iteration, each factorization attempted
+        assert not p.fixed_band and info.factorizations == info.iterations
         # the finite-difference oracle finds no ascent left
         assert np.max(np.abs(fd_gradient(eng, x.values))) <= 1e-9
         assert info.objective == pytest.approx(-1.63222489569911, rel=1e-12)
+
+    def test_a_fixed_band_that_fails_falls_back_at_every_iteration(self):
+        # x1^2 - v1^2 is linear-quadratic, so its band is fixed, and its
+        # negated band is not positive definite: the one factorization fails
+        # and every iteration takes the Jacobi step by that band's diagonal
+        p = make("x1^2 - (v1^2)", ts=integers(0, 8), x_a=1.0)
+        opts = SolveOptions(T_trunc=8.0, max_iters=5)
+        eng = _Engine(p, opts)
+        x = eng.initial_values()
+        curv = np.maximum(np.abs(band_diagonal(band_at(eng, x)[0])), 1e-30)
+        got, info = direct_solve(p, opts, with_info=True)
+        assert p.fixed_band
+        assert (info.iterations, info.fallbacks, info.factorizations, info.backtracks) == (5, 5, 1, 0)
+        for _ in range(5):
+            x = eng.apply(x, gradient_at(eng, x) / curv)
+        assert np.array_equal(got.values, x)
 
     def test_underflowed_rows_take_no_step(self):
         # exp(-t) underflows to 0 past t = 745: those rows have a zero band
@@ -541,6 +566,22 @@ class TestGradients:
             np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0)
             assert np.array_equal(got == 0.0, expected == 0.0)
 
+    @given(**coupled_cases, coupling=st.sampled_from(["full", "g0", "affine"]))
+    @settings(max_examples=60, deadline=None)
+    def test_a_fixed_band_is_the_same_at_every_point(self, seed, n, sense, coupling):
+        # only the linear-quadratic "affine" case (L quadratic in (x, v) with
+        # -c*z, g quadratic) has L_uu, g_uu and L_z reading t alone; its L_uz
+        # and L_zz are then literal zeros and its band is bit for bit the
+        # same at any two points
+        eng, x = coupled_case(seed, n, sense, coupling)
+        p = eng.p
+        assert p.fixed_band == (coupling == "affine")
+        if p.fixed_band:
+            assert all(e == Num(0.0) for e in p.hessian_partials["Luz"] + [p.hessian_partials["Lzz"]])
+            other = np.vstack([p.x_a_array, np.random.default_rng(seed + 1).uniform(-5, 5, x[1:].shape)])
+            for a, b in zip(band_at(eng, x), band_at(eng, other)):
+                assert a.tobytes() == b.tobytes()
+
     @given(**coupled_cases)
     @settings(max_examples=40, deadline=None)
     def test_band_solve_matches_the_dense_solve(self, seed, n, sense):
@@ -548,7 +589,7 @@ class TestGradients:
         diag, upper = band_at(eng, x)
         M = -assemble(diag, upper)
         rhs = np.random.default_rng(seed).uniform(-1.0, 1.0, (eng.last, n))
-        d = _band_solve(-diag, -upper, rhs)
+        d = band_step(-diag, -upper, rhs)
         if np.linalg.eigvalsh(M)[0] > 0:
             expected = np.linalg.solve(M, rhs.ravel())
             np.testing.assert_allclose(d.ravel(), expected, rtol=1e-10,
@@ -569,32 +610,52 @@ class TestGradients:
 
     def test_curvature_never_calls_the_gradient(self, monkeypatch):
         # the band reads the second partials of the derivative pass; the
-        # gradient is taken once per iteration beside it, never inside it
+        # gradient is taken once per iteration beside it, never inside it.
+        # The z-coupled linear-quadratic problem of solve_scattered has a
+        # fixed band, assembled and factored once per cut; the quartic of
+        # solve_stiff has L_uu reading x1, so its band is assembled and
+        # factored at every iteration
         inside_band = []
         calls_in_band = []
         gradient = _Engine.analytic_gradient
         band = _Engine.hessian_band
+        band_solve = solver._band_solve
 
         def counting(self, *args):
             if inside_band:
                 calls_in_band.append(1)
             return gradient(self, *args)
 
-        bands = []
+        bands, factored = [], []
 
         def counting_band(self, *args):
-            bands.append(1)
+            bands.append(self.K)
             inside_band.append(1)
             try:
                 return band(self, *args)
             finally:
                 inside_band.pop()
 
+        def counting_solve(*args):
+            factored.append(bands[-1])
+            return band_solve(*args)
+
         monkeypatch.setattr(_Engine, "analytic_gradient", counting)
         monkeypatch.setattr(_Engine, "hessian_band", counting_band)
-        _, p, opts = dense_start_case()
-        _, info = direct_solve(p, opts, with_info=True)
-        assert len(bands) == info.iterations > 1
+        monkeypatch.setattr(solver, "_band_solve", counting_solve)
+        for (L, g, sense, ts, cuts), (rho, *x_a), _ in (DESIGN_POINTS[0], DESIGN_POINTS[8]):
+            bands.clear()
+            factored.clear()
+            p = Problem.from_strings(ts, len(x_a), L.format(rho=rho), g, x_a, sense)
+            rows = horizon_study(p, cuts, SolveOptions(T_trunc=cuts[-1], grad_tol=1e-9))
+            per_cut = [(bands.count(K), factored.count(K), r.info.factorizations)
+                       for K, r in zip(map(ts.index_of, cuts), rows)]
+            assert all(r.info.iterations > 1 for r in rows)
+            if L is SCATTERED[0]:
+                assert p.fixed_band and per_cut == [(1, 1, 1)] * len(cuts)
+            else:
+                assert not p.fixed_band
+                assert per_cut == [(r.info.iterations,) * 3 for r in rows]
         assert calls_in_band == []
 
     def test_one_derivative_pass_per_iteration(self, monkeypatch):
@@ -619,7 +680,7 @@ class TestGradients:
         _, p, opts = dense_start_case()
         _, info = direct_solve(p, opts, with_info=True)
         assert info.stop_reason == "grad_tol"
-        assert len(bands) == info.iterations > 1  # one band per iteration
+        assert len(bands) == 1 < info.iterations  # a fixed band, assembled once
         assert 0 < len(calls) / info.iterations <= 3
         # exactly: the start's objective, one pass per iteration, and a probe
         # per step size tried in every iteration but the last
@@ -796,7 +857,7 @@ class TestBandSolve:
         F = size if isinstance(size, int) else max(1, solver._TAIL // n * 2 ** size[0] + size[1])
         assume(not (defect == "singular" and n == 1 and F == 1))
         diag, upper, rhs, M = synthetic_band(seed, F, n, defect, zeroed)
-        d = _band_solve(diag, upper, rhs)
+        d = band_step(diag, upper, rhs)
         eig = np.linalg.eigvalsh(M)
         if defect == "singular" or eig[0] <= -1e-3 * eig[-1]:
             assert d is None
@@ -832,9 +893,32 @@ class TestBandSolve:
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "solve", counting)
-        d = _band_solve(diag, upper, rhs)
+        d = band_step(diag, upper, rhs)
         assert len(calls) == tail_rows(F, 1)[1] + 1
         np.testing.assert_allclose(M @ d.ravel(), rhs.ravel(), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("levels", [0, 1, 2, 3])
+    def test_a_sweep_solves_a_fresh_right_hand_side(self, monkeypatch, n, levels):
+        # the factors of one solve take another right-hand side through one
+        # batched pivot solve per level and one tail solve, with no Cholesky
+        F = solver._TAIL // n * 2 ** (levels - 1) + 1 if levels else solver._TAIL // n
+        assert tail_rows(F, n)[1] == levels
+        for seed, zeroed in ((levels, 0), (10 + levels, 2)):
+            diag, upper, rhs, M = synthetic_band(seed, F, n, "none", zeroed)
+            _, factors = _band_solve(diag, upper, rhs)
+            fresh = np.random.default_rng(seed).uniform(-1.0, 1.0, (F, n))
+            calls, solve = [], np.linalg.solve
+            monkeypatch.setattr(np.linalg, "solve", lambda *a: calls.append(1) or solve(*a))
+            chol = RecordingCholesky(monkeypatch)
+            d = _band_sweep(factors, fresh)
+            monkeypatch.undo()
+            assert (len(calls), chol.seen) == (levels + 1, [])
+            expected = np.linalg.solve(M, fresh.ravel())
+            np.testing.assert_allclose(d.ravel(), expected, rtol=1e-10,
+                                       atol=1e-10 * np.max(np.abs(expected)))
+            # the joint solve of the same right-hand side, up to rounding
+            np.testing.assert_allclose(d, band_step(diag, upper, fresh), rtol=1e-12, atol=1e-14)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_no_dense_tail_above_the_threshold(self, monkeypatch, n):

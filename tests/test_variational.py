@@ -1,5 +1,6 @@
 import csv
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from nablats.variational import (
     transversality_residual_T2,
     weak_max_compare,
 )
+from nablats import variational
 from nablats.variational import _abs_max, _ELCore, _running_objective
 
 
@@ -140,10 +142,12 @@ class TestComputeZ:
         assert np.all(z.values == 0.0)
 
     def test_domain_error_reports_tau(self):
-        p = make_problem(g="log(x1)")  # x_rho hits 0 at the start
+        # x_rho is x(0) = 0 at t = 1, the first row z reads; the start's
+        # weightless term is never evaluated
+        p = make_problem(g="log(x1)")
         with pytest.raises(ExprDomainError) as exc:
             compute_z(p, linear_trajectory(p))
-        assert str(exc.value) == "z integrand 'log(x1)' is non-finite at t=0.0"
+        assert str(exc.value) == "z integrand 'log(x1)' is non-finite at t=1.0"
 
 
 class TestFunctional:
@@ -657,7 +661,7 @@ def per_row_report(p, x, T_prime):
     """The per-row report: reported rows as (t, row) pairs, and T1 and T2
     as (t, value) pairs from one dot product per row."""
     ts = p.ts
-    core = _ELCore.along(p, x, T_prime)
+    core = _ELCore.along(p, x, T_prime, start=0)  # every row, the start's included
     k = core.k
     F = core.integral_form()
     # row j reads x(t_{j-1}), neither the pinned start nor the free end
@@ -736,6 +740,53 @@ class TestReportArrays:
         report.write_csv(d / "new.csv")
         per_row_report_csv(oracle, float(T_prime), d / "old.csv")
         assert (d / "new.csv").read_bytes() == (d / "old.csv").read_bytes()
+
+    @given(report_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_the_start_is_evaluated_only_where_it_is_read(self, case):
+        # evaluating every row, the start included, as the kernel calls along
+        # a path once did, changes no report, z or objective by a bit where L
+        # is finite at the start: only the integral form on a dense start
+        # reads row 0, and it is evaluated there
+        p, x, T_prime = case
+        other = random_trajectory(p, 99)
+
+        def outputs():
+            report = residual_report(p, x, T_prime)
+            arrays = [getattr(report, name) for name in (
+                "pointwise_rows", "el_pointwise", "integral_rows", "el_integral",
+                "el_integral_constant_spread", "trans_T1", "trans_T2")]
+            arrays += [compute_z(p, x).values, _running_objective(p, x)]
+            return [a.tobytes() for a in arrays] + [
+                repr(evaluate_functional_partial(p, x, T_prime)),
+                repr(weak_max_compare(p, x, other)),
+                repr(transversality_residual_T1(p, x, T_prime)),
+                repr(transversality_residual_T2(p, x, T_prime)),
+            ]
+
+        rows_read = outputs()
+        path = variational._path
+        with patch.object(variational, "_path", lambda *args, start=1: path(*args, start=0)):
+            every_row = outputs()
+        assert rows_read == every_row
+
+    def test_the_start_is_read_only_by_the_integral_form_on_a_dense_start(self):
+        # -x1^2/t is not finite at t = 0: on a right-scattered start nothing
+        # reads it; on a dense start the integral form does, and says where
+        L = "-(v1^2) - x1^2/t"
+        scattered = make_problem(L, x_a=1.0, ts=integers(0, 6))
+        x = linear_trajectory(scattered, -0.1)
+        report = residual_report(scattered, x)
+        assert report.integral_rows[0] == 1
+        assert np.all(np.isfinite(report.el_pointwise)) and np.all(np.isfinite(report.el_integral))
+        assert math.isfinite(evaluate_functional_partial(scattered, x, 6.0))
+        assert weak_max_compare(scattered, x, x) == 0.0
+        dense = make_problem(L, x_a=1.0, ts=sampled_interval(0.0, 1.0, 4))
+        x = linear_trajectory(dense, -0.1)
+        with pytest.raises(ExprDomainError, match=r"is non-finite at t=0\.0$"):
+            residual_report(dense, x)
+        assert np.all(np.isfinite(el_residual_pointwise(dense, x, 0.5, 1.0)))
+        assert math.isfinite(evaluate_functional_partial(dense, x, 1.0))
 
     @given(report_cases(), st.lists(finite_floats, min_size=1, max_size=8))
     @settings(max_examples=60, deadline=None)
