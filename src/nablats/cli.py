@@ -48,7 +48,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .calculus import CalculusError, GridFunction, nabla_integral
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, load_config
 from .expressions import ExprDomainError, ExprSyntaxError, evaluate_many, to_source
 from .fundamental import construct_violating_variation, default_tolerance, witness_value
 from .solver import (
@@ -62,6 +62,7 @@ from .timescale import TimeScaleError
 from .variational import (
     AdmissibilityError,
     ProblemError,
+    _read_grid_csv,
     residual_report,
     trajectory_from_csv,
     trajectory_to_csv,
@@ -102,30 +103,6 @@ def _fmt(v: float) -> str:
 def _summary(pairs) -> None:
     for key, value in pairs:
         print(f"{key}: {value}")
-
-
-def _read_scalar_csv(rc: RunConfig, path) -> GridFunction:
-    import csv as _csv
-
-    with open(path, newline="") as fh:
-        rd = _csv.reader(fh)
-        header = next(rd, None)
-        if header != ["t", "f"]:
-            raise AdmissibilityError(
-                f"bad function header {header!r}, expected ['t', 'f']"
-            )
-        rows = [(float(r[0]), float(r[1])) for r in rd if r]
-    pts = rc.timescale.points
-    if len(rows) != len(pts):
-        raise AdmissibilityError(
-            f"function has {len(rows)} rows, grid has {len(pts)} points"
-        )
-    for (t, _), expect in zip(rows, pts):
-        if t != expect:
-            raise AdmissibilityError(
-                f"function row at t={t!r} does not match grid point {expect!r}"
-            )
-    return GridFunction.scalar(rc.timescale, [v for _, v in rows])
 
 
 # -- subcommands --------------------------------------------------------------
@@ -199,8 +176,8 @@ def _cmd_solve(args) -> int:
 
 def _cmd_lemma(args) -> int:
     rc = load_config(args.config)
-    g = _read_scalar_csv(rc, args.function)
     ts = rc.timescale
+    g = GridFunction.scalar(ts, _read_grid_csv(ts, args.function, ["f"], "function"))
     tol = args.tol if args.tol is not None else default_tolerance(g, ts)
     variation = construct_violating_variation(g, ts, tol=tol)
     if variation is None:

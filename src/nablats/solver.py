@@ -20,16 +20,16 @@ assembled from the symbolic partials in O(m n).  Each state value enters
 only the terms at its own grid point and the next one, plus the
 accumulated z, so the Hessian of the discretized objective is block
 tridiagonal with n x n blocks, exactly so when g = 0 or when L is affine
-in z with an x-free coefficient.  Every iteration solves with that band
-(the Newton step), factored by block cyclic reduction, O(m n^3) work in
-O(log m) batched levels and one small dense solve, so that quadratic
-problems converge in one step and the stopping test reads in step units;
+in z with an x-free coefficient.  Every iteration sweeps its gradient
+through the factors of that band (the Newton step), so that quadratic
+problems converge in one step and the stopping test reads in step units.
+Block cyclic reduction factors the band in O(m n^3) work, in O(log m)
+batched levels and one small dense tail, and a sweep takes the same levels;
 where the negated band is not positive definite an iteration falls back to
-Jacobi scaling by the band's diagonal.  On linear-quadratic problems
-(``Problem.fixed_band``: L_uu, g_uu and L_z read t alone) the band is the
-same at every point, so a search assembles and factors it at its first
-iteration and later iterations only sweep a new gradient through the
-factors.
+Jacobi scaling by the band's diagonal.  Where the band is the same at every
+point (``Problem.fixed_band``: a linear-quadratic problem, or g = 0 with
+L_uu reading t alone) a search assembles and factors it once, at its first
+iteration; otherwise once per iteration.
 
 Every evaluation runs on the problem's compiled kernels
 (``Problem.kernel``), through ``evaluate_many``, on grid rows 1..K, the
@@ -37,10 +37,11 @@ rows the objective truncated at t_K reads: an iteration makes one
 derivative pass, which gives the first partials for the gradient and the
 second partials for the band, and each line-search probe makes one
 objective call.  Both sum z exactly (``running_fsum``), so the last pass is
-the first-order certificate of the solution (``variational._ELCore``) and
-the last objective its value.  Subtrees that read only t are evaluated
-once per horizon, and a non-finite value anywhere raises
-``NonFiniteObjectiveError`` naming the first non-finite output and its t.
+the first-order certificate of the solution (``variational._ELCore``,
+handed back in ``SolveInfo.final_pass``) and the last objective its value.
+Subtrees that read only t are evaluated once per horizon, and a non-finite
+value anywhere raises ``NonFiniteObjectiveError`` naming the first
+non-finite output and its t.
 """
 
 from __future__ import annotations
@@ -156,6 +157,10 @@ class SolveInfo:
     backtracks: int
     factorizations: int  # band factorizations attempted, failed ones included
     phase_seconds: dict[str, float] = field(compare=False)  # wall time in each of _PHASES
+    #: the ``_EL_GROUPS`` rows (count, K) on grid rows 1..K of the derivative
+    #: pass at the solution, the certificate ``horizon_study`` reads; None
+    #: when the last step moved x after the last pass
+    final_pass: Optional[dict[str, np.ndarray]] = field(repr=False, compare=False)
 
 
 ARMIJO = 1e-4
@@ -164,7 +169,7 @@ ARMIJO = 1e-4
 _DERIVATIVE_GROUPS = ("gx", "gv", "Lz", "Lx", "Lv", "guu", "Luz", "Lzz", "Luu")
 #: the timed phases of an iteration; band_solve includes the Jacobi fallback
 _PHASES = ("derivatives", "gradient", "band_assembly", "band_solve", "line_search")
-#: ``_band_solve`` stops cyclic reduction at this many unknowns, a dense tail
+#: ``_band_factor`` stops cyclic reduction at this many unknowns, a dense tail
 _TAIL = 64
 
 
@@ -232,8 +237,8 @@ class _Engine:
         """One kernel call at x: the first and second partials, each group
         (count, K) over grid rows 1..K, and the tail sums S of w*L_z from
         each row to K.  z is the exact running sum the objective takes, so
-        the partials are those ``_residual_core`` certifies, bit for bit; it
-        is summed only when the partials read it."""
+        the first partials are those ``_ELCore.along`` takes along the same
+        values, bit for bit; it is summed only when the partials read it."""
         kernel = self.p.kernel(*_DERIVATIVE_GROUPS)
         z_sum = None if kernel.z_slot is None else (lambda g: running_fsum(self.w[1:] * g))
         out = self._run(kernel, self._env(x), z_sum)
@@ -320,59 +325,56 @@ def free_coordinates(p: Problem, opts: SolveOptions) -> list[tuple[int, int]]:
     return [(j, c) for j in range(1, _Engine(p, opts).last + 1) for c in range(p.n)]
 
 
-def _band_solve(diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray) -> Optional[tuple]:
-    """Solve M d = rhs for the symmetric block-tridiagonal M with diagonal
-    blocks ``diag`` (F, n, n) and upper blocks ``upper`` (F - 1, n, n);
-    return d and the factors ``_band_sweep`` solves another right-hand side
-    with: the scale, per level the odd rows' pivots, their couplings up and
-    down to the even rows and their solution X, and the tail matrix.
+def _band_factor(diag: np.ndarray, upper: np.ndarray) -> Optional[tuple]:
+    """Factor the symmetric block-tridiagonal M with diagonal blocks ``diag``
+    (F, n, n) and upper blocks ``upper`` (F - 1, n, n) for ``_band_sweep``:
+    return the scale, per level the odd rows' pivots, their couplings up and
+    down to the even rows and the pivots solved against those couplings, and
+    the tail matrix; None where M is not positive definite.
 
     Block cyclic reduction, O(F n^3): each batched level solves the odd
-    rows' pivots against their couplings and right-hand sides, folds them
-    into the even rows (Schur complements, and new upper blocks between even
-    rows two apart) and recurses on the even rows until one row or at most
-    ``_TAIL`` unknowns remain, a tail solved as one dense matrix; the odd
-    rows are recovered on the way back.  This is block Cholesky on the
-    odd-even permutation of M, so M is positive definite exactly when every
-    level's pivots and the tail are: one batched Cholesky tests the pivots,
-    one the tail, and a singular pivot also returns None.  M is first scaled
-    symmetrically by 1/sqrt(|diagonal|): discounted problems carry entries
-    from 1 down to subnormals, whose reciprocals overflow.  A diagonal entry
-    that is exactly 0.0 is factorised as 1: in the solver such a row's terms
-    have underflowed, so its right-hand side is 0 too.
+    rows' pivots against their couplings, folds them into the even rows
+    (Schur complements, and new upper blocks between even rows two apart)
+    and recurses on the even rows until one row or at most ``_TAIL``
+    unknowns remain, a tail kept as one dense matrix.  This is block
+    Cholesky on the odd-even permutation of M, so M is positive definite
+    exactly when every level's pivots and the tail are: one batched
+    Cholesky tests the pivots, one the tail, and a singular pivot also
+    returns None.  M is first scaled symmetrically by 1/sqrt(|diagonal|):
+    discounted problems carry entries from 1 down to subnormals, whose
+    reciprocals overflow.  A diagonal entry that is exactly 0.0 is
+    factorised as 1: in the solver such a row's terms have underflowed, so
+    its right-hand side is 0 too.
     """
-    F, n = rhs.shape
+    n = diag.shape[1]
     k = np.arange(n)
     dg = diag[:, k, k]
     s = 1.0 / np.sqrt(np.where(dg == 0.0, 1.0, np.abs(dg)))
-    aug = np.concatenate([diag * s[:, :, None] * s[:, None, :], (rhs * s)[:, :, None]], axis=2)
-    aug[:, k, k] = np.where(dg == 0.0, 1.0, aug[:, k, k])  # aug[j] = [M_jj | rhs_j], scaled
+    blocks = diag * s[:, :, None] * s[:, None, :]
+    blocks[:, k, k] = np.where(dg == 0.0, 1.0, blocks[:, k, k])  # blocks[j] = M_jj, scaled
     # right[j] = M_{j,j+1}, scaled; zero past the last row
     right = np.concatenate([upper * s[:-1, :, None] * s[1:, None, :], np.zeros((1, n, n))])
     levels = []
-    while len(aug) > 1 and len(aug) * n > _TAIL:
-        h = len(aug) // 2  # odd rows 2i + 1, each between even rows 2i and 2i + 2
+    while len(blocks) > 1 and len(blocks) * n > _TAIL:
+        h = len(blocks) // 2  # odd rows 2i + 1, each between even rows 2i and 2i + 2
         up, down = right[0 : 2 * h : 2], right[1::2]  # M_{2i,2i+1}, M_{2i+1,2i+2}
-        pivots = aug[1::2, :, :n]
-        try:  # X[i] = C_i^{-1} [M_{2i+1,2i} | M_{2i+1,2i+2} | rhs_{2i+1}], C_i the pivot
-            X = np.linalg.solve(
-                pivots, np.concatenate([up.transpose(0, 2, 1), down, aug[1::2, :, n:]], 2)
-            )
+        pivots = blocks[1::2]
+        try:  # X[i] = C_i^{-1} [M_{2i+1,2i} | M_{2i+1,2i+2}], C_i the pivot
+            X = np.linalg.solve(pivots, np.concatenate([up.transpose(0, 2, 1), down], 2))
         except np.linalg.LinAlgError:
             return None
-        levels.append((pivots, up, down, X))
+        levels.append((pivots, up, down, X[:, :, :n], X[:, :, n:]))
         # Schur complements of the even rows: through row 2i + 1, then row 2i - 1
-        even = aug[0::2].copy()
+        even = blocks[0::2].copy()
         P = up @ X
-        even[:h, :, :n] -= P[:, :, :n]
-        even[:h, :, n:] -= P[:, :, 2 * n :]
+        even[:h] -= P[:, :, :n]
         even[1:] -= (down.transpose(0, 2, 1) @ X[:, :, n:])[: len(even) - 1]
         right = np.zeros((len(even), n, n))
-        right[:h] = -P[:, :, n : 2 * n]  # -M_{2i,2i+1} C_i^{-1} M_{2i+1,2i+2}
-        aug = even
-    E, i = len(aug), np.arange(len(aug))
+        right[:h] = -P[:, :, n:]  # -M_{2i,2i+1} C_i^{-1} M_{2i+1,2i+2}
+        blocks = even
+    E, i = len(blocks), np.arange(len(blocks))
     tail = np.zeros((E, n, E, n))  # tail[a, :, b] = M_ab over the remaining rows
-    tail[i, :, i] = aug[:, :, :n]
+    tail[i, :, i] = blocks
     tail[i[:-1], :, i[1:]] = right[: E - 1]
     tail[i[1:], :, i[:-1]] = right[: E - 1].transpose(0, 2, 1)
     tail = tail.reshape(E * n, E * n)
@@ -380,47 +382,36 @@ def _band_solve(diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray) -> Optiona
         if levels:
             np.linalg.cholesky(np.concatenate([C for C, *_ in levels]))
         np.linalg.cholesky(tail)
-        d = np.linalg.solve(tail, aug[:, :, n:].reshape(E * n, 1)).reshape(E, n, 1)
     except np.linalg.LinAlgError:
         return None
-    solved = [(X[:, :, :n], X[:, :, n : 2 * n], X[:, :, 2 * n :]) for *_, X in levels]
-    return _back_substitute(solved, d) * s, (s, levels, tail)
+    return s, levels, tail
 
 
 def _band_sweep(factors: tuple, rhs: np.ndarray) -> np.ndarray:
-    """Solve M d = rhs with the factors ``_band_solve`` left for M: per
-    level one batched pivot solve for the odd rows' right-hand sides, folded
-    into the even rows; one tail solve; and the back-substitution of
-    ``_band_solve``.  The same elimination, so the same d up to rounding."""
+    """Solve M d = rhs (F, n) with the factors ``_band_factor`` made of M:
+    per level one batched pivot solve y = C^{-1} rhs_{2i+1} for the odd
+    rows, folded into the even rows; one dense tail solve; then, level by
+    level, last first, odd row 2i + 1 is y_i - lo_i d_2i - hi_i d_{2i+2}
+    with (lo, hi) = C^{-1} (M_{2i+1,2i}, M_{2i+1,2i+2}).  Returns (F, n)."""
     s, levels, tail = factors
     n = rhs.shape[1]
     r = (rhs * s)[:, :, None]
     solved = []
-    for pivots, up, down, X in levels:
-        y = np.linalg.solve(pivots, r[1::2])  # C_i^{-1} rhs_{2i+1}
-        solved.append((X[:, :, :n], X[:, :, n : 2 * n], y))
+    for pivots, up, down, _, _ in levels:
+        y = np.linalg.solve(pivots, r[1::2])
+        solved.append(y)
         even = r[0::2].copy()
         even[: len(y)] -= up @ y
         even[1:] -= (down.transpose(0, 2, 1) @ y)[: len(even) - 1]
         r = even
     d = np.linalg.solve(tail, r.reshape(-1, 1)).reshape(-1, n, 1)
-    return _back_substitute(solved, d) * s
-
-
-def _back_substitute(levels, d: np.ndarray) -> np.ndarray:
-    """The rows of a cyclic reduction from its tail solution d (E, n, 1):
-    per level, last first, odd row 2i + 1 is y_i - lo_i d_2i - hi_i d_{2i+2}
-    from the level's (lo, hi, y) = C^{-1} (M_{2i+1,2i}, M_{2i+1,2i+2},
-    rhs_{2i+1}).  Returns (F, n)."""
-    n = d.shape[1]
-    for lo, hi, y in reversed(levels):
+    for (*_, lo, hi), y in zip(reversed(levels), reversed(solved)):
         h = len(y)
         ahead = np.concatenate([d[1:], np.zeros((1, n, 1))])[:h]  # zero past the last row
-        odd = y - lo @ d[:h] - hi @ ahead
         full = np.empty((len(d) + h, n, 1))
-        full[0::2], full[1::2] = d, odd
+        full[0::2], full[1::2] = d, y - lo @ d[:h] - hi @ ahead
         d = full
-    return d[:, :, 0]
+    return d[:, :, 0] * s
 
 
 def direct_solve(p: Problem, opts: SolveOptions, with_info: bool = False):
@@ -428,25 +419,28 @@ def direct_solve(p: Problem, opts: SolveOptions, with_info: bool = False):
 
     Starts from the constant initial state (or the linear interpolant to
     a pinned terminal) and steps along the Newton step of the Hessian band
-    (``_Engine.hessian_band``) with Armijo backtracking from ``step_init``;
-    when the negated band is not positive definite that iteration takes the
-    Jacobi step, the gradient over max(|band diagonal|, 1e-30), and counts
-    it in ``SolveInfo.fallbacks``.  A fixed band (``Problem.fixed_band``) is
-    assembled and factored at the first iteration only: later iterations
-    solve with its factors (``_band_sweep``), or take the Jacobi step by its
-    diagonal when it failed.  ``SolveInfo.factorizations`` counts the
+    (``_Engine.hessian_band``), the gradient swept through the band's
+    factors (``_band_factor``, ``_band_sweep``), with Armijo backtracking
+    from ``step_init``; when the negated band is not positive definite that
+    iteration takes the Jacobi step, the gradient over max(|band diagonal|,
+    1e-30), and counts it in ``SolveInfo.fallbacks``.  A fixed band
+    (``Problem.fixed_band``) is assembled and factored at the first
+    iteration only, so when that fails every iteration takes the Jacobi
+    step by its diagonal; ``SolveInfo.factorizations`` counts the
     factorizations attempted: 1 for a fixed band, else one per iteration.
     Values beyond the truncation point are frozen; they never enter the
-    truncated objective.  Accepted steps never
-    decrease the objective.  ``SolveInfo.stop_reason`` says why the search
-    ended: ``grad_tol`` (the sup norm of the step fell below ``grad_tol``;
-    the only converged case), ``flat`` (50 accepted steps in a row left the
-    objective unchanged), ``no_progress`` (no step size passed the Armijo
-    test, or the accepted step changed nothing) or ``max_iters``.  A
-    non-finite tail sum, gradient or step raises
-    ``NonFiniteObjectiveError``.  ``SolveInfo.objective`` is the search's
-    own objective at the solution, read as the literal integral of L: bit
-    for bit ``evaluate_functional_partial``.
+    truncated objective.  Accepted steps never decrease the objective.
+    ``SolveInfo.stop_reason`` says why the search ended: ``grad_tol`` (the
+    sup norm of the step fell below ``grad_tol``; the only converged case),
+    ``flat`` (50 accepted steps in a row left the objective unchanged),
+    ``no_progress`` (no step size passed the Armijo test, or the accepted
+    step changed nothing) or ``max_iters``.  A non-finite tail sum,
+    gradient or step raises ``NonFiniteObjectiveError``.
+    ``SolveInfo.objective`` is the search's own objective at the solution,
+    read as the literal integral of L: bit for bit
+    ``evaluate_functional_partial``; ``SolveInfo.final_pass`` holds the
+    first partials of the derivative pass at the solution, or None when the
+    last step (a ``flat`` or ``max_iters`` stop) moved x after it.
     """
     eng = _Engine(p, opts)
     x = eng.initial_values()
@@ -466,21 +460,18 @@ def direct_solve(p: Problem, opts: SolveOptions, with_info: bool = False):
             clock = _lap(phases, "derivatives", clock)
             grad = eng.analytic_gradient(d)
             clock = _lap(phases, "gradient", clock)
-            rhs = grad.reshape(-1, eng.n)
-            if diag is None or not p.fixed_band:
+            if diag is None or not p.fixed_band:  # a fixed band stays the first one
                 diag, upper = eng.hessian_band(d)
                 clock = _lap(phases, "band_assembly", clock)
                 factorizations += 1
-                step, factors = _band_solve(-diag, -upper, rhs) or (None, None)
-            else:  # a fixed band: the first iteration's, factored then
-                step = None if factors is None else _band_sweep(factors, rhs)
-            if step is None:
+                factors = _band_factor(-diag, -upper)
+            if factors is None:
                 fallbacks += 1
                 _log.debug("direct_solve: iteration %d falls back to the Jacobi step", iterations)
                 curv = np.abs(np.diagonal(diag, axis1=1, axis2=2)).ravel()
                 direction = grad / np.maximum(curv, 1e-30)
             else:
-                direction = step.ravel()
+                direction = _band_sweep(factors, grad.reshape(-1, eng.n)).ravel()
             slope = float(np.dot(grad, direction))
         clock = _lap(phases, "band_solve", clock)
         crit = float(np.max(np.abs(direction))) if len(direction) else 0.0
@@ -512,8 +503,6 @@ def direct_solve(p: Problem, opts: SolveOptions, with_info: bool = False):
             stop = "flat"
             break
 
-    global _final_pass
-    _final_pass = (p, eng.K, x, d if d_at is x else None)
     traj = Trajectory.from_values(p, x)
     if not with_info:
         return traj
@@ -529,32 +518,10 @@ def direct_solve(p: Problem, opts: SolveOptions, with_info: bool = False):
         backtracks=backtracks,
         factorizations=factorizations,
         phase_seconds=phases,
+        # copies, so a kept row does not hold the whole pass's kernel output
+        final_pass={key: d[key].copy() for key in _EL_GROUPS} if d_at is x else None,
     )
     return traj, info
-
-
-#: a one-entry cache of the derivative pass at the values the last
-#: ``direct_solve`` returned: (problem, K, values, pass), the pass None when
-#: it was taken before the last step.  ``horizon_study`` solves each cut
-#: through ``direct_solve``, the one entry point of a search (which
-#: ``perfbench/spans.py`` wraps), and reads the pass from here; an entry for
-#: another (problem, K, values) is not used, so the cache changes no result
-_final_pass: tuple = (None, 0, None, None)
-
-
-def _residual_core(p: Problem, opts: SolveOptions, x: Trajectory) -> _ELCore:
-    """The residual core of the solution x at ``opts.T_trunc`` from the
-    derivative pass its ``direct_solve`` ended on, or from one more pass when
-    the last step moved x after it (a ``max_iters`` or ``flat`` stop).  The
-    pass never evaluates the start, so the core's row 0, which only the
-    integral form reads, is NaN."""
-    eng = _Engine(p, opts)
-    solved, K, values, d = _final_pass
-    if d is None or solved is not p or K != eng.K or not np.array_equal(values, x.values):
-        d = eng.derivatives(x.values)
-    parts = {key: np.concatenate([np.full((len(d[key]), 1), np.nan), d[key]], axis=1)
-             for key in _EL_GROUPS}
-    return _ELCore(p.ts, x.values, eng.K, parts)
 
 
 def _lap(phases: dict[str, float], phase: str, since: float) -> float:
@@ -678,8 +645,14 @@ def horizon_study(p: Problem, truncations, opts: SolveOptions) -> list[HorizonRo
     for T in cuts:
         o = replace(opts, T_trunc=T)
         x, info = direct_solve(p, o, with_info=True)
+        K = p.ts.index_of(T)
         with np.errstate(all="ignore"):  # overflow gives inf or NaN, as in residual_report
-            core = _residual_core(p, o, x)
+            # one more pass only when the last step moved x after the last one;
+            # no pass evaluates the start, so row 0 (the integral form's) is NaN
+            d = _Engine(p, o).derivatives(x.values) if info.final_pass is None else info.final_pass
+            core = _ELCore(p.ts, x.values, K, {
+                key: np.concatenate([np.full((len(d[key]), 1), np.nan), d[key]], axis=1)
+                for key in _EL_GROUPS})
             reported = core.stationarity()
             t1, t2 = core.transversality(slice(core.k, core.k + 1))
         rows.append(

@@ -67,6 +67,7 @@ from .expressions import (
     Expr,
     Kernel,
     Neg,
+    Num,
     bind_shape,
     differentiate,
     evaluate_many,
@@ -145,11 +146,13 @@ def _derive(tag, L: Expr, g: Expr, guards) -> dict:
         rows[group] = [(f"d2{group[0]}/d{u[min(i, j)]}d{u[max(i, j)]}", second[group][i][j])
                        for i in k for j in k]
     # the solver's band reads L_uu, g_uu, the tail sums of L_z and, through
-    # the z couplings, L_uz, L_zz and g_u; where L_uu, g_uu and L_z read t
-    # alone, L_uz and L_zz (partials of L_z) are literal zeros, so every z
-    # coupling is a product with an exact zero and the band is fixed
-    fixed_band = all(variables(e) <= {"t"}
-                     for e in [first["Lz"], *sum(second["Luu"] + second["guu"], [])])
+    # the z couplings, L_uz, L_zz and g_u.  Where L_z reads t alone, L_uz and
+    # L_zz (partials of L_z) are literal zeros; where g is the literal 0, z is
+    # 0 and a = w*g_u is an exact zero.  Either way every z coupling is a
+    # product with an exact zero, so where L_uu and g_uu read t alone too the
+    # band is fixed
+    fixed_band = (g == Num(0.0) or variables(first["Lz"]) <= {"t"}) and all(
+        variables(e) <= {"t"} for e in sum(second["Luu"] + second["guu"], []))
     return {"partials": first, "hessian_partials": second, "rows": rows, "fixed_band": fixed_band}
 
 
@@ -228,8 +231,9 @@ class Problem:
     @property
     def fixed_band(self) -> bool:
         """Whether the solver's Hessian band is the same at every point:
-        decided once per shape, true when L_uu, g_uu and L_z read t alone
-        (a linear-quadratic problem), so that a search factors it once."""
+        decided once per shape, true when L_uu and g_uu read t alone and
+        so does L_z (a linear-quadratic problem) or g is the literal 0, so
+        that a search factors it once."""
         return self._binding.shape.derived["fixed_band"]
 
     def kernel(self, *groups: str, check: bool = True) -> Kernel:
@@ -621,20 +625,37 @@ def trajectory_to_csv(x: Trajectory, path):
     _write_csv_lines(path, [header] + rows)
 
 
-def trajectory_from_csv(p: Problem, path) -> Trajectory:
-    """Read a trajectory written by ``trajectory_to_csv`` for this problem."""
+def _read_grid_csv(ts: TimeScale, path, columns: list[str], what: str) -> np.ndarray:
+    """The value columns (len(ts), len(columns)) of a CSV with the header
+    t,columns on the grid ts, the format ``trajectory_to_csv`` writes: every
+    row has as many cells as the header, one row per grid point, and the t
+    column is exactly the grid's points."""
+    expected = ["t", *columns]
     with open(path, newline="") as fh:
         rd = csv.reader(fh)
         header = next(rd, None)
-        expected = ["t"] + [f"x{i}" for i in range(1, p.n + 1)]
         if header != expected:
-            raise AdmissibilityError(f"bad trajectory header {header!r}, expected {expected!r}")
-        rows = [[float(cell) for cell in row] for row in rd if row]
-    if len(rows) != len(p.ts):
-        raise AdmissibilityError(
-            f"trajectory has {len(rows)} rows, grid has {len(p.ts)} points"
-        )
-    arr = np.asarray(rows)
-    if not np.array_equal(arr[:, 0], p.ts.points_array):
-        raise AdmissibilityError("trajectory t column does not match the problem grid")
-    return Trajectory.from_values(p, arr[:, 1:])
+            raise AdmissibilityError(f"bad {what} header {header!r}, expected {expected!r}")
+        rows = []
+        for row in filter(None, rd):
+            if len(row) != len(expected):
+                raise AdmissibilityError(f"{what} line {rd.line_num} has {len(row)} cells, "
+                                         f"the header has {len(expected)}")
+            try:
+                rows.append([float(cell) for cell in row])
+            except ValueError as exc:
+                raise AdmissibilityError(f"{what} line {rd.line_num}: {exc}") from None
+    if len(rows) != len(ts):
+        raise AdmissibilityError(f"{what} has {len(rows)} rows, grid has {len(ts)} points")
+    arr = np.array(rows)
+    bad = np.flatnonzero(arr[:, 0] != ts.points_array)
+    if bad.size:
+        raise AdmissibilityError(f"{what} row at t={float(arr[bad[0], 0])!r} does not match "
+                                 f"grid point {ts.points[bad[0]]!r}")
+    return arr[:, 1:]
+
+
+def trajectory_from_csv(p: Problem, path) -> Trajectory:
+    """Read a trajectory written by ``trajectory_to_csv`` for this problem."""
+    columns = [f"x{i}" for i in range(1, p.n + 1)]
+    return Trajectory.from_values(p, _read_grid_csv(p.ts, path, columns, "trajectory"))

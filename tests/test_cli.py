@@ -162,6 +162,14 @@ class TestCheckEl:
         assert code == 2
         assert "Traceback" not in err
 
+    def test_a_ragged_trajectory_row_exits_2_naming_its_line(self, tmp_path, capsys):
+        cfg = write_ini(tmp_path)
+        path = tmp_path / "ragged.csv"
+        path.write_text("t,x1\n0.0,0.0\n1.0,1.0\n2.0,2.0,7.0\n3.0,3.0\n4.0,4.0\n5.0,5.0\n")
+        code, out, err = run(capsys, "check-el", cfg, "--trajectory", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: trajectory line 4 has 3 cells, the header has 2\n"
+
     def test_integral_and_finite_forms_pass_on_extremal(self, tmp_path, capsys):
         cfg = write_ini(tmp_path)
         traj = write_trajectory(tmp_path, "x.csv", [0, 1, 2, 3, 4, 5])
@@ -461,6 +469,15 @@ class TestLemma:
                 wr.writerow([float(t), {3: "0.5", 4: value, 5: "0.5"}.get(t, "0.0")])
         code, out, err = run(capsys, "lemma", cfg, "--function", str(path))
         assert (code, out, err) == (2, "", "error: function contains non-finite values\n")
+
+    def test_a_ragged_function_row_exits_2_naming_its_line(self, tmp_path, capsys):
+        # a third cell was dropped without a word, and the spike at t = 5 reported
+        cfg = write_ini(tmp_path)
+        path = tmp_path / "ragged.csv"
+        path.write_text("t,f\n0.0,0.0\n1.0,0.0\n2.0,0.0\n3.0,0.0,9.0\n4.0,0.0\n5.0,2.0\n")
+        code, out, err = run(capsys, "lemma", cfg, "--function", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: function line 5 has 3 cells, the header has 2\n"
 
     def test_wrong_grid_exits_2(self, tmp_path, capsys):
         cfg = write_ini(tmp_path)

@@ -1,6 +1,7 @@
 """The library never prints: only the command-line front end writes to the
 standard streams; everything else reports through return values, exceptions
-or ``logging.getLogger("nablats")``."""
+or ``logging.getLogger("nablats")``.  And no module rebinds a global: what
+one call hands the next goes through arguments and return values."""
 
 import ast
 from pathlib import Path
@@ -55,3 +56,28 @@ def test_the_scan_catches_each_form(tmp_path):
         "sys.stderr at line 5",
         "sys.stdout at line 4",
     ]
+
+
+def global_statements(path: Path) -> list[str]:
+    """Each ``global`` statement in a module."""
+    return [f"global {', '.join(node.names)} at line {node.lineno}"
+            for node in ast.walk(ast.parse(path.read_text(), str(path))) if isinstance(node, ast.Global)]
+
+
+def test_no_module_rebinds_a_global():
+    offenders = {p.name: global_statements(p) for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: found for name, found in offenders.items() if found} == {}
+
+
+def test_the_global_scan_catches_each_form(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "x = y = 0\n"
+        "def f():\n"
+        "    global x\n"
+        "    x = 1\n"
+        "class C:\n"
+        "    def g(self):\n"
+        "        global x, y\n"
+    )
+    assert sorted(global_statements(module)) == ["global x at line 3", "global x, y at line 7"]

@@ -22,7 +22,7 @@ from nablats.solver import (
     HorizonRow,
     NonFiniteObjectiveError,
     SolveOptions,
-    _band_solve,
+    _band_factor,
     _band_sweep,
     _Engine,
     brute_force,
@@ -165,9 +165,10 @@ def band_diagonal(diag):
 
 
 def band_step(diag, upper, rhs):
-    """``_band_solve``'s solution, or None where it rejects the band."""
-    solved = _band_solve(diag, upper, rhs)
-    return None if solved is None else solved[0]
+    """The band's solution, swept through ``_band_factor``'s factors, or None
+    where the factor rejects the band."""
+    factors = _band_factor(diag, upper)
+    return None if factors is None else _band_sweep(factors, rhs)
 
 
 def einsum_band(eng, d):
@@ -266,7 +267,7 @@ def synthetic_band(seed, F, n, defect, zeroed):
     ``zeroed`` other scalar rows are zero throughout, right-hand side too,
     like the rows of the solver whose terms have underflowed.  Returns the
     band, the right-hand side and the dense matrix with those rows' 0.0
-    diagonal entries replaced by 1, as ``_band_solve`` factorises them.
+    diagonal entries replaced by 1, as ``_band_factor`` factorises them.
     """
     rng = np.random.default_rng(seed)
     A = rng.uniform(-1.0, 1.0, (F, n, n))
@@ -455,6 +456,43 @@ class TestDirectSolve:
             x = eng.apply(x, gradient_at(eng, x) / curv)
         assert np.array_equal(got.values, x)
 
+    def test_a_z_coupled_band_with_g_zero_is_factored_once(self):
+        # L_z = 0.05*x1 reads the state, but with g = 0 z is 0 and a = w*g_u
+        # is an exact zero, so every z coupling of the band vanishes
+        p = make("exp(-0.1*t)*(-(v1^2) - x1^2) + 0.05*x1*z", ts=integers(0, 40), x_a=1.0)
+        assert p.fixed_band
+        rows = horizon_study(p, [20.0, 40.0], SolveOptions(T_trunc=40.0, grad_tol=1e-9))
+        assert [(r.info.stop_reason, r.info.iterations, r.info.factorizations) for r in rows] == [
+            ("grad_tol", 2, 1)
+        ] * 2
+
+    @given(**coupled_cases, coupling=st.sampled_from(["g0", "affine"]),
+           tail=st.sampled_from([1, 6, solver._TAIL]))
+    @settings(max_examples=60, deadline=None)
+    def test_refactoring_a_fixed_band_changes_no_bit(self, seed, n, sense, coupling, tail):
+        # every step sweeps the gradient through the band's factors, so
+        # fixed_band decides only how often the same band is factored, never
+        # the arithmetic of a step; a small dense tail makes these short
+        # bands run levels of cyclic reduction
+        eng, _ = coupled_case(seed, n, sense, coupling)
+        p, opts = eng.p, replace(eng.opts, grad_tol=1e-9, max_iters=40)
+        assert p.fixed_band
+
+        def solve():
+            try:
+                x, info = direct_solve(p, opts, with_info=True)
+            except NonFiniteObjectiveError as exc:  # the mirror of a maximization may diverge
+                return str(exc), None
+            return (x.values.tobytes(), info.grad_norm, info.iterations, info.stop_reason), info
+
+        with patch.object(solver, "_TAIL", tail):
+            once, info = solve()
+            with patch.object(Problem, "fixed_band", False):
+                every, every_info = solve()
+        assert every == once
+        if info is not None:
+            assert (info.factorizations, every_info.factorizations) == (1, info.iterations)
+
     def test_underflowed_rows_take_no_step(self):
         # exp(-t) underflows to 0 past t = 745: those rows have a zero band
         # and a zero gradient, and factorise as 1 instead of ending the search
@@ -557,7 +595,7 @@ class TestGradients:
     @settings(max_examples=100, deadline=None)
     def test_band_matches_the_einsum_oracle(self, seed, n, sense, coupling):
         # the per-row block weights give the selector sandwiches' numbers, and
-        # an entry the oracle leaves exactly 0.0 stays 0.0: _band_solve
+        # an entry the oracle leaves exactly 0.0 stays 0.0: _band_factor
         # factorises a 0.0 diagonal entry as 1
         eng, x = coupled_case(seed, n, sense, coupling)
         d = eng.derivatives(x)
@@ -569,15 +607,17 @@ class TestGradients:
     @given(**coupled_cases, coupling=st.sampled_from(["full", "g0", "affine"]))
     @settings(max_examples=60, deadline=None)
     def test_a_fixed_band_is_the_same_at_every_point(self, seed, n, sense, coupling):
-        # only the linear-quadratic "affine" case (L quadratic in (x, v) with
-        # -c*z, g quadratic) has L_uu, g_uu and L_z reading t alone; its L_uz
-        # and L_zz are then literal zeros and its band is bit for bit the
-        # same at any two points
+        # the linear-quadratic "affine" case (L quadratic in (x, v) with -c*z,
+        # g quadratic) has L_uu, g_uu and L_z reading t alone, so its L_uz and
+        # L_zz are literal zeros; the "g0" case has g = 0, so z is 0 and
+        # a = w*g_u is an exact zero.  Either band is bit for bit the same at
+        # any two points
         eng, x = coupled_case(seed, n, sense, coupling)
         p = eng.p
-        assert p.fixed_band == (coupling == "affine")
-        if p.fixed_band:
+        assert p.fixed_band == (coupling in ("affine", "g0"))
+        if coupling == "affine":
             assert all(e == Num(0.0) for e in p.hessian_partials["Luz"] + [p.hessian_partials["Lzz"]])
+        if p.fixed_band:
             other = np.vstack([p.x_a_array, np.random.default_rng(seed + 1).uniform(-5, 5, x[1:].shape)])
             for a, b in zip(band_at(eng, x), band_at(eng, other)):
                 assert a.tobytes() == b.tobytes()
@@ -619,7 +659,7 @@ class TestGradients:
         calls_in_band = []
         gradient = _Engine.analytic_gradient
         band = _Engine.hessian_band
-        band_solve = solver._band_solve
+        band_factor = solver._band_factor
 
         def counting(self, *args):
             if inside_band:
@@ -636,13 +676,13 @@ class TestGradients:
             finally:
                 inside_band.pop()
 
-        def counting_solve(*args):
+        def counting_factor(*args):
             factored.append(bands[-1])
-            return band_solve(*args)
+            return band_factor(*args)
 
         monkeypatch.setattr(_Engine, "analytic_gradient", counting)
         monkeypatch.setattr(_Engine, "hessian_band", counting_band)
-        monkeypatch.setattr(solver, "_band_solve", counting_solve)
+        monkeypatch.setattr(solver, "_band_factor", counting_factor)
         for (L, g, sense, ts, cuts), (rho, *x_a), _ in (DESIGN_POINTS[0], DESIGN_POINTS[8]):
             bands.clear()
             factored.clear()
@@ -816,7 +856,7 @@ class TestSelfCheck:
 
 
 def tail_rows(F, n):
-    """The rows ``_band_solve`` leaves to its dense tail, and the levels of
+    """The rows ``_band_factor`` leaves to its dense tail, and the levels of
     cyclic reduction above it."""
     levels = 0
     while F > 1 and F * n > solver._TAIL:
@@ -873,16 +913,17 @@ class TestBandSolve:
         # stays even at every level and ends in the dense tail
         F = 4 * solver._TAIL // n + 1
         assert tail_rows(F, n)[1] == 3
-        diag, upper, rhs, _ = synthetic_band(5, F, n, "none", 0)
+        diag, upper, _, _ = synthetic_band(5, F, n, "none", 0)
         diag[row, 0, 0] *= -1.0  # a negative diagonal entry: M is indefinite
         chol = RecordingCholesky(monkeypatch)
-        assert _band_solve(diag, upper, rhs) is None
+        assert _band_factor(diag, upper) is None
         # the levels' pivots go through one batched (3-d) call, the tail a 2-d one
         assert chol.rejected == [3 if rejected_by == "pivots" else 2]
 
     def test_levels_not_rows(self, monkeypatch):
-        # one batched pivot solve per reduction level above the dense tail and
-        # one for the tail: a per-row sweep would make 1600
+        # the factor makes one batched pivot solve per reduction level above
+        # the dense tail, and the sweep one per level and one for the tail: a
+        # per-row elimination would make 1600
         F = 1600
         diag, upper, rhs, M = synthetic_band(7, F, 1, "none", 0)
         calls = []
@@ -893,20 +934,23 @@ class TestBandSolve:
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "solve", counting)
-        d = band_step(diag, upper, rhs)
-        assert len(calls) == tail_rows(F, 1)[1] + 1
+        levels = tail_rows(F, 1)[1]
+        factors = _band_factor(diag, upper)
+        assert len(calls) == levels
+        d = _band_sweep(factors, rhs)
+        assert len(calls) == levels + levels + 1
         np.testing.assert_allclose(M @ d.ravel(), rhs.ravel(), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("levels", [0, 1, 2, 3])
     def test_a_sweep_solves_a_fresh_right_hand_side(self, monkeypatch, n, levels):
-        # the factors of one solve take another right-hand side through one
-        # batched pivot solve per level and one tail solve, with no Cholesky
+        # the factors of a band take any right-hand side through one batched
+        # pivot solve per level and one tail solve, with no Cholesky
         F = solver._TAIL // n * 2 ** (levels - 1) + 1 if levels else solver._TAIL // n
         assert tail_rows(F, n)[1] == levels
         for seed, zeroed in ((levels, 0), (10 + levels, 2)):
-            diag, upper, rhs, M = synthetic_band(seed, F, n, "none", zeroed)
-            _, factors = _band_solve(diag, upper, rhs)
+            diag, upper, _, M = synthetic_band(seed, F, n, "none", zeroed)
+            factors = _band_factor(diag, upper)
             fresh = np.random.default_rng(seed).uniform(-1.0, 1.0, (F, n))
             calls, solve = [], np.linalg.solve
             monkeypatch.setattr(np.linalg, "solve", lambda *a: calls.append(1) or solve(*a))
@@ -917,16 +961,14 @@ class TestBandSolve:
             expected = np.linalg.solve(M, fresh.ravel())
             np.testing.assert_allclose(d.ravel(), expected, rtol=1e-10,
                                        atol=1e-10 * np.max(np.abs(expected)))
-            # the joint solve of the same right-hand side, up to rounding
-            np.testing.assert_allclose(d, band_step(diag, upper, fresh), rtol=1e-12, atol=1e-14)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_no_dense_tail_above_the_threshold(self, monkeypatch, n):
         # the dense tail is the one 2-d Cholesky; the batched pivots are n x n
         F = 1600
-        diag, upper, rhs, _ = synthetic_band(11, F, n, "none", 0)
+        diag, upper, _, _ = synthetic_band(11, F, n, "none", 0)
         chol = RecordingCholesky(monkeypatch)
-        assert _band_solve(diag, upper, rhs) is not None
+        assert _band_factor(diag, upper) is not None
         tails = [a.shape for a in chol.seen if a.ndim == 2]
         assert len(tails) == 1 and tails[0][0] <= solver._TAIL
         assert all(a.shape[-2:] == (n, n) for a in chol.seen if a.ndim == 3)

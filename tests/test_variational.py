@@ -845,6 +845,13 @@ class TestTrajectoryCsv:
         back = trajectory_from_csv(p, path)
         assert np.array_equal(back.values, x.values)
 
+    def test_a_malformed_cell_names_its_line(self, tmp_path):
+        p = make_problem(ts=integers(0, 2))
+        path = tmp_path / "traj.csv"
+        path.write_text("t,x1\n0.0,0.0\n1.0,abc\n2.0,2.0\n")
+        with pytest.raises(AdmissibilityError, match="^trajectory line 3: could not convert"):
+            trajectory_from_csv(p, path)
+
     def test_grid_mismatch_detected(self, tmp_path):
         p = make_problem()
         x = linear_trajectory(p)
