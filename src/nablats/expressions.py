@@ -17,7 +17,9 @@ A ``Program`` lowers many expressions into one hash-consed program, and a
 dispatches on it): the values are bit for bit those of the tree walk, each
 shared subtree is evaluated once per call and each subtree of t alone once
 per t array, and the stacked result is checked for non-finite values once
-per stage.
+per stage.  A kernel also runs in two steps, its z-free part on a table of
+points and its z part on rows gathered from it (``Kernel.table``,
+``Kernel.gather``), bit for bit a full call on the gathered rows.
 
 ``bind_shape`` compiles a problem once per shape and process: requests
 that differ only in their lifted literals (``Param``) bind their values.
@@ -496,7 +498,10 @@ class Kernel:
     is the z integrand; no g-stage output may read z.  With ``check``, a
     non-finite output raises ``ExprDomainError`` naming the first such
     output (in row order) by its label and source, and its first t.  A
-    kernel that reads a ``Param`` runs once bound (``bind``).
+    kernel that reads a ``Param`` runs once bound (``bind``).  ``table``
+    and ``gather`` split a call at z: the g stage and the L stage's z-free
+    ops once on a table of points, then the ops that read z on points
+    gathered from it.
     """
 
     def __init__(self, program: Program, g_stage, l_stage, check: bool = True):
@@ -534,6 +539,9 @@ class Kernel:
                 ops = (self.p_ops if kind == _PARAM else self.t_ops if kind == _T
                        else self.g_ops if s in g_needed else self.l_ops)
                 ops.append((s, _OPS[op], args[0], args[1] if len(args) > 1 else None))
+        # the L stage's z-free ops first, then those that read z (``table``)
+        self.l_ops.sort(key=lambda step: kinds[step[0]] == _Z)
+        self.n_free = sum(kinds[s] != _Z for s, *_ in self.l_ops)
         # drop each intermediate after its last reader, as the tree walk does,
         # so that a batch holds few temporaries at a time
         steps = self.g_ops + self.l_ops
@@ -545,6 +553,11 @@ class Kernel:
                 frees[last[s]].append(s)
         steps = [step + (tuple(free),) for step, free in zip(steps, frees)]
         self.g_ops, self.l_ops = steps[: len(self.g_ops)], steps[len(self.g_ops) :]
+        # the z-free values ``gather`` reads: operands of the z ops and z-free
+        # L-stage outputs, the (slot, whether it reads x or v) of each
+        z_ops = self.l_ops[self.n_free :]
+        read = {arg for _, _, a, b, _ in z_ops for arg in (a, b)} | set(slots[self.n_g :])
+        self.gathered = [(s, kinds[s] == _XV) for s in sorted(read - {None}) if _T <= kinds[s] < _Z]
         self.values: tuple = ()
         self.t_values: dict[bytes, dict[int, np.ndarray]] = {}
 
@@ -581,6 +594,50 @@ class Kernel:
         arrays (a leading batch axis carries through).  With ``check``, each
         stage's rows are tested once, the g stage's before the sum.
         """
+        vals = self._enter(env)
+        out = np.empty((len(self.outputs),) + np.broadcast_shapes(*map(np.shape, env.values())))
+        self._stage(self.g_ops, vals, out, 0, self.n_g, env)
+        if z_sum is not None:
+            env["z"] = z_sum(out[0])
+        if self.z_slot is not None:
+            vals[self.z_slot] = _var_value(env, "z")
+        self._stage(self.l_ops, vals, out, self.n_g, len(self.outputs), env)
+        return out
+
+    def table(self, envs) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+        """The g-stage rows and the z-free values ``gather`` reads, on the
+        table stacked from the blocks ``envs`` along their leading axis.
+        Each env holds one t, and x and v arrays of the block's full shape.
+        The g stage and the L stage's z-free ops run here, once per table;
+        unchecked.
+        """
+        rows, parts = [], []
+        for env in envs:
+            vals = self._enter(env)
+            _apply(self.g_ops + self.l_ops[: self.n_free], vals)
+            shape = np.broadcast_shapes(*map(np.shape, env.values()))
+            rows.append(_rows(vals, self.outputs[: self.n_g], shape))
+            parts.append([vals[s] for s, _ in self.gathered])
+        kept = {s: np.concatenate(blocks) if xv else blocks[0]
+                for (s, xv), blocks in zip(self.gathered, zip(*parts))}
+        return np.concatenate(rows, axis=1), kept
+
+    def gather(self, kept, idx, z) -> np.ndarray:
+        """The L-stage rows ``run`` gives, bit for bit, on the table's env
+        indexed by ``idx`` along its leading axis, with ``z`` (an array of
+        that shape) as z.  Only the ops that read z run, on the z-free
+        values they read, indexed; unchecked."""
+        vals = self.template.copy()
+        for s, xv in self.gathered:
+            vals[s] = kept[s][idx] if xv else kept[s]
+        if self.z_slot is not None:
+            vals[self.z_slot] = z
+        _apply(self.l_ops[self.n_free :], vals)
+        return _rows(vals, self.outputs[self.n_g :], np.shape(z))
+
+    def _enter(self, env) -> list:
+        """The value of every slot on entry: the constants, the bound
+        parameters, ``env``'s variables and the t-only values."""
         vals = self.template.copy()
         for s, name in self.vars:
             vals[s] = _var_value(env, name)
@@ -593,20 +650,10 @@ class Kernel:
                 if s not in cache:
                     cache[s] = op(vals[a]) if b is None else op(vals[a], vals[b])
                 vals[s] = cache[s]
-        out = np.empty((len(self.outputs),) + np.broadcast_shapes(*map(np.shape, env.values())))
-        self._stage(self.g_ops, vals, out, 0, self.n_g, env)
-        if z_sum is not None:
-            env["z"] = z_sum(out[0])
-        if self.z_slot is not None:
-            vals[self.z_slot] = _var_value(env, "z")
-        self._stage(self.l_ops, vals, out, self.n_g, len(self.outputs), env)
-        return out
+        return vals
 
     def _stage(self, ops, vals, out, start, stop, env) -> None:
-        for s, op, a, b, free in ops:
-            vals[s] = op(vals[a]) if b is None else op(vals[a], vals[b])
-            for f in free:
-                vals[f] = None
+        _apply(ops, vals)
         for r in range(start, stop):
             out[r] = vals[self.outputs[r][2]]
         if self.check and not np.isfinite(out[start:stop]).all():
@@ -618,6 +665,23 @@ class Kernel:
             label, e, _ = self.outputs[start + r]
             source = to_source(substitute(e, self.values))
             raise ExprDomainError(f"{label} '{source}' is non-finite at t={float(t)!r}")
+
+
+def _apply(ops, vals: list) -> None:
+    """Run ``ops`` on the slot values ``vals``, dropping each intermediate
+    after its last reader."""
+    for s, op, a, b, free in ops:
+        vals[s] = op(vals[a]) if b is None else op(vals[a], vals[b])
+        for f in free:
+            vals[f] = None
+
+
+def _rows(vals: list, outputs, shape) -> np.ndarray:
+    """The values of ``outputs`` stacked, each broadcast to ``shape``."""
+    out = np.empty((len(outputs),) + tuple(shape))
+    for r, (_, _, s) in enumerate(outputs):
+        out[r] = vals[s]
+    return out
 
 
 def _touch(cache: dict, key, value, size: int):

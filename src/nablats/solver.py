@@ -10,10 +10,12 @@ truncations to expose the decay of the transversality residuals, each cut
 certified from the derivative pass its search ended on.
 
 The enumerator walks the tree of assignments by grid row, depth first in
-lexicographic order, so the first maximizer wins: row j's term is evaluated
-once per distinct prefix, sum_j G^(n j) rows for G values per coordinate,
-in chunks of at most max(_BATCH, G^n) assignments, and the objective is
-summed in row order.
+lexicographic order, so the first maximizer wins.  Row j's term reads the
+state through the values of rows j - 1 and j alone, besides z: its z-free
+part is evaluated once per level on the table of those value pairs, at
+most G^(2n) rows for G values per coordinate, and only the part that reads
+z once per distinct prefix, sum_j G^(n j) rows, each evaluation at most
+max(_BATCH, G^n) rows; the objective is summed in row order.
 
 The gradient is the exact gradient of the discretized objective,
 assembled from the symbolic partials in O(m n).  Each state value enters
@@ -31,17 +33,17 @@ point (``Problem.fixed_band``: a linear-quadratic problem, or g = 0 with
 L_uu reading t alone) a search assembles and factors it once, at its first
 iteration; otherwise once per iteration.
 
-Every evaluation runs on the problem's compiled kernels
+Every evaluation of the search runs on the problem's compiled kernels
 (``Problem.kernel``), through ``evaluate_many``, on grid rows 1..K, the
 rows the objective truncated at t_K reads: an iteration makes one
-derivative pass, which gives the first partials for the gradient and the
-second partials for the band, and each line-search probe makes one
-objective call.  Both sum z exactly (``running_fsum``), so the last pass is
-the first-order certificate of the solution (``variational._ELCore``,
-handed back in ``SolveInfo.final_pass``) and the last objective its value.
-Subtrees that read only t are evaluated once per horizon, and a non-finite
-value anywhere raises ``NonFiniteObjectiveError`` naming the first
-non-finite output and its t.
+derivative pass, which gives the first partials for the gradient and,
+where the band is assembled, the second partials for it, and each
+line-search probe makes one objective call.  Both sum z exactly
+(``running_fsum``), so the last pass is the first-order certificate of the
+solution (``variational._ELCore``, handed back in ``SolveInfo.final_pass``)
+and the last objective its value.  Subtrees that read only t are evaluated
+once per horizon, and a non-finite value anywhere raises
+``NonFiniteObjectiveError`` naming the first non-finite output and its t.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from typing import Optional
 
 import numpy as np
 
-from .calculus import nabla_quotients, running_fsum
+from .calculus import running_fsum
 from .expressions import ExprDomainError, evaluate_many
 from .variational import (
     Problem,
@@ -200,6 +202,9 @@ class _Engine:
                 raise ProblemError(
                     f"pinned terminal needs {p.n} value(s), got {len(opts.terminal_mode.values)}"
                 )
+        #: the kernel groups of a derivative pass: the first and the second
+        #: partials, or the first alone once the search holds a fixed band
+        self.groups = _DERIVATIVE_GROUPS
 
     def initial_values(self) -> np.ndarray:
         ts, p, opts = self.p.ts, self.p, self.opts
@@ -234,15 +239,16 @@ class _Engine:
             raise NonFiniteObjectiveError("z or the objective overflows during the search") from None
 
     def derivatives(self, x: np.ndarray) -> dict[str, np.ndarray]:
-        """One kernel call at x: the first and second partials, each group
-        (count, K) over grid rows 1..K, and the tail sums S of w*L_z from
-        each row to K.  z is the exact running sum the objective takes, so
-        the first partials are those ``_ELCore.along`` takes along the same
-        values, bit for bit; it is summed only when the partials read it."""
-        kernel = self.p.kernel(*_DERIVATIVE_GROUPS)
+        """One kernel call at x: the partials of ``groups``, each (count, K)
+        over grid rows 1..K, and the tail sums S of w*L_z from each row to
+        K.  z is the exact running sum the objective takes, so the first
+        partials are those ``_ELCore.along`` takes along the same values, bit
+        for bit, whichever groups ride along; it is summed only when the
+        partials read it."""
+        kernel = self.p.kernel(*self.groups)
         z_sum = None if kernel.z_slot is None else (lambda g: running_fsum(self.w[1:] * g))
         out = self._run(kernel, self._env(x), z_sum)
-        d = {name: out[kernel.rows[name]] for name in _DERIVATIVE_GROUPS}
+        d = {name: out[kernel.rows[name]] for name in self.groups}
         d["S"] = np.cumsum((self.w[1:] * d["Lz"][0])[::-1])[::-1]
         return d
 
@@ -425,8 +431,9 @@ def direct_solve(p: Problem, opts: SolveOptions, with_info: bool = False):
     iteration takes the Jacobi step, the gradient over max(|band diagonal|,
     1e-30), and counts it in ``SolveInfo.fallbacks``.  A fixed band
     (``Problem.fixed_band``) is assembled and factored at the first
-    iteration only, so when that fails every iteration takes the Jacobi
-    step by its diagonal; ``SolveInfo.factorizations`` counts the
+    iteration only, and later derivative passes evaluate the first partials
+    alone; when that factorization fails every iteration takes the Jacobi
+    step by its diagonal.  ``SolveInfo.factorizations`` counts the
     factorizations attempted: 1 for a fixed band, else one per iteration.
     Values beyond the truncation point are frozen; they never enter the
     truncated objective.  Accepted steps never decrease the objective.
@@ -462,6 +469,8 @@ def direct_solve(p: Problem, opts: SolveOptions, with_info: bool = False):
             clock = _lap(phases, "gradient", clock)
             if diag is None or not p.fixed_band:  # a fixed band stays the first one
                 diag, upper = eng.hessian_band(d)
+                if p.fixed_band:  # so later passes need the first partials only
+                    eng.groups = _EL_GROUPS
                 clock = _lap(phases, "band_assembly", clock)
                 factorizations += 1
                 factors = _band_factor(-diag, -upper)
@@ -546,13 +555,20 @@ def brute_force(p: Problem, opts: SolveOptions, value_grid) -> Trajectory:
     under permutation of the input grid.  Guarded to at most 10^7
     assignments; a non-finite objective ranks below every finite one.
 
-    Level j of the prefix tree extends each prefix by the G^n values of row
-    j (or the pinned value of row K); one kernel call evaluates row j's term
-    alone, from the prefix's row j - 1, z and partial objective: sum_j
-    G^(n min(j, last)) rows, about G^F G/(G - 1), not K G^F.  Chunks of at
-    most max(``_BATCH``, G^n) assignments go depth first in lexicographic
-    order.  z adds its terms as a running sum does, bit for bit; the
-    objective is summed in row order.
+    Row j's term reads the state only through the pair (row j - 1, row j)
+    and z, so at each level j the z-free part of the term (``Kernel.table``)
+    is evaluated once on the table of value pairs: 1 x G^n at j = 1, G^n x
+    G^n up to the last free row and G^n x 1 at a pinned K, in blocks by row
+    j - 1 of at most max(``_BATCH``, G^n) pairs.  At levels 1 and 2, where
+    each value of row j - 1 starts one prefix, each block of prefixes
+    tabulates its own pairs, so no table outlives its block.  Level j of the
+    prefix tree extends each prefix, which carries only its z and partial
+    objective, by row j's values: z and the objective grow as (prefix,
+    value) blocks, and only the ops that read z run on them
+    (``Kernel.gather``), sum_j G^(n min(j, last)) rows in all.  Blocks of at
+    most max(``_BATCH``, G^n) go depth first in lexicographic order.  z adds
+    its terms as a running sum does, bit for bit; the objective is summed in
+    row order.
     """
     eng = _Engine(p, opts)
     grid = np.array(sorted(set(float(v) for v in value_grid)))
@@ -564,44 +580,77 @@ def brute_force(p: Problem, opts: SolveOptions, value_grid) -> Trajectory:
         raise EnumerationGuardError(
             f"{G}^{F} = {total} assignments exceed the enumeration guard of {GUARD}"
         )
-    ts, n, K, w = p.ts, eng.n, eng.K, eng.w
-    base, kernel, per = eng.initial_values(), p.kernel("J", check=False), G**n
-    # the values of one free row, lexicographic, once for each prefix of a chunk
-    row_values = np.tile(grid[np.indices((G,) * n).reshape(n, -1).T], (max(1, _BATCH // per), 1))
-    best_val, best_id = -math.inf, -1
-    # chunks of prefixes up to row j - 1: (j, row j - 1, z, partial objective, id)
-    stack = [(1, base[:1], np.zeros(1), np.zeros(1), np.zeros(1, dtype=np.int64))]
-    with np.errstate(all="ignore"):  # overflow scores -inf
-        while stack:
-            j, prev, z, J, ids = stack.pop()
-            if j <= eng.last:
-                cur = row_values[: len(ids) * per]
-                ids = (ids[:, None] * per + np.arange(per)).ravel()
-                prev, z, J = prev.repeat(per, 0), z.repeat(per), J.repeat(per)
-            else:
-                cur = np.broadcast_to(base[j], prev.shape)
-            head = np.stack([prev, cur], axis=1)  # rows j - 1 and j, as path_env reads them
-            v = nabla_quotients(head, ts.local_steps[j - 1 : j + 1])[:, 1]
-            xr = head[:, ts.rho_indices[j] - j + 1]
-            env = {"t": ts.points_array[j : j + 1]}
-            for i in range(n):
-                env[f"x{i + 1}"], env[f"v{i + 1}"] = xr[:, i], v[:, i]
-            out = evaluate_many(kernel, env, lambda g: w[j] * g if j == 1 else z + w[j] * g)
-            z, J = env["z"], J + w[j] * out[1]
-            if j == K:
-                vals = np.where(np.isfinite(J), J, -math.inf)
-                k = int(np.argmax(vals))
-                if vals[k] > best_val:
-                    best_val, best_id = float(vals[k]), int(ids[k])
-                continue
-            step = max(1, _BATCH // per) if j < eng.last else _BATCH
-            for s in reversed(range(0, len(ids), step)):
-                stack.append((j + 1, *(a[s : s + step] for a in (cur, z, J, ids))))
+    best_id = _best_assignment(eng, grid)[1]
     if best_id < 0:
         raise NonFiniteObjectiveError("every enumerated assignment gave a non-finite objective")
-    full = base.copy()
-    full[1 : eng.last + 1] = grid[best_id // G ** np.arange(F - 1, -1, -1) % G].reshape(-1, n)
+    full = eng.initial_values()
+    full[1 : eng.last + 1] = grid[best_id // G ** np.arange(F - 1, -1, -1) % G].reshape(-1, eng.n)
     return Trajectory.from_values(p, full)
+
+
+def _best_assignment(eng: _Engine, grid: np.ndarray) -> tuple[float, int]:
+    """The largest finite objective over the assignments of ``grid`` values
+    to the free coordinates, and the lexicographic id of its first
+    maximizer: ``brute_force``'s enumeration; (-inf, -1) if none is finite.
+    """
+    ts, n, K, w = eng.p.ts, eng.n, eng.K, eng.w
+    kernel, base, G = eng.p.kernel("J", check=False), eng.initial_values(), grid.size
+    # the values of each grid row by code: a free row's G^n in lexicographic
+    # order, or the one value of the start or a pinned row
+    free = grid[np.indices((G,) * n).reshape(n, -1).T]
+    rows = [free if 1 <= j <= eng.last else base[j : j + 1] for j in range(K + 1)]
+    cap = max(_BATCH, G**n)
+
+    def table(j, prev):
+        """w_j g and the z-free values of row j's term on the pairs of the
+        values ``prev`` of row j - 1 and those of row j."""
+        g, kept = kernel.table(_pair_envs(ts, j, prev, rows[j], max(1, cap // len(rows[j]))))
+        return w[j] * g[0], kept
+
+    best_val, best_id = -math.inf, -1
+    with np.errstate(all="ignore"):  # overflow scores -inf
+        tables = {j: table(j, rows[j - 1]) for j in range(3, K + 1)}
+        # blocks of consecutive prefixes of rows 1..j - 1: (j, the first
+        # one's id, z, partial objective); a prefix's row j - 1 is its id
+        # modulo that row's count of values
+        stack = [(1, 0, np.zeros(1), np.zeros(1))]
+        while stack:
+            j, first, z, J = stack.pop()
+            codes = (first + np.arange(len(J))) % len(rows[j - 1])
+            if j <= 2:  # each value of row j - 1 starts one prefix: tabulate the block's
+                wg, kept = table(j, rows[j - 1][codes])
+                codes = np.arange(len(codes))
+            else:
+                wg, kept = tables[j]
+            z = wg[codes] if j == 1 else z[:, None] + wg[codes]
+            J = J[:, None] + w[j] * kernel.gather(kept, codes, z)[0]
+            first *= wg.shape[1]  # the id of the first extension
+            if j == K:
+                vals = np.where(np.isfinite(J), J, -math.inf).ravel()
+                k = int(np.argmax(vals))
+                if vals[k] > best_val:
+                    best_val, best_id = float(vals[k]), first + k
+                continue
+            z, J = z.ravel(), J.ravel()
+            step = max(1, _BATCH // len(rows[j + 1]))
+            for s in reversed(range(0, len(J), step)):
+                stack.append((j + 1, first + s, z[s : s + step], J[s : s + step]))
+    return best_val, best_id
+
+
+def _pair_envs(ts, j: int, prev: np.ndarray, cur: np.ndarray, block: int):
+    """Envs of grid row j, as ``path_env`` reads it, on every pair of a
+    value of row j - 1 in ``prev`` (A, n) and of row j in ``cur`` (B, n):
+    blocks of ``block`` values of ``prev``, each (block, B)."""
+    for s in range(0, len(prev), block):
+        a = prev[s : s + block, None]
+        shape = (len(a), len(cur))
+        v = (cur - a) / ts.local_steps[j]
+        x = a if ts.rho_indices[j] < j else cur[None]
+        env = {"t": ts.points_array[j : j + 1]}
+        for i in range(prev.shape[1]):
+            env[f"x{i + 1}"], env[f"v{i + 1}"] = np.broadcast_to(x[..., i], shape), v[..., i]
+        yield env
 
 
 # -- horizon study ----------------------------------------------------------

@@ -269,6 +269,34 @@ class TestKernel:
             for row, e in zip(out, g_out + l_out):
                 assert _same_bits(row, np.broadcast_to(evaluate_many(e, env), shape)), to_source(e)
 
+    @given(outputs=kernel_outputs(), seed=st.integers(0, 2**31 - 1), block=st.integers(1, 7))
+    @settings(max_examples=200, deadline=None)
+    def test_a_gathered_call_is_the_full_call_on_the_gathered_env(self, outputs, seed, block):
+        # the z-free ops run once on a table of (A, B) pairs, built in blocks
+        # of rows; the ops that read z then run on rows gathered from it
+        g_out, l_out = outputs
+        kernel = Kernel(
+            Program(),
+            [("g", [(f"g{i}", e) for i, e in enumerate(g_out)])],
+            [("L", [(f"L{i}", e) for i, e in enumerate(l_out)])],
+            check=False,
+        )
+        rng = np.random.default_rng(seed)
+        t = rng.uniform(-2.0, 5.0, 1)
+        env = _kernel_env(rng, np.zeros(6), 5)  # x1 and v1 are (5, 6)
+        env["t"] = t
+        blocks = [{key: a if key == "t" else a[s : s + block] for key, a in env.items()}
+                  for s in range(0, 5, block)]
+        idx = rng.integers(0, 5, 8)
+        z = rng.uniform(-3.0, 3.0, (8, 6))
+        with np.errstate(all="ignore"):
+            g, kept = kernel.table(blocks)
+            rows = kernel.gather(kept, idx, z)
+            full = evaluate_many(kernel, dict(env, z=0.0))
+            gathered = evaluate_many(kernel, {"t": t, "x1": env["x1"][idx], "v1": env["v1"][idx], "z": z})
+        assert _same_bits(g, full[: len(g_out)])
+        assert rows.shape == (len(l_out), 8, 6) and _same_bits(rows, gathered[len(g_out) :])
+
     def test_nodes_are_interned_by_operator_and_operand_slots(self):
         program = Program()
         a, b = parse("exp(-0.5*t)*x1"), parse("exp(-0.5*t)*x1")

@@ -13,8 +13,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nablats import solver, variational
-from nablats.calculus import running_fsum
-from nablats.expressions import Neg, Num, evaluate_many
+from nablats.calculus import nabla_quotients, running_fsum
+from nablats.expressions import Kernel, Neg, Num, evaluate_many, parse
 from nablats.solver import (
     FREE,
     PINNED,
@@ -465,6 +465,31 @@ class TestDirectSolve:
         assert [(r.info.stop_reason, r.info.iterations, r.info.factorizations) for r in rows] == [
             ("grad_tol", 2, 1)
         ] * 2
+
+    @pytest.mark.parametrize("workload", ["scattered", "stiff"])
+    def test_a_swept_iteration_evaluates_the_first_partials_only(self, monkeypatch, workload):
+        # the band's second partials are read only where the band is
+        # assembled: once for a fixed band (solve_scattered), at every
+        # iteration otherwise (solve_stiff); the first partials, and so the
+        # certificate handed back, are the same bits either way
+        (L, g, sense, ts, cuts), (rho, *x_a), _ = DESIGN_POINTS[0 if workload == "scattered" else 8]
+        p = Problem.from_strings(ts, len(x_a), L.format(rho=rho), g, x_a, sense)
+        opts = SolveOptions(T_trunc=cuts[-1], grad_tol=1e-9)
+        seen = []
+        derivatives = _Engine.derivatives
+        monkeypatch.setattr(_Engine, "derivatives",
+                            lambda self, x: seen.append(self.groups) or derivatives(self, x))
+        x, info = direct_solve(p, opts, with_info=True)
+        assert info.iterations > 1 and len(seen) == info.iterations
+        full, first = solver._DERIVATIVE_GROUPS, variational._EL_GROUPS
+        assert seen == [full] + [first if p.fixed_band else full] * (info.iterations - 1)
+        assert p.fixed_band == (workload == "scattered")
+        with patch.object(Problem, "fixed_band", False):
+            y, every = direct_solve(p, opts, with_info=True)
+        assert np.array_equal(x.values, y.values) and every.iterations == info.iterations
+        assert info.final_pass.keys() == every.final_pass.keys() == set(first)
+        for key in first:
+            assert info.final_pass[key].tobytes() == every.final_pass[key].tobytes()
 
     @given(**coupled_cases, coupling=st.sampled_from(["g0", "affine"]),
            tail=st.sampled_from([1, 6, solver._TAIL]))
@@ -999,6 +1024,47 @@ def flat_objectives(p, opts, value_grid):
     return grid, np.where(np.isfinite(vals), vals, -np.inf)
 
 
+def prefix_walk(eng, grid):
+    """The prefix-shared walk ``brute_force`` replaced, as an oracle: each
+    prefix carries its row j - 1 values, z, partial objective and
+    lexicographic id, and the J kernel runs in full on every (prefix, value)
+    row, in chunks of at most max(_BATCH, G^n).  Returns the best finite
+    objective and its first maximizer's id; (-inf, -1) if none is finite."""
+    p, G = eng.p, grid.size
+    ts, n, K, w = p.ts, eng.n, eng.K, eng.w
+    base, kernel, per = eng.initial_values(), p.kernel("J", check=False), G**n
+    row_values = np.tile(grid[np.indices((G,) * n).reshape(n, -1).T], (max(1, solver._BATCH // per), 1))
+    best_val, best_id = -math.inf, -1
+    stack = [(1, base[:1], np.zeros(1), np.zeros(1), np.zeros(1, dtype=np.int64))]
+    with np.errstate(all="ignore"):
+        while stack:
+            j, prev, z, J, ids = stack.pop()
+            if j <= eng.last:
+                cur = row_values[: len(ids) * per]
+                ids = (ids[:, None] * per + np.arange(per)).ravel()
+                prev, z, J = prev.repeat(per, 0), z.repeat(per), J.repeat(per)
+            else:
+                cur = np.broadcast_to(base[j], prev.shape)
+            head = np.stack([prev, cur], axis=1)  # rows j - 1 and j, as path_env reads them
+            v = nabla_quotients(head, ts.local_steps[j - 1 : j + 1])[:, 1]
+            xr = head[:, ts.rho_indices[j] - j + 1]
+            env = {"t": ts.points_array[j : j + 1]}
+            for i in range(n):
+                env[f"x{i + 1}"], env[f"v{i + 1}"] = xr[:, i], v[:, i]
+            out = evaluate_many(kernel, env, lambda g: w[j] * g if j == 1 else z + w[j] * g)
+            z, J = env["z"], J + w[j] * out[1]
+            if j == K:
+                vals = np.where(np.isfinite(J), J, -math.inf)
+                k = int(np.argmax(vals))
+                if vals[k] > best_val:
+                    best_val, best_id = float(vals[k]), int(ids[k])
+                continue
+            step = max(1, solver._BATCH // per) if j < eng.last else solver._BATCH
+            for s in reversed(range(0, len(ids), step)):
+                stack.append((j + 1, *(a[s : s + step] for a in (cur, z, J, ids))))
+    return best_val, best_id
+
+
 def assignment_id(p, opts, grid, x):
     """The lexicographic id of x's free coordinates over the sorted grid."""
     digits = [int(np.searchsorted(grid, x.values[j, c])) for j, c in free_coordinates(p, opts)]
@@ -1107,30 +1173,72 @@ class TestBruteForce:
             frozen[j, c] = x.values[j, c]
         assert np.array_equal(x.values, frozen)
 
+    @settings(max_examples=60, deadline=None)
+    @given(**coupled_cases, batch=st.sampled_from([1, 5, solver._BATCH]),
+           lagrangian=st.sampled_from([None, "z-free", "t-only", "z inside exp"]))
+    def test_is_the_prefix_walk_bit_for_bit(self, seed, n, sense, batch, lagrangian):
+        # the pair tables and the gathered z ops give every assignment the
+        # prefix walk's objective bits, so the pick and its objective agree
+        p, opts, values = enumeration_case(seed, n, sense)
+        comps = range(1, n + 1)
+        state = " ".join(f"-(v{i}^2) - x{i}^2 + 0.2*x{i}*v{i}" for i in comps)
+        L = {
+            "z-free": f"exp(-0.1*t)*({state})",
+            "t-only": "exp(-0.3*t)*sin(t)",  # every assignment ties: the first wins
+            "z inside exp": f"exp(-0.1*t)*({state}) - exp(0.5*z)*x1 + sin(z*v1)",
+        }.get(lagrangian)
+        if L is not None:
+            p = Problem(p.ts, n, parse(L), p.z_integrand, p.x_a, sense)
+        grid = np.array(sorted(set(values)))
+        eng = _Engine(p, opts)
+        with patch.object(solver, "_BATCH", batch):
+            best, walked = solver._best_assignment(eng, grid), prefix_walk(eng, grid)
+            x = brute_force(p, opts, values)
+        assert best[1] == walked[1] >= 0
+        assert np.float64(best[0]).tobytes() == np.float64(walked[0]).tobytes()
+        assert assignment_id(p, opts, grid, x) == walked[1]
+
     @pytest.mark.parametrize(
         "n, G, terminal",
-        [(1, 9, FREE), (2, 5, PINNED(0.0, 0.0)), (1, 3, PINNED(0.5)), (2, 70, PINNED(0.0, 0.0))],
+        [(1, 9, FREE), (2, 5, PINNED(0.0, 0.0)), (1, 3, PINNED(0.5)), (2, 70, PINNED(0.0, 0.0)),
+         (1, 100, FREE)],
     )
     def test_evaluates_each_row_once_per_prefix(self, monkeypatch, n, G, terminal):
-        # the flat evaluation takes 2 K G^F elements: 2 * 6 * 9^6 = 6,377,292
-        # against 2 * 597,870 here for n = 1, G = 9
-        K = 6 if G < 70 else 2
+        # the ops that read z run once per (prefix, value) pair: sum_j
+        # G^(n min(j, last)) rows, 597,870 for n = 1, G = 9, where the flat
+        # evaluation ran the whole kernel on K G^F = 3,188,646 rows; the
+        # z-free ops run once per level on its pairs of row j - 1 and row j
+        # values, in blocks when G^(2n) exceeds _BATCH (G = 100)
+        K = {70: 2, 100: 3}.get(G, 6)
         ts = integers(0, K)
         p = Problem.from_strings(ts, n, "-(v1^2) - x1^2 - 0.01*z", "x1^2", [1.0] * n)
         opts = SolveOptions(T_trunc=float(K), terminal_mode=terminal)
-        shapes = []
+        tables, gathers = [], []
+        table, gather = Kernel.table, Kernel.gather
 
-        def counting(*args, **kwargs):
-            out = evaluate_many(*args, **kwargs)
-            shapes.append(out.shape)
-            return out
+        def counting_table(self, envs):
+            envs = list(envs)
+            for env in envs:
+                shape = np.broadcast_shapes(*map(np.shape, env.values()))
+                tables.append((ts.index_of(float(env["t"][0])), math.prod(shape)))
+            return table(self, envs)
 
-        monkeypatch.setattr(solver, "evaluate_many", counting)
+        def counting_gather(self, kept, idx, z):
+            gathers.append(z.size)
+            return gather(self, kept, idx, z)
+
+        monkeypatch.setattr(Kernel, "table", counting_table)
+        monkeypatch.setattr(Kernel, "gather", counting_gather)
+        monkeypatch.setattr(solver, "evaluate_many", None)  # no full kernel call
         brute_force(p, opts, np.linspace(0.0, 1.0, G))
         last = K - (terminal.kind == "pinned")
         rows = sum(G ** (n * min(j, last)) for j in range(1, K + 1))
-        assert sum(math.prod(shape) for shape in shapes) == 2 * rows
-        assert max(shape[1] for shape in shapes) <= max(solver._BATCH, G**n)
+        assert sum(gathers) == rows
+        # distinct values of row j - 1 times those of row j
+        pairs = [(G**n if j > 1 else 1) * (G**n if j <= last else 1) for j in range(1, K + 1)]
+        per_level = [sum(size for level, size in tables if level == j) for j in range(1, K + 1)]
+        assert all(0 < done <= bound for done, bound in zip(per_level, pairs))
+        assert max(size for _, size in tables + [(0, g) for g in gathers]) <= max(solver._BATCH, G**n)
 
     def test_overflowing_assignments_score_minus_inf_without_a_warning(self):
         p = make("-(v1^2)-x1^2", "x1^2", ts=integers(0, 3), x_a=1.0)
