@@ -18,6 +18,7 @@ every prefix of such a sum in one pass.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, NamedTuple, Sequence
@@ -154,16 +155,24 @@ def nabla_quotients(values: np.ndarray, steps: np.ndarray) -> np.ndarray:
 
 
 def running_fsum(terms) -> np.ndarray:
-    """out[j] = math.fsum(terms[: j + 1]), bit for bit, in one pass.
+    """out[j] = math.fsum(terms[: j + 1]), bit for bit, in one pass; a 2-D
+    ``terms`` is summed down each column.
 
     Every term is an integer multiple of 2**e0 (e0 <= 0, the exponent of the
-    lowest last bit), so each prefix is an exact integer sum, rounded once
-    by one correctly rounded division, as math.fsum rounds.  Special values,
-    and sums that may reach a quarter of the float range (where math.fsum
-    can overflow part way), take math.fsum per prefix, so they and
+    lowest last bit), so each prefix is an exact integer sum, rounded once,
+    as math.fsum rounds: by ``float`` and an exact scaling by 2**e0 where
+    e0 >= -1022 and every sum has fewer than 1023 bits (the result is then
+    normal and finite), else by one correctly rounded division.  Special
+    values, and sums that may reach a quarter of the float range (where
+    math.fsum can overflow part way), take math.fsum per prefix, so they and
     OverflowError come out exactly as from math.fsum.
     """
     vals = np.asarray(terms, dtype=float)
+    if vals.ndim == 2:
+        out = np.empty(vals.shape)
+        for c in range(vals.shape[1]):
+            out[:, c] = running_fsum(vals[:, c])
+        return out
     peak = float(np.max(np.abs(vals), initial=0.0))
     if not peak * len(vals) < 2.0**1021:
         seq = vals.tolist()
@@ -173,8 +182,10 @@ def running_fsum(terms) -> np.ndarray:
     mant, exp = np.frexp(vals)  # term = int(mant * 2**53) * 2**(exp - 53), exactly
     e0 = min(int(exp.min()) - 53, 0)
     ints = (mant * 2.0**53).astype(np.int64).tolist()
+    sums = list(accumulate(map(operator.lshift, ints, (exp - (53 + e0)).tolist())))
+    if e0 >= -1022 and max(map(int.bit_length, sums)) < 1023:
+        return np.fromiter(map(float, sums), float, len(sums)) * 2.0**e0
     scale = 1 << -e0
-    sums = accumulate(m << s for m, s in zip(ints, (exp - (53 + e0)).tolist()))
     return np.array([s / scale for s in sums], dtype=float)
 
 

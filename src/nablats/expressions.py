@@ -624,9 +624,11 @@ class Kernel:
 
     def gather(self, kept, idx, z) -> np.ndarray:
         """The L-stage rows ``run`` gives, bit for bit, on the table's env
-        indexed by ``idx`` along its leading axis, with ``z`` (an array of
-        that shape) as z.  Only the ops that read z run, on the z-free
-        values they read, indexed; unchecked."""
+        indexed by ``idx`` (an index array or a slice) along its leading
+        axis, with ``z`` as z: an array of that shape, or of any shape it
+        broadcasts to, such as (m, r, B) against a slice of r table rows of
+        B values; the rows take z's shape.  Only the ops that read z run,
+        on the z-free values they read, indexed; unchecked."""
         vals = self.template.copy()
         for s, xv in self.gathered:
             vals[s] = kept[s][idx] if xv else kept[s]

@@ -15,7 +15,8 @@ state through the values of rows j - 1 and j alone, besides z: its z-free
 part is evaluated once per level on the table of those value pairs, at
 most G^(2n) rows for G values per coordinate, and only the part that reads
 z once per distinct prefix, sum_j G^(n j) rows, each evaluation at most
-max(_BATCH, G^n) rows; the objective is summed in row order.
+max(_BATCH, G^n) rows, each reading its table rows as one slice; the
+objective is summed in row order.
 
 The gradient is the exact gradient of the discretized objective,
 assembled from the symbolic partials in O(m n).  Each state value enters
@@ -550,10 +551,12 @@ def brute_force(p: Problem, opts: SolveOptions, value_grid) -> Trajectory:
     """Exhaustive argmax of the truncated objective over a value grid.
 
     Every free coordinate independently ranges over the sorted distinct
-    values of ``value_grid``; assignments are enumerated in lexicographic
-    order and the first maximizer wins, which makes the result invariant
-    under permutation of the input grid.  Guarded to at most 10^7
-    assignments; a non-finite objective ranks below every finite one.
+    values of ``value_grid`` (-0.0 counts as 0.0; a NaN raises
+    ``ValueError``, as an empty grid does); assignments are enumerated in
+    lexicographic order and the first maximizer wins, which makes the
+    result invariant under permutation of the input grid.  Guarded to at
+    most 10^7 assignments; a non-finite objective ranks below every finite
+    one.
 
     Row j's term reads the state only through the pair (row j - 1, row j)
     and z, so at each level j the z-free part of the term (``Kernel.table``)
@@ -566,14 +569,16 @@ def brute_force(p: Problem, opts: SolveOptions, value_grid) -> Trajectory:
     objective, by row j's values: z and the objective grow as (prefix,
     value) blocks, and only the ops that read z run on them
     (``Kernel.gather``), sum_j G^(n min(j, last)) rows in all.  Blocks of at
-    most max(``_BATCH``, G^n) go depth first in lexicographic order.  z adds
-    its terms as a running sum does, bit for bit; the objective is summed in
-    row order.
+    most max(``_BATCH``, G^n) go depth first in lexicographic order; each
+    holds whole cycles of row j - 1's values or lies within one, so it reads
+    its table rows as one slice.  z adds its terms as a running sum does,
+    bit for bit; the objective is summed in row order, and non-finite ones
+    are masked only where a block's winner is NaN or +inf.
     """
     eng = _Engine(p, opts)
-    grid = np.array(sorted(set(float(v) for v in value_grid)))
-    if grid.size == 0:
-        raise ValueError("value_grid must be nonempty")
+    grid = np.array(sorted({float(v) + 0.0 for v in value_grid}))  # + 0.0 makes -0.0 +0.0
+    if grid.size == 0 or np.isnan(grid).any():
+        raise ValueError("value_grid must be nonempty and hold no NaN")
     G, F = grid.size, eng.last * eng.n
     total = G**F
     if total > GUARD:
@@ -612,29 +617,37 @@ def _best_assignment(eng: _Engine, grid: np.ndarray) -> tuple[float, int]:
         tables = {j: table(j, rows[j - 1]) for j in range(3, K + 1)}
         # blocks of consecutive prefixes of rows 1..j - 1: (j, the first
         # one's id, z, partial objective); a prefix's row j - 1 is its id
-        # modulo that row's count of values
+        # modulo that row's count of values; a block's (m, r) prefixes have
+        # codes c0..c0 + r - 1 m times: whole cycles (c0 = 0) or part of one
         stack = [(1, 0, np.zeros(1), np.zeros(1))]
         while stack:
             j, first, z, J = stack.pop()
-            codes = (first + np.arange(len(J))) % len(rows[j - 1])
+            c0 = first % len(rows[j - 1])
+            r = min(len(J), len(rows[j - 1]) - c0)
+            z, J = z.reshape(-1, r), J.reshape(-1, r)
             if j <= 2:  # each value of row j - 1 starts one prefix: tabulate the block's
-                wg, kept = table(j, rows[j - 1][codes])
-                codes = np.arange(len(codes))
+                (wg, kept), cut = table(j, rows[j - 1][c0 : c0 + r]), slice(None)
             else:
-                wg, kept = tables[j]
-            z = wg[codes] if j == 1 else z[:, None] + wg[codes]
-            J = J[:, None] + w[j] * kernel.gather(kept, codes, z)[0]
+                (wg, kept), cut = tables[j], slice(c0, c0 + r)
+            z = wg[None, cut] if j == 1 else z[..., None] + wg[cut]
+            J = J[..., None] + w[j] * kernel.gather(kept, cut, z)[0]
             first *= wg.shape[1]  # the id of the first extension
             if j == K:
-                vals = np.where(np.isfinite(J), J, -math.inf).ravel()
-                k = int(np.argmax(vals))
-                if vals[k] > best_val:
-                    best_val, best_id = float(vals[k]), first + k
+                J = J.ravel()
+                k = int(np.argmax(J))  # the first NaN or +inf, if any
+                if not J[k] < math.inf:
+                    J = np.where(np.isfinite(J), J, -math.inf)
+                    k = int(np.argmax(J))
+                if J[k] > best_val:
+                    best_val, best_id = float(J[k]), first + k
                 continue
             z, J = z.ravel(), J.ravel()
-            step = max(1, _BATCH // len(rows[j + 1]))
-            for s in reversed(range(0, len(J), step)):
-                stack.append((j + 1, first + s, z[s : s + step], J[s : s + step]))
+            R, fit = len(rows[j]), cap // len(rows[j + 1])
+            span = max(R, fit - fit % R)  # whole cycles of row j's codes, or one cut every fit
+            for c in reversed(range(0, len(J), span)):
+                for s in reversed(range(c, min(c + span, len(J)), fit)):
+                    e = min(s + fit, c + span)
+                    stack.append((j + 1, first + s, z[s:e], J[s:e]))
     return best_val, best_id
 
 

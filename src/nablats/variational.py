@@ -324,7 +324,7 @@ def path_env(ts: TimeScale, values: np.ndarray, k: int) -> dict[str, np.ndarray]
 def _integrals(terms: np.ndarray) -> np.ndarray:
     """Exact nabla integrals over (a, t_j] for every j, per column of the
     grid-aligned ``terms``; terms[0] carries the zero weight at the minimum."""
-    sums = np.apply_along_axis(running_fsum, 0, terms[1:])
+    sums = running_fsum(terms[1:])
     return np.concatenate((np.zeros((1,) + sums.shape[1:]), sums))
 
 

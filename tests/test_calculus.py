@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from nablats.calculus import (
     EmptyTailError,
@@ -326,6 +327,36 @@ class TestRunningFsum:
         assert _prefix_fsums([1e308, 1e308]) is OverflowError
         out = running_fsum([1.0, math.nan, 2.0])
         assert out[0] == 1.0 and math.isnan(out[1]) and math.isnan(out[2])
+
+
+class TestRunningFsumPaths:
+    @given(hnp.arrays(float, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=40),
+                      elements=st.floats(allow_nan=False)))
+    @settings(max_examples=200, deadline=None)
+    def test_columns_are_the_one_dimensional_sums(self, terms):
+        # a 2-D call sums down each column as the 1-D call does, bit for bit,
+        # or raises what a column's 1-D call raises
+        expected = np.empty(terms.shape)
+        try:
+            for c in range(terms.shape[1]):
+                expected[:, c] = running_fsum(terms[:, c])
+        except (OverflowError, ValueError) as exc:
+            with pytest.raises(type(exc)):
+                running_fsum(terms)
+            return
+        got = running_fsum(terms)
+        assert got.shape == terms.shape and got.tobytes() == expected.tobytes()
+
+    def test_sums_past_the_float_range_in_units_of_the_lowest_bit(self):
+        # e0 = -1016: the integer sum 256 * 2**1016 has 1025 bits, past what
+        # float() converts, so the division rounds it
+        terms = [256.0, 8.616307515122447e-291]
+        assert _running(terms) == _prefix_fsums(terms) == [256.0, 256.0]
+
+    @pytest.mark.parametrize("terms", [[1e-300, 3.0, -1e-300], [1.0, 1e-310, -1.0], [5e-324, 2.5e-308]])
+    def test_a_lowest_bit_below_the_normal_range(self, terms):
+        # e0 < -1022, so 2**e0 is not a normal float: the division rounds
+        assert _running(terms) == _prefix_fsums(terms)
 
 
 class TestIntegrationByParts:

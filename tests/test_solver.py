@@ -1136,6 +1136,17 @@ class TestBruteForce:
         a = brute_force(p, opts, grid)
         b = brute_force(p, opts, list(reversed(grid)))
         assert np.array_equal(a.values, b.values)
+        # a NaN has no place in the sorted order: it raises, in any position
+        p = make("-(v1^2)-x1^2", ts=integers(0, 3), x_a=1.0)
+        for nan_grid in ([1.0, 0.5, 0.0, math.nan], [math.nan, 0.0, 1.0, 0.5]):
+            with pytest.raises(ValueError, match="NaN"):
+                brute_force(p, SolveOptions(T_trunc=3.0), nan_grid)
+        # -0.0 and 0.0 are one value, +0.0, whichever comes first: 1/x1 is
+        # +inf there, so the pick leaves zero
+        p = make("-(v1^2) - exp(1/x1)", ts=integers(0, 2), x_a=1.0)
+        for zero_grid in ([0.0, -0.0, 2.0], [-0.0, 0.0, 2.0], [-0.0, 2.0]):
+            x = brute_force(p, SolveOptions(T_trunc=2.0), zero_grid)
+            assert x.values[:, 0].tolist() == [1.0, 2.0, 2.0]
 
     def test_enumeration_guard(self):
         p = make("-(x1^2)", ts=integers(0, 8))
@@ -1239,6 +1250,57 @@ class TestBruteForce:
         per_level = [sum(size for level, size in tables if level == j) for j in range(1, K + 1)]
         assert all(0 < done <= bound for done, bound in zip(per_level, pairs))
         assert max(size for _, size in tables + [(0, g) for g in gathers]) <= max(solver._BATCH, G**n)
+
+    @pytest.mark.parametrize("n, G, K", [(1, 9, 6), (1, 97, 3), (1, 100, 3), (2, 5, 4)])
+    @pytest.mark.parametrize("terminal", ["free", "pinned"])
+    def test_reads_each_block_of_a_table_as_a_slice(self, monkeypatch, n, G, K, terminal):
+        # from level 3 on, a block of prefixes holds whole cycles of row
+        # j - 1's values or lies within one cycle, so every gather reads one
+        # slice of the level's table, and no block exceeds max(_BATCH, G^n)
+        # rows: G = 97 and 100 cut each cycle, G = 9 and n = 2, G = 5 hold
+        # whole ones
+        ts = integers(0, K)
+        p = Problem.from_strings(ts, n, "-(v1^2) - x1^2 - 0.01*z", "x1^2", [1.0] * n)
+        mode = PINNED(*[0.0] * n) if terminal == "pinned" else FREE
+        levels, gathers = {}, []
+        table, gather = Kernel.table, Kernel.gather
+
+        def leveled_table(self, envs):
+            envs = list(envs)
+            g, kept = table(self, envs)
+            levels[id(kept)] = ts.index_of(float(envs[0]["t"][0]))
+            return g, kept
+
+        def recording_gather(self, kept, idx, z):
+            gathers.append((levels[id(kept)], idx, z.shape, kept))
+            return gather(self, kept, idx, z)
+
+        monkeypatch.setattr(Kernel, "table", leveled_table)
+        monkeypatch.setattr(Kernel, "gather", recording_gather)
+        brute_force(p, SolveOptions(T_trunc=float(K), terminal_mode=mode), np.linspace(0.0, 1.0, G))
+        deep = [(idx, shape, kept) for level, idx, shape, kept in gathers if level >= 3]
+        assert deep and all(isinstance(idx, slice) for idx, _, _ in deep)
+        assert max(math.prod(shape) for _, shape, _ in deep) <= max(solver._BATCH, G**n)
+        for idx, shape, kept in deep:
+            rows = range(len(next(a for a in kept.values() if np.ndim(a) == 2)))[idx]
+            assert len(rows) == shape[-2] and shape[-1] in (1, G**n)
+        # every (prefix, value) row of every level is evaluated once
+        last = K - (terminal == "pinned")
+        assert sum(math.prod(shape) for _, _, shape, _ in gathers) == sum(
+            G ** (n * min(j, last)) for j in range(1, K + 1))
+
+    @pytest.mark.parametrize("L", ["-(v1^2) + 1/x1", "x1/x1 - v1^2"])
+    @pytest.mark.parametrize("batch", [1, 5, solver._BATCH])
+    def test_a_non_finite_winner_ranks_as_in_the_prefix_walk(self, L, batch):
+        # at x1 = 0 the first L is +inf and the second NaN, the raw argmax of
+        # the last level; the pick and its bits are still the prefix walk's
+        p = make(L, ts=integers(0, 3), x_a=1.0)
+        eng, grid = _Engine(p, SolveOptions(T_trunc=3.0)), np.array([-1.0, 0.0, 0.5, 1.0])
+        with patch.object(solver, "_BATCH", batch), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            best, walked = solver._best_assignment(eng, grid), prefix_walk(eng, grid)
+        assert best[1] == walked[1] >= 0
+        assert np.float64(best[0]).tobytes() == np.float64(walked[0]).tobytes()
 
     def test_overflowing_assignments_score_minus_inf_without_a_warning(self):
         p = make("-(v1^2)-x1^2", "x1^2", ts=integers(0, 3), x_a=1.0)
