@@ -119,7 +119,7 @@ def _cmd_quad(args) -> int:
     if not np.all(np.isfinite(vals)):
         bad = pts[~np.isfinite(vals)][0]
         raise ExprDomainError(
-            f"integrand '{to_source(expr)}' is non-finite at t={bad!r}"
+            f"integrand '{to_source(expr)}' is non-finite at t={float(bad)!r}"
         )
     value = nabla_integral(GridFunction.scalar(ts, vals), args.from_t, args.to_t)
     print(_fmt(float(value[0])))

@@ -14,12 +14,13 @@ values propagate and are checked by callers).
 
 A ``Program`` lowers many expressions into one hash-consed program, and a
 ``Kernel`` evaluates a chosen set of them together (``evaluate_many``
-dispatches on it): the values are bit for bit those of the tree walk, each
-shared subtree is evaluated once per call and each subtree of t alone once
-per t array, and the stacked result is checked for non-finite values once
-per stage.  A kernel also runs in two steps, its z-free part on a table of
-points and its z part on rows gathered from it (``Kernel.table``,
-``Kernel.gather``), bit for bit a full call on the gathered rows.
+dispatches on it): the values are bit for bit those of the tree walk, a
+NaN's sign aside, each shared subtree is evaluated once per call, and the
+stacked result is checked for non-finite values once per stage.  A kernel
+keeps no state between calls.  It also runs in two steps, its z-free part
+on a table of points and its z part on rows gathered from it
+(``Kernel.table``, ``Kernel.gather``), bit for bit a full call on the
+gathered rows, a NaN's sign aside.
 
 ``bind_shape`` compiles a problem once per shape and process: requests
 that differ only in their lifted literals (``Param``) bind their values.
@@ -416,8 +417,6 @@ def _eval_many(e: Expr, env) -> np.ndarray:
 
 #: what a slot's value varies with, ordered so an operation has its operands' maximum
 _CONST, _PARAM, _T, _XV, _Z = range(5)
-#: how many t arrays a binding keeps t-only values for; the first kept goes first
-T_ARRAYS_KEPT = 8
 
 
 class Program:
@@ -431,7 +430,7 @@ class Program:
     0-d arrays, so a folded value is bit for bit the value of the tree walk;
     constants are interned by their bits, which keeps -0.0 apart from 0.0.
     Subtrees of parameters alone are evaluated the same way once per binding
-    (``Kernel.bind``), and subtrees that read t alone once per t array.
+    (``Kernel.bind``); every other subtree runs in its stage at each call.
     """
 
     def __init__(self):
@@ -498,10 +497,13 @@ class Kernel:
     is the z integrand; no g-stage output may read z.  With ``check``, a
     non-finite output raises ``ExprDomainError`` naming the first such
     output (in row order) by its label and source, and its first t.  A
-    kernel that reads a ``Param`` runs once bound (``bind``).  ``table``
-    and ``gather`` split a call at z: the g stage and the L stage's z-free
-    ops once on a table of points, then the ops that read z on points
-    gathered from it.
+    kernel that reads a ``Param`` runs once bound (``bind``).  The values
+    are bit for bit those of the tree walk (``evaluate_many`` on each
+    expression), a NaN's sign aside: numpy gives NaN + -NaN the sign of
+    either operand, depending on the array's length.  ``table`` and
+    ``gather`` split a call at z: the g stage and the L stage's z-free ops
+    once on a table of points, then the ops that read z on points gathered
+    from it.
     """
 
     def __init__(self, program: Program, g_stage, l_stage, check: bool = True):
@@ -520,10 +522,10 @@ class Kernel:
         if any(kinds[s] == _Z for s in g_needed):
             raise ValueError("a g-stage output reads z")
         # vals[slot] in a call: constants now, parameters on binding, variables
-        # and t-only values on entry
+        # on entry
         self.template: list = [None] * (max(slots, default=-1) + 1)
         self.vars, self.params, self.z_slot = [], [], None
-        self.p_ops, self.t_ops, self.g_ops, self.l_ops = [], [], [], []
+        self.p_ops, self.g_ops, self.l_ops = [], [], []
         for s in sorted(g_needed | l_needed):
             op, *args = nodes[s]
             if op == "const":
@@ -535,9 +537,8 @@ class Kernel:
             elif op == "var":
                 self.vars.append((s, args[0]))
             else:
-                kind = kinds[s]
-                ops = (self.p_ops if kind == _PARAM else self.t_ops if kind == _T
-                       else self.g_ops if s in g_needed else self.l_ops)
+                ops = (self.p_ops if kinds[s] == _PARAM else self.g_ops if s in g_needed
+                       else self.l_ops)
                 ops.append((s, _OPS[op], args[0], args[1] if len(args) > 1 else None))
         # the L stage's z-free ops first, then those that read z (``table``)
         self.l_ops.sort(key=lambda step: kinds[step[0]] == _Z)
@@ -559,7 +560,6 @@ class Kernel:
         read = {arg for _, _, a, b, _ in z_ops for arg in (a, b)} | set(slots[self.n_g :])
         self.gathered = [(s, kinds[s] == _XV) for s in sorted(read - {None}) if _T <= kinds[s] < _Z]
         self.values: tuple = ()
-        self.t_values: dict[bytes, dict[int, np.ndarray]] = {}
 
     def _needed(self, slots) -> set[int]:
         seen, todo = set(), list(slots)
@@ -572,11 +572,11 @@ class Kernel:
                     todo += args
         return seen
 
-    def bind(self, values, t_values: dict) -> "Kernel":
-        """A copy with ``Param(i)`` bound to ``values[i]`` and its t-only
-        values kept in ``t_values``."""
+    def bind(self, values) -> "Kernel":
+        """A copy with ``Param(i)`` bound to ``values[i]``: its subtrees of
+        parameters alone are evaluated here, once."""
         bound = copy.copy(self)
-        bound.values, bound.t_values = tuple(values), t_values
+        bound.values = tuple(values)
         vals = bound.template = self.template.copy()
         for s, i in self.params:
             vals[s] = np.asarray(values[i])
@@ -609,7 +609,8 @@ class Kernel:
         table stacked from the blocks ``envs`` along their leading axis.
         Each env holds one t, and x and v arrays of the block's full shape.
         The g stage and the L stage's z-free ops run here, once per table;
-        unchecked.
+        unchecked.  The g-stage rows are those of ``run`` on the table, bit
+        for bit, a NaN's sign aside.
         """
         rows, parts = [], []
         for env in envs:
@@ -623,12 +624,13 @@ class Kernel:
         return np.concatenate(rows, axis=1), kept
 
     def gather(self, kept, idx, z) -> np.ndarray:
-        """The L-stage rows ``run`` gives, bit for bit, on the table's env
-        indexed by ``idx`` (an index array or a slice) along its leading
-        axis, with ``z`` as z: an array of that shape, or of any shape it
-        broadcasts to, such as (m, r, B) against a slice of r table rows of
-        B values; the rows take z's shape.  Only the ops that read z run,
-        on the z-free values they read, indexed; unchecked."""
+        """The L-stage rows ``run`` gives, bit for bit, a NaN's sign aside,
+        on the table's env indexed by ``idx`` (an index array or a slice)
+        along its leading axis, with ``z`` as z: an array of that shape, or
+        of any shape it broadcasts to, such as (m, r, B) against a slice of
+        r table rows of B values; the rows take z's shape.  Only the ops
+        that read z run, on the z-free values they read, indexed;
+        unchecked."""
         vals = self.template.copy()
         for s, xv in self.gathered:
             vals[s] = kept[s][idx] if xv else kept[s]
@@ -639,19 +641,10 @@ class Kernel:
 
     def _enter(self, env) -> list:
         """The value of every slot on entry: the constants, the bound
-        parameters, ``env``'s variables and the t-only values."""
+        parameters and ``env``'s variables."""
         vals = self.template.copy()
         for s, name in self.vars:
             vals[s] = _var_value(env, name)
-        if self.t_ops:
-            t_key = _var_value(env, "t").tobytes()
-            cache = self.t_values.get(t_key)
-            if cache is None:
-                cache = _touch(self.t_values, t_key, {}, T_ARRAYS_KEPT)
-            for s, op, a, b in self.t_ops:
-                if s not in cache:
-                    cache[s] = op(vals[a]) if b is None else op(vals[a], vals[b])
-                vals[s] = cache[s]
         return vals
 
     def _stage(self, ops, vals, out, start, stop, env) -> None:
@@ -776,11 +769,10 @@ class Shape:
 
 
 class Binding:
-    """A shape's kernels bound to one request's values, and its t-only values."""
+    """A shape's kernels bound to one request's values."""
 
     def __init__(self, shape: Shape, values):
         self.shape, self.values = shape, tuple(values)
-        self.t_values: dict[bytes, dict[int, np.ndarray]] = {}
         self._bound: dict = {}
 
     def kernel(self, key, build: Callable[[Shape, object], Kernel]) -> Kernel:
@@ -792,7 +784,7 @@ class Binding:
                 kernel = self.shape.kernels[key] = build(self.shape, key)
                 _log.debug("compiled kernel %s of a shape with %d parameters: %d slots",
                            "+".join(kernel.rows), len(self.values), len(self.shape.program.nodes))
-            bound = self._bound[key] = kernel.bind(self.values, self.t_values)
+            bound = self._bound[key] = kernel.bind(self.values)
         return bound
 
 

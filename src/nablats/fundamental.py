@@ -89,18 +89,13 @@ def _require_scalar(g: GridFunction) -> np.ndarray:
     return g.values[:, 0]
 
 
-def witness_value(
-    g: GridFunction,
-    eta: GridFunction,
-    ts: Optional[TimeScale] = None,
-    a: Optional[float] = None,
-) -> float:
+def witness_value(g: GridFunction, eta: GridFunction, ts: Optional[TimeScale] = None) -> float:
     """Pair ``g`` against ``eta`` composed with rho over eta's support.
 
     Computes the nabla integral of ``t -> g(t) * eta(rho(t))``.  The
     integration window is the smallest gap-aligned interval containing
-    every nonzero value of ``eta`` (clipped below at ``a``), so a spike
-    variation reduces to the single local term nu(t0) * g(t0) * eta(rho(t0)).
+    every nonzero value of ``eta``, so a spike variation reduces to the
+    single local term nu(t0) * g(t0) * eta(rho(t0)).
     """
     ts = _resolve_scale(g, ts)
     gv = _require_scalar(g)
@@ -116,7 +111,7 @@ def witness_value(
     # eta at index p couples to the value at p+1 across a scattered gap
     if hi_idx < len(ts) - 1 and ts.gap_kinds[hi_idx] is GapKind.SCATTERED:
         hi_idx += 1
-    lo = pts[lo_idx] if a is None else max(a, pts[lo_idx])
+    lo = pts[lo_idx]
     hi = pts[hi_idx]
     if not lo < hi:
         return 0.0

@@ -34,16 +34,16 @@ point (``Problem.fixed_band``: a linear-quadratic problem, or g = 0 with
 L_uu reading t alone) a search assembles and factors it once, at its first
 iteration; otherwise once per iteration.
 
-Every evaluation of the search runs on the problem's compiled kernels
-(``Problem.kernel``), through ``evaluate_many``, on grid rows 1..K, the
-rows the objective truncated at t_K reads: an iteration makes one
-derivative pass, which gives the first partials for the gradient and,
-where the band is assembled, the second partials for it, and each
-line-search probe makes one objective call.  Both sum z exactly
-(``running_fsum``), so the last pass is the first-order certificate of the
-solution (``variational._ELCore``, handed back in ``SolveInfo.final_pass``)
-and the last objective its value.  Subtrees that read only t are evaluated
-once per horizon, and a non-finite value anywhere raises
+Every evaluation of the search is one call of the path evaluator the
+residuals read (``variational._path``) on the problem's compiled kernels
+(``Problem.kernel``), on grid rows 1..K, the rows the objective truncated
+at t_K reads: an iteration makes one derivative pass, which gives the
+first partials for the gradient and, where the band is assembled, the
+second partials for it, and each line-search probe makes one objective
+call.  Each sums z exactly (``running_fsum``) where its kernel reads it,
+so the last pass is the first-order certificate of the solution
+(``variational._ELCore``, handed back in ``SolveInfo.final_pass``) and
+the last objective its value.  A non-finite value anywhere raises
 ``NonFiniteObjectiveError`` naming the first non-finite output and its t.
 """
 
@@ -57,8 +57,7 @@ from typing import Optional
 
 import numpy as np
 
-from .calculus import running_fsum
-from .expressions import ExprDomainError, evaluate_many
+from .expressions import ExprDomainError
 from .variational import (
     Problem,
     ProblemError,
@@ -67,9 +66,9 @@ from .variational import (
     _EL_GROUPS,
     _abs_max,
     _ELCore,
+    _path,
     _write_csv_lines,
     objective_gradient,
-    path_env,
 )
 
 
@@ -218,13 +217,11 @@ class _Engine:
             x[self.K + 1 :] = target
         return x
 
-    def _env(self, x: np.ndarray) -> dict[str, np.ndarray]:
-        """``path_env`` on grid rows 1..K; x may carry a leading batch axis."""
-        return {key: a[..., 1:] for key, a in path_env(self.p.ts, x, self.K).items()}
-
-    def _run(self, kernel, env, z_sum) -> np.ndarray:
+    def along(self, x: np.ndarray, *groups: str) -> dict[str, np.ndarray]:
+        """``variational._path`` along x on grid rows 1..K; a non-finite
+        value raises ``NonFiniteObjectiveError``."""
         try:
-            return evaluate_many(kernel, env, z_sum)
+            return _path(self.p, x, self.K, *groups)
         except ExprDomainError as exc:
             raise NonFiniteObjectiveError(f"{exc} during the search") from None
 
@@ -234,22 +231,17 @@ class _Engine:
         # bit-identically instead of picking up accumulation noise that
         # masquerades as a decrease
         try:
-            out = self._run(self.p.kernel("J"), self._env(x), lambda g: running_fsum(self.w[1:] * g))
-            return math.fsum(self.w[1:] * out[1])
+            return math.fsum(self.w[1:] * self.along(x, "J")["J"][0])
         except OverflowError:
             raise NonFiniteObjectiveError("z or the objective overflows during the search") from None
 
     def derivatives(self, x: np.ndarray) -> dict[str, np.ndarray]:
-        """One kernel call at x: the partials of ``groups``, each (count, K)
-        over grid rows 1..K, and the tail sums S of w*L_z from each row to
-        K.  z is the exact running sum the objective takes, so the first
-        partials are those ``_ELCore.along`` takes along the same values, bit
-        for bit, whichever groups ride along; it is summed only when the
-        partials read it."""
-        kernel = self.p.kernel(*self.groups)
-        z_sum = None if kernel.z_slot is None else (lambda g: running_fsum(self.w[1:] * g))
-        out = self._run(kernel, self._env(x), z_sum)
-        d = {name: out[kernel.rows[name]] for name in self.groups}
+        """One path call at x (``variational._path``): the partials of
+        ``groups``, each (count, K) over grid rows 1..K, and the tail sums S
+        of w*L_z from each row to K.  So the first partials are those
+        ``_ELCore.along`` takes along the same values, bit for bit,
+        whichever groups ride along."""
+        d = self.along(x, *self.groups)
         d["S"] = np.cumsum((self.w[1:] * d["Lz"][0])[::-1])[::-1]
         return d
 
@@ -599,7 +591,7 @@ def _best_assignment(eng: _Engine, grid: np.ndarray) -> tuple[float, int]:
     maximizer: ``brute_force``'s enumeration; (-inf, -1) if none is finite.
     """
     ts, n, K, w = eng.p.ts, eng.n, eng.K, eng.w
-    kernel, base, G = eng.p.kernel("J", check=False), eng.initial_values(), grid.size
+    kernel, base, G = eng.p.kernel("J"), eng.initial_values(), grid.size
     # the values of each grid row by code: a free row's G^n in lexicographic
     # order, or the one value of the start or a pinned row
     free = grid[np.indices((G,) * n).reshape(n, -1).T]
@@ -709,12 +701,9 @@ def horizon_study(p: Problem, truncations, opts: SolveOptions) -> list[HorizonRo
         x, info = direct_solve(p, o, with_info=True)
         K = p.ts.index_of(T)
         with np.errstate(all="ignore"):  # overflow gives inf or NaN, as in residual_report
-            # one more pass only when the last step moved x after the last one;
-            # no pass evaluates the start, so row 0 (the integral form's) is NaN
+            # one more pass only when the last step moved x after the last one
             d = _Engine(p, o).derivatives(x.values) if info.final_pass is None else info.final_pass
-            core = _ELCore(p.ts, x.values, K, {
-                key: np.concatenate([np.full((len(d[key]), 1), np.nan), d[key]], axis=1)
-                for key in _EL_GROUPS})
+            core = _ELCore(p.ts, x.values, K, d)
             reported = core.stationarity()
             t1, t2 = core.transversality(slice(core.k, core.k + 1))
         rows.append(

@@ -28,16 +28,17 @@ residuals:
 * a weak-maximizer margin comparing two admissible trajectories through the
   tail infimum of truncated objective differences.
 
-All of them read one path (``path_env``: t, x at rho(t) and the nabla
-derivative, then z) and one exact running sum (``calculus.running_fsum``),
-with L, g and their partials from one call of the problem's compiled kernel
-(``Problem.kernel``).  A quantity at horizon T' = t_k reads grid rows
-1..k only, as the truncated objective does; the start, row 0, is evaluated
-only for the integral form on a dense start, the one quantity that reads
-it.  The pointwise residual and transversality come from one residual core
-(``_ELCore``), built from the first partials on those rows: along a
-trajectory for ``check-el``, and from the solver's last derivative pass for
-the horizon table.
+All of them, and the solver's search, read one path evaluator (``_path``:
+``path_env``'s t, x at rho(t) and nabla derivative, then z, the exact
+running sum ``calculus.running_fsum`` wherever the kernel reads it, then
+the integrands), with L, g and their partials from one call of the
+problem's compiled kernel (``Problem.kernel``).  A quantity at horizon T' =
+t_k reads grid rows 1..k only, as the truncated objective does; the start,
+row 0, is evaluated only for the integral form on a dense start, the one
+quantity that reads it.  The pointwise residual and transversality come
+from one residual core (``_ELCore``), built from the first partials on
+those rows: along a trajectory for ``check-el``, and from the solver's last
+derivative pass for the horizon table.
 
 Minimization problems are verified through their maximization mirror: all
 residuals use -L internally when sense is MIN (``evaluate_functional_partial``
@@ -322,40 +323,41 @@ def path_env(ts: TimeScale, values: np.ndarray, k: int) -> dict[str, np.ndarray]
 
 
 def _integrals(terms: np.ndarray) -> np.ndarray:
-    """Exact nabla integrals over (a, t_j] for every j, per column of the
-    grid-aligned ``terms``; terms[0] carries the zero weight at the minimum."""
-    sums = running_fsum(terms[1:])
+    """Exact nabla integrals over (a, t_j] for j = 0..k, per column, from
+    the ``terms`` w*f on grid rows 1..k: 0.0 at row 0, then the running sums."""
+    sums = running_fsum(terms)
     return np.concatenate((np.zeros((1,) + sums.shape[1:]), sums))
 
 
-def _path(p: Problem, x: Trajectory, k: int, *groups: str, start: int = 1) -> dict[str, np.ndarray]:
-    """One kernel call along x on grid rows start..k (``path_env``): the
-    accumulated z, and the rows (count, k + 1) of each kernel group, on rows
-    0..k.  Row 0 carries zero weight in every integral, so only the integral
-    form on a dense start reads it; with ``start`` 1 it is not evaluated, as
-    in the solver, and its rows are NaN (z is 0.0 there)."""
-    _check_trajectory(p, x)
-    env = {key: a[..., start:] for key, a in path_env(p.ts, x.values, k).items()}
+def _path(p: Problem, values: np.ndarray, k: int, *groups: str, start: int = 1) -> dict[str, np.ndarray]:
+    """One kernel call along the state ``values`` (rows, n) on grid rows
+    start..k (``path_env``): the rows (count, k + 1 - start) of each kernel
+    group, and nothing for the rows below start.  z is 0.0 at row 0 and
+    then the exact running sum of w*g (``running_fsum``), summed only where
+    the kernel reads it.  Row 0 carries zero weight in every integral, so
+    only the integral form on a dense start reads it; the search and every
+    other quantity start at 1."""
+    env = {key: a[start:] for key, a in path_env(p.ts, values, k).items()}
     kernel = p.kernel(*groups)
     w = p.ts.local_steps[1 : k + 1]
 
-    def z_sum(g):  # z on the evaluated rows: 0.0 at row 0, then the running sum of w*g
+    def z_sum(g):
         return np.concatenate((np.zeros(1 - start), running_fsum(w * g[1 - start :])))
 
-    out = evaluate_many(kernel, env, z_sum)
-    out = np.concatenate((np.full((len(out), start), np.nan), out), axis=1)
-    z = np.concatenate((np.zeros(start), env["z"]))
-    return {"z": z, **{name: out[kernel.rows[name]] for name in groups}}
+    out = evaluate_many(kernel, env, None if kernel.z_slot is None else z_sum)
+    return {name: out[kernel.rows[name]] for name in groups}
 
 
 def _running_objective(p: Problem, x: Trajectory) -> np.ndarray:
     """J[j] = integral of the literal L over (a, t_j] along x, for every j."""
-    return _integrals(p.ts.local_steps * _path(p, x, len(p.ts) - 1, "L")["L"][0])
+    return _integrals(p.ts.local_steps[1:] * _path(p, x.values, len(p.ts) - 1, "L")["L"][0])
 
 
 def compute_z(p: Problem, x: Trajectory) -> GridFunction:
     """The accumulated constraint integral z along x; z(a) = 0."""
-    return GridFunction.scalar(p.ts, _path(p, x, len(p.ts) - 1)["z"])
+    _check_trajectory(p, x)
+    g = _path(p, x.values, len(p.ts) - 1, "g")["g"][0]
+    return GridFunction.scalar(p.ts, _integrals(p.ts.local_steps[1:] * g))
 
 
 def evaluate_functional_partial(p: Problem, x: Trajectory, T_prime: float) -> float:
@@ -370,8 +372,8 @@ def evaluate_functional_partial(p: Problem, x: Trajectory, T_prime: float) -> fl
     k = p.ts.index_of(T_prime)
     if k == 0:
         raise ProblemError(f"T_prime={T_prime!r} must lie strictly past the initial point")
-    lvals = _path(p, x, k, "L")["L"][0]
-    return math.fsum((p.ts.local_steps[: k + 1] * lvals)[1:].tolist())
+    lvals = _path(p, x.values, k, "L")["L"][0]
+    return math.fsum((p.ts.local_steps[1 : k + 1] * lvals).tolist())
 
 
 # -- Euler-Lagrange residual core ------------------------------------------------
@@ -402,24 +404,26 @@ class _ELCore:
     """All per-point arrays of the residual operators along x at horizon
     T' = t_k, on grid rows 0..k, the rows the objective truncated at T' reads.
 
-    Built from the first partials on those rows, ``parts`` (the kernel rows
-    (count, k + 1) of each of ``_EL_GROUPS``) and the state ``values``:
-    ``along`` takes them from one kernel call along a trajectory, the solver
-    from its derivative pass at the solution.  Only the integral form reads
-    row 0, and only ``residual_report`` on a dense start evaluates it; it is
-    NaN otherwise.
+    Built from the first partials, ``parts`` (the kernel rows (count, k + 1
+    - start) of each of ``_EL_GROUPS`` on grid rows start..k), and the state
+    ``values``: ``along`` takes them from one kernel call along a
+    trajectory, the solver from its derivative pass at the solution, both on
+    rows 1..k.  Only the integral form reads row 0, and only
+    ``residual_report`` on a dense start evaluates it; the rows below start
+    are NaN.
     """
 
     def __init__(self, ts: TimeScale, values: np.ndarray, k: int, parts: dict[str, np.ndarray]):
         self.ts, self.k, self.values = ts, k, values[: k + 1]
-        self.Lz = parts["Lz"][0]
-        self.Lx, self.Lv, self.gx, self.gv = (
-            np.ascontiguousarray(parts[key].T) for key in ("Lx", "Lv", "gx", "gv")
-        )
+        pad = k + 1 - parts["Lz"].shape[1]  # the rows below the first evaluated one
+        Lz, *xv = (np.concatenate([np.full((len(a), pad), np.nan), a], axis=1)
+                   for a in map(parts.get, ("Lz", "Lx", "Lv", "gx", "gv")))
+        self.Lz = Lz[0]
+        self.Lx, self.Lv, self.gx, self.gv = (np.ascontiguousarray(a.T) for a in xv)
         w = ts.local_steps[: k + 1]
         rho = ts.rho_indices[: k + 1]
         self.nu_true = np.where(rho == np.arange(k + 1), 0.0, w)
-        self.P = P = _integrals(w * self.Lz)  # P[j] = int_a^{t_j} Lz
+        self.P = P = _integrals(w[1:] * self.Lz[1:])  # P[j] = int_a^{t_j} Lz
         # I[j] = integral of Lz over (rho(t_j), T'], one column per component
         self.I = (P[k] - P[rho])[:, None]
 
@@ -431,12 +435,13 @@ class _ELCore:
         k = p.ts.index_of(T_prime)
         if k == 0:
             raise ProblemError(f"T_prime={T_prime!r} must lie strictly past the initial point")
-        return cls(p.ts, x.values, k, _path(p, x, k, *_EL_GROUPS, start=start))
+        _check_trajectory(p, x)
+        return cls(p.ts, x.values, k, _path(p, x.values, k, *_EL_GROUPS, start=start))
 
     @cached_property
     def CumLx(self) -> np.ndarray:
         """CumLx[j] = integral of Lx over (a, t_j], (k + 1, n)."""
-        return _integrals(self.ts.local_steps[: self.k + 1, None] * self.Lx)
+        return _integrals(self.ts.local_steps[1 : self.k + 1, None] * self.Lx[1:])
 
     def stationarity(self) -> np.ndarray:
         """The pointwise residual on rows 2..k (``el_report_indices``), (k - 1, n):
@@ -452,7 +457,7 @@ class _ELCore:
 
     def integral_form(self) -> np.ndarray:
         """Dubois-Reymond form array (k + 1, n): constant in t at a maximizer."""
-        cum_gI = _integrals(self.ts.local_steps[: self.k + 1, None] * self.gx * self.I)
+        cum_gI = _integrals(self.ts.local_steps[1 : self.k + 1, None] * self.gx[1:] * self.I[1:])
         return (cum_gI[self.k] - cum_gI) + self.gv * self.I + self.Lv - self.CumLx
 
     def transversality(self, rows: slice) -> tuple[np.ndarray, np.ndarray]:
@@ -520,12 +525,7 @@ def transversality_residual_T2(p: Problem, x: Trajectory, T_prime: float) -> flo
     return float(core.transversality(slice(core.k, core.k + 1))[1][0])
 
 
-def weak_max_compare(
-    p: Problem,
-    x_candidate: Trajectory,
-    x_star: Trajectory,
-    cauchy_tol: float = 1e-8,
-) -> float:
+def weak_max_compare(p: Problem, x_candidate: Trajectory, x_star: Trajectory) -> float:
     """Estimated tail margin of the candidate against x_star.
 
     Returns the liminf-estimate of D(T') = J_{T'}(candidate) - J_{T'}(star)
@@ -538,7 +538,7 @@ def weak_max_compare(
     sign = -1.0 if p.sense is Sense.MIN else 1.0
     D = sign * (_running_objective(p, x_candidate) - _running_objective(p, x_star))
     seq = list(zip(p.ts.points[1:], D[1:].tolist()))
-    return liminf_estimate(seq, cauchy_tol=cauchy_tol).value
+    return liminf_estimate(seq).value
 
 
 # -- reporting -------------------------------------------------------------------

@@ -241,7 +241,13 @@ def _kernel_env(rng, t, batch):
 
 
 def _same_bits(a, b):
-    return np.array_equal(a, b, equal_nan=True) and np.array_equal(np.signbit(a), np.signbit(b))
+    """NaN at the same places and every other value with the same bits:
+    bit for bit, a NaN's sign aside, which numpy does not fix (see
+    ``test_a_nan_sign_is_not_compared``)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64)))
 
 
 class TestKernel:
@@ -258,7 +264,7 @@ class TestKernel:
         rng = np.random.default_rng(seed)
         t = np.sort(rng.uniform(-2.0, 5.0, 7))
         t[rng.integers(0, 7)] = 0.0
-        # twice on the same t (the t-only values are reused), then on another t
+        # twice on the same t, then on another t
         for t_now in (t, t, np.sort(rng.uniform(-2.0, 5.0, 7))):
             env = _kernel_env(rng, t_now, batch)
             out = evaluate_many(kernel, env, lambda g: np.cumsum(g, axis=-1))
@@ -307,23 +313,20 @@ class TestKernel:
         assert program.lower(parse("x1 + -(1 - 1)")) == program.lower(parse("x1 + -0.0"))
         assert program.nodes[program.lower(parse("2^3 - 1"))] == ("const", 7.0)
 
-    def test_t_only_subtrees_run_once_per_t(self, monkeypatch):
-        exps = []
-        exp = np.exp
-
-        def counting(x):
-            exps.append(np.shape(x))
-            return exp(x)
-
-        from nablats import expressions
-
-        monkeypatch.setitem(expressions._OPS, "exp", counting)
-        kernel = Kernel(Program(), [("g", [("g", parse("exp(-0.1*t)*x1^2"))])], [])
-        t = np.arange(5.0)
-        for x in range(3):
-            evaluate_many(kernel, {"t": t, "x1": np.full(5, float(x))})
-        evaluate_many(kernel, {"t": t + 1.0, "x1": np.zeros(5)})
-        assert exps == [(5,), (5,)]
+    def test_a_nan_sign_is_not_compared(self):
+        # numpy gives NaN + -NaN the sign of one operand in its SIMD body and
+        # of the other in its remainder loop, so one 12-row call and twelve
+        # one-row calls of log(x1) + -log(x1) at x1 < 0 may hold NaNs of
+        # opposite sign; _same_bits compares NaN positions and all other bits
+        kernel = Kernel(Program(), [("g", [("g", parse("log(x1) + -log(x1)"))])], [], check=False)
+        x1, t = -np.arange(1.0, 13.0), np.zeros(12)
+        full = evaluate_many(kernel, {"t": t, "x1": x1})[0]
+        rows = np.concatenate([evaluate_many(kernel, {"t": t[j : j + 1], "x1": x1[j : j + 1]})[0]
+                               for j in range(12)])
+        assert np.isnan(full).all() and _same_bits(full, rows)
+        assert not _same_bits(np.array([-0.0, np.nan]), np.array([0.0, np.nan]))
+        assert not _same_bits(np.array([1.0, np.nan]), np.array([np.nan, np.nan]))
+        assert not _same_bits(np.zeros(2), np.zeros(3))
 
     def test_non_finite_output_names_the_first_one_and_its_t(self):
         g = [("z integrand", parse("x1^2"))]

@@ -36,9 +36,11 @@ from nablats.variational import (
     Problem,
     _ELCore,
     Sense,
+    Trajectory,
     el_report_indices,
     el_residual_pointwise,
     evaluate_functional_partial,
+    path_env,
     residual_report,
     transversality_residual_T1,
     transversality_residual_T2,
@@ -95,7 +97,7 @@ def loop_gradient(eng, x):
     def walk(e):
         return np.broadcast_to(evaluate_many(e, env), (eng.K,))
 
-    env = eng._env(x)
+    env = {key: a[1:] for key, a in path_env(eng.p.ts, x, eng.K).items()}  # rows 1..K
     env["z"] = running_fsum(eng.w[1:] * walk(eng.p.z_integrand))
     d = eng.p.partials
     Lz = walk(d["Lz"])
@@ -542,6 +544,13 @@ class TestDirectSolve:
             direct_solve(p, opts)
         assert "t=" in str(exc.value)
 
+    def test_a_z_sum_nothing_reads_does_not_stop_the_search(self):
+        # w*g overflows from t = 2 on; L never reads z, so neither does the search
+        p = make("-(v1^2)-x1^2", g="1e308", x_a=1.0)
+        x = direct_solve(p, SolveOptions(T_trunc=6.0))
+        assert np.isfinite(x.values).all()
+        assert math.isfinite(evaluate_functional_partial(p, x, 6.0))
+
     def test_option_validation(self):
         with pytest.raises(ValueError):
             SolveOptions(T_trunc=5.0, max_iters=0)
@@ -740,7 +749,7 @@ class TestGradients:
             bands.append(1)
             return band(self, *args)
 
-        monkeypatch.setattr(solver, "evaluate_many", counting)
+        monkeypatch.setattr(variational, "evaluate_many", counting)
         monkeypatch.setattr(_Engine, "hessian_band", counting_band)
         _, p, opts = dense_start_case()
         _, info = direct_solve(p, opts, with_info=True)
@@ -1017,9 +1026,8 @@ def flat_objectives(p, opts, value_grid):
             xb = np.tile(base[: K + 1], (ids.size, 1, 1))
             for i, (j, c) in enumerate(free_coordinates(eng.p, eng.opts)):
                 xb[:, j, c] = grid[(ids // weights[i]) % G]
-            out = evaluate_many(
-                p.kernel("J", check=False), eng._env(xb), lambda g: np.cumsum(w[1:] * g, axis=-1)
-            )
+            env = {key: a[..., 1:] for key, a in path_env(p.ts, xb, K).items()}  # rows 1..K
+            out = evaluate_many(p.kernel("J", check=False), env, lambda g: np.cumsum(w[1:] * g, axis=-1))
             vals[ids] = out[1] @ w[1:]
     return grid, np.where(np.isfinite(vals), vals, -np.inf)
 
@@ -1096,6 +1104,25 @@ def enumeration_case(seed, n, sense):
     terminal = PINNED(*rng.uniform(-1, 1, n)) if rng.random() < 0.4 else FREE
     values = rng.uniform(-1.5, 1.5, int(rng.integers(2, 5 if n == 1 else 4))).tolist()
     return p, SolveOptions(T_trunc=ts.points[K], terminal_mode=terminal), values
+
+
+class TestOnePath:
+    @settings(max_examples=80, deadline=None)
+    @given(**coupled_cases, coupling=st.sampled_from(["full", "g0", "affine"]))
+    def test_the_search_reads_the_path_the_residuals_read(self, seed, n, sense, coupling):
+        # at an arbitrary x, not only at a solution: the objective is the
+        # literal truncated objective (its max mirror for min), and the
+        # derivative pass's first partials are the residual core's, bit for bit
+        eng, x = coupled_case(seed, n, sense, coupling)
+        assume(not eng.scattered.all())  # a dense row inside the horizon
+        p, traj, T = eng.p, Trajectory.from_values(eng.p, x), eng.opts.T_trunc
+        f, literal = eng.objective(x), evaluate_functional_partial(p, traj, T)
+        assert repr(f if sense is Sense.MAX else 0.0 - f) == repr(literal)
+        d, core = eng.derivatives(x), _ELCore.along(p, traj, T)
+        assert core.k == eng.K
+        assert d["Lz"][0].tobytes() == core.Lz[1:].tobytes()
+        for key in ("Lx", "Lv", "gx", "gv"):
+            assert d[key].T.tobytes() == getattr(core, key)[1:].tobytes(), key
 
 
 class TestBruteForce:
@@ -1240,7 +1267,7 @@ class TestBruteForce:
 
         monkeypatch.setattr(Kernel, "table", counting_table)
         monkeypatch.setattr(Kernel, "gather", counting_gather)
-        monkeypatch.setattr(solver, "evaluate_many", None)  # no full kernel call
+        monkeypatch.setattr(variational, "evaluate_many", None)  # no full kernel call
         brute_force(p, opts, np.linspace(0.0, 1.0, G))
         last = K - (terminal.kind == "pinned")
         rows = sum(G ** (n * min(j, last)) for j in range(1, K + 1))
@@ -1351,21 +1378,23 @@ class TestHorizonStudy:
 
     @pytest.mark.parametrize("max_iters", [1, 2000])
     def test_rows_read_the_last_derivative_pass(self, monkeypatch, max_iters):
-        # no kernel call along the path and no objective evaluation: a cut
-        # takes one pass per iteration, and one more only when the last step
-        # moved x after the last pass
+        # no kernel call along the path beyond the search's passes and probes,
+        # and no objective evaluation: a cut takes one pass per iteration, and
+        # one more only when the last step moved x after the last pass
         calls = []
-        for name in ("_path", "evaluate_functional_partial"):
+        for name in ("evaluate_many", "evaluate_functional_partial"):
             original = getattr(variational, name)
             monkeypatch.setattr(variational, name,
                                 lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
-        passes = []
-        derivatives = _Engine.derivatives
+        passes, probes = [], []
+        derivatives, objective = _Engine.derivatives, _Engine.objective
         monkeypatch.setattr(_Engine, "derivatives",
                             lambda self, x: passes.append(self.K) or derivatives(self, x))
+        monkeypatch.setattr(_Engine, "objective",
+                            lambda self, x: probes.append(self.K) or objective(self, x))
         ts, p, opts = dense_start_case()
         rows = horizon_study(p, [4.0, 6.0], replace(opts, max_iters=max_iters))
-        assert calls == []
+        assert calls == ["evaluate_many"] * (len(passes) + len(probes))
         assert [r.info.stop_reason for r in rows] == ["max_iters" if max_iters == 1 else "grad_tol"] * 2
         extra = 1 if max_iters == 1 else 0
         assert [passes.count(ts.index_of(T)) for T in (4.0, 6.0)] == [

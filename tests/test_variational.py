@@ -177,6 +177,15 @@ class TestFunctional:
         with pytest.raises(OverflowError):
             evaluate_functional_partial(p, x, 2.0)
 
+    def test_a_z_sum_nothing_reads_does_not_overflow(self):
+        # w*g sums past the largest float from t = 2 on, but L never reads z
+        p = make_problem(L="-(v1^2)", g="1e308")
+        x = linear_trajectory(p)
+        with pytest.raises(OverflowError):
+            compute_z(p, x)
+        assert evaluate_functional_partial(p, x, 5.0) == -5.0
+        assert weak_max_compare(p, linear_trajectory(p, 2.0), x) < 0.0
+
     def test_quadratic_speed_cost(self):
         # L = -(v1^2), x linear with slope 1: J_T = -T on the integer scale
         p = make_problem()
@@ -766,7 +775,11 @@ class TestReportArrays:
 
         rows_read = outputs()
         path = variational._path
-        with patch.object(variational, "_path", lambda *args, start=1: path(*args, start=0)):
+
+        def every_row_path(*args, start=1):  # the rows start..k of a call on rows 0..k
+            return {key: a[:, start:] for key, a in path(*args, start=0).items()}
+
+        with patch.object(variational, "_path", every_row_path):
             every_row = outputs()
         assert rows_read == every_row
 
