@@ -8,7 +8,10 @@ m, and prints ``SolveInfo.phase_seconds`` as a Markdown table: for each m in
 ``SIZES``, the iterations and band factorizations of the solve (the band of
 this linear-quadratic problem is fixed, so it is factored once), then the
 best of ``REPEATS`` solves in every phase, in milliseconds, summed over the
-solve's iterations.
+solve's iterations.  The search evaluates each iterate once: ``derivatives``
+holds the start's joint call of the objective and the derivative pass, and
+the pass of a step accepted after backtracking; ``line_search`` holds every
+probe, the joint first probe included, whose pass the next iteration takes.
 
     PYTHONPATH=src python scripts/phase_table.py
 """

@@ -7,7 +7,8 @@ the truncated objective by Newton's method with a backtracking line search
 enumerator over a finite value grid serves as an independent oracle on
 tiny instances, and a horizon study re-solves the problem at increasing
 truncations to expose the decay of the transversality residuals, each cut
-certified from the derivative pass its search ended on.
+certified from the derivative pass its search ended on; the cuts of a free
+end share the pass at their common start.
 
 The enumerator walks the tree of assignments by grid row, depth first in
 lexicographic order, so the first maximizer wins.  Row j's term reads the
@@ -37,11 +38,19 @@ iteration; otherwise once per iteration.
 Every evaluation of the search is one call of the path evaluator the
 residuals read (``variational._path``) on the problem's compiled kernels
 (``Problem.kernel``), on grid rows 1..K, the rows the objective truncated
-at t_K reads: an iteration makes one derivative pass, which gives the
-first partials for the gradient and, where the band is assembled, the
-second partials for it, and each line-search probe makes one objective
-call.  Each sums z exactly (``running_fsum``) where its kernel reads it,
-so the last pass is the first-order certificate of the solution
+at t_K reads, and each iterate is evaluated once: one call gives the
+objective and the derivative pass together, the first partials for the
+gradient and, where the band is assembled, the second partials for it.
+The start is one such call, and so is each iteration's first line-search
+probe (timed, like every probe, in the ``line_search`` phase of
+``SolveInfo.phase_seconds``), whose pass is the next iteration's when the
+probe is accepted;
+backtracked probes evaluate the objective alone, and an accepted
+backtracked step gets a derivative pass of its own.  Where a joint call
+meets a non-finite value the search redoes the separate calls, the
+objective first, so errors come out as the objective's would.  Each call
+sums z exactly (``running_fsum``) where its kernel reads it, so the last
+pass is the first-order certificate of the solution
 (``variational._ELCore``, handed back in ``SolveInfo.final_pass``) and
 the last objective its value.  A non-finite value anywhere raises
 ``NonFiniteObjectiveError`` naming the first non-finite output and its t.
@@ -142,6 +151,8 @@ class SolveOptions:
             )
         if self.terminal_mode.kind not in ("free", "pinned"):
             raise ValueError("unknown terminal mode")
+        if self.terminal_mode.kind == "pinned" and not self.terminal_mode.values:
+            raise ValueError("a pinned terminal mode needs its values (use PINNED)")
 
 
 @dataclass(frozen=True)
@@ -226,14 +237,18 @@ class _Engine:
             raise NonFiniteObjectiveError(f"{exc} during the search") from None
 
     def objective(self, x: np.ndarray) -> float:
+        try:
+            return self.total(self.along(x, "J")["J"])
+        except OverflowError:
+            raise NonFiniteObjectiveError("z or the objective overflows during the search") from None
+
+    def total(self, J: np.ndarray) -> float:
+        """The objective from the J rows of a path call on grid rows 1..K' >= K."""
         # correctly-rounded sums keep the line search honest: once true
         # improvements drop below one ulp of the objective, probes evaluate
         # bit-identically instead of picking up accumulation noise that
         # masquerades as a decrease
-        try:
-            return math.fsum(self.w[1:] * self.along(x, "J")["J"][0])
-        except OverflowError:
-            raise NonFiniteObjectiveError("z or the objective overflows during the search") from None
+        return math.fsum(self.w[1:] * J[0, : self.K])
 
     def derivatives(self, x: np.ndarray) -> dict[str, np.ndarray]:
         """One path call at x (``variational._path``): the partials of
@@ -241,9 +256,28 @@ class _Engine:
         of w*L_z from each row to K.  So the first partials are those
         ``_ELCore.along`` takes along the same values, bit for bit,
         whichever groups ride along."""
-        d = self.along(x, *self.groups)
-        d["S"] = np.cumsum((self.w[1:] * d["Lz"][0])[::-1])[::-1]
+        return self.tail_sums(self.along(x, *self.groups))
+
+    def tail_sums(self, d: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+        """The derivative pass ``d`` on grid rows 1..K with its tail sums S."""
+        with np.errstate(all="ignore"):  # a non-finite S is diagnosed by the iteration
+            d["S"] = np.cumsum((self.w[1:] * d["Lz"][0])[::-1])[::-1]
         return d
+
+    def joint(self, x: np.ndarray, rows: Optional[dict[str, np.ndarray]] = None):
+        """The objective at x and its derivative pass (``derivatives``) from
+        one path call of "J" and ``groups``, or from ``rows``, such a call's
+        output at x on grid rows 1..K' >= K, of which rows 1..K are read.
+        None where the call or the objective's sum raises: the caller then
+        redoes the separate calls, the objective first, so that the same
+        error (or none) comes out as from them."""
+        try:
+            if rows is None:
+                rows = _path(self.p, x, self.K, "J", *self.groups)
+            f = self.total(rows["J"])
+        except (ExprDomainError, OverflowError):
+            return None
+        return f, self.tail_sums({key: rows[key][:, : self.K] for key in self.groups})
 
     def analytic_gradient(self, d: dict[str, np.ndarray]) -> np.ndarray:
         """Exact gradient of the discretized objective over the free rows,
@@ -413,7 +447,7 @@ def _band_sweep(factors: tuple, rhs: np.ndarray) -> np.ndarray:
     return d[:, :, 0] * s
 
 
-def direct_solve(p: Problem, opts: SolveOptions, with_info: bool = False):
+def direct_solve(p: Problem, opts: SolveOptions, with_info: bool = False, *, _start=None):
     """Newton ascent on the truncated objective over free state values.
 
     Starts from the constant initial state (or the linear interpolant to
@@ -436,27 +470,42 @@ def direct_solve(p: Problem, opts: SolveOptions, with_info: bool = False):
     ``no_progress`` (no step size passed the Armijo test, or the accepted
     step changed nothing) or ``max_iters``.  A non-finite tail sum,
     gradient or step raises ``NonFiniteObjectiveError``.
+
+    Each iterate is evaluated once (``_Engine.joint``): the start's
+    objective and derivative pass come from one call, and so do each
+    iteration's first probe's, at ``step_init``, whose pass the next
+    iteration takes when the probe is accepted; backtracked probes evaluate
+    the objective alone.  ``SolveInfo.phase_seconds`` books the start's
+    call in ``derivatives`` and every probe, joint or not, in
+    ``line_search``.  ``horizon_study`` hands each cut of a free end the
+    joint call at their common start as ``_start``, its output on grid rows
+    1..K' >= K.
+
     ``SolveInfo.objective`` is the search's own objective at the solution,
     read as the literal integral of L: bit for bit
     ``evaluate_functional_partial``; ``SolveInfo.final_pass`` holds the
     first partials of the derivative pass at the solution, or None when the
-    last step (a ``flat`` or ``max_iters`` stop) moved x after it.
+    last step (a ``flat`` or ``max_iters`` stop after a backtracked step)
+    moved x after it.
     """
     eng = _Engine(p, opts)
     x = eng.initial_values()
-    f = eng.objective(x)
+    phases = dict.fromkeys(_PHASES, 0.0)
+    clock = time.perf_counter()
+    f, d = eng.joint(x, _start) or (eng.objective(x), None)  # d: the pass at x, if made
+    _lap(phases, "derivatives", clock)
     log = [f]
     crit = math.inf
     iterations = fallbacks = backtracks = factorizations = 0
     diag = factors = None  # the band and its factors, once assembled
     stop = "max_iters"
     flat = 0  # consecutive accepted steps with no representable objective change
-    phases = dict.fromkeys(_PHASES, 0.0)
     for it in range(opts.max_iters):
         iterations = it + 1
         clock = time.perf_counter()
         with np.errstate(all="ignore"):  # a non-finite pass is diagnosed below
-            d, d_at = eng.derivatives(x), x  # the one derivative pass of this iteration
+            if d is None:
+                d = eng.derivatives(x)
             clock = _lap(phases, "derivatives", clock)
             grad = eng.analytic_gradient(d)
             clock = _lap(phases, "gradient", clock)
@@ -484,9 +533,11 @@ def direct_solve(p: Problem, opts: SolveOptions, with_info: bool = False):
             break
         alpha = opts.step_init
         accepted = False
-        for _ in range(80):
+        for tries in range(80):
             xt = eng.apply(x, alpha * direction)
-            ft = eng.objective(xt)
+            # the first probe carries the derivative pass at its point
+            probe = eng.joint(xt) if tries == 0 else None
+            ft, dt = probe or (eng.objective(xt), None)
             if ft >= f + ARMIJO * alpha * slope:
                 accepted = True
                 break
@@ -499,7 +550,7 @@ def direct_solve(p: Problem, opts: SolveOptions, with_info: bool = False):
         # zero-change steps can still tighten the iterate, but a long run of
         # them means the objective has hit float resolution; stop crawling
         flat = flat + 1 if ft == f else 0
-        x, f = xt, ft
+        x, f, d = xt, ft, dt
         log.append(f)
         if flat >= 50:
             stop = "flat"
@@ -521,7 +572,7 @@ def direct_solve(p: Problem, opts: SolveOptions, with_info: bool = False):
         factorizations=factorizations,
         phase_seconds=phases,
         # copies, so a kept row does not hold the whole pass's kernel output
-        final_pass={key: d[key].copy() for key in _EL_GROUPS} if d_at is x else None,
+        final_pass=None if d is None else {key: d[key].copy() for key in _EL_GROUPS},
     )
     return traj, info
 
@@ -691,14 +742,27 @@ def horizon_study(p: Problem, truncations, opts: SolveOptions) -> list[HorizonRo
     truncated objective they read grid rows up to the truncation only.
     Transversality is a free-endpoint condition, so rows solved with a
     pinned terminal carry ``trans_applicable=False``.
+
+    Every cut of a free end starts from the same values, so two or more
+    such cuts share their start: one path call of the objective and the
+    derivative groups at those values on the last cut's rows
+    (``_shared_start``), booked in no cut's ``phase_seconds``, of which each
+    cut's ``_Engine.joint`` reads its own rows, the same bits as its own
+    start.  Where that call raises, each cut makes its own start.  A pinned
+    end's start interpolates to each cut's terminal, so each cut makes its
+    own.  Every cut then runs its own search (``direct_solve``), whose
+    joint first probes, like all its probes, are booked in its
+    ``line_search`` phase, and the rows and each ``SolveInfo`` are those of
+    a ``direct_solve`` at that cut, bit for bit, ``phase_seconds`` aside.
     """
     cuts = [float(T) for T in truncations]
     if sorted(cuts) != cuts or len(set(cuts)) != len(cuts):
         raise ProblemError("truncations must be strictly increasing")
+    start = _shared_start(p, cuts, opts)
     rows = []
     for T in cuts:
         o = replace(opts, T_trunc=T)
-        x, info = direct_solve(p, o, with_info=True)
+        x, info = direct_solve(p, o, with_info=True, _start=start)
         K = p.ts.index_of(T)
         with np.errstate(all="ignore"):  # overflow gives inf or NaN, as in residual_report
             # one more pass only when the last step moved x after the last one
@@ -718,6 +782,24 @@ def horizon_study(p: Problem, truncations, opts: SolveOptions) -> list[HorizonRo
             )
         )
     return rows
+
+
+def _shared_start(p: Problem, cuts: list[float], opts: SolveOptions) -> Optional[dict]:
+    """The path call at the start every cut of a free end shares, on the
+    last cut's rows: the kernel rows of "J" and the derivative groups.  None
+    for a pinned end, for fewer than two cuts, where the call raises, and
+    where the last cut is not a grid row past the start, so that the cuts'
+    own solves raise what they raise, in order."""
+    last = cuts[-1]
+    if opts.terminal_mode.kind != "free" or len(cuts) < 2:
+        return None
+    if last not in p.ts or p.ts.index_of(last) < 1:
+        return None
+    eng = _Engine(p, replace(opts, T_trunc=last))
+    try:
+        return _path(p, eng.initial_values(), eng.K, "J", *eng.groups)
+    except (ExprDomainError, OverflowError):
+        return None
 
 
 def horizon_table_to_csv(rows: list[HorizonRow], path) -> None:

@@ -273,12 +273,13 @@ class TestSolve:
         [(5.0, "3, 5", [3.0, 5.0]), (4.0, "3, 5", [4.0, 3.0, 5.0]), (3.0, "3, 5", [3.0, 5.0])],
     )
     def test_each_horizon_is_solved_once(self, tmp_path, capsys, monkeypatch, T_trunc, cuts, solved):
-        calls = []
+        calls, starts = [], []
         original = solver.direct_solve
 
-        def counting(p, opts, with_info=False):
+        def counting(p, opts, with_info=False, **shared):
             calls.append(opts.T_trunc)
-            return original(p, opts, with_info)
+            starts.append(shared.get("_start"))
+            return original(p, opts, with_info, **shared)
 
         monkeypatch.setattr(solver, "direct_solve", counting)
         monkeypatch.setattr(cli, "direct_solve", counting)
@@ -291,6 +292,10 @@ class TestSolve:
         code, out, _ = run(capsys, "solve", cfg)
         assert code == 0
         assert calls == solved
+        # the two cuts of the free end start from one shared pass
+        study = starts[-2:]
+        assert study[0] is not None and study[1] is study[0]
+        assert starts[:-2] == [None] * (len(solved) - 2)
         # the written trajectory and the summary are those of the T_trunc solve
         rc = load_config(cfg)
         traj, info = original(rc.problem, rc.options, with_info=True)

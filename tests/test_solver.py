@@ -22,6 +22,7 @@ from nablats.solver import (
     HorizonRow,
     NonFiniteObjectiveError,
     SolveOptions,
+    TerminalMode,
     _band_factor,
     _band_sweep,
     _Engine,
@@ -473,18 +474,20 @@ class TestDirectSolve:
         # the band's second partials are read only where the band is
         # assembled: once for a fixed band (solve_scattered), at every
         # iteration otherwise (solve_stiff); the first partials, and so the
-        # certificate handed back, are the same bits either way
+        # certificate handed back, are the same bits either way.  Each
+        # iteration's pass is the start's or the previous iteration's first
+        # probe's, which carries the groups the next iteration reads
         (L, g, sense, ts, cuts), (rho, *x_a), _ = DESIGN_POINTS[0 if workload == "scattered" else 8]
         p = Problem.from_strings(ts, len(x_a), L.format(rho=rho), g, x_a, sense)
         opts = SolveOptions(T_trunc=cuts[-1], grad_tol=1e-9)
         seen = []
-        derivatives = _Engine.derivatives
-        monkeypatch.setattr(_Engine, "derivatives",
-                            lambda self, x: seen.append(self.groups) or derivatives(self, x))
+        path = solver._path
+        monkeypatch.setattr(solver, "_path",
+                            lambda p, x, K, *groups: seen.append(groups) or path(p, x, K, *groups))
         x, info = direct_solve(p, opts, with_info=True)
-        assert info.iterations > 1 and len(seen) == info.iterations
+        assert info.iterations > 1 and info.backtracks == 0 and len(seen) == info.iterations
         full, first = solver._DERIVATIVE_GROUPS, variational._EL_GROUPS
-        assert seen == [full] + [first if p.fixed_band else full] * (info.iterations - 1)
+        assert seen == [("J",) + full] + [("J",) + (first if p.fixed_band else full)] * (info.iterations - 1)
         assert p.fixed_band == (workload == "scattered")
         with patch.object(Problem, "fixed_band", False):
             y, every = direct_solve(p, opts, with_info=True)
@@ -564,6 +567,35 @@ class TestDirectSolve:
             SolveOptions(T_trunc=5.0, precondition=False)
         with pytest.raises(ValueError):
             PINNED()
+
+    def test_a_pinned_mode_needs_its_values(self):
+        # without values the search would fail on len(None)
+        with pytest.raises(ValueError, match="pinned terminal mode needs its values"):
+            SolveOptions(T_trunc=4.0, terminal_mode=TerminalMode("pinned"))
+        with pytest.raises(ValueError, match="pinned terminal mode needs its values"):
+            SolveOptions(T_trunc=4.0, terminal_mode=TerminalMode("pinned", ()))
+
+    def test_the_objective_is_named_before_the_partials(self):
+        # at x = 0 both log(x1) in J and dg/dx = x1/sqrt(x1^2) are non-finite;
+        # the kernel checks the g stage first, so a joint call would name
+        # dg/dx: the search redoes the objective alone, which names J
+        p = make("-(v1^2) + log(x1)", g="sqrt(x1^2)", ts=integers(0, 4), x_a=0.0)
+        message = "objective integrand '-v1^2.0 + log(x1)' is non-finite at t=1.0 during the search"
+        for solve in (lambda o: direct_solve(p, o), lambda o: horizon_study(p, [2.0, 4.0], o)):
+            with pytest.raises(NonFiniteObjectiveError) as exc:
+                solve(SolveOptions(T_trunc=4.0))
+            assert str(exc.value) == message
+
+    def test_a_probe_at_a_singular_partial_is_only_a_probe(self):
+        # from x_a = -2 the Newton step is v = 1 on both rows; the first probe,
+        # at step 2, puts x(1) = 0, where dg/dx = x1/sqrt(x1^2) is NaN but J
+        # is finite.  It fails the Armijo test, so the search backtracks to
+        # the optimum and never needs the partials there
+        p = make("-((v1 - 1)^2)", g="sqrt(x1^2)", ts=integers(0, 2), x_a=-2.0)
+        x, info = direct_solve(p, SolveOptions(T_trunc=2.0, step_init=2.0), with_info=True)
+        assert x.values[:, 0].tolist() == [-2.0, -1.0, 0.0]
+        assert (info.stop_reason, info.iterations, info.backtracks) == ("grad_tol", 2, 1)
+        assert info.objective_log == (-2.0, 0.0)
 
     def test_free_coordinates_respect_terminal_mode(self):
         p = make("-(x1^2)")
@@ -755,10 +787,33 @@ class TestGradients:
         _, info = direct_solve(p, opts, with_info=True)
         assert info.stop_reason == "grad_tol"
         assert len(bands) == 1 < info.iterations  # a fixed band, assembled once
-        assert 0 < len(calls) / info.iterations <= 3
-        # exactly: the start's objective, one pass per iteration, and a probe
-        # per step size tried in every iteration but the last
-        assert len(calls) == 1 + info.iterations + (info.iterations - 1) + info.backtracks
+        assert 0 < len(calls) / info.iterations <= 1
+        # exactly: the start's objective and pass in one call, then in every
+        # iteration but the last one probe, which carries the next pass
+        assert (info.iterations, info.backtracks) == (2, 0)
+        assert len(calls) == 1 + (info.iterations - 1) == 2
+
+    @pytest.mark.parametrize("step_init, backtracks, expected", [
+        # the full Newton step lands on the optimum: the probe's pass is the
+        # next iteration's
+        (1.0, 0, [("J", "full"), ("J", "first")]),
+        # a quadratic's probes at 4 and 2 fail the Armijo test: the
+        # backtracked probes evaluate the objective alone, and the step
+        # accepted at 1 takes a derivative pass of its own
+        (4.0, 2, [("J", "full"), ("J", "first"), ("J",), ("J",), ("first",)]),
+    ])
+    def test_each_iterate_is_evaluated_once(self, monkeypatch, step_init, backtracks, expected):
+        seen = []
+        path = solver._path
+        monkeypatch.setattr(solver, "_path",
+                            lambda p, x, K, *groups: seen.append(groups) or path(p, x, K, *groups))
+        _, p, opts = dense_start_case()
+        x, info = direct_solve(p, replace(opts, step_init=step_init), with_info=True)
+        names = {(): (), solver._DERIVATIVE_GROUPS: ("full",), variational._EL_GROUPS: ("first",)}
+        assert [g[:1] + names[g[1:]] if g[0] == "J" else names[g] for g in seen] == expected
+        assert (info.stop_reason, info.iterations, info.backtracks) == ("grad_tol", 2, backtracks)
+        # the last pass is the certificate: the accepted step's own or the probe's
+        assert info.final_pass is not None
 
 
 #: the benchmark's two solve workloads: L with its discount rate, g, sense, grid, cuts
@@ -1376,30 +1431,77 @@ class TestHorizonStudy:
                         evaluate_functional_partial(p, row.solution, row.T_trunc))
             assert [repr(float(v)) for v in got] == [repr(float(v)) for v in expected]
 
-    @pytest.mark.parametrize("max_iters", [1, 2000])
-    def test_rows_read_the_last_derivative_pass(self, monkeypatch, max_iters):
-        # no kernel call along the path beyond the search's passes and probes,
-        # and no objective evaluation: a cut takes one pass per iteration, and
-        # one more only when the last step moved x after the last pass
+    @pytest.mark.parametrize("max_iters, step_init, per_cut", [
+        # each cut reads its start from the shared pass and steps once; the
+        # accepted probe's pass is the certificate, whether the search
+        # converges after it or stops at max_iters
+        (2000, 1.0, [("J", "first")]),
+        (1, 1.0, [("J", "first")]),
+        # the step accepted after two backtracks moved x after the last pass,
+        # so the row takes one more, with the groups of a fresh search
+        (1, 4.0, [("J", "first"), ("J",), ("J",), ("full",)]),
+    ])
+    def test_rows_read_the_last_derivative_pass(self, monkeypatch, max_iters, step_init, per_cut):
+        # no kernel call along the path beyond the search's: the shared
+        # start, the probes and the passes, and no objective evaluation
         calls = []
         for name in ("evaluate_many", "evaluate_functional_partial"):
             original = getattr(variational, name)
             monkeypatch.setattr(variational, name,
                                 lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
-        passes, probes = [], []
-        derivatives, objective = _Engine.derivatives, _Engine.objective
-        monkeypatch.setattr(_Engine, "derivatives",
-                            lambda self, x: passes.append(self.K) or derivatives(self, x))
-        monkeypatch.setattr(_Engine, "objective",
-                            lambda self, x: probes.append(self.K) or objective(self, x))
+        seen = []
+        path = solver._path
+        monkeypatch.setattr(solver, "_path",
+                            lambda p, x, K, *groups: seen.append((K, groups)) or path(p, x, K, *groups))
         ts, p, opts = dense_start_case()
-        rows = horizon_study(p, [4.0, 6.0], replace(opts, max_iters=max_iters))
-        assert calls == ["evaluate_many"] * (len(passes) + len(probes))
+        rows = horizon_study(p, [4.0, 6.0], replace(opts, max_iters=max_iters, step_init=step_init))
+        assert calls == ["evaluate_many"] * len(seen)
         assert [r.info.stop_reason for r in rows] == ["max_iters" if max_iters == 1 else "grad_tol"] * 2
-        extra = 1 if max_iters == 1 else 0
-        assert [passes.count(ts.index_of(T)) for T in (4.0, 6.0)] == [
-            r.info.iterations + extra for r in rows
-        ]
+        names = {(): (), solver._DERIVATIVE_GROUPS: ("full",), variational._EL_GROUPS: ("first",)}
+        K4, K6 = ts.index_of(4.0), ts.index_of(6.0)
+        assert [(K, g[:1] + names[g[1:]] if g[0] == "J" else names[g]) for K, g in seen] == (
+            [(K6, ("J", "full"))] + [(K4, c) for c in per_cut] + [(K6, c) for c in per_cut]
+        )
+
+    @given(**coupled_cases, picks=st.lists(st.integers(1, 12), min_size=1, max_size=4, unique=True))
+    @settings(max_examples=60, deadline=None)
+    def test_each_row_is_the_solve_of_its_cut(self, seed, n, sense, picks):
+        # a free end's cuts share their start pass, a pinned end's do not;
+        # either way every row, and its SolveInfo, is a standalone solve of
+        # its cut, bit for bit, phase_seconds aside, and an error is the one
+        # the first failing cut raises on its own.  No cut has a multiple of
+        # 8 rows, so numpy can split a cut's rows between its vector body and
+        # its remainder loop one way in the cut's own pass, another in the
+        # shared one
+        eng, _ = coupled_case(seed, n, sense)
+        p, terminal = eng.p, eng.opts.terminal_mode
+        if sense is Sense.MIN:  # the mirror, so that both senses are well posed
+            p = Problem(p.ts, p.n, Neg(p.lagrangian), p.z_integrand, p.x_a, Sense.MIN)
+        ks = sorted(K for K in picks if K <= eng.K and K % 8)
+        assume(ks)
+        cuts = [p.ts.points[K] for K in ks]
+        opts = SolveOptions(T_trunc=cuts[-1], terminal_mode=terminal, grad_tol=1e-9, max_iters=30)
+
+        def outcome(solve):
+            try:
+                return solve()
+            except NonFiniteObjectiveError as exc:
+                return str(exc)
+
+        rows = outcome(lambda: horizon_study(p, cuts, opts))
+        solos = []
+        for T in cuts:
+            solos.append(outcome(lambda: direct_solve(p, replace(opts, T_trunc=T), with_info=True)))
+            if isinstance(solos[-1], str):
+                assert rows == solos[-1]
+                return
+        for row, (x, info) in zip(rows, solos):
+            assert row.solution.values.tobytes() == x.values.tobytes()
+            assert row.info == info  # every field but phase_seconds and final_pass
+            assert repr(row.info) == repr(replace(info, phase_seconds=row.info.phase_seconds))
+            assert (row.info.final_pass is None) == (info.final_pass is None)
+            for key in info.final_pass or ():
+                assert row.info.final_pass[key].tobytes() == info.final_pass[key].tobytes()
 
     def test_constant_lagrangian_rows(self):
         p = make("1", ts=integers(0, 8))
