@@ -39,7 +39,6 @@ from .expressions import (
     ExprDomainError,
     ExprSyntaxError,
     differentiate,
-    evaluate,
     evaluate_many,
     parse,
     to_source,
@@ -146,7 +145,6 @@ __all__ = [
     "dubois_reymond_check",
     "el_report_indices",
     "el_residual_pointwise",
-    "evaluate",
     "evaluate_functional_partial",
     "evaluate_many",
     "finite_horizon_el_residual",

@@ -33,9 +33,10 @@ file format):
     Tail-margin comparison of two stored trajectories; fails when the
     candidate beats the reference by more than the report tolerance.
 
-Exit codes: 0 pass, 1 tolerance fail, 2 config/usage error, 3 math/domain
-error, 4 no nonzero witness (function vanishes at tolerance or its support
-is invisible to admissible variations).
+Exit codes: 0 pass, 1 tolerance fail, 2 config/usage error (also an
+expression nested past the recursion limit, or no memory left), 3
+math/domain error, 4 no nonzero witness (function vanishes at tolerance or
+its support is invisible to admissible variations).
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ import numpy as np
 
 from .calculus import CalculusError, GridFunction, nabla_integral
 from .config import ConfigError, load_config
-from .expressions import ExprDomainError, ExprSyntaxError, evaluate_many, to_source
+from .expressions import ExprDomainError, ExprSyntaxError, Kernel, Program, evaluate_many
 from .fundamental import construct_violating_variation, default_tolerance, witness_value
 from .solver import (
     EnumerationGuardError,
@@ -110,17 +111,9 @@ def _summary(pairs) -> None:
 
 def _cmd_quad(args) -> int:
     rc = load_config(args.config)
-    expr = rc.require_quad()
     ts = rc.timescale
-    pts = np.asarray(ts.points)
-    vals = np.broadcast_to(
-        np.asarray(evaluate_many(expr, {"t": pts}), dtype=float), pts.shape
-    )
-    if not np.all(np.isfinite(vals)):
-        bad = pts[~np.isfinite(vals)][0]
-        raise ExprDomainError(
-            f"integrand '{to_source(expr)}' is non-finite at t={float(bad)!r}"
-        )
+    kernel = Kernel(Program(), [("f", [("integrand", rc.require_quad())])], [])
+    vals = evaluate_many(kernel, {"t": ts.points_array})[0]
     value = nabla_integral(GridFunction.scalar(ts, vals), args.from_t, args.to_t)
     print(_fmt(float(value[0])))
     return EXIT_PASS
@@ -294,6 +287,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         # malformed numeric cells in CSV inputs and similar
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except RecursionError:
+        # the last guard: the recursive walks of a very deep expression
+        print("error: an expression is nested too deeply (each bracket, call, unary minus "
+              "and term of a sum or product adds a level)", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_USAGE
 
 

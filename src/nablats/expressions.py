@@ -7,20 +7,17 @@ exp, log, sin, cos, sqrt.  Constants pi and e fold to numbers at parse time.
 Precedence, tightest first:  ^  >  unary -  >  * /  >  + -.
 
 ``parse`` reports syntax problems with the byte offset of the offending
-token.  ``evaluate`` is strict about domains (log of non-positive, division
-by zero, ...) and names the offending subtree; ``evaluate_many`` is the
-vectorized numpy twin used in hot paths, with IEEE semantics (non-finite
-values propagate and are checked by callers).
-
-A ``Program`` lowers many expressions into one hash-consed program, and a
-``Kernel`` evaluates a chosen set of them together (``evaluate_many``
-dispatches on it): the values are bit for bit those of the tree walk, a
-NaN's sign aside, each shared subtree is evaluated once per call, and the
-stacked result is checked for non-finite values once per stage.  A kernel
-keeps no state between calls.  It also runs in two steps, its z-free part
-on a table of points and its z part on rows gathered from it
-(``Kernel.table``, ``Kernel.gather``), bit for bit a full call on the
-gathered rows, a NaN's sign aside.
+token.  A ``Program`` lowers many expressions into one hash-consed program,
+and a ``Kernel`` evaluates a chosen set of them together through
+``evaluate_many``, with IEEE semantics: each shared subtree is evaluated
+once per call, and the stacked result is checked for non-finite values
+once per stage, naming the first offending output.  The values are bit for
+bit those of a numpy walk of each tree, a NaN's sign aside; the tests keep
+that walk as their oracle (``tests/tree_walk.py``).  A kernel keeps no
+state between calls.  It also runs in two steps, its z-free part on a
+table of points and its z part on rows gathered from it (``Kernel.table``,
+``Kernel.gather``), bit for bit a full call on the gathered rows, a NaN's
+sign aside.
 
 ``bind_shape`` compiles a problem once per shape and process: requests
 that differ only in their lifted literals (``Param``) bind their values.
@@ -304,74 +301,14 @@ def variables(e: Expr) -> set[str]:
     return set()
 
 
-def evaluate(e: Expr, env: Mapping[str, float]) -> float:
-    """Strict scalar evaluation with domain checks naming the subtree."""
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Var):
-        try:
-            return float(env[e.name])
-        except KeyError:
-            raise MissingVariableError(e.name) from None
-    if isinstance(e, Neg):
-        return -evaluate(e.arg, env)
-    if isinstance(e, Call):
-        x = evaluate(e.arg, env)
-        try:
-            if e.fn == "exp":
-                return math.exp(x)
-            if e.fn == "log":
-                if x <= 0:
-                    raise ExprDomainError(f"log of non-positive ({x!r}) in '{to_source(e)}'")
-                return math.log(x)
-            if e.fn == "sin":
-                return math.sin(x)
-            if e.fn == "cos":
-                return math.cos(x)
-            if e.fn == "sqrt":
-                if x < 0:
-                    raise ExprDomainError(f"sqrt of negative ({x!r}) in '{to_source(e)}'")
-                return math.sqrt(x)
-        except OverflowError:
-            raise ExprDomainError(f"overflow in '{to_source(e)}'") from None
-        raise ValueError(f"unknown function {e.fn!r}")
-    if isinstance(e, BinOp):
-        a = evaluate(e.left, env)
-        b = evaluate(e.right, env)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if e.op == "/":
-            if b == 0:
-                raise ExprDomainError(f"division by zero in '{to_source(e)}'")
-            return a / b
-        if e.op == "^":
-            try:
-                r = a**b
-            except (OverflowError, ZeroDivisionError, ValueError):
-                raise ExprDomainError(f"invalid power ({a!r})^({b!r}) in '{to_source(e)}'") from None
-            if isinstance(r, complex):
-                raise ExprDomainError(f"complex power ({a!r})^({b!r}) in '{to_source(e)}'")
-            return r
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-def evaluate_many(e: Union[Expr, "Kernel"], env: Mapping[str, np.ndarray], z_sum=None) -> np.ndarray:
-    """Vectorized evaluation over numpy arrays; non-finite values propagate.
-
-    ``e`` may also be a compiled ``Kernel``; then ``z_sum`` turns its z
-    integrand row into z (see ``Kernel.run``).
-    """
+def evaluate_many(kernel: "Kernel", env: Mapping[str, np.ndarray], z_sum=None) -> np.ndarray:
+    """Run a compiled ``Kernel`` on numpy arrays (``Kernel.run``); non-finite
+    values propagate to its check without a numpy warning."""
     with np.errstate(all="ignore"):
-        if isinstance(e, Kernel):
-            return e.run(env, z_sum)
-        return _eval_many(e, env)
+        return kernel.run(env, z_sum)
 
 
-# the numpy operation of every operator, shared by the tree walk and the kernel
+# the numpy operation of every operator
 _OPS = {
     "neg": operator.neg,
     "exp": np.exp,
@@ -395,23 +332,6 @@ def _var_value(env, name: str) -> np.ndarray:
         raise MissingVariableError(name) from None
 
 
-def _eval_many(e: Expr, env) -> np.ndarray:
-    if isinstance(e, Num):
-        return np.asarray(e.value)
-    if isinstance(e, Var):
-        return _var_value(env, e.name)
-    if isinstance(e, Neg):
-        return -_eval_many(e.arg, env)
-    if isinstance(e, Call):
-        x = _eval_many(e.arg, env)
-        if e.fn not in FUNCTIONS:
-            raise ValueError(f"unknown function {e.fn!r}")
-        return _OPS[e.fn](x)
-    if isinstance(e, BinOp) and e.op in _BINARY:
-        return _OPS[e.op](_eval_many(e.left, env), _eval_many(e.right, env))
-    raise TypeError(f"not an expression node: {e!r}")
-
-
 # -- compiled kernels -----------------------------------------------------------
 
 
@@ -426,9 +346,10 @@ class Program:
     its operands' slots, so equal subtrees share a slot however they were
     built.  Slots are numbered operands first, so slot order is an
     evaluation order.  Subtrees without variables or parameters are folded
-    at lowering with the numpy operations ``evaluate_many`` applies to their
-    0-d arrays, so a folded value is bit for bit the value of the tree walk;
-    constants are interned by their bits, which keeps -0.0 apart from 0.0.
+    at lowering with the numpy operations a call applies, on 0-d arrays, so
+    a folded value is bit for bit that of the tests' tree walk
+    (``tests/tree_walk.py``); constants are interned by their bits, which
+    keeps -0.0 apart from 0.0.
     Subtrees of parameters alone are evaluated the same way once per binding
     (``Kernel.bind``); every other subtree runs in its stage at each call.
     """
@@ -498,8 +419,8 @@ class Kernel:
     non-finite output raises ``ExprDomainError`` naming the first such
     output (in row order) by its label and source, and its first t.  A
     kernel that reads a ``Param`` runs once bound (``bind``).  The values
-    are bit for bit those of the tree walk (``evaluate_many`` on each
-    expression), a NaN's sign aside: numpy gives NaN + -NaN the sign of
+    are bit for bit those of the tests' numpy tree walk of each expression
+    (``tests/tree_walk.py``), a NaN's sign aside: numpy gives NaN + -NaN the sign of
     either operand, depending on the array's length.  ``table`` and
     ``gather`` split a call at z: the g stage and the L stage's z-free ops
     once on a table of points, then the ops that read z on points gathered
@@ -543,7 +464,7 @@ class Kernel:
         # the L stage's z-free ops first, then those that read z (``table``)
         self.l_ops.sort(key=lambda step: kinds[step[0]] == _Z)
         self.n_free = sum(kinds[s] != _Z for s, *_ in self.l_ops)
-        # drop each intermediate after its last reader, as the tree walk does,
+        # drop each intermediate after its last reader, as a tree walk does,
         # so that a batch holds few temporaries at a time
         steps = self.g_ops + self.l_ops
         last = {arg: i for i, (_, _, a, b) in enumerate(steps) for arg in (a, b)}

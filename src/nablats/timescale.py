@@ -136,12 +136,22 @@ class TimeScale:
 
 # -- builders ---------------------------------------------------------------
 
+#: the most points a builder makes; it refuses a larger grid before building it
+MAX_POINTS = 10**6
+
+
+def _check_count(builder: str, count: int | float) -> None:
+    if count > MAX_POINTS:
+        shown = f"{count:.6g}" if isinstance(count, float) else count
+        raise TimeScaleError(f"{builder}: {shown} points, more than the limit of {MAX_POINTS}")
+
 
 def integers(a: int, b: int) -> TimeScale:
     """The integer scale {a, a+1, ..., b}."""
     a, b = int(a), int(b)
     if b <= a:
         raise TimeScaleError(f"integers({a}, {b}): need b > a")
+    _check_count(f"integers({a}, {b})", b - a + 1)
     pts = tuple(float(t) for t in range(a, b + 1))
     return TimeScale(pts, (GapKind.SCATTERED,) * (len(pts) - 1))
 
@@ -154,6 +164,7 @@ def uniform(a: float, b: float, h: float) -> TimeScale:
     """
     if h <= 0:
         raise TimeScaleError("uniform: step h must be positive")
+    _check_count(f"uniform({a}, {b}, {h})", (b - a) / h + 1)
     k = round((b - a) / h)
     if k < 1 or abs(a + k * h - b) > 1e-12 * max(1.0, abs(a), abs(b)):
         raise TimeScaleError(f"uniform({a}, {b}, {h}): step does not divide the span")
@@ -171,6 +182,7 @@ def sampled_interval(a: float, b: float, n: int) -> TimeScale:
         raise TimeScaleError("sampled_interval: need at least one step")
     if not b > a:
         raise TimeScaleError(f"sampled_interval({a}, {b}): need b > a")
+    _check_count(f"sampled_interval({a}, {b}, {n})", n + 1)
     pts = tuple(a + (b - a) * i / n for i in range(n)) + (float(b),)
     return TimeScale(pts, (GapKind.DENSE_SAMPLE,) * n)
 
@@ -183,6 +195,13 @@ def q_scale(q: float, t0: float, count: int) -> TimeScale:
         raise TimeScaleError("q_scale: need t0 > 0")
     if count < 2:
         raise TimeScaleError("q_scale: need at least 2 points")
+    _check_count(f"q_scale({q}, {t0}, {count})", count)
+    try:
+        last = t0 * float(q) ** (count - 1)
+    except OverflowError:
+        last = math.inf
+    if not math.isfinite(last):
+        raise TimeScaleError(f"q_scale({q}, {t0}, {count}): the last point t0*q^{count - 1} is not a finite float")
     pts = tuple(t0 * q**i for i in range(count))
     return TimeScale(pts, (GapKind.SCATTERED,) * (count - 1))
 

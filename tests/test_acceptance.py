@@ -31,7 +31,6 @@ from nablats import (
     direct_solve,
     el_report_indices,
     el_residual_pointwise,
-    evaluate,
     evaluate_functional_partial,
     finite_horizon_el_residual,
     from_points,
@@ -48,6 +47,7 @@ from nablats import (
 )
 from nablats.cli import main as cli_main
 from nablats.expressions import BinOp, Call, Num, Var, variables
+from tree_walk import tree_walk
 
 
 def _report(k: int, name: str, ok: bool, detail: str) -> None:
@@ -367,6 +367,11 @@ def _random_expr(r: random.Random, depth: int):
     return Call(fn, _random_expr(r, depth - 1))
 
 
+def _oracle(expr, env) -> float:
+    """The tree walk's value: a domain error shows as a non-finite value."""
+    return float(tree_walk(expr, env))
+
+
 def test_criterion_8_symbolic_derivative_oracle():
     start = time.perf_counter()
     r = random.Random(808)
@@ -380,28 +385,16 @@ def test_criterion_8_symbolic_derivative_oracle():
         if not names:
             continue
         env = {name: r.uniform(0.3, 2.5) for name in names}
-        try:
-            base = evaluate(expr, env)
-        except ValueError:
-            continue
+        base = _oracle(expr, env)
         if not math.isfinite(base) or abs(base) > 1e6:
             continue
         ok_case = True
         for name in names:
-            sym_expr = differentiate(expr, name)
-            try:
-                sym = evaluate(sym_expr, env)
-            except ValueError:
-                ok_case = False
-                break
+            sym = _oracle(differentiate(expr, name), env)
             h = 1e-6 * (1.0 + abs(env[name]))
             hi = dict(env, **{name: env[name] + h})
             lo = dict(env, **{name: env[name] - h})
-            try:
-                num = (evaluate(expr, hi) - evaluate(expr, lo)) / (2.0 * h)
-            except ValueError:
-                ok_case = False
-                break
+            num = (_oracle(expr, hi) - _oracle(expr, lo)) / (2.0 * h)
             if not (math.isfinite(sym) and math.isfinite(num)) or abs(sym) > 1e6:
                 ok_case = False
                 break

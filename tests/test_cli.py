@@ -1,19 +1,27 @@
 """End-to-end tests of the command-line front end (in-process)."""
 
+import contextlib
 import csv
+import io
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nablats import cli, expressions, solver, variational
 from nablats.cli import main
+from nablats.calculus import GridFunction, nabla_integral
 from nablats.config import ConfigError, load_config
+from nablats.expressions import FUNCTIONS, BinOp, Call, Neg, Num, Var, to_source
 from nablats.solver import FREE, SolveOptions, direct_solve
 from nablats.timescale import integers
 from nablats.variational import (
@@ -23,6 +31,7 @@ from nablats.variational import (
     finite_horizon_el_residual,
     trajectory_to_csv,
 )
+from tree_walk import tree_walk
 
 BASE_INI = """
 [timescale]
@@ -76,6 +85,23 @@ def write_trajectory(tmp_path, name, values):
     return str(path)
 
 
+MIXED_INI = """
+[timescale]
+family = points
+points = 0, 0.25, 0.5, 1, 2, 3, 3.5, 4, 4.5, 6
+gap_kinds = d, d, s, s, s, d, d, d, s
+
+[problem]
+n = 2
+L = "exp(-0.3*t)*(-(v1^2) - x1^2 - v2^2 + 0.5*x1*x2) - 0.1*z"
+g = "x1^2 + x2*v1"
+x_a = 1.0, -0.5
+
+[report]
+report_out = {dir}/residuals.csv
+"""
+
+
 class TestQuad:
     def test_unit_integrand_over_three_steps(self, tmp_path, capsys):
         cfg = write_ini(tmp_path)
@@ -101,22 +127,52 @@ class TestQuad:
         assert code == 3
         assert err == "error: integrand '1.0/(t - 2.0)' is non-finite at t=2.0\n"
 
+    @given(f=st.recursive(
+        st.one_of(st.just(Var("t")), st.floats(-4.0, 4.0).map(Num), st.sampled_from([0.0, 1.0, 2.0]).map(Num)),
+        lambda children: st.one_of(
+            children.map(Neg),
+            st.tuples(st.sampled_from(FUNCTIONS), children).map(lambda a: Call(*a)),
+            st.tuples(st.sampled_from("+-*/^"), children, children).map(lambda a: BinOp(*a)),
+        ),
+        max_leaves=10,
+    ), body=st.sampled_from([BASE_INI, MIXED_INI]), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_the_kernel_integral_has_the_bits_of_the_oracle_integral(self, f, body, data):
+        # the integrand through the compiled kernel against the tree walk of
+        # the parsed f, integrated by the same nabla_integral
+        source = to_source(f)
+        body = body.replace('f = "1"', f'f = "{source}"') if "[quad]" in body else f'{body}\n[quad]\nf = "{source}"\n'
+        integrated = []
 
-MIXED_INI = """
-[timescale]
-family = points
-points = 0, 0.25, 0.5, 1, 2, 3, 3.5, 4, 4.5, 6
-gap_kinds = d, d, s, s, s, d, d, d, s
+        def recording(*args):
+            integrated.append((args, nabla_integral(*args)))
+            return integrated[-1][1]
 
-[problem]
-n = 2
-L = "exp(-0.3*t)*(-(v1^2) - x1^2 - v2^2 + 0.5*x1*x2) - 0.1*z"
-g = "x1^2 + x2*v1"
-x_a = 1.0, -0.5
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = write_ini(Path(tmp), body)
+            rc = load_config(cfg)
+            points = rc.timescale.points
+            a, b = sorted(data.draw(st.lists(st.sampled_from(points), min_size=2, max_size=2)))
+            with mock.patch.object(cli, "nabla_integral", recording), \
+                    contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
+                code = main(["quad", cfg, "--from", repr(a), "--to", repr(b)])
+        walk = np.broadcast_to(tree_walk(rc.quad_f, {"t": rc.timescale.points_array}), (len(points),))
+        bad = ~np.isfinite(walk)
+        if bad.any():
+            t = points[int(np.argmax(bad))]
+            assert (code, out.getvalue(), integrated) == (3, "", [])
+            assert err.getvalue() == f"error: integrand '{to_source(rc.quad_f)}' is non-finite at t={t!r}\n"
+            return
+        expected = nabla_integral(GridFunction.scalar(rc.timescale, walk), a, b)
+        assert (code, err.getvalue()) == (0, "")
+        [((integrand, *bounds), value)] = integrated
+        assert bounds == [a, b] and _bits(integrand.values[:, 0]) == _bits(walk)
+        assert _bits(value) == _bits(expected)
+        assert out.getvalue() == cli._fmt(float(expected[0])) + "\n"
 
-[report]
-report_out = {dir}/residuals.csv
-"""
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
 
 
 class TestCheckEl:

@@ -34,6 +34,7 @@ from nablats.variational import (
     _derive,
     evaluate_functional_partial,
 )
+from tree_walk import tree_walk
 
 #: literals, among them 0 and 1 (kept in the shape) and pairs whose
 #: product folds to exactly 1.0 (0.5 * 2, 0.25 * 4) or to 0.0 (1e-200 * 1e-200)
@@ -132,7 +133,7 @@ class TestShapeCache:
         expect = evaluate_many(fresh, env, np.cumsum)
         assert _same_bits(out, expect)
         for row, (_, e, _) in zip(out, fresh.outputs):  # and the tree walk
-            assert _same_bits(row, np.broadcast_to(evaluate_many(e, env), row.shape)), to_source(e)
+            assert _same_bits(row, np.broadcast_to(tree_walk(e, env), row.shape)), to_source(e)
         for name in ("partials", "hessian_partials"):
             assert _sources(getattr(p, name)) == _sources(derived[name])
 
@@ -147,7 +148,7 @@ class TestShapeCache:
             kernel = p.kernel("J")
             for t in t_arrays:
                 env = {"t": t, "x1": np.cos(t), "v1": np.sin(t), "z": t}
-                walk = evaluate_many(p.lagrangian, env)  # J is L: the sense is max
+                walk = tree_walk(p.lagrangian, env)  # J is L: the sense is max
                 assert _same_bits(evaluate_many(kernel, env)[1], walk)
             shapes.add(id(p._binding.shape))
         assert len(shapes) == 1 and len(expressions._SHAPES) == 1

@@ -46,6 +46,7 @@ from nablats.variational import (
     transversality_residual_T1,
     transversality_residual_T2,
 )
+from tree_walk import tree_walk
 
 
 def make(L, g="0", ts=None, x_a=0.0, sense=Sense.MAX):
@@ -96,7 +97,7 @@ def loop_gradient(eng, x):
     tree walks of the symbolic partials instead of the compiled kernel."""
 
     def walk(e):
-        return np.broadcast_to(evaluate_many(e, env), (eng.K,))
+        return np.broadcast_to(tree_walk(e, env), (eng.K,))
 
     env = {key: a[1:] for key, a in path_env(eng.p.ts, x, eng.K).items()}  # rows 1..K
     env["z"] = running_fsum(eng.w[1:] * walk(eng.p.z_integrand))

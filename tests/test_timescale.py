@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nablats import timescale
 from nablats.timescale import (
     GapKind,
     PointNotInScaleError,
@@ -131,6 +132,30 @@ class TestBuilders:
     def test_from_points_accepts_strings(self):
         ts = from_points([0.0, 1.0, 1.5], ["s", "d"])
         assert ts.gap_kinds == (GapKind.SCATTERED, GapKind.DENSE_SAMPLE)
+
+    @pytest.mark.parametrize(
+        "build, fits, too_many",
+        [(integers, (0, 9), (0, 10)),
+         (uniform, (0.0, 4.5, 0.5), (0.0, 5.0, 0.5)),
+         (sampled_interval, (0.0, 1.0, 9), (0.0, 1.0, 10)),
+         (q_scale, (2.0, 1.0, 10), (2.0, 1.0, 11))],
+    )
+    def test_builders_count_their_points_before_building(self, monkeypatch, build, fits, too_many):
+        monkeypatch.setattr(timescale, "MAX_POINTS", 10)
+        assert len(build(*fits)) == 10
+        with pytest.raises(TimeScaleError, match=rf"^{build.__name__}\(.*\): 11 points, more than the limit of 10$"):
+            build(*too_many)
+
+    def test_a_step_too_small_for_any_grid_is_refused_unbuilt(self):
+        # it divides the span to float tolerance, at 1.5e300 points
+        with pytest.raises(TimeScaleError, match=r"1\.5e\+300 points, more than the limit of 1000000"):
+            uniform(3.5, 5.0, 1e-300)
+
+    def test_q_scale_refuses_a_last_point_that_overflows(self):
+        assert q_scale(2.0, 1.0, 1024).points[-1] == 2.0**1023
+        for count in (1025, 2000):
+            with pytest.raises(TimeScaleError, match=rf"the last point t0\*q\^{count - 1} is not a finite float"):
+                q_scale(2.0, 1.0, count)
 
     def test_non_monotone_raises(self):
         with pytest.raises(TimeScaleError):

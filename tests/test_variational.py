@@ -16,7 +16,7 @@ from nablats.calculus import (
     nabla_integral,
     nabla_quotients,
 )
-from nablats.expressions import ExprDomainError, evaluate_many
+from nablats.expressions import ExprDomainError
 from nablats.timescale import GapKind, from_points, integers, q_scale, sampled_interval
 from nablats.variational import (
     AdmissibilityError,
@@ -40,6 +40,7 @@ from nablats.variational import (
 )
 from nablats import variational
 from nablats.variational import _abs_max, _ELCore, _running_objective
+from tree_walk import tree_walk
 
 
 def make_problem(L="-(v1^2)", g="0", ts=None, x_a=0.0, sense=Sense.MAX):
@@ -125,7 +126,7 @@ class TestComputeZ:
     def test_prefixes_are_exact_sums(self):
         p = mixed_problem()
         x = random_trajectory(p, 5)
-        g = evaluate_many(p.z_integrand, path_env(p.ts, x.values, len(p.ts) - 1))
+        g = tree_walk(p.z_integrand, path_env(p.ts, x.values, len(p.ts) - 1))
         assert compute_z(p, x).values[:, 0].tolist() == fsum_prefixes(p.ts, g)
 
     def test_hand_sum(self):
@@ -155,8 +156,8 @@ class TestFunctional:
         p = mixed_problem()
         x = random_trajectory(p, 6)
         env = path_env(p.ts, x.values, len(p.ts) - 1)
-        env["z"] = np.asarray(fsum_prefixes(p.ts, evaluate_many(p.z_integrand, env)))
-        expected = fsum_prefixes(p.ts, evaluate_many(p.lagrangian, env))
+        env["z"] = np.asarray(fsum_prefixes(p.ts, tree_walk(p.z_integrand, env)))
+        expected = fsum_prefixes(p.ts, tree_walk(p.lagrangian, env))
         for k in range(1, len(p.ts)):
             assert evaluate_functional_partial(p, x, p.ts.points[k]) == expected[k]
 
