@@ -27,7 +27,9 @@ file format):
 ``lemma CONFIG --function CSV [--tol TOL]``
     Constructs an admissible variation whose pairing with the stored
     function is strictly positive, printing the construction case, its
-    location, and the pairing value.
+    location, and the pairing value.  ``--tol`` (the zero threshold) is a
+    finite number >= 0, as is the ``[report] tolerance`` of ``check-el``
+    and ``compare``; any other value exits 2.
 
 ``compare CONFIG --candidate CSV --star CSV``
     Tail-margin comparison of two stored trajectories; fails when the

@@ -25,9 +25,9 @@ A run file is flat INI with these sections (all keys ``key = value``):
     key is an error.
 
 ``[report]``
-    ``tolerance`` (pass/fail threshold for residual and margin checks,
-    default 1e-6) and output paths ``trajectory_out``, ``horizon_out``,
-    ``report_out``.
+    ``tolerance`` (pass/fail threshold for residual and margin checks: a
+    finite number >= 0, default 1e-6) and output paths ``trajectory_out``,
+    ``horizon_out``, ``report_out``.
 
 ``[quad]``
     ``f``: an expression in ``t`` to integrate with the ``quad`` command.
@@ -39,6 +39,7 @@ stripped.  Sections that a given subcommand does not use may be omitted.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -149,11 +150,11 @@ def _bool(cp, section, key, default: bool) -> bool:
 
 
 def _float_list(raw: str, where: str) -> list[float]:
-    items = [s.strip() for s in raw.split(",") if s.strip()]
+    items = list(filter(str.strip, raw.split(",")))
     if not items:
         raise ConfigError(f"{where}: empty list")
-    try:
-        return [float(s) for s in items]
+    try:  # float() strips the whitespace that str.strip does
+        return list(map(float, items))
     except ValueError:
         raise ConfigError(f"{where}: {raw!r} is not a comma-separated number list") from None
 
@@ -183,11 +184,7 @@ def _timescale(cp: configparser.ConfigParser) -> TimeScale:
             )
         if family == "points":
             pts = _float_list(_get(cp, "timescale", "points"), "[timescale] points")
-            kinds = [
-                s.strip()
-                for s in _get(cp, "timescale", "gap_kinds").split(",")
-                if s.strip()
-            ]
+            kinds = filter(None, map(str.strip, _get(cp, "timescale", "gap_kinds").split(",")))
             return from_points(pts, kinds)
     except TimeScaleError as exc:
         raise ConfigError(f"[timescale]: {exc}") from exc
@@ -259,8 +256,11 @@ def _options(cp: configparser.ConfigParser) -> tuple[Optional[SolveOptions], tup
 def _report(cp: configparser.ConfigParser) -> ReportConfig:
     if not cp.has_section("report"):
         return ReportConfig()
+    tolerance = _float(cp, "report", "tolerance", 1e-6)
+    if not 0.0 <= tolerance < math.inf:
+        raise ConfigError(f"[report] tolerance = {tolerance!r} is not a finite number >= 0")
     return ReportConfig(
-        tolerance=_float(cp, "report", "tolerance", 1e-6),
+        tolerance=tolerance,
         trajectory_out=_get(cp, "report", "trajectory_out", "trajectory.csv"),
         horizon_out=_get(cp, "report", "horizon_out", "horizon.csv"),
         report_out=_get(cp, "report", "report_out", "residuals.csv"),

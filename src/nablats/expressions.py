@@ -290,15 +290,21 @@ def to_source(e: Expr) -> str:
 
 
 def variables(e: Expr) -> set[str]:
-    if isinstance(e, Var):
-        return {e.name}
-    if isinstance(e, Neg):
-        return variables(e.arg)
-    if isinstance(e, Call):
-        return variables(e.arg)
-    if isinstance(e, BinOp):
-        return variables(e.left) | variables(e.right)
-    return set()
+    """The names ``e`` reads, visiting each distinct node once: the tree of a
+    DAG that ``differentiate`` builds can be exponentially larger."""
+    names, seen, stack = set(), set(), [e]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            kind = type(node)
+            if kind is Var:
+                names.add(node.name)
+            elif kind is BinOp:
+                stack += node.left, node.right
+            elif kind is Neg or kind is Call:
+                stack.append(node.arg)
+    return names
 
 
 def evaluate_many(kernel: "Kernel", env: Mapping[str, np.ndarray], z_sum=None) -> np.ndarray:

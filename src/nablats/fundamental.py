@@ -20,6 +20,7 @@ whose value actually couples to a free eta coordinate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
@@ -119,21 +120,6 @@ def witness_value(g: GridFunction, eta: GridFunction, ts: Optional[TimeScale] = 
     return float(nabla_integral(paired, lo, hi)[0])
 
 
-def _validated(
-    g: GridFunction,
-    ts: TimeScale,
-    eta_values: np.ndarray,
-    support: tuple[float, float],
-    tag: CaseTag,
-    t0: float,
-) -> Optional[Variation]:
-    eta = GridFunction(ts, eta_values[:, None])
-    var = Variation(eta=eta, support=support, case_tag=tag, t0=t0)
-    if witness_value(g, eta, ts) > 0.0:
-        return var
-    return None
-
-
 def _dense_bump_values(
     vals: np.ndarray, ts: TimeScale, end: int, s: float
 ) -> Optional[tuple[np.ndarray, tuple[float, float]]]:
@@ -178,60 +164,54 @@ def construct_violating_variation(
     Every construction is validated numerically before being returned;
     candidates whose construction fails (for example a sign flip right
     next to the point) are skipped.  Returns None when no detectable
-    value exceeds the tolerance or no construction validates.
+    value exceeds the tolerance or no construction validates.  ``tol``,
+    by default ``default_tolerance``, is a finite number >= 0, else
+    ValueError.
     """
     ts = _resolve_scale(g, ts)
     vals = _require_scalar(g)
     if tol is None:
         tol = default_tolerance(g, ts)
-    m = len(ts) - 1
-    if m < 1:
-        return None
-
-    candidates = []
-    for j in range(1, m + 1):
-        if abs(vals[j]) <= tol:
-            continue
-        if ts.gap_kinds[j - 1] is GapKind.SCATTERED and j < 2:
-            continue  # its only coefficient is eta at the minimum, pinned to 0
-        candidates.append(j)
-    candidates.sort(key=lambda j: (-abs(vals[j]), j))
+    elif not 0.0 <= tol < math.inf:
+        raise ValueError(f"tolerance {tol!r} is not a finite number >= 0")
+    mag = np.abs(vals)
+    candidates = np.flatnonzero(mag[1:] > tol) + 1
+    if ts.gap_kinds[0] is GapKind.SCATTERED:
+        # t_1's only coefficient is eta at the minimum, pinned to 0
+        candidates = candidates[candidates >= 2]
+    # by decreasing magnitude, then by index
+    candidates = candidates[np.lexsort((candidates, -mag[candidates]))]
 
     pts = ts.points_array
-    for j in candidates:
-        s = 1.0 if vals[j] > 0 else -1.0
-        if ts.gap_kinds[j - 1] is GapKind.DENSE_SAMPLE:
-            built = _dense_bump_values(vals, ts, j, s)
-            if built is not None:
-                var = _validated(g, ts, built[0], built[1], CaseTag.LEFT_DENSE_BUMP, float(pts[j]))
-                if var is not None:
-                    return var
-            continue
-        # left-scattered candidate: j >= 2 guaranteed above
-        if ts.gap_kinds[j - 2] is GapKind.SCATTERED:
-            eta = np.zeros(len(ts))
-            eta[j - 1] = vals[j]
-            support = (float(pts[j - 1]), float(pts[j]))
-            var = _validated(g, ts, eta, support, CaseTag.SCATTERED_SPIKE, float(pts[j]))
-            if var is not None:
-                return var
-            continue
-        # predecessor is left-dense: prefer a bump ending at it
-        if abs(vals[j - 1]) > tol:
-            s_prev = 1.0 if vals[j - 1] > 0 else -1.0
-            built = _dense_bump_values(vals, ts, j - 1, s_prev)
-            if built is not None:
-                var = _validated(g, ts, built[0], built[1], CaseTag.RHO_DENSE_BUMP, float(pts[j]))
-                if var is not None:
-                    return var
-        # minimal bridge: ramp from zero at the prior point to g(t0) at rho(t0)
-        eta = np.zeros(len(ts))
-        eta[j - 1] = vals[j]
-        support = (float(pts[j - 2]), float(pts[j]))
-        var = _validated(g, ts, eta, support, CaseTag.BRIDGE, float(pts[j]))
-        if var is not None:
-            return var
+    for j in candidates.tolist():
+        for eta_values, support, tag in _constructions(vals, ts, j, tol):
+            eta = GridFunction(ts, eta_values[:, None])
+            if witness_value(g, eta, ts) > 0.0:
+                return Variation(eta=eta, support=support, case_tag=tag, t0=float(pts[j]))
     return None
+
+
+def _constructions(vals: np.ndarray, ts: TimeScale, j: int, tol: float):
+    """The (eta values, support, case tag) to try at candidate ``j``, in order."""
+    pts = ts.points_array
+    if ts.gap_kinds[j - 1] is GapKind.DENSE_SAMPLE:
+        built = _dense_bump_values(vals, ts, j, 1.0 if vals[j] > 0 else -1.0)
+        if built is not None:
+            yield *built, CaseTag.LEFT_DENSE_BUMP
+        return
+    # left-scattered candidate (so j >= 2): eta(rho(t0)) = g(t0)
+    spike = np.zeros(len(ts))
+    spike[j - 1] = vals[j]
+    if ts.gap_kinds[j - 2] is GapKind.SCATTERED:
+        yield spike, (float(pts[j - 1]), float(pts[j])), CaseTag.SCATTERED_SPIKE
+        return
+    # predecessor is left-dense: prefer a bump ending at it
+    if abs(vals[j - 1]) > tol:
+        built = _dense_bump_values(vals, ts, j - 1, 1.0 if vals[j - 1] > 0 else -1.0)
+        if built is not None:
+            yield *built, CaseTag.RHO_DENSE_BUMP
+    # minimal bridge: ramp from zero at the prior point to g(t0) at rho(t0)
+    yield spike, (float(pts[j - 2]), float(pts[j])), CaseTag.BRIDGE
 
 
 def dubois_reymond_check(
@@ -246,6 +226,7 @@ def dubois_reymond_check(
     a violating variation against it; ``is_constant`` is True exactly
     when no witness exists.  ``spread`` reports max(h) - min(h) over the
     points at or after ``a`` as a direct measure of non-constancy.
+    ``tol`` is that of ``construct_violating_variation``.
     """
     ts = _resolve_scale(h, ts)
     hv = _require_scalar(h)

@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -39,7 +41,8 @@ class GapKind(enum.Enum):
 
 @dataclass(frozen=True)
 class TimeScale:
-    """A finite, strictly increasing grid with per-gap kinds."""
+    """A finite, strictly increasing grid with per-gap kinds; ``points_array``
+    holds the points as a read-only float array."""
 
     points: tuple[float, ...]
     gap_kinds: tuple[GapKind, ...]
@@ -51,23 +54,21 @@ class TimeScale:
             raise TimeScaleError(
                 f"expected {len(self.points) - 1} gap kinds, got {len(self.gap_kinds)}"
             )
-        for p in self.points:
-            if not math.isfinite(p):
-                raise TimeScaleError(f"non-finite grid point {p!r}")
-        for a, b in zip(self.points, self.points[1:]):
-            if not (b > a):
-                raise TimeScaleError(f"grid points must increase strictly ({a!r} !< {b!r})")
-        for k in self.gap_kinds:
-            if not isinstance(k, GapKind):
-                raise TimeScaleError(f"bad gap kind {k!r}")
+        # one pass per check; the first offender is looked up for the message
+        arr = np.array(self.points, dtype=float)
+        finite, rising = np.isfinite(arr), arr[1:] > arr[:-1]
+        if not finite.all():
+            raise TimeScaleError(f"non-finite grid point {self.points[finite.argmin()]!r}")
+        if not rising.all():
+            a, b = self.points[rising.argmin():][:2]
+            raise TimeScaleError(f"grid points must increase strictly ({a!r} !< {b!r})")
+        if not all(map(isinstance, self.gap_kinds, repeat(GapKind))):
+            k = next(k for k in self.gap_kinds if not isinstance(k, GapKind))
+            raise TimeScaleError(f"bad gap kind {k!r}")
+        arr.setflags(write=False)
+        object.__setattr__(self, "points_array", arr)
 
     # -- cached views -------------------------------------------------------
-
-    @cached_property
-    def points_array(self) -> np.ndarray:
-        arr = np.asarray(self.points, dtype=float)
-        arr.setflags(write=False)
-        return arr
 
     @cached_property
     def _index(self) -> dict[float, int]:
@@ -84,7 +85,7 @@ class TimeScale:
     def rho_indices(self) -> np.ndarray:
         """rho_indices[i] = index of rho(points[i]): i - 1 after a scattered gap, else i."""
         arr = np.arange(len(self.points))
-        arr[1:] -= np.array([k is GapKind.SCATTERED for k in self.gap_kinds])
+        arr[1:] -= np.fromiter(map(operator.is_, self.gap_kinds, repeat(GapKind.SCATTERED)), bool)
         arr.setflags(write=False)
         return arr
 
@@ -131,7 +132,7 @@ class TimeScale:
 
     @property
     def all_scattered(self) -> bool:
-        return all(k is GapKind.SCATTERED for k in self.gap_kinds)
+        return GapKind.DENSE_SAMPLE not in self.gap_kinds
 
 
 # -- builders ---------------------------------------------------------------
@@ -152,7 +153,7 @@ def integers(a: int, b: int) -> TimeScale:
     if b <= a:
         raise TimeScaleError(f"integers({a}, {b}): need b > a")
     _check_count(f"integers({a}, {b})", b - a + 1)
-    pts = tuple(float(t) for t in range(a, b + 1))
+    pts = tuple(map(float, range(a, b + 1)))
     return TimeScale(pts, (GapKind.SCATTERED,) * (len(pts) - 1))
 
 
@@ -228,22 +229,19 @@ def union(scales: Sequence[TimeScale]) -> TimeScale:
     return TimeScale(tuple(pts), tuple(kinds))
 
 
+#: a gap kind by a name ``from_points`` reads (stripped, lower case)
+_KINDS = {**dict.fromkeys(("s", "scattered"), GapKind.SCATTERED),
+          **dict.fromkeys(("d", "dense", "dense_sample"), GapKind.DENSE_SAMPLE)}
+
+
 def from_points(points: Iterable[float], gap_kinds: Iterable[GapKind | str]) -> TimeScale:
     """Build a grid from explicit points and gap kinds.
 
     Gap kinds may be GapKind values or the strings "scattered" /
     "dense_sample" (also "s" / "d").
     """
-    kinds = []
-    for k in gap_kinds:
-        if isinstance(k, GapKind):
-            kinds.append(k)
-        else:
-            key = str(k).strip().lower()
-            if key in ("s", "scattered"):
-                kinds.append(GapKind.SCATTERED)
-            elif key in ("d", "dense", "dense_sample"):
-                kinds.append(GapKind.DENSE_SAMPLE)
-            else:
-                raise TimeScaleError(f"unknown gap kind {k!r}")
-    return TimeScale(tuple(float(p) for p in points), tuple(kinds))
+    given = tuple(gap_kinds)
+    kinds = tuple(k if isinstance(k, GapKind) else _KINDS.get(str(k).strip().lower()) for k in given)
+    if None in kinds:
+        raise TimeScaleError(f"unknown gap kind {given[kinds.index(None)]!r}")
+    return TimeScale(tuple(map(float, points)), kinds)

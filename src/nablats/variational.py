@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import io
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -629,30 +630,42 @@ def _read_grid_csv(ts: TimeScale, path, columns: list[str], what: str) -> np.nda
     """The value columns (len(ts), len(columns)) of a CSV with the header
     t,columns on the grid ts, the format ``trajectory_to_csv`` writes: every
     row has as many cells as the header, one row per grid point, and the t
-    column is exactly the grid's points."""
+    column is exactly the grid's points.  ``csv.reader`` splits the file
+    (LF, CRLF or CR line ends, quoted cells), blank lines are skipped and
+    ``float`` reads all cells at once; a row at fault is looked up after."""
     expected = ["t", *columns]
     with open(path, newline="") as fh:
-        rd = csv.reader(fh)
-        header = next(rd, None)
-        if header != expected:
-            raise AdmissibilityError(f"bad {what} header {header!r}, expected {expected!r}")
-        rows = []
-        for row in filter(None, rd):
-            if len(row) != len(expected):
-                raise AdmissibilityError(f"{what} line {rd.line_num} has {len(row)} cells, "
-                                         f"the header has {len(expected)}")
-            try:
-                rows.append([float(cell) for cell in row])
-            except ValueError as exc:
-                raise AdmissibilityError(f"{what} line {rd.line_num}: {exc}") from None
-    if len(rows) != len(ts):
-        raise AdmissibilityError(f"{what} has {len(rows)} rows, grid has {len(ts)} points")
-    arr = np.array(rows)
+        text = fh.read()  # once: the path may be a pipe
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    header = rows[0] if rows else None
+    if header != expected:
+        raise AdmissibilityError(f"bad {what} header {header!r}, expected {expected!r}")
+    body = list(filter(None, rows[1:]))
+    try:  # a ragged row, or a cell that float() refuses
+        arr = np.array(body, dtype=float).reshape(len(body), len(expected))
+    except ValueError:
+        raise AdmissibilityError(f"{what} line {_first_bad_row(text, len(expected))}") from None
+    if len(arr) != len(ts):
+        raise AdmissibilityError(f"{what} has {len(arr)} rows, grid has {len(ts)} points")
     bad = np.flatnonzero(arr[:, 0] != ts.points_array)
     if bad.size:
         raise AdmissibilityError(f"{what} row at t={float(arr[bad[0], 0])!r} does not match "
                                  f"grid point {ts.points[bad[0]]!r}")
     return arr[:, 1:]
+
+
+def _first_bad_row(text: str, width: int) -> str:
+    """The line of a grid CSV's first ragged or malformed row, and what is
+    wrong with it, read row by row as ``csv.reader`` reads it."""
+    rd = csv.reader(io.StringIO(text, newline=""))
+    next(rd)
+    for row in filter(None, rd):
+        if len(row) != width:
+            return f"{rd.line_num} has {len(row)} cells, the header has {width}"
+        try:
+            list(map(float, row))
+        except ValueError as exc:
+            return f"{rd.line_num}: {exc}"
 
 
 def trajectory_from_csv(p: Problem, path) -> Trajectory:

@@ -540,6 +540,21 @@ class TestLemma:
         assert (code, out) == (2, "")
         assert err == "error: function line 5 has 3 cells, the header has 2\n"
 
+    @pytest.mark.parametrize("row, message", [
+        ("3.0,0.0,9.0", "function line 5 has 3 cells, the header has 2"),
+        ("3.0,x", "function line 5: could not convert string to float: 'x'"),
+    ])
+    def test_a_bad_function_row_read_from_a_pipe_exits_2_naming_its_line(self, tmp_path, row, message):
+        # the file is read once: a pipe is empty the second time
+        cfg = write_ini(tmp_path)
+        text = f"t,f\n0.0,0.0\n1.0,0.0\n2.0,0.0\n{row}\n4.0,0.0\n5.0,2.0\n"
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "nablats", "lemma", cfg, "--function", "/dev/stdin"],
+            input=text, capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", f"error: {message}\n")
+
     def test_wrong_grid_exits_2(self, tmp_path, capsys):
         cfg = write_ini(tmp_path)
         path = tmp_path / "short.csv"
@@ -789,3 +804,72 @@ class TestConfigLoading:
             assert "x1" in str(exc)
         else:
             raise AssertionError("expected ConfigError")
+
+    def test_points_family_reads_padded_and_empty_items(self, tmp_path):
+        body = """
+        [timescale]
+        family = points
+        points = 0 ,1,, 1.5 ,\t3,
+        gap_kinds = S, dense ,, s
+        """
+        rc = load_config(write_ini(tmp_path, body))
+        assert rc.timescale.points == (0.0, 1.0, 1.5, 3.0)
+        assert [k.value for k in rc.timescale.gap_kinds] == ["scattered", "dense_sample", "scattered"]
+
+    @pytest.mark.parametrize("points, kinds, message", [
+        ("0, 1, x", "s, s", "[timescale] points: '0, 1, x' is not a comma-separated number list"),
+        ("0, 1, nan", "s, s", "[timescale]: non-finite grid point nan"),
+        ("0, 2, 1", "s, s", "[timescale]: grid points must increase strictly (2.0 !< 1.0)"),
+        ("0, 1, 2", "s, q", "[timescale]: unknown gap kind 'q'"),
+    ])
+    def test_points_family_errors(self, tmp_path, points, kinds, message):
+        body = f"[timescale]\nfamily = points\npoints = {points}\ngap_kinds = {kinds}\n"
+        with pytest.raises(ConfigError) as info:
+            load_config(write_ini(tmp_path, body))
+        assert str(info.value) == message
+
+
+class TestTolerance:
+    """A tolerance is a finite number >= 0; anything else exits 2 with one line."""
+
+    @pytest.mark.parametrize("value, shown", [("nan", "nan"), ("inf", "inf"), ("-inf", "-inf"),
+                                              ("-1", "-1.0"), ("-1e-300", "-1e-300")])
+    def test_report_tolerance_outside_the_domain_is_a_config_error(self, tmp_path, value, shown):
+        cfg = write_ini(tmp_path, BASE_INI.replace("tolerance = 1e-6", f"tolerance = {value}"))
+        with pytest.raises(ConfigError) as info:
+            load_config(cfg)
+        assert str(info.value) == f"[report] tolerance = {shown} is not a finite number >= 0"
+
+    def test_zero_tolerance_is_accepted(self, tmp_path):
+        cfg = write_ini(tmp_path, BASE_INI.replace("tolerance = 1e-6", "tolerance = 0"))
+        assert load_config(cfg).report.tolerance == 0.0
+
+    def test_nan_tolerance_exits_2_from_check_el(self, tmp_path, capsys):
+        # it used to print status: FAIL at a residual of 2.2e-16
+        cfg = write_ini(tmp_path, BASE_INI.replace("tolerance = 1e-6", "tolerance = nan"))
+        traj = write_trajectory(tmp_path, "line.csv", [0, 1, 2, 3, 4, 5])
+        code, out, err = run(capsys, "check-el", cfg, "--trajectory", traj)
+        assert (code, out, err) == (2, "", "error: [report] tolerance = nan is not a finite number >= 0\n")
+
+    def test_negative_tolerance_exits_2_from_compare(self, tmp_path, capsys):
+        # it used to fail a trajectory against itself at margin 0.0
+        cfg = write_ini(tmp_path, BASE_INI.replace("tolerance = 1e-6", "tolerance = -1"))
+        a = write_trajectory(tmp_path, "a.csv", [0, 1, 2, 3, 4, 5])
+        code, out, err = run(capsys, "compare", cfg, "--candidate", a, "--star", a)
+        assert (code, out, err) == (2, "", "error: [report] tolerance = -1.0 is not a finite number >= 0\n")
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "-0.5"])
+    def test_lemma_tol_outside_the_domain_exits_2(self, tmp_path, capsys, tol):
+        # nan used to report "no witness: the remaining mass pairs to zero" (exit 4)
+        cfg = write_ini(tmp_path)
+        path = tmp_path / "zero.csv"
+        path.write_text("t,f\n" + "".join(f"{t}.0,0.0\n" for t in range(6)))
+        code, out, err = run(capsys, "lemma", cfg, "--function", str(path), "--tol", tol)
+        assert (code, out, err) == (2, "", f"error: tolerance {float(tol)!r} is not a finite number >= 0\n")
+
+    def test_lemma_tol_zero_is_accepted(self, tmp_path, capsys):
+        cfg = write_ini(tmp_path)
+        path = tmp_path / "zero.csv"
+        path.write_text("t,f\n" + "".join(f"{t}.0,0.0\n" for t in range(6)))
+        code, out, _ = run(capsys, "lemma", cfg, "--function", str(path), "--tol", "0")
+        assert (code, out) == (4, "function is zero at tolerance 0.0 (max |f| = 0.0)\n")

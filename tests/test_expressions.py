@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nablats import expressions
 from nablats.expressions import (
     FUNCTIONS,
     BinOp,
@@ -162,6 +163,57 @@ class TestDifferentiate:
     def test_variables_listing(self):
         assert variables(parse("exp(-t)*(x1 - v2) + z")) == {"t", "x1", "v2", "z"}
 
+    @staticmethod
+    def _visits(monkeypatch, e):
+        """The ids ``variables`` looks up while it walks ``e``: each node it
+        pops is looked up once, and once more when it is new."""
+        looked_up = []
+
+        def counting_id(node):
+            looked_up.append(id(node))
+            return id(node)
+
+        monkeypatch.setattr(expressions, "id", counting_id, raising=False)
+        names = variables(e)
+        monkeypatch.undo()
+        return names, looked_up
+
+    def test_variables_visits_each_distinct_node_once(self, monkeypatch):
+        # each level reads the one below twice: 3 new nodes a level, 2^60 paths to the leaf
+        e, distinct = Var("x1"), 1
+        for _ in range(60):
+            e = BinOp("+", e, BinOp("*", e, Var("t")))
+            distinct += 3
+        names, looked_up = self._visits(monkeypatch, e)
+        assert names == {"x1", "t"}
+        # a node has at most two children, so at most 1 + 2*distinct pops
+        assert len(set(looked_up)) == distinct and len(looked_up) <= 1 + 3 * distinct
+
+    def test_second_partials_of_a_deep_quotient_are_walked_as_a_dag(self, monkeypatch):
+        # x1/(1 + x1/(1 + ... x1)): differentiate shares subtrees, so the DAG of
+        # its second partial is far smaller than the tree a recursive walk visits
+        src = "x1"
+        for _ in range(100):
+            src = f"x1/(1 + {src})"
+        d2 = differentiate(differentiate(parse(src), "x1"), "x1")
+
+        def kids(node):
+            return [node.left, node.right] if isinstance(node, BinOp) else [node.arg] if isinstance(
+                node, (Neg, Call)) else []
+
+        sizes, stack = {}, [d2]  # the tree size under each distinct node, children first
+        while stack:
+            todo = [k for k in kids(stack[-1]) if id(k) not in sizes]
+            if todo:
+                stack += todo
+            else:
+                node = stack.pop()
+                sizes[id(node)] = 1 + sum(sizes[id(k)] for k in kids(node))
+        names, looked_up = self._visits(monkeypatch, d2)
+        assert names == {"x1"}
+        # 60,995 distinct nodes against a tree of 10,230,690
+        assert set(looked_up) == set(sizes) and 100 * len(sizes) < sizes[id(d2)]
+        assert len(looked_up) <= 1 + 3 * len(sizes)
 
 @given(e=expr_trees, var=st.sampled_from(["t", "x1", "v1", "z"]), seed=st.integers(0, 2**31 - 1))
 @settings(max_examples=300, deadline=None)

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nablats.calculus import GridFunction, GridMismatchError, local_rho_integral
 from nablats.fundamental import (
@@ -236,3 +238,39 @@ class TestDuboisReymond:
         assert res.is_constant is False
         assert res.spread == 1.0
         assert res.variation is not None
+
+
+@given(values=st.lists(st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0]), min_size=3, max_size=30),
+       tol=st.sampled_from([None, 0.0, 0.5, 1.0, 1.5]))
+@settings(max_examples=200, deadline=None)
+def test_scan_order_on_the_integers(values, tol):
+    # every candidate from t_2 on is a spike that validates, so the witness is
+    # the first in the scan order: decreasing magnitude, then increasing index
+    ts = integers(0, len(values) - 1)
+    var = construct_violating_variation(grid_fn(ts, values), ts, tol=tol)
+    cut = 1e-10 if tol is None else tol
+    order = sorted((j for j in range(2, len(values)) if abs(values[j]) > cut), key=lambda j: (-abs(values[j]), j))
+    if not order:
+        assert var is None
+    else:
+        assert (var.t0, var.case_tag) == (float(order[0]), CaseTag.SCATTERED_SPIKE)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf"), -1.0, -5e-324])
+def test_a_tolerance_outside_the_domain_raises_value_error(tol):
+    ts = integers(0, 5)
+    g = grid_fn(ts, [0, 0, 0, 2.0, 0, 0])
+    for check in (construct_violating_variation, dubois_reymond_check):
+        with pytest.raises(ValueError) as info:
+            check(g, ts, tol=tol)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"tolerance {tol!r} is not a finite number >= 0"
+
+
+def test_a_zero_tolerance_scans_every_nonzero_value():
+    ts = integers(0, 5)
+    g = grid_fn(ts, [0, 0, 0, 5e-324, 0, 0])
+    assert construct_violating_variation(g, ts, tol=0.0) is None  # its pairing underflows to 0
+    g = grid_fn(ts, [0, 0, 0, 1e-100, 0, 0])
+    assert construct_violating_variation(g, ts, tol=0.0).t0 == 3.0
+    assert dubois_reymond_check(grid_fn(ts, [1.0] * 6), ts, tol=0.0).is_constant

@@ -163,6 +163,40 @@ class TestBuilders:
         with pytest.raises(TimeScaleError):
             from_points([0.0], [])
 
+    @pytest.mark.parametrize("points, message", [
+        ([0.0, float("nan"), float("inf")], "non-finite grid point nan"),
+        ([0.0, 1.0, float("-inf")], "non-finite grid point -inf"),
+        ([0.0, 2.0, 1.0, 1.0], "grid points must increase strictly (2.0 !< 1.0)"),
+        ([0.0, 1.0, 2.0, 2.0, 1.0], "grid points must increase strictly (2.0 !< 2.0)"),
+        ([-0.0, 0.0], "grid points must increase strictly (-0.0 !< 0.0)"),
+    ])
+    def test_point_messages_name_the_first_offender(self, points, message):
+        kinds = (GapKind.SCATTERED,) * (len(points) - 1)
+        with pytest.raises(TimeScaleError) as info:
+            TimeScale(tuple(points), kinds)
+        assert str(info.value) == message
+        with pytest.raises(TimeScaleError) as info:
+            from_points(points, ["s"] * len(kinds))
+        assert str(info.value) == message
+
+    def test_unknown_gap_kind_messages_name_the_first_offender(self):
+        with pytest.raises(TimeScaleError) as info:
+            from_points([0.0, 1.0, 2.0, 3.0], ["s", "sampled", "x"])
+        assert str(info.value) == "unknown gap kind 'sampled'"
+        with pytest.raises(TimeScaleError) as info:
+            from_points([0.0, 1.0, 2.0], [GapKind.SCATTERED, ["d"]])
+        assert str(info.value) == "unknown gap kind ['d']"
+        with pytest.raises(TimeScaleError) as info:
+            TimeScale((0.0, 1.0, 2.0, 3.0), (GapKind.SCATTERED, "d", 1))
+        assert str(info.value) == "bad gap kind 'd'"
+
+    def test_gap_kind_spellings(self):
+        spellings = ["s", " Scattered ", "D", "dense", "DENSE_SAMPLE", GapKind.SCATTERED, "d"]
+        ts = from_points(range(len(spellings) + 1), spellings)
+        assert ts.gap_kinds == (GapKind.SCATTERED,) * 2 + (GapKind.DENSE_SAMPLE,) * 3 + (
+            GapKind.SCATTERED, GapKind.DENSE_SAMPLE)
+        assert ts.points == tuple(map(float, range(len(spellings) + 1)))
+
 
 points_strategy = st.lists(
     st.floats(min_value=-50.0, max_value=50.0, allow_nan=False),
