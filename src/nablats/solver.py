@@ -33,7 +33,9 @@ where the negated band is not positive definite an iteration falls back to
 Jacobi scaling by the band's diagonal.  Where the band is the same at every
 point (``Problem.fixed_band``: a linear-quadratic problem, or g = 0 with
 L_uu reading t alone) a search assembles and factors it once, at its first
-iteration; otherwise once per iteration.
+iteration; otherwise once per iteration.  Where the shape makes every z
+coupling of the band an exact zero (``Problem.z_coupled_band`` false: g = 0,
+or L_z reading t alone) the assembly leaves the couplings out.
 
 Every evaluation of the search is one call of the path evaluator the
 residuals read (``variational._path``) on the problem's compiled kernels
@@ -303,32 +305,50 @@ class _Engine:
         and the tail sums S of w*L_z and Q of w*L_zz; so the band is the
         whole Hessian when g = 0 or when L is affine in z with an x-free
         coefficient.
+
+        Those are the shapes whose couplings are products with an exact zero
+        (``Problem.z_coupled_band`` false): there the band is the D^T H D
+        blocks alone, plus 0.0.  That is the coupled formula's band bit for
+        bit, save that an entry it makes -0.0 (every zero added to it -0.0)
+        reads +0.0, and that where a, b or Q overflow the entries read their
+        true values, not the coupled formula's NaN of inf * 0.
         """
         w, n, K, S = self.w[1:], self.n, self.K, d["S"]
+        coupled = self.p.z_coupled_band
         sc = self.scattered.astype(float)
         ds, iw = 1.0 - sc, 1.0 / w
-        a = w * np.concatenate([d["gx"], d["gv"]])
-        b = w * d["Luz"]
-        Q = np.cumsum((w * d["Lzz"][0])[::-1])[::-1]
         # H[:, :, k]: the Hessian of the objective in u_k alone
         H = (w * (d["Luu"] + S * d["guu"])).reshape(2 * n, 2 * n, K)
-        H = H + a[:, None] * b + b[:, None] * a + Q * (a[:, None] * a)
+        if coupled:
+            a = w * np.concatenate([d["gx"], d["gv"]])
+            b = w * d["Luz"]
+            Q = np.cumsum((w * d["Lzz"][0])[::-1])[::-1]
+            H = H + a[:, None] * b + b[:, None] * a + Q * (a[:, None] * a)
         # its blocks, v scaled by 1/w as in D0 and D1; sums add x terms before v
         # terms, in the order of the products D^T H D
         xx, xv, vx, vv = H[:n, :n], H[:n, n:] * iw, H[n:, :n] * iw, H[n:, n:] * iw * iw
-        # (a, c) projected on D0 and D1: a0, c0 and a1, c1
-        ac = np.stack([a, b + Q * a])
-        (a0, c0), (a1, c1) = ds * ac[:, :n] + iw * ac[:, n:], sc * ac[:, :n] - iw * ac[:, n:]
-        c1n = np.zeros_like(c1)
-        c1n[:, :-1] = c1[:, 1:]  # c1 of the next term
-        # row j: term j through D0, term j + 1 through D1, and z between them
+        # row j: term j through D0, term j + 1 through D1
         diag = ds * (xx + xv + vx) + vv
         diag[..., :-1] += (sc * (xx - xv - vx) + vv)[..., 1:]
-        diag += a0[:, None] * c1n + c1n[:, None] * a0
-        # rows j and j + 1: term j + 1 directly; z from term j meeting term j + 1
-        # through D0; z from terms j and j + 1 meeting term j + 2 through D1
-        upper = (sc * xv - ds * vx - vv)[..., 1:] + a0[:, None, :-1] * c0[:, 1:]
-        upper += (a0[:, :-1] + a1[:, 1:])[:, None] * c1n[:, 1:]
+        # rows j and j + 1: term j + 1 directly
+        upper = (sc * xv - ds * vx - vv)[..., 1:]
+        if coupled:
+            # (a, c) projected on D0 and D1: a0, c0 and a1, c1
+            ac = np.stack([a, b + Q * a])
+            (a0, c0), (a1, c1) = ds * ac[:, :n] + iw * ac[:, n:], sc * ac[:, :n] - iw * ac[:, n:]
+            c1n = np.zeros_like(c1)
+            c1n[:, :-1] = c1[:, 1:]  # c1 of the next term
+            # z between rows j and j + 1 on the diagonal; between them, z from
+            # term j meeting term j + 1 through D0, and z from terms j and
+            # j + 1 meeting term j + 2 through D1
+            diag += a0[:, None] * c1n + c1n[:, None] * a0
+            upper = upper + a0[:, None, :-1] * c0[:, 1:]
+            upper += (a0[:, :-1] + a1[:, 1:])[:, None] * c1n[:, 1:]
+        else:
+            # the couplings left out are zeros: adding them makes a zero entry
+            # +0.0 unless every one is -0.0, so make every zero entry +0.0
+            diag += 0.0
+            upper += 0.0
         F = self.last
         return diag[..., :F].transpose(2, 0, 1), upper[..., : max(F - 1, 0)].transpose(2, 0, 1)
 

@@ -51,6 +51,8 @@ import csv
 import enum
 import io
 import math
+import os
+import stat
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -151,11 +153,13 @@ def _derive(tag, L: Expr, g: Expr, guards) -> dict:
     # the z couplings, L_uz, L_zz and g_u.  Where L_z reads t alone, L_uz and
     # L_zz (partials of L_z) are literal zeros; where g is the literal 0, z is
     # 0 and a = w*g_u is an exact zero.  Either way every z coupling is a
-    # product with an exact zero, so where L_uu and g_uu read t alone too the
+    # product with an exact zero, and where L_uu and g_uu read t alone too the
     # band is fixed
-    fixed_band = (g == Num(0.0) or variables(first["Lz"]) <= {"t"}) and all(
+    z_coupled = not (g == Num(0.0) or variables(first["Lz"]) <= {"t"})
+    fixed_band = not z_coupled and all(
         variables(e) <= {"t"} for e in sum(second["Luu"] + second["guu"], []))
-    return {"partials": first, "hessian_partials": second, "rows": rows, "fixed_band": fixed_band}
+    return {"partials": first, "hessian_partials": second, "rows": rows,
+            "z_coupled_band": z_coupled, "fixed_band": fixed_band}
 
 
 def _compile_kernel(shape, key) -> Kernel:
@@ -231,10 +235,19 @@ class Problem:
         return _substituted(self._binding.shape.derived["hessian_partials"], self._binding.values)
 
     @property
+    def z_coupled_band(self) -> bool:
+        """Whether z couples the rows of the solver's Hessian band: decided
+        once per shape, false when g is the literal 0 (z is 0, so a = w*g_u
+        is an exact zero) or L_z reads t alone (L_uz and L_zz are literal
+        zeros).  Then every z coupling of ``_Engine.hessian_band`` is a
+        product with an exact zero, and the band is its D^T H D blocks alone."""
+        return self._binding.shape.derived["z_coupled_band"]
+
+    @property
     def fixed_band(self) -> bool:
         """Whether the solver's Hessian band is the same at every point:
-        decided once per shape, true when L_uu and g_uu read t alone and
-        so does L_z (a linear-quadratic problem) or g is the literal 0, so
+        decided once per shape, true when z does not couple the band
+        (``z_coupled_band`` is false) and L_uu and g_uu read t alone, so
         that a search factors it once."""
         return self._binding.shape.derived["fixed_band"]
 
@@ -611,9 +624,15 @@ def residual_report(p: Problem, x: Trajectory, T_prime: float | None = None) -> 
 
 
 def _write_csv_lines(path, lines: list[str]) -> None:
-    """The bytes ``csv.writer`` makes of these lines, whose fields need no quoting."""
-    with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join(lines) + "\r\n")
+    """The bytes ``csv.writer`` makes of these lines, whose fields need no
+    quoting, written over the file in place and, if it is a regular file,
+    truncated to their length: emptying the file first makes closing it
+    start writeback (ext4's ``auto_da_alloc``)."""
+    data = ("\r\n".join(lines) + "\r\n").encode()
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666), "wb") as fh:
+        fh.write(data)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # not /dev/null or a pipe
+            fh.truncate()
 
 
 # -- trajectory CSV ---------------------------------------------------------------
@@ -636,7 +655,11 @@ def _read_grid_csv(ts: TimeScale, path, columns: list[str], what: str) -> np.nda
     expected = ["t", *columns]
     with open(path, newline="") as fh:
         text = fh.read()  # once: the path may be a pipe
-    rows = list(csv.reader(io.StringIO(text, newline="")))
+    rd = csv.reader(io.StringIO(text, newline=""))
+    try:
+        rows = list(rd)
+    except csv.Error as exc:  # e.g. a cell past csv.field_size_limit()
+        raise AdmissibilityError(f"{what} line {rd.line_num}: {exc}") from None
     header = rows[0] if rows else None
     if header != expected:
         raise AdmissibilityError(f"bad {what} header {header!r}, expected {expected!r}")

@@ -666,6 +666,23 @@ class TestMalformedInput:
         code, out, err = run(capsys, "solve", write_ini(tmp_path, body))
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("command, header", [
+        (["check-el", "{cfg}", "--trajectory", "{csv}"], "t,x1"),
+        (["compare", "{cfg}", "--candidate", "{csv}", "--star", "{csv}"], "t,x1"),
+        (["lemma", "{cfg}", "--function", "{csv}"], "t,f"),
+    ])
+    def test_a_cell_past_the_csv_field_limit_exits_2_naming_its_line(self, tmp_path, capsys,
+                                                                     command, header):
+        cfg = write_ini(tmp_path)
+        path = tmp_path / "big.csv"
+        rows = [f"{t}.0,{'1' * 200_000 if t == 2 else '0.0'}" for t in range(6)]
+        path.write_text("\n".join([header] + rows) + "\n")
+        argv = [arg.format(cfg=cfg, csv=path) for arg in command]
+        code, out, err = run(capsys, *argv)
+        what = "function" if header == "t,f" else "trajectory"
+        assert (code, out) == (2, "")
+        assert err == f"error: {what} line 4: field larger than field limit (131072)\n"
+
     def test_pinned_without_values(self, tmp_path, capsys):
         cfg = write_ini(tmp_path, BASE_INI.replace("terminal = pinned: 5.0", "terminal = pinned:"))
         code, _, err = run(capsys, "solve", cfg)
@@ -683,6 +700,62 @@ class TestMalformedInput:
         )
         code, out, err = run(capsys, "solve", write_ini(tmp_path, body))
         assert (code, out, err) == (2, "", "error: [solve]: step_init must be finite\n")
+
+
+class TestOutputFiles:
+    """Every output is written over its file in place and truncated to the
+    new length: a rerun leaves what a fresh write leaves."""
+
+    def test_a_shorter_rewrite_leaves_exactly_the_new_bytes(self, tmp_path, capsys):
+        body = BASE_INI.replace("T_trunc = 5", "T_trunc = 5\ntruncations = 3, 4, 5")
+        short = (body.replace("b = 5", "b = 3").replace("T_trunc = 5", "T_trunc = 3")
+                 .replace("3, 4, 5", "2, 3").replace("pinned: 5.0", "pinned: 3.0"))
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        reused.mkdir()
+        fresh.mkdir()
+        assert run(capsys, "solve", write_ini(reused, body))[0] == 0
+        before = (reused / "trajectory.csv").stat().st_size
+        assert run(capsys, "solve", write_ini(reused, short))[0] == 0
+        assert run(capsys, "solve", write_ini(fresh, short))[0] == 0
+        assert (reused / "trajectory.csv").stat().st_size < before
+        for name in ("trajectory.csv", "horizon.csv"):
+            assert (reused / name).read_bytes() == (fresh / name).read_bytes()
+
+    def test_a_symlinked_output_writes_its_target_and_keeps_the_link(self, tmp_path):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_bytes(b"old contents, longer than the new ones\r\n")
+        link.symlink_to(target)
+        variational._write_csv_lines(link, ["t,x1", "0.0,1.0"])
+        assert link.is_symlink() and target.read_bytes() == b"t,x1\r\n0.0,1.0\r\n"
+
+    def test_an_existing_file_keeps_its_inode_and_mode(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"x" * 70_000)
+        path.chmod(0o640)
+        before = path.stat()
+        variational._write_csv_lines(path, ["t,x1", "0.0,1.0"])
+        after = path.stat()
+        assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+        assert path.read_bytes() == b"t,x1\r\n0.0,1.0\r\n"
+
+    def test_a_new_file_gets_the_mode_open_gives(self, tmp_path):
+        variational._write_csv_lines(tmp_path / "new.csv", ["t"])
+        with open(tmp_path / "opened.csv", "w"):
+            pass
+        assert (tmp_path / "new.csv").stat().st_mode == (tmp_path / "opened.csv").stat().st_mode
+
+    def test_a_report_to_the_null_device_exits_0(self, tmp_path, capsys):
+        assert run(capsys, "solve", write_ini(tmp_path))[0] == 0
+        cfg = write_ini(tmp_path, BASE_INI.replace("{dir}/residuals.csv", os.devnull), "null.ini")
+        code, out, err = run(capsys, "check-el", cfg, "--trajectory", str(tmp_path / "trajectory.csv"))
+        assert (code, err) == (0, "") and "status: PASS" in out
+
+    def test_a_directory_as_output_exits_2_with_the_message_open_gives(self, tmp_path, capsys):
+        (tmp_path / "trajectory.csv").mkdir()
+        with pytest.raises(OSError) as exc:
+            open(tmp_path / "trajectory.csv", "w")
+        code, _, err = run(capsys, "solve", write_ini(tmp_path))
+        assert (code, err) == (2, f"error: {exc.value}\n")
 
 
 class TestParserReuse:

@@ -9,7 +9,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nablats import solver, variational
@@ -216,6 +216,32 @@ def einsum_band(eng, d):
     upper += outer(a0 + ahead(a1), ahead(c1, 2))[:-1]
     F = eng.last
     return diag[:F], upper[: max(F - 1, 0)]
+
+
+def coupled_formula_band(eng, d):
+    """The band of ``_Engine.hessian_band``'s coupled formula on every shape,
+    every z coupling added: the bit-level oracle of the band, also where the
+    couplings are exact zeros (``Problem.z_coupled_band`` false)."""
+    w, n, K, S = eng.w[1:], eng.n, eng.K, d["S"]
+    sc = eng.scattered.astype(float)
+    ds, iw = 1.0 - sc, 1.0 / w
+    a = w * np.concatenate([d["gx"], d["gv"]])
+    b = w * d["Luz"]
+    Q = np.cumsum((w * d["Lzz"][0])[::-1])[::-1]
+    H = (w * (d["Luu"] + S * d["guu"])).reshape(2 * n, 2 * n, K)
+    H = H + a[:, None] * b + b[:, None] * a + Q * (a[:, None] * a)
+    xx, xv, vx, vv = H[:n, :n], H[:n, n:] * iw, H[n:, :n] * iw, H[n:, n:] * iw * iw
+    ac = np.stack([a, b + Q * a])
+    (a0, c0), (a1, c1) = ds * ac[:, :n] + iw * ac[:, n:], sc * ac[:, :n] - iw * ac[:, n:]
+    c1n = np.zeros_like(c1)
+    c1n[:, :-1] = c1[:, 1:]
+    diag = ds * (xx + xv + vx) + vv
+    diag[..., :-1] += (sc * (xx - xv - vx) + vv)[..., 1:]
+    diag += a0[:, None] * c1n + c1n[:, None] * a0
+    upper = (sc * xv - ds * vx - vv)[..., 1:] + a0[:, None, :-1] * c0[:, 1:]
+    upper += (a0[:, :-1] + a1[:, 1:])[:, None] * c1n[:, 1:]
+    F = eng.last
+    return diag[..., :F].transpose(2, 0, 1), upper[..., : max(F - 1, 0)].transpose(2, 0, 1)
 
 
 def coupled_case(seed, n, sense, coupling="full"):
@@ -489,7 +515,7 @@ class TestDirectSolve:
         assert info.iterations > 1 and info.backtracks == 0 and len(seen) == info.iterations
         full, first = solver._DERIVATIVE_GROUPS, variational._EL_GROUPS
         assert seen == [("J",) + full] + [("J",) + (first if p.fixed_band else full)] * (info.iterations - 1)
-        assert p.fixed_band == (workload == "scattered")
+        assert p.fixed_band == (workload == "scattered") and not p.z_coupled_band
         with patch.object(Problem, "fixed_band", False):
             y, every = direct_solve(p, opts, with_info=True)
         assert np.array_equal(x.values, y.values) and every.iterations == info.iterations
@@ -672,6 +698,7 @@ class TestGradients:
             assert np.array_equal(got == 0.0, expected == 0.0)
 
     @given(**coupled_cases, coupling=st.sampled_from(["full", "g0", "affine"]))
+    @example(seed=8, n=2, sense=Sense.MIN, coupling="g0")
     @settings(max_examples=60, deadline=None)
     def test_a_fixed_band_is_the_same_at_every_point(self, seed, n, sense, coupling):
         # the linear-quadratic "affine" case (L quadratic in (x, v) with -c*z,
@@ -688,6 +715,60 @@ class TestGradients:
             other = np.vstack([p.x_a_array, np.random.default_rng(seed + 1).uniform(-5, 5, x[1:].shape)])
             for a, b in zip(band_at(eng, x), band_at(eng, other)):
                 assert a.tobytes() == b.tobytes()
+
+    @given(**coupled_cases, coupling=st.sampled_from(["full", "g0", "affine"]),
+           zero_rows=st.lists(st.tuples(st.integers(1, 13), st.sampled_from([0.0, -0.0])), max_size=4),
+           scale=st.sampled_from([1.0, 10.0]))
+    @example(seed=12, n=2, sense=Sense.MIN, coupling="g0", zero_rows=[], scale=10.0)
+    @settings(max_examples=150, deadline=None)
+    def test_the_band_is_the_coupled_formula_bit_for_bit(self, seed, n, sense, coupling, zero_rows,
+                                                         scale):
+        # an uncoupled shape's band leaves out couplings that are exact zeros:
+        # no entry moves but a zero's sign, and its + 0.0 makes every zero
+        # +0.0, the one difference (the next test).  Rows of signed zeros make
+        # zero entries; a wider state makes S < 0 on g = 0 (the example),
+        # where S*g_uu makes zeros -0.0 before the + 0.0
+        eng, x = coupled_case(seed, n, sense, coupling)
+        x[1:] *= scale
+        for j, value in zero_rows:
+            x[j % len(x)] = value
+        p, d = eng.p, eng.derivatives(x)
+        assert p.z_coupled_band == (coupling == "full")
+        for got, expected in zip(eng.hessian_band(d), coupled_formula_band(eng, d)):
+            assert got.tobytes() == (expected if p.z_coupled_band else expected + 0.0).tobytes()
+
+    def test_an_uncoupled_band_reads_plus_zero_where_the_coupled_formula_reads_minus_zero(self):
+        # g = 0: between rows 1 and 2 (t = 1.0 and 1.5), x1 with x2, every
+        # coupling is a -0.0 product and so is the rest of the entry; the
+        # coupled formula keeps -0.0
+        ts = from_points([0.0, 1.0, 1.5, 2.0], ["d", "s", "s"])
+        p = Problem.from_strings(ts, 2, "-x1*x2 + x1*z + x2*z - v1*z", "0", [1.0, -0.0], Sense.MIN)
+        eng = _Engine(p, SolveOptions(T_trunc=2.0))
+        d = eng.derivatives(np.array([[1.0, -0.0], [0.0, 1.0], [-1.0, 1.0], [0.0, -0.0]]))
+        (diag, upper), (coupled_diag, coupled_upper) = eng.hessian_band(d), coupled_formula_band(eng, d)
+        assert not p.z_coupled_band and coupled_upper[0, 0, 1] == 0.0
+        assert np.signbit(coupled_upper[0, 0, 1]) and not np.signbit(upper[0, 0, 1])
+        assert upper.tobytes() == (coupled_upper + 0.0).tobytes() != coupled_upper.tobytes()
+        assert diag.tobytes() == coupled_diag.tobytes()
+
+    def test_an_uncoupled_band_is_finite_where_the_coupled_formula_overflows(self):
+        # g = 0, so z is 0 and the z^2 term adds nothing, but the tail sums Q
+        # of w*L_zz = -1e308 overflow, and the coupled formula's Q*a*a is
+        # -inf * 0 = NaN, a band whose step is non-finite.  The band and the
+        # solve are those of L without the z term
+        p = make("-(v1^2) - x1^2 - 5e307*z^2", ts=integers(0, 6), x_a=1.0)
+        plain = make("-(v1^2) - x1^2", ts=integers(0, 6), x_a=1.0)
+        opts = SolveOptions(T_trunc=6.0, grad_tol=1e-9)
+        eng = _Engine(p, opts)
+        d = eng.derivatives(eng.initial_values())
+        with np.errstate(all="ignore"):
+            assert np.isnan(coupled_formula_band(eng, d)[0]).any()
+        for got, expected in zip(eng.hessian_band(d), band_at(_Engine(plain, opts), eng.initial_values())):
+            assert got.tobytes() == expected.tobytes()
+        x, info = direct_solve(p, opts, with_info=True)
+        y, plain_info = direct_solve(plain, opts, with_info=True)
+        assert info.converged and x.values.tobytes() == y.values.tobytes()
+        assert info.objective_log == plain_info.objective_log
 
     @given(**coupled_cases)
     @settings(max_examples=40, deadline=None)
