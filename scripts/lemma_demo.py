@@ -31,14 +31,14 @@ from nablats import (
 
 def show(title, ts, values):
     g = GridFunction.scalar(ts, values)
-    var = construct_violating_variation(g, ts)
+    var = construct_violating_variation(g)
     print(f"\n== {title}")
     print(f"   grid   : {ts.points}")
     print(f"   g      : {[float(v) for v in values]}")
     if var is None:
         print("   -> no witness (zero or undetectable at tolerance)")
         return
-    value = float(witness_value(g, var.eta, ts))
+    value = float(witness_value(g, var.eta))
     print(f"   -> case {var.case_tag.name}: t0={var.t0}, "
           f"support=({var.support[0]}, {var.support[1]}), pairing={value!r}")
 
@@ -61,7 +61,7 @@ def main() -> int:
     # constancy check: h(t) = t is not constant, and the checker exhibits
     # a derivative-variation against it
     h = GridFunction.scalar(ts_int, list(ts_int.points))
-    result = dubois_reymond_check(h, ts_int)
+    result = dubois_reymond_check(h)
     print("\n== constancy check on h(t) = t")
     print(f"   is_constant={result.is_constant}, spread={result.spread}, "
           f"variation case={result.variation.case_tag.name}")

@@ -6,14 +6,15 @@ Layers, bottom to top:
 - :mod:`nablats.timescale` — finite grids mixing exact isolated points
   with sampled continuum stretches.
 - :mod:`nablats.calculus` — nabla derivative/integral, integration by
-  parts, exact running sums and lim-inf tail estimates.
+  parts, exact running sums and tail infima of truncated integrals.
 - :mod:`nablats.expressions` — a small arithmetic expression language
   with symbolic differentiation, used for integrands.
 - :mod:`nablats.variational` — problem statements, first-order residuals
   (pointwise, integral-form; the finite-horizon residual at T' is the
   pointwise one cut at T'), transversality, and weak-maximality comparison.
 - :mod:`nablats.fundamental` — constructive positive-pairing variations
-  certifying that a nonzero residual is detectable.
+  certifying that a nonzero residual is detectable, on the grid of the
+  residual itself.
 - :mod:`nablats.solver` — Newton search on truncated objectives, brute
   force oracle, horizon studies.
 - :mod:`nablats.config` / :mod:`nablats.cli` — INI run files and the
@@ -29,7 +30,6 @@ from .calculus import (
     ReversedBoundsError,
     integration_by_parts_residual,
     liminf_estimate,
-    local_rho_integral,
     nabla_derivative_fn,
     nabla_integral,
 )
@@ -156,7 +156,6 @@ __all__ = [
     "integration_by_parts_residual",
     "liminf_estimate",
     "load_config",
-    "local_rho_integral",
     "nabla_derivative_fn",
     "nabla_integral",
     "parse",

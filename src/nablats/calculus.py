@@ -8,11 +8,13 @@ Semantics on a grid with per-gap kinds:
   local sampling step, an O(h) approximation;
 * the nabla integral over (a, b] is the sum of local-step-weighted values,
   which is exact on all-scattered scales and a left-rectangle O(h) rule
-  across sampled gaps.
+  across sampled gaps; over (rho(t), t] it is the one term nu(t) * f(t),
+  zero at left-dense points.
 
 Integrals are accumulated with exactly rounded summation (math.fsum) in
 ascending t order, so results are bit-reproducible; ``running_fsum`` gives
-every prefix of such a sum in one pass.
+every prefix of such a sum in one pass.  ``liminf_estimate`` reads the
+tail infimum of a sequence of truncated integrals.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import math
 import operator
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -52,13 +54,11 @@ class EmptyTailError(CalculusError):
 class GridFunction:
     """Values of a (possibly vector-valued) function on a time-scale grid.
 
-    ``values`` has shape (npoints, dim).  ``min_copied`` marks derivative
-    grids whose value at the excluded minimum was copied from the successor.
+    ``values`` has shape (npoints, dim).
     """
 
     ts: TimeScale
     values: np.ndarray
-    min_copied: bool = False
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=float)
@@ -135,10 +135,9 @@ def nabla_derivative_fn(f: GridFunction) -> GridFunction:
 
     The value at the minimum is copied from its successor (the derivative is
     not defined there when the minimum is right-scattered, and equals the
-    forward difference when it is right-dense); the result is flagged with
-    ``min_copied=True``.
+    forward difference when it is right-dense).
     """
-    return GridFunction(f.ts, nabla_quotients(f.values, f.ts.local_steps), min_copied=True)
+    return GridFunction(f.ts, nabla_quotients(f.values, f.ts.local_steps))
 
 
 def nabla_quotients(values: np.ndarray, steps: np.ndarray) -> np.ndarray:
@@ -209,15 +208,6 @@ def nabla_integral(f: GridFunction, a: float, b: float) -> np.ndarray:
     return np.array([math.fsum(terms[:, c]) for c in range(f.dim)])
 
 
-def local_rho_integral(f: GridFunction, t: float) -> np.ndarray:
-    """nu(t) * f(t), the nabla integral of f over (rho(t), t]; zero at left-dense points."""
-    ts = f.ts
-    i = ts.index_of(t)
-    if i not in ts.kappa_indices:
-        raise OutsideKappaError(f"{t!r} lies outside the kappa set")
-    return ts.nu(t) * f.values[i]
-
-
 def integration_by_parts_residual(f: GridFunction, g: GridFunction, a: float, b: float) -> float:
     """| integral(f * g^nabla) - [f g] + integral(f^nabla * g_rho) | over (a, b].
 
@@ -241,36 +231,9 @@ def integration_by_parts_residual(f: GridFunction, g: GridFunction, a: float, b:
 # -- tail infima --------------------------------------------------------------
 
 
-class LimInfEstimate(NamedTuple):
-    value: float
-    cauchy_gap: float
-    converged: bool
-    diverging: bool
-
-
-def liminf_estimate(
-    seq: Sequence[tuple[float, float]],
-    cauchy_tol: float = 1e-8,
-    divergence_threshold: float = 1e8,
-) -> LimInfEstimate:
-    """Estimate lim_{T->inf} inf_{T'>=T} value on a truncated sequence.
-
-    The estimate is the inf over the last quarter of the sequence; the
-    Cauchy gap compares it with the inf over the last half.  Divergence is
-    flagged heuristically: |values| growing monotonically over the last half
-    and exceeding ``divergence_threshold``.
-    """
+def liminf_estimate(seq: Sequence[tuple[float, float]]) -> float:
+    """Estimate lim_{T->inf} inf_{T'>=T} value on a truncated sequence of
+    (T, value) pairs: the inf over the last quarter of the sequence."""
     if not seq:
         raise EmptyTailError("empty partial-integral sequence")
-    vals = [v for _, v in seq]
-    nq = max(1, len(vals) // 4)
-    nh = max(1, len(vals) // 2)
-    q = min(vals[-nq:])
-    h = min(vals[-nh:])
-    gap = abs(q - h)
-    tail = vals[-nh:]
-    growing = len(tail) >= 2 and all(
-        abs(tail[k + 1]) > abs(tail[k]) for k in range(len(tail) - 1)
-    )
-    diverging = growing and abs(tail[-1]) > divergence_threshold
-    return LimInfEstimate(q, gap, gap <= cauchy_tol, diverging)
+    return min(v for _, v in seq[-max(1, len(seq) // 4):])

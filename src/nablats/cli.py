@@ -50,21 +50,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .calculus import CalculusError, GridFunction, nabla_integral
-from .config import ConfigError, load_config
-from .expressions import ExprDomainError, ExprSyntaxError, Kernel, Program, evaluate_many
+from .calculus import GridFunction, nabla_integral
+from .config import load_config
+from .expressions import ExprDomainError, Kernel, Program, evaluate_many
 from .fundamental import construct_violating_variation, default_tolerance, witness_value
-from .solver import (
-    EnumerationGuardError,
-    NonFiniteObjectiveError,
-    direct_solve,
-    horizon_study,
-    horizon_table_to_csv,
-)
-from .timescale import TimeScaleError
+from .solver import NonFiniteObjectiveError, direct_solve, horizon_study, horizon_table_to_csv
 from .variational import (
-    AdmissibilityError,
-    ProblemError,
     _read_grid_csv,
     residual_report,
     trajectory_from_csv,
@@ -79,15 +70,6 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_TRIVIAL = 4
 
-_USAGE_ERRORS = (
-    ConfigError,
-    TimeScaleError,
-    CalculusError,
-    ProblemError,
-    AdmissibilityError,
-    ExprSyntaxError,
-    EnumerationGuardError,
-)
 _DOMAIN_ERRORS = (
     ExprDomainError,
     NonFiniteObjectiveError,
@@ -148,7 +130,7 @@ def _cmd_solve(args) -> int:
     rc = load_config(args.config)
     p = rc.require_problem()
     opts = rc.require_options()
-    cuts = list(rc.truncations or (opts.T_trunc,))
+    cuts = list(rc.truncations)
     # each horizon is solved once: T_trunc's own solve only when it is not a cut
     solved = None if opts.T_trunc in cuts else direct_solve(p, opts, with_info=True)
     rows = horizon_study(p, cuts, opts)
@@ -173,8 +155,8 @@ def _cmd_lemma(args) -> int:
     rc = load_config(args.config)
     ts = rc.timescale
     g = GridFunction.scalar(ts, _read_grid_csv(ts, args.function, ["f"], "function"))
-    tol = args.tol if args.tol is not None else default_tolerance(g, ts)
-    variation = construct_violating_variation(g, ts, tol=tol)
+    tol = args.tol if args.tol is not None else default_tolerance(g)
+    variation = construct_violating_variation(g, tol=tol)
     if variation is None:
         peak = float(np.max(np.abs(g.values)))
         if peak <= tol:
@@ -185,7 +167,7 @@ def _cmd_lemma(args) -> int:
                 f"admissible variation at tolerance {tol!r} (max |f| = {peak!r})"
             )
         return EXIT_TRIVIAL
-    value = float(witness_value(g, variation.eta, ts))
+    value = float(witness_value(g, variation.eta))
     _summary(
         [
             ("case_tag", variation.case_tag.name),
@@ -273,9 +255,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.handler(args)
-    except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except _DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
@@ -287,7 +266,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:
-        # malformed numeric cells in CSV inputs and similar
+        # every nablats error that is not a domain error (config, grid,
+        # problem, expression syntax, ...), malformed CSV cells and similar
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RecursionError:

@@ -9,7 +9,9 @@ is strictly positive.  The existence of such a variation certifies that
 ``g`` does not vanish on the detectable part of the grid; conversely,
 when every admissible variation pairs to zero the function is declared
 trivial.  A corollary-style check concludes that a function is constant
-when its nabla derivative admits no such witness.
+when its nabla derivative admits no such witness.  Every function here
+works on the grid its grid-function argument lives on; there is no
+separate time-scale argument.
 
 Detectability caveat: the pairing never sees ``g`` at the grid minimum,
 nor at the successor of a left-scattered minimum (its only coefficient
@@ -62,24 +64,16 @@ class DuboisReymondResult(NamedTuple):
     variation: Optional[Variation]
 
 
-def default_tolerance(g: GridFunction, ts: TimeScale) -> float:
-    """Threshold below which a value is treated as zero.
+def default_tolerance(g: GridFunction) -> float:
+    """Threshold below which a value of ``g`` is treated as zero.
 
     Scattered grids carry exact arithmetic, so an absolute 1e-10 floor
     suffices; grids with dense-sample gaps use a scale-relative cutoff.
     """
-    if ts.all_scattered:
+    if g.ts.all_scattered:
         return 1e-10
     mag = float(np.max(np.abs(g.values))) if g.values.size else 0.0
     return max(1e-10, 1e-6 * mag)
-
-
-def _resolve_scale(g: GridFunction, ts: Optional[TimeScale]) -> TimeScale:
-    if ts is None:
-        return g.ts
-    if ts is not g.ts and ts.points != g.ts.points:
-        raise GridMismatchError("grid function does not live on the given time scale")
-    return g.ts
 
 
 def _require_scalar(g: GridFunction) -> np.ndarray:
@@ -90,19 +84,20 @@ def _require_scalar(g: GridFunction) -> np.ndarray:
     return g.values[:, 0]
 
 
-def witness_value(g: GridFunction, eta: GridFunction, ts: Optional[TimeScale] = None) -> float:
+def witness_value(g: GridFunction, eta: GridFunction) -> float:
     """Pair ``g`` against ``eta`` composed with rho over eta's support.
 
-    Computes the nabla integral of ``t -> g(t) * eta(rho(t))``.  The
-    integration window is the smallest gap-aligned interval containing
-    every nonzero value of ``eta``, so a spike variation reduces to the
-    single local term nu(t0) * g(t0) * eta(rho(t0)).
+    Computes the nabla integral of ``t -> g(t) * eta(rho(t))`` on g's grid;
+    ``eta`` must live on the same grid, points and gap kinds alike, else
+    GridMismatchError.  The integration window is the smallest gap-aligned
+    interval containing every nonzero value of ``eta``, so a spike variation
+    reduces to the single local term nu(t0) * g(t0) * eta(rho(t0)).
     """
-    ts = _resolve_scale(g, ts)
-    gv = _require_scalar(g)
-    ev = _require_scalar(eta) if eta.ts is g.ts or eta.ts.points == g.ts.points else None
-    if ev is None:
+    _require_scalar(g)
+    if eta.ts != g.ts:
         raise GridMismatchError("eta does not live on the same grid as g")
+    ev = _require_scalar(eta)
+    ts = g.ts
     pts = ts.points_array
     nonzero = np.nonzero(ev)[0]
     if nonzero.size == 0:
@@ -142,12 +137,8 @@ def _dense_bump_values(
     return eta, (float(pts[k]), float(pts[end]))
 
 
-def construct_violating_variation(
-    g: GridFunction,
-    ts: Optional[TimeScale] = None,
-    tol: Optional[float] = None,
-) -> Optional[Variation]:
-    """Build an admissible variation with a strictly positive pairing.
+def construct_violating_variation(g: GridFunction, tol: Optional[float] = None) -> Optional[Variation]:
+    """Build an admissible variation on g's grid with a strictly positive pairing.
 
     Scans detectable points in order of decreasing magnitude and applies
     the construction matching the local geometry:
@@ -168,10 +159,10 @@ def construct_violating_variation(
     by default ``default_tolerance``, is a finite number >= 0, else
     ValueError.
     """
-    ts = _resolve_scale(g, ts)
+    ts = g.ts
     vals = _require_scalar(g)
     if tol is None:
-        tol = default_tolerance(g, ts)
+        tol = default_tolerance(g)
     elif not 0.0 <= tol < math.inf:
         raise ValueError(f"tolerance {tol!r} is not a finite number >= 0")
     mag = np.abs(vals)
@@ -186,7 +177,7 @@ def construct_violating_variation(
     for j in candidates.tolist():
         for eta_values, support, tag in _constructions(vals, ts, j, tol):
             eta = GridFunction(ts, eta_values[:, None])
-            if witness_value(g, eta, ts) > 0.0:
+            if witness_value(g, eta) > 0.0:
                 return Variation(eta=eta, support=support, case_tag=tag, t0=float(pts[j]))
     return None
 
@@ -214,29 +205,20 @@ def _constructions(vals: np.ndarray, ts: TimeScale, j: int, tol: float):
     yield spike, (float(pts[j - 2]), float(pts[j])), CaseTag.BRIDGE
 
 
-def dubois_reymond_check(
-    h: GridFunction,
-    ts: Optional[TimeScale] = None,
-    a: Optional[float] = None,
-    tol: Optional[float] = None,
-) -> DuboisReymondResult:
+def dubois_reymond_check(h: GridFunction, tol: Optional[float] = None) -> DuboisReymondResult:
     """Decide whether ``h`` is constant by probing its nabla derivative.
 
-    Computes the derivative on the whole grid and attempts to construct
-    a violating variation against it; ``is_constant`` is True exactly
-    when no witness exists.  ``spread`` reports max(h) - min(h) over the
-    points at or after ``a`` as a direct measure of non-constancy.
-    ``tol`` is that of ``construct_violating_variation``.
+    Computes the derivative on h's whole grid and attempts to construct a
+    violating variation against it; ``is_constant`` is True exactly when no
+    witness exists.  ``spread`` reports max(h) - min(h) as a direct measure
+    of non-constancy.  ``tol`` is that of ``construct_violating_variation``.
     """
-    ts = _resolve_scale(h, ts)
     hv = _require_scalar(h)
-    start = ts.points[0] if a is None else a
-    mask = ts.points_array >= start - 1e-15
     with np.errstate(over="ignore", invalid="ignore"):
-        spread = float(np.max(hv[mask]) - np.min(hv[mask]))
+        spread = float(np.max(hv) - np.min(hv))
         deriv = nabla_derivative_fn(h)
     bad = np.flatnonzero(~np.isfinite(deriv.values[1:, 0]))  # row 0 copies row 1
     if bad.size:  # a finite h whose quotients overflow
-        raise AdmissibilityError(f"the nabla derivative is non-finite at t={ts.points[1 + bad[0]]!r}")
-    variation = construct_violating_variation(deriv, ts, tol=tol)
+        raise AdmissibilityError(f"the nabla derivative is non-finite at t={h.ts.points[1 + bad[0]]!r}")
+    variation = construct_violating_variation(deriv, tol=tol)
     return DuboisReymondResult(is_constant=variation is None, spread=spread, variation=variation)

@@ -111,14 +111,6 @@ class TimeScale:
     def __contains__(self, t: float) -> bool:
         return float(t) in self._index
 
-    @property
-    def min(self) -> float:
-        return self.points[0]
-
-    @property
-    def max(self) -> float:
-        return self.points[-1]
-
     # -- jump operators and graininess --------------------------------------
 
     def rho(self, t: float) -> float:
@@ -141,6 +133,12 @@ class TimeScale:
 MAX_POINTS = 10**6
 
 
+def _check_finite(builder: str, *args: float) -> None:
+    # abs(v) < inf compares an int exactly, however large, and is False for nan
+    if not all(abs(v) < math.inf for v in args):
+        raise TimeScaleError(f"{builder}({', '.join(map(str, args))}): every argument must be a finite number")
+
+
 def _check_count(builder: str, count: int | float) -> None:
     if count > MAX_POINTS:
         shown = f"{count:.6g}" if isinstance(count, float) else count
@@ -149,6 +147,7 @@ def _check_count(builder: str, count: int | float) -> None:
 
 def integers(a: int, b: int) -> TimeScale:
     """The integer scale {a, a+1, ..., b}."""
+    _check_finite("integers", a, b)
     a, b = int(a), int(b)
     if b <= a:
         raise TimeScaleError(f"integers({a}, {b}): need b > a")
@@ -163,6 +162,7 @@ def uniform(a: float, b: float, h: float) -> TimeScale:
     h must divide b - a to float tolerance; the last point is set to b
     exactly.
     """
+    _check_finite("uniform", a, b, h)
     if h <= 0:
         raise TimeScaleError("uniform: step h must be positive")
     _check_count(f"uniform({a}, {b}, {h})", (b - a) / h + 1)
@@ -178,6 +178,7 @@ def sampled_interval(a: float, b: float, n: int) -> TimeScale:
 
     Returns n + 1 points with DENSE_SAMPLE gaps; the last point is b exactly.
     """
+    _check_finite("sampled_interval", a, b, n)
     n = int(n)
     if n < 1:
         raise TimeScaleError("sampled_interval: need at least one step")
@@ -190,6 +191,7 @@ def sampled_interval(a: float, b: float, n: int) -> TimeScale:
 
 def q_scale(q: float, t0: float, count: int) -> TimeScale:
     """The geometric scale {t0 * q**i : i = 0..count-1} for q > 1, t0 > 0."""
+    _check_finite("q_scale", q, t0, count)
     if q <= 1:
         raise TimeScaleError("q_scale: need q > 1")
     if t0 <= 0:

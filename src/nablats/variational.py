@@ -113,9 +113,9 @@ def _allowed_vars(n: int, with_z: bool) -> set[str]:
 
 def _derive(tag, L: Expr, g: Expr, guards) -> dict:
     """The expressions of one problem shape (``expressions.bind_shape``):
-    the z integrand, the literal and the maximized lagrangian, their first
-    and second partials, and the (label, expression) rows of every kernel
-    group, from one ``differentiate`` pass."""
+    the first partials, and the (label, expression) rows of every kernel
+    group (the z integrand, the literal and the maximized lagrangian, their
+    first and second partials), from one ``differentiate`` pass."""
     n, sense = tag
     J = Neg(L) if sense is Sense.MIN else L
     xs, vs = [f"x{i}" for i in range(1, n + 1)], [f"v{i}" for i in range(1, n + 1)]
@@ -158,7 +158,7 @@ def _derive(tag, L: Expr, g: Expr, guards) -> dict:
     z_coupled = not (g == Num(0.0) or variables(first["Lz"]) <= {"t"})
     fixed_band = not z_coupled and all(
         variables(e) <= {"t"} for e in sum(second["Luu"] + second["guu"], []))
-    return {"partials": first, "hessian_partials": second, "rows": rows,
+    return {"partials": first, "rows": rows,
             "z_coupled_band": z_coupled, "fixed_band": fixed_band}
 
 
@@ -227,13 +227,6 @@ class Problem:
         ("gx", "gv"), one expression per component ("Lz" one alone)."""
         return _substituted(self._binding.shape.derived["partials"], self._binding.values)
 
-    @cached_property
-    def hessian_partials(self) -> dict[str, list | Expr]:
-        """The second partials behind the solver's Hessian band, in the
-        variables u = (x1..xn, v1..vn): the symmetric 2n x 2n matrices "Luu"
-        and "guu", the 2n mixes "Luz" of L with z, and "Lzz"."""
-        return _substituted(self._binding.shape.derived["hessian_partials"], self._binding.values)
-
     @property
     def z_coupled_band(self) -> bool:
         """Whether z couples the rows of the solver's Hessian band: decided
@@ -262,9 +255,11 @@ class Problem:
         sum is z), "L" (the literal lagrangian), "J" (the maximized
         integrand: L, or -L for minimization), the first partials of
         ``partials`` ("gx", "gv", "Lz", "Lx", "Lv", one row per component)
-        and the second partials of ``hessian_partials`` ("Luz", "Lzz", and
-        "Luu" and "guu" as (2n)^2 rows in row-major order).  The g-stage
-        groups (g, gx, gv, guu) run before z is summed, the rest after.
+        and the second partials behind the solver's Hessian band, in the
+        variables u = (x1..xn, v1..vn): "Luz" (the 2n mixes of L with z),
+        "Lzz", and the symmetric "Luu" and "guu" as (2n)^2 rows in row-major
+        order.  The g-stage groups (g, gx, gv, guu) run before z is summed,
+        the rest after.
         """
         return self._binding.kernel((frozenset(groups), check), _compile_kernel)
 
@@ -304,9 +299,6 @@ class Trajectory:
     @property
     def values(self) -> np.ndarray:
         return self.x.values
-
-    def value_at(self, t: float) -> np.ndarray:
-        return self.x.value_at(t)
 
 
 def _check_trajectory(p: Problem, x: Trajectory):
@@ -552,7 +544,7 @@ def weak_max_compare(p: Problem, x_candidate: Trajectory, x_star: Trajectory) ->
     sign = -1.0 if p.sense is Sense.MIN else 1.0
     D = sign * (_running_objective(p, x_candidate) - _running_objective(p, x_star))
     seq = list(zip(p.ts.points[1:], D[1:].tolist()))
-    return liminf_estimate(seq).value
+    return liminf_estimate(seq)
 
 
 # -- reporting -------------------------------------------------------------------

@@ -290,9 +290,9 @@ def test_criterion_6_fundamental_lemma_soundness():
     for maker, _ in cases:
         ts, vals = maker(rng)
         g = GridFunction.scalar(ts, vals)
-        variation = construct_violating_variation(g, ts)
+        variation = construct_violating_variation(g)
         assert variation is not None, f"no variation on {ts.points}"
-        w = float(witness_value(g, variation.eta, ts))
+        w = float(witness_value(g, variation.eta))
         assert w > 0.0
         if variation.case_tag is CaseTag.SCATTERED_SPIKE:
             spikes += 1

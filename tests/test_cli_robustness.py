@@ -179,9 +179,13 @@ class TestGridsThatCannotBeBuilt:
          ("family = sampled_interval\na = 0\nb = 1\nn = 2000000",
           "sampled_interval(0.0, 1.0, 2000000): 2000001 points, more than the limit of 1000000"),
          ("family = q_scale\nq = 2\nt0 = 1\ncount = 2000",
-          "q_scale(2.0, 1.0, 2000): the last point t0*q^1999 is not a finite float")],
+          "q_scale(2.0, 1.0, 2000): the last point t0*q^1999 is not a finite float"),
+         ("family = uniform\na = nan\nb = 5\nh = 0.5",
+          "uniform(nan, 5.0, 0.5): every argument must be a finite number"),
+         ("family = sampled_interval\na = 0\nb = inf\nn = 4",
+          "sampled_interval(0.0, inf, 4): every argument must be a finite number")],
     )
-    def test_exit_2_naming_the_builder_and_the_count(self, tmp_path, grid, message):
+    def test_exit_2_with_one_line_naming_the_builder(self, tmp_path, grid, message):
         text = SAMPLE.read_text()
         text = text.replace("family = integers\na = 0\nb = 12", grid)
         (tmp_path / "big.ini").write_text(text)

@@ -1,7 +1,8 @@
 """The library never prints: only the command-line front end writes to the
 standard streams; everything else reports through return values, exceptions
-or ``logging.getLogger("nablats")``.  And no module rebinds a global: what
-one call hands the next goes through arguments and return values."""
+or ``logging.getLogger("nablats")``.  No module rebinds a global: what one
+call hands the next goes through arguments and return values.  And every
+public function has a reader outside the package's ``__init__``."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import nablats
 
 PACKAGE = Path(nablats.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
 STREAMS = {"stdout", "stderr", "__stdout__", "__stderr__"}
 
 
@@ -81,3 +83,43 @@ def test_the_global_scan_catches_each_form(tmp_path):
         "        global x, y\n"
     )
     assert sorted(global_statements(module)) == ["global x at line 3", "global x, y at line 7"]
+
+
+def names_read(path: Path) -> set[str]:
+    """Each name a module reads: as a Name, an Attribute, an exact string
+    constant or an import (a dotted import also by each of its parts)."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                found.update(alias.name.split("."))
+    return found
+
+
+def test_every_public_function_has_a_reader():
+    # the CLI and library modules, the scripts, the benchmark and the paper's
+    # claims; the package's __init__ only re-exports
+    places = [p for p in sorted((ROOT / "src" / "nablats").glob("*.py")) if p.name != "__init__.py"]
+    places += sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    places.append(ROOT / "tests" / "test_acceptance.py")
+    read = set().union(*map(names_read, places))
+    functions = [name for name in nablats.__all__
+                 if callable(getattr(nablats, name)) and not isinstance(getattr(nablats, name), type)]
+    assert len(functions) > 20
+    assert [name for name in functions if name not in read] == []
+
+
+def test_the_reader_scan_catches_each_form(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "import os.path\n"
+        "from json import loads as parse_json\n"
+        "def defined(): return used(os.sep, 'a_constant', 'not exact')\n"
+    )
+    assert names_read(module) == {"os", "path", "loads", "used", "sep", "a_constant", "not exact"}

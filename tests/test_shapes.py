@@ -21,6 +21,7 @@ from nablats.expressions import (
     Var,
     evaluate_many,
     parse,
+    substitute,
     to_source,
 )
 from nablats.solver import NonFiniteObjectiveError, SolveOptions, direct_solve
@@ -134,8 +135,12 @@ class TestShapeCache:
         assert _same_bits(out, expect)
         for row, (_, e, _) in zip(out, fresh.outputs):  # and the tree walk
             assert _same_bits(row, np.broadcast_to(tree_walk(e, env), row.shape)), to_source(e)
-        for name in ("partials", "hessian_partials"):
-            assert _sources(getattr(p, name)) == _sources(derived[name])
+        assert _sources(p.partials) == _sources(derived["partials"])
+        # and the second partials behind the Hessian band, as its kernel rows carry them
+        rows = p._binding.shape.derived["rows"]
+        for group in ("Luz", "Lzz", "Luu", "guu"):
+            bound = [substitute(e, p._binding.values) for _, e in rows[group]]
+            assert _sources(bound) == _sources([e for _, e in derived["rows"][group]])
 
     def test_same_shape_problems_share_one_compile(self):
         expressions._SHAPES.clear()

@@ -146,6 +146,27 @@ class TestBuilders:
         with pytest.raises(TimeScaleError, match=rf"^{build.__name__}\(.*\): 11 points, more than the limit of 10$"):
             build(*too_many)
 
+    @pytest.mark.parametrize(
+        "build, args",
+        [(integers, (float("nan"), 5)),
+         (integers, (0, float("inf"))),
+         (uniform, (float("nan"), 1.0, 0.25)),
+         (uniform, (0.0, float("inf"), 0.25)),
+         (uniform, (0.0, 1.0, float("nan"))),
+         (sampled_interval, (0.0, float("inf"), 4)),
+         (sampled_interval, (float("-inf"), 1.0, 4)),
+         (sampled_interval, (0.0, 1.0, float("nan"))),
+         (q_scale, (float("nan"), 1.0, 4)),
+         (q_scale, (2.0, float("inf"), 4))],
+    )
+    def test_builders_refuse_non_finite_arguments(self, build, args):
+        with pytest.raises(TimeScaleError, match=rf"^{build.__name__}\(.*\): every argument must be a finite number$"):
+            build(*args)
+
+    def test_a_huge_integer_bound_is_counted_not_converted(self):
+        with pytest.raises(TimeScaleError, match=r"points, more than the limit of 1000000$"):
+            integers(0, 10**400)
+
     def test_a_step_too_small_for_any_grid_is_refused_unbuilt(self):
         # it divides the span to float tolerance, at 1.5e300 points
         with pytest.raises(TimeScaleError, match=r"1\.5e\+300 points, more than the limit of 1000000"):
