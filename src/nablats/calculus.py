@@ -23,7 +23,7 @@ import math
 import operator
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -231,9 +231,9 @@ def integration_by_parts_residual(f: GridFunction, g: GridFunction, a: float, b:
 # -- tail infima --------------------------------------------------------------
 
 
-def liminf_estimate(seq: Sequence[tuple[float, float]]) -> float:
-    """Estimate lim_{T->inf} inf_{T'>=T} value on a truncated sequence of
-    (T, value) pairs: the inf over the last quarter of the sequence."""
-    if not seq:
+def liminf_estimate(values: np.ndarray) -> float:
+    """Estimate lim_{T->inf} inf_{T'>=T} value on the 1-D values of a
+    truncated sequence, in increasing T: the inf over its last quarter."""
+    if not len(values):
         raise EmptyTailError("empty partial-integral sequence")
-    return min(v for _, v in seq[-max(1, len(seq) // 4):])
+    return min(values[-max(1, len(values) // 4):].tolist())

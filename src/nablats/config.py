@@ -283,16 +283,31 @@ def _quad(cp: configparser.ConfigParser) -> Optional[Expr]:
     return expr
 
 
+#: the last run file's text and its validated config, reused while the text repeats
+_LOADED: dict[str, RunConfig] = {}
+
+
 def load_config(path) -> RunConfig:
-    """Parse and validate a run file; raises ConfigError on any problem."""
+    """Parse and validate a run file; raises ConfigError on any problem.
+
+    The file is read whole and its text is the key of a one-entry cache: a
+    file whose text repeats the last one loaded, at any path, returns the
+    same ``RunConfig``, whose grid and problem binding were built then.  A
+    file that fails to load leaves the entry as it was.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text, source = fh.read(), fh.name
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
+    rc = _LOADED.get(text)
+    if rc is not None:
+        return rc
     cp = configparser.ConfigParser(
         interpolation=None, inline_comment_prefixes=(";", "#")
     )
     try:
-        with open(path, encoding="utf-8") as fh:
-            cp.read_file(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
+        cp.read_string(text, source)
     except configparser.Error as exc:
         raise ConfigError(f"bad INI syntax in {path!r}: {exc}") from exc
     if not cp.has_section("timescale"):
@@ -300,7 +315,7 @@ def load_config(path) -> RunConfig:
     ts = _timescale(cp)
     problem = _problem(cp, ts)
     options, truncations = _options(cp)
-    return RunConfig(
+    rc = RunConfig(
         timescale=ts,
         problem=problem,
         options=options,
@@ -308,3 +323,6 @@ def load_config(path) -> RunConfig:
         report=_report(cp),
         quad_f=_quad(cp),
     )
+    _LOADED.clear()
+    _LOADED[text] = rc
+    return rc

@@ -543,8 +543,7 @@ def weak_max_compare(p: Problem, x_candidate: Trajectory, x_star: Trajectory) ->
     _check_trajectory(p, x_star)
     sign = -1.0 if p.sense is Sense.MIN else 1.0
     D = sign * (_running_objective(p, x_candidate) - _running_objective(p, x_star))
-    seq = list(zip(p.ts.points[1:], D[1:].tolist()))
-    return liminf_estimate(seq)
+    return liminf_estimate(D[1:])
 
 
 # -- reporting -------------------------------------------------------------------

@@ -400,14 +400,29 @@ class TestPartialIntegralsAndTails:
         seq = partial_integrals(f, 1.0)
         # sum_{k>=2} (-1)^k / k = 1 - log 2
         limit = 1.0 - math.log(2.0)
-        tail_inf = liminf_estimate(seq)  # the inf over T' >= 151
+        tail_inf = liminf_estimate(np.array([v for _, v in seq]))  # the inf over T' >= 151
         assert abs(tail_inf - limit) <= 1e-2
 
     def test_empty_tail_raises(self):
         with pytest.raises(EmptyTailError):
-            liminf_estimate([])
+            liminf_estimate(np.array([]))
 
     def test_liminf_estimate_converged(self):
         ts = integers(0, 100)
         f = GridFunction.from_callable(ts, lambda t: 0.5**t)
-        assert liminf_estimate(partial_integrals(f, 0.0)) == pytest.approx(1.0, rel=1e-9)
+        values = np.array([v for _, v in partial_integrals(f, 0.0)])
+        assert liminf_estimate(values) == pytest.approx(1.0, rel=1e-9)
+
+    @pytest.mark.parametrize("tail, expected", [
+        ([math.nan, -1.0], math.nan),  # min keeps a NaN it meets first
+        ([-1.0, math.nan], -1.0),  # and passes over one it meets later
+        ([0.0, -0.0], 0.0),
+        ([-0.0, 0.0], -0.0),
+    ])
+    def test_liminf_estimate_keeps_the_bits_of_a_tail_min_over_pairs(self, tail, expected):
+        values = np.array([2.0, 1.0, math.nan, -3.0, 0.5, 0.25] + tail)
+        seq = list(zip(range(len(values)), values.tolist()))
+        over_pairs = min(v for _, v in seq[-max(1, len(seq) // 4):])
+        got = liminf_estimate(values)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(over_pairs).tobytes() == np.float64(expected).tobytes()

@@ -1,7 +1,9 @@
 """End-to-end tests of the command-line front end (in-process)."""
 
+import configparser
 import contextlib
 import csv
+import gc
 import io
 import os
 import subprocess
@@ -9,6 +11,7 @@ import sys
 import tempfile
 import textwrap
 import warnings
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -17,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nablats import cli, expressions, solver, variational
+from nablats import cli, config, expressions, solver, variational
 from nablats.cli import main
 from nablats.calculus import GridFunction, nabla_integral
 from nablats.config import ConfigError, load_config
@@ -631,6 +634,18 @@ class TestMalformedInput:
         assert code == 2
         assert "fractal" in err
 
+    @pytest.mark.parametrize("offset", [1_000, 20_046])
+    def test_a_byte_that_is_not_utf8_is_named_at_its_file_offset(self, tmp_path, capsys, offset):
+        # a file over 8 KB used to be decoded in chunks, each counting from 0
+        body = write_ini(tmp_path).encode()
+        padding = b"# " + b"-" * (offset - len(body) - 3) + b"\n"
+        path = tmp_path / "bad.ini"
+        path.write_bytes(body + padding + b"\xff\n")
+        code, out, err = run(capsys, "solve", str(path))
+        assert (code, out) == (2, "")
+        assert err == (f"error: cannot read config {str(path)!r}: 'utf-8' codec can't decode "
+                       f"byte 0xff in position {offset}: invalid start byte\n")
+
     def test_bad_ini_syntax(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"
         path.write_text("this is not ini at all\n")
@@ -900,6 +915,73 @@ class TestConfigLoading:
         with pytest.raises(ConfigError) as info:
             load_config(write_ini(tmp_path, body))
         assert str(info.value) == message
+
+
+class TestRunFileReuse:
+    """A run file whose text repeats the last one loaded is neither read as
+    INI nor parsed again: ``load_config`` returns the same ``RunConfig``."""
+
+    @staticmethod
+    def spies(monkeypatch):
+        calls = []
+
+        def spy(name, fn):
+            def called(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return called
+
+        monkeypatch.setattr(configparser, "ConfigParser", spy("ConfigParser", configparser.ConfigParser))
+        for module in (config, variational, expressions):
+            monkeypatch.setattr(module, "parse", spy("parse", expressions.parse))
+        return calls
+
+    def test_unchanged_bytes_return_the_same_config_unparsed(self, tmp_path, monkeypatch):
+        cfg = write_ini(tmp_path)
+        rc = load_config(cfg)
+        calls = self.spies(monkeypatch)
+        assert load_config(cfg) is rc
+        assert calls == []
+        # the spies do see a miss
+        load_config(write_ini(tmp_path, BASE_INI.replace("tolerance = 1e-6", "tolerance = 3e-6")))
+        assert calls.count("ConfigParser") == 1 and calls.count("parse") == 3
+
+    def test_a_rewritten_file_is_loaded_anew(self, tmp_path):
+        path = Path(write_ini(tmp_path))
+        assert load_config(path).report.tolerance == 1e-6
+        path.write_text(path.read_text().replace("tolerance = 1e-6", "tolerance = 0.5"))
+        assert load_config(path).report.tolerance == 0.5
+        # the same length and the same modification time: only the text differs
+        stamp = path.stat()
+        path.write_text(path.read_text().replace("tolerance = 0.5", "tolerance = 0.7"))
+        os.utime(path, ns=(stamp.st_atime_ns, stamp.st_mtime_ns))
+        assert path.stat().st_size == stamp.st_size
+        assert load_config(path).report.tolerance == 0.7
+
+    def test_the_same_bytes_at_another_path_are_a_hit(self, tmp_path):
+        first = Path(write_ini(tmp_path))
+        second = tmp_path / "copy.ini"
+        second.write_bytes(first.read_bytes())
+        assert load_config(second) is load_config(first)
+
+    def test_a_malformed_file_is_never_cached(self, tmp_path):
+        cfg = write_ini(tmp_path)
+        rc = load_config(cfg)
+        bad = write_ini(tmp_path, BASE_INI.replace("tolerance = 1e-6", "tolerance = -1"), "bad.ini")
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ConfigError) as info:
+                load_config(bad)
+            messages.append(str(info.value))
+        assert messages == ["[report] tolerance = -1.0 is not a finite number >= 0"] * 2
+        assert load_config(cfg) is rc
+
+    def test_the_entry_it_replaces_can_be_collected(self, tmp_path):
+        first = weakref.ref(load_config(write_ini(tmp_path)))
+        load_config(write_ini(tmp_path, BASE_INI.replace("b = 5", "b = 6"), "other.ini"))
+        gc.collect()
+        assert first() is None
 
 
 class TestTolerance:

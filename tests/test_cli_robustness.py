@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nablats import cli, expressions, timescale
+from nablats import cli, config, expressions, timescale
 from nablats.cli import main
 from nablats.expressions import FUNCTIONS, BinOp, Call, Neg, Num, Var, to_source
 from nablats.timescale import from_points
@@ -124,6 +124,8 @@ class TestDeepInput:
         expected = fresh_process("solve", SAMPLE, cwd=tmp_path)
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(expressions, "_SHAPES", {})
+        # a run file loaded earlier in the process holds a problem bound to its shape
+        monkeypatch.setattr(config, "_LOADED", {})
         lower, budget = expressions.Program.lower, iter(range(40))
 
         def overflowing(program, e):

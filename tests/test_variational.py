@@ -545,11 +545,11 @@ class TestWeakMaxCompare:
         sign = -1.0 if sense is Sense.MIN else 1.0
         for seed in range(4):
             cand, star = random_trajectory(p, 2 * seed), random_trajectory(p, 2 * seed + 1)
-            seq = [
-                (T, sign * (evaluate_functional_partial(p, cand, T) - evaluate_functional_partial(p, star, T)))
+            values = np.array([
+                sign * (evaluate_functional_partial(p, cand, T) - evaluate_functional_partial(p, star, T))
                 for T in p.ts.points[1:]
-            ]
-            assert weak_max_compare(p, cand, star) == liminf_estimate(seq)
+            ])
+            assert weak_max_compare(p, cand, star) == liminf_estimate(values)
 
 
 class TestClassicalLimit:
