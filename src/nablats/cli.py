@@ -53,7 +53,7 @@ import numpy as np
 from .calculus import GridFunction, nabla_integral
 from .config import load_config
 from .expressions import ExprDomainError, Kernel, Program, evaluate_many
-from .fundamental import construct_violating_variation, default_tolerance, witness_value
+from .fundamental import construct_violating_variation, default_tolerance
 from .solver import NonFiniteObjectiveError, direct_solve, horizon_study, horizon_table_to_csv
 from .variational import (
     _read_grid_csv,
@@ -167,12 +167,11 @@ def _cmd_lemma(args) -> int:
                 f"admissible variation at tolerance {tol!r} (max |f| = {peak!r})"
             )
         return EXIT_TRIVIAL
-    value = float(witness_value(g, variation.eta))
     _summary(
         [
             ("case_tag", variation.case_tag.name),
             ("t0", repr(float(variation.t0))),
-            ("witness_value", _fmt(value)),
+            ("witness_value", _fmt(variation.value)),
             ("support", f"({variation.support[0]!r}, {variation.support[1]!r})"),
         ]
     )

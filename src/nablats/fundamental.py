@@ -29,7 +29,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .calculus import GridFunction, GridMismatchError, nabla_derivative_fn, nabla_integral
+from .calculus import GridFunction, GridMismatchError, nabla_derivative_fn
 from .timescale import GapKind, TimeScale
 from .variational import AdmissibilityError
 
@@ -49,13 +49,14 @@ class Variation:
 
     ``eta`` vanishes at the grid minimum and maximum and outside
     ``support``; ``t0`` is the scanned point whose value triggered the
-    construction.
+    construction; ``value`` is the pairing ``witness_value`` gave it.
     """
 
     eta: GridFunction
     support: tuple[float, float]
     case_tag: CaseTag
     t0: float
+    value: float
 
 
 class DuboisReymondResult(NamedTuple):
@@ -98,7 +99,6 @@ def witness_value(g: GridFunction, eta: GridFunction) -> float:
         raise GridMismatchError("eta does not live on the same grid as g")
     ev = _require_scalar(eta)
     ts = g.ts
-    pts = ts.points_array
     nonzero = np.nonzero(ev)[0]
     if nonzero.size == 0:
         return 0.0
@@ -107,12 +107,12 @@ def witness_value(g: GridFunction, eta: GridFunction) -> float:
     # eta at index p couples to the value at p+1 across a scattered gap
     if hi_idx < len(ts) - 1 and ts.gap_kinds[hi_idx] is GapKind.SCATTERED:
         hi_idx += 1
-    lo = pts[lo_idx]
-    hi = pts[hi_idx]
-    if not lo < hi:
+    if not lo_idx < hi_idx:
         return 0.0
-    paired = GridFunction(ts, g.values * eta.rho_values())
-    return float(nabla_integral(paired, lo, hi)[0])
+    # the terms of nabla_integral over (lo, hi] of g * eta(rho), and no others
+    window = slice(lo_idx + 1, hi_idx + 1)
+    terms = ts.local_steps[window] * (g.values[window, 0] * ev[ts.rho_indices[window]])
+    return math.fsum(terms.tolist())
 
 
 def _dense_bump_values(
@@ -177,8 +177,9 @@ def construct_violating_variation(g: GridFunction, tol: Optional[float] = None) 
     for j in candidates.tolist():
         for eta_values, support, tag in _constructions(vals, ts, j, tol):
             eta = GridFunction(ts, eta_values[:, None])
-            if witness_value(g, eta) > 0.0:
-                return Variation(eta=eta, support=support, case_tag=tag, t0=float(pts[j]))
+            value = witness_value(g, eta)
+            if value > 0.0:
+                return Variation(eta=eta, support=support, case_tag=tag, t0=float(pts[j]), value=value)
     return None
 
 

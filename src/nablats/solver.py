@@ -607,7 +607,9 @@ def _lap(phases: dict[str, float], phase: str, since: float) -> float:
 
 
 GUARD = 10**7
-_BATCH = 4096
+#: rows per block of the brute-force oracle; on a 2-vCPU x86_64 host a 9^6
+#: search took 5.3, 4.4, 4.1 and 6.7 ms at 4096, 8192, 16384 and 24576
+_BATCH = 8192
 
 
 def brute_force(p: Problem, opts: SolveOptions, value_grid) -> Trajectory:

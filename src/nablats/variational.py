@@ -72,6 +72,7 @@ from .expressions import (
     Kernel,
     Neg,
     Num,
+    _touch,
     bind_shape,
     differentiate,
     evaluate_many,
@@ -636,16 +637,34 @@ def trajectory_to_csv(x: Trajectory, path):
     _write_csv_lines(path, [header] + rows)
 
 
+#: how many grid CSVs the process keeps read, the least recently read going
+#: first: two, as a check of a candidate alternates its file with the
+#: maximizer's on one grid
+CSVS_KEPT = 2
+_CSVS: dict[tuple, tuple[TimeScale, np.ndarray]] = {}
+
+
 def _read_grid_csv(ts: TimeScale, path, columns: list[str], what: str) -> np.ndarray:
     """The value columns (len(ts), len(columns)) of a CSV with the header
     t,columns on the grid ts, the format ``trajectory_to_csv`` writes: every
     row has as many cells as the header, one row per grid point, and the t
     column is exactly the grid's points.  ``csv.reader`` splits the file
     (LF, CRLF or CR line ends, quoted cells), blank lines are skipped and
-    ``float`` reads all cells at once; a row at fault is looked up after."""
+    ``float`` reads all cells at once; a row at fault is looked up after.
+
+    The file is read whole on every call, and the returned array is
+    read-only: a text already read and validated for this grid object and
+    these columns, at any path, returns the same array without parsing it
+    again (the last ``CSVS_KEPT`` such reads are kept).  A file that fails
+    to read is never kept.
+    """
     expected = ["t", *columns]
     with open(path, newline="") as fh:
         text = fh.read()  # once: the path may be a pipe
+    key = (id(ts), tuple(expected), text)  # the entry holds ts, so its id stays its own
+    hit = _CSVS.get(key)
+    if hit is not None:
+        return _touch(_CSVS, key, hit, CSVS_KEPT)[1]
     rd = csv.reader(io.StringIO(text, newline=""))
     try:
         rows = list(rd)
@@ -665,7 +684,8 @@ def _read_grid_csv(ts: TimeScale, path, columns: list[str], what: str) -> np.nda
     if bad.size:
         raise AdmissibilityError(f"{what} row at t={float(arr[bad[0], 0])!r} does not match "
                                  f"grid point {ts.points[bad[0]]!r}")
-    return arr[:, 1:]
+    arr.setflags(write=False)
+    return _touch(_CSVS, key, (ts, arr[:, 1:]), CSVS_KEPT)[1]
 
 
 def _first_bad_row(text: str, width: int) -> str:

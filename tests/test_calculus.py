@@ -324,6 +324,20 @@ class TestRunningFsum:
         assert out[0] == 1.0 and math.isnan(out[1]) and math.isnan(out[2])
 
 
+@st.composite
+def low_chunks(draw):
+    """A term x of at least 2**-1016 (1.4e-306) alone; x and half its last
+    bit (an exact tie, its half below 1e-306 where x is near it); that tie
+    broken by 2**-1016 either way; or x and its neighbour toward 0 negated
+    (a difference of one last bit, subnormal where x is near 1e-306)."""
+    m = draw(st.integers(2**52, 2**53 - 1))
+    e = draw(st.integers(-1068, -950))
+    x = math.ldexp(m, e) * draw(st.sampled_from([1.0, -1.0]))
+    half = math.copysign(math.ldexp(1.0, e - 1), x) * draw(st.sampled_from([1.0, -1.0]))
+    breaker = math.ldexp(draw(st.sampled_from([1.0, -1.0])), -1016)
+    return draw(st.sampled_from([[x], [x, half], [x, half, breaker], [x, -math.nextafter(x, 0.0)]]))
+
+
 class TestRunningFsumPaths:
     @given(hnp.arrays(float, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=40),
                       elements=st.floats(allow_nan=False)))
@@ -352,6 +366,28 @@ class TestRunningFsumPaths:
     def test_a_lowest_bit_below_the_normal_range(self, terms):
         # e0 < -1022, so 2**e0 is not a normal float: the division rounds
         assert _running(terms) == _prefix_fsums(terms)
+
+    @given(st.lists(low_chunks(), min_size=1, max_size=12), st.integers(0, 2), st.randoms(use_true_random=False))
+    @settings(max_examples=400, deadline=None)
+    def test_low_terms_with_ties_round_as_math_fsum_at_every_prefix(self, chunks, scale, rnd):
+        # every lowest bit lies below the normal range (e0 < -1022): ties at
+        # the 53rd bit, ties broken by a bit far below, sums that grow past
+        # 1023 bits (scaled up by 2**(400 * scale)) and subnormal sums
+        terms = [math.ldexp(v, 400 * scale) if abs(v) > 2**-900 else v for chunk in chunks for v in chunk]
+        if rnd.random() < 0.3:
+            rnd.shuffle(terms)
+        got = running_fsum(terms)
+        assert got.tobytes() == np.array(_prefix_fsums(terms)).tobytes()
+
+    def test_low_ties_and_a_subnormal_difference(self):
+        # a tie rounded to even, the same tie broken either way by 2**-1016,
+        # and a subnormal difference, all with e0 < -1022
+        x = math.ldexp(2**52 + 1, -1000)  # odd last bit: the tie rounds away from x
+        half = math.ldexp(1.0, -1001)
+        for terms in ([x, half], [x, -half], [x, half, 2**-1016], [x, -half, -2**-1016],
+                      [3.0, x, -3.0, -math.nextafter(x, 0.0)]):
+            assert running_fsum(terms).tobytes() == np.array(_prefix_fsums(terms)).tobytes()
+        assert running_fsum([x, half])[-1] == math.ldexp(2**52 + 2, -1000)
 
 
 class TestIntegrationByParts:

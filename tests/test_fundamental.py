@@ -13,7 +13,7 @@ from nablats.fundamental import (
     dubois_reymond_check,
     witness_value,
 )
-from nablats.timescale import GapKind, from_points, integers, sampled_interval
+from nablats.timescale import GapKind, from_points, integers, q_scale, sampled_interval, union
 from nablats.variational import AdmissibilityError
 
 
@@ -286,3 +286,63 @@ def test_a_zero_tolerance_scans_every_nonzero_value():
     g = grid_fn(ts, [0, 0, 0, 1e-100, 0, 0])
     assert construct_violating_variation(g, tol=0.0).t0 == 3.0
     assert dubois_reymond_check(grid_fn(ts, [1.0] * 6), tol=0.0).is_constant
+
+
+def _full_grid_pairing(g, eta):
+    """The pairing as a nabla integral of the full-grid product g * eta(rho)
+    over eta's window: ``witness_value``'s former body, the oracle of its
+    windowed sum."""
+    ts, ev = g.ts, eta.values[:, 0]
+    nonzero = np.nonzero(ev)[0]
+    if nonzero.size == 0:
+        return 0.0
+    lo, hi = max(int(nonzero[0]) - 1, 0), int(nonzero[-1])
+    if hi < len(ts) - 1 and ts.gap_kinds[hi] is GapKind.SCATTERED:
+        hi += 1
+    if not ts.points[lo] < ts.points[hi]:
+        return 0.0
+    paired = GridFunction(ts, g.values * eta.rho_values())
+    return float(nabla_integral(paired, ts.points[lo], ts.points[hi])[0])
+
+
+_PAIRING_GRIDS = {
+    "integers": integers(0, 24),
+    "q_scale": q_scale(1.3, 0.5, 25),
+    "sampled": sampled_interval(-1.0, 2.0, 24),
+    "mixed": union([integers(0, 6), sampled_interval(6.5, 8.0, 9), q_scale(1.5, 9.0, 8)]),
+}
+
+
+@pytest.mark.parametrize("name", list(_PAIRING_GRIDS))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_the_variation_keeps_the_pairing_witness_value_gives_it(name, data):
+    # the value lemma prints is the one stored at acceptance: witness_value's
+    # bits on the returned eta, which are those of the full-grid integral
+    ts = _PAIRING_GRIDS[name]
+    # |g| stays below 1e150: a pairing g * eta past the float range is inf
+    # with numpy's overflow warning, here and in the full-grid integral alike
+    mags = st.floats(1e-3, 1e3) | st.sampled_from([0.0, 1e-9, 1e-300, 1e100])
+    values = data.draw(st.lists(mags.map(float) | mags.map(lambda v: -v), min_size=len(ts), max_size=len(ts)))
+    g = grid_fn(ts, values)
+    var = construct_violating_variation(g)
+    if var is None:
+        return
+    again = witness_value(g, var.eta)
+    assert np.float64(var.value).tobytes() == np.float64(again).tobytes()
+    assert np.float64(again).tobytes() == np.float64(_full_grid_pairing(g, var.eta)).tobytes()
+    assert var.value > 0.0
+
+
+@pytest.mark.parametrize("name", list(_PAIRING_GRIDS))
+def test_witness_value_sums_the_window_as_the_full_grid_integral_does(name):
+    ts = _PAIRING_GRIDS[name]
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        g = grid_fn(ts, rng.normal(size=len(ts)) * 10.0 ** rng.integers(-5, 5, len(ts)))
+        eta = np.zeros(len(ts))
+        lo = int(rng.integers(1, len(ts) - 2))
+        hi = int(rng.integers(lo, len(ts) - 1))
+        eta[lo:hi + 1] = rng.normal(size=hi + 1 - lo)
+        eta = grid_fn(ts, eta)
+        assert np.float64(witness_value(g, eta)).tobytes() == np.float64(_full_grid_pairing(g, eta)).tobytes()

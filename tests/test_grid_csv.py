@@ -7,13 +7,22 @@ the same array bits, or the same error with the same text (line numbers
 included).
 """
 
+import csv
+import gc
+import os
+import subprocess
+import sys
+import weakref
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csv_reference import read_grid_csv_rows
-from nablats.timescale import from_points, integers
+from nablats import variational
+from nablats.timescale import from_points, integers, uniform
 from nablats.variational import AdmissibilityError, _read_grid_csv
 
 _ENDINGS = ("\n", "\r\n", "\r")
@@ -137,3 +146,122 @@ def test_read_values_keep_their_bits(tmp_path):
     text = "t,x1\r\n" + "".join(f"{t!r},{v!r}\r\n" for t, v in zip(ts.points, values))
     arr = _read(tmp_path, text, ts)
     assert arr[:, 0].tobytes() == np.array(values).tobytes()
+
+
+class TestReuse:
+    """A text already read and validated for the same grid object and the
+    same columns, at any path, returns the same read-only array unparsed;
+    anything else is parsed and checked as on a first read."""
+
+    TEXT = "t,x1\r\n0.0,1.5\r\n1.0,-2.0\r\n2.0,3.0\r\n"
+
+    @staticmethod
+    def write(path, text):
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        return path
+
+    @staticmethod
+    def read(ts, path, columns=("x1",)):
+        return _read_grid_csv(ts, path, list(columns), "trajectory")
+
+    def test_unchanged_bytes_return_the_same_array_unparsed(self, tmp_path, monkeypatch):
+        ts = integers(0, 2)
+        path = self.write(tmp_path / "x.csv", self.TEXT)
+        arr = self.read(ts, path)
+        calls = []
+        reader = csv.reader
+        monkeypatch.setattr(csv, "reader", lambda *args: calls.append(args) or reader(*args))
+        assert self.read(ts, path) is arr
+        # the same bytes at another path are a hit too
+        assert self.read(ts, self.write(tmp_path / "copy.csv", self.TEXT)) is arr
+        assert calls == []
+        assert arr.tolist() == [[1.5], [-2.0], [3.0]]
+
+    def test_a_file_rewritten_in_place_is_parsed_again(self, tmp_path):
+        ts = integers(0, 2)
+        path = self.write(tmp_path / "x.csv", self.TEXT)
+        first = self.read(ts, path)
+        # the same length and the same modification time: only the bytes differ
+        stamp = path.stat()
+        self.write(path, self.TEXT.replace("-2.0", "-7.0"))
+        os.utime(path, ns=(stamp.st_atime_ns, stamp.st_mtime_ns))
+        second = self.read(ts, path)
+        assert second.tolist() == [[1.5], [-7.0], [3.0]]
+        assert first.tolist() == [[1.5], [-2.0], [3.0]]
+
+    @pytest.mark.parametrize("bad, message", [
+        ("0.0,1.5\r\n1.0,-2.0,9\r\n", "trajectory line 3 has 3 cells, the header has 2"),
+        ("1.0,-2.0\r\n", "trajectory line 3: could not convert string to float: 'x'"),
+    ])
+    def test_a_malformed_file_raises_the_same_error_on_every_call_and_is_never_kept(
+            self, tmp_path, bad, message):
+        ts = integers(0, 2)
+        path = self.write(tmp_path / "x.csv", self.TEXT)
+        arr = self.read(ts, path)
+        text = self.TEXT.replace("0.0,1.5\r\n1.0,-2.0\r\n", bad).replace("2.0,3.0", "2.0,x")
+        self.write(path, text)
+        kept = dict(variational._CSVS)
+        for _ in range(3):
+            with pytest.raises(AdmissibilityError) as info:
+                self.read(ts, path)
+            assert str(info.value) == message
+        assert variational._CSVS == kept
+        # the file restored reads from its entry again
+        assert self.read(ts, self.write(path, self.TEXT)) is arr
+
+    def test_the_same_bytes_under_another_grid_are_checked_against_it(self, tmp_path):
+        path = self.write(tmp_path / "x.csv", self.TEXT)
+        first = self.read(integers(0, 2), path)
+        # an equal grid of a new run file: parsed anew, the same values
+        again = self.read(integers(0, 2), path)
+        assert again is not first and again.tobytes() == first.tobytes()
+        with pytest.raises(AdmissibilityError, match="trajectory has 3 rows, grid has 4 points"):
+            self.read(integers(0, 3), path)
+        with pytest.raises(AdmissibilityError, match="row at t=1.0 does not match grid point 0.5"):
+            self.read(uniform(0.0, 1.0, 0.5), path)
+        with pytest.raises(AdmissibilityError, match="bad trajectory header"):
+            self.read(integers(0, 2), path, columns=("f",))
+
+    def test_a_returned_array_cannot_be_changed(self, tmp_path):
+        ts = integers(0, 2)
+        path = self.write(tmp_path / "x.csv", self.TEXT)
+        for arr in (self.read(ts, path), self.read(ts, path)):  # a miss, then a hit
+            with pytest.raises(ValueError, match="read-only"):
+                arr[1, 0] = 9.0
+        assert self.read(ts, path).tolist() == [[1.5], [-2.0], [3.0]]
+
+    def test_the_process_keeps_a_few_entries_and_lets_the_rest_go(self, tmp_path):
+        grids = [integers(0, 2) for _ in range(variational.CSVS_KEPT + 2)]
+        path = self.write(tmp_path / "x.csv", self.TEXT)
+        first = weakref.ref(grids[0])
+        for ts in grids:
+            self.read(ts, path)
+        assert len(variational._CSVS) == variational.CSVS_KEPT
+        del grids[0]
+        gc.collect()
+        assert first() is None
+
+    def test_dev_stdin_is_read_as_a_trajectory(self, tmp_path):
+        run = tmp_path / "run.ini"
+        run.write_text("[timescale]\nfamily = integers\na = 0\nb = 2\n\n[problem]\nn = 1\n"
+                       "L = \"-(v1^2)\"\ng = \"0\"\nx_a = 1.5\n\n[report]\n"
+                       f"report_out = {tmp_path / 'residuals.csv'}\n")
+        path = self.write(tmp_path / "x.csv", self.TEXT)
+        # one process: a read at a path, then the same bytes through /dev/stdin
+        script = (
+            "import sys\nfrom nablats.cli import main\n"
+            "run, path = sys.argv[1:]\n"
+            "print(main(['compare', run, '--candidate', path, '--star', path]))\n"
+            "print(main(['compare', run, '--candidate', '/dev/stdin', '--star', path]))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(variational.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", script, str(run), str(path)], input=self.TEXT,
+                              capture_output=True, text=True, env=env, timeout=120)
+        summary = "margin: 0.0\ntolerance: 1e-06\nstatus: PASS\n0\n"
+        assert (done.returncode, done.stdout, done.stderr) == (0, summary * 2, "")
+        for argv in (["check-el", str(run), "--trajectory", "/dev/stdin"],
+                     ["compare", str(run), "--candidate", "/dev/stdin", "--star", str(path)]):
+            done = subprocess.run([sys.executable, "-m", "nablats", *argv], input=self.TEXT,
+                                  capture_output=True, text=True, env=env, timeout=120)
+            assert done.returncode in (0, 1) and done.stderr == "" and "status: " in done.stdout

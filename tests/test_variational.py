@@ -846,7 +846,43 @@ class TestReportArrays:
         assert math.isnan(report.max_pointwise)
 
 
+def per_row_csv_of(report, path):
+    """The residual CSV of a report's own arrays, one ``csv.writer`` row at a
+    time, each t written as ``repr`` of its grid point."""
+    T, pts = repr(report.T_prime), report.ts.points
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(["t", "T_prime", "component", "value", "kind"])
+        for rows, values, kind in ((report.pointwise_rows, report.el_pointwise, "el_pointwise"),
+                                   (report.integral_rows, report.el_integral, "el_integral")):
+            for j, vec in zip(rows, values):
+                for c, v in enumerate(vec, start=1):
+                    wr.writerow([repr(pts[j]), T, c, repr(float(v)), kind])
+        for c, v in enumerate(report.el_integral_constant_spread, start=1):
+            wr.writerow([T, T, c, repr(float(v)), "el_integral_spread"])
+        for values, kind in ((report.trans_T1, "trans_T1"), (report.trans_T2, "trans_T2")):
+            for j, v in enumerate(values, start=1):
+                wr.writerow([repr(pts[j]), T, 0, repr(float(v)), kind])
+
+
 class TestTrajectoryCsv:
+    @pytest.mark.parametrize("ts", [
+        q_scale(1.1, 0.7, 40),
+        from_points([k / 7 for k in range(8)] + [1.3 ** k for k in range(2, 13)] + [25.0 + k / 3 for k in range(5)],
+                    "d" * 7 + "s" * 12 + "d" * 4),
+    ], ids=["q_scale", "mixed"])
+    def test_each_t_is_written_as_the_repr_of_its_point(self, tmp_path, ts):
+        p = mixed_problem(ts=ts)
+        x = random_trajectory(p, 5)
+        trajectory_to_csv(x, tmp_path / "new.csv")
+        per_row_trajectory_csv(x, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        for T_prime in (ts.points[len(ts) // 2], ts.points[-1]):
+            report = residual_report(p, x, T_prime)
+            report.write_csv(tmp_path / "new.csv")
+            per_row_csv_of(report, tmp_path / "old.csv")
+            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
     def test_bit_exact_round_trip(self, tmp_path):
         ts = integers(0, 5)
         p = Problem.from_strings(ts, 2, "-(v1^2) - v2^2", "0", (0.1, -0.2))
