@@ -92,7 +92,9 @@ def witness_value(g: GridFunction, eta: GridFunction) -> float:
     ``eta`` must live on the same grid, points and gap kinds alike, else
     GridMismatchError.  The integration window is the smallest gap-aligned
     interval containing every nonzero value of ``eta``, so a spike variation
-    reduces to the single local term nu(t0) * g(t0) * eta(rho(t0)).
+    reduces to the single local term nu(t0) * g(t0) * eta(rho(t0)).  A
+    pairing past the largest float raises OverflowError, without a numpy
+    warning.
     """
     _require_scalar(g)
     if eta.ts != g.ts:
@@ -111,8 +113,11 @@ def witness_value(g: GridFunction, eta: GridFunction) -> float:
         return 0.0
     # the terms of nabla_integral over (lo, hi] of g * eta(rho), and no others
     window = slice(lo_idx + 1, hi_idx + 1)
-    terms = ts.local_steps[window] * (g.values[window, 0] * ev[ts.rho_indices[window]])
-    return math.fsum(terms.tolist())
+    with np.errstate(over="ignore"):
+        terms = ts.local_steps[window] * (g.values[window, 0] * ev[ts.rho_indices[window]])
+    if not np.all(np.isfinite(terms)):
+        raise OverflowError("a term of the pairing is past the largest float")
+    return math.fsum(terms.tolist())  # a sum past it raises OverflowError too
 
 
 def _dense_bump_values(
@@ -155,7 +160,8 @@ def construct_violating_variation(g: GridFunction, tol: Optional[float] = None) 
     Every construction is validated numerically before being returned;
     candidates whose construction fails (for example a sign flip right
     next to the point) are skipped.  Returns None when no detectable
-    value exceeds the tolerance or no construction validates.  ``tol``,
+    value exceeds the tolerance or no construction validates, and raises
+    OverflowError naming t0 when a pairing is past the largest float.  ``tol``,
     by default ``default_tolerance``, is a finite number >= 0, else
     ValueError.
     """
@@ -177,7 +183,12 @@ def construct_violating_variation(g: GridFunction, tol: Optional[float] = None) 
     for j in candidates.tolist():
         for eta_values, support, tag in _constructions(vals, ts, j, tol):
             eta = GridFunction(ts, eta_values[:, None])
-            value = witness_value(g, eta)
+            try:
+                value = witness_value(g, eta)
+            except OverflowError:
+                raise OverflowError(
+                    f"the witness pairing at t0={float(pts[j])!r} is past the largest float"
+                ) from None
             if value > 0.0:
                 return Variation(eta=eta, support=support, case_tag=tag, t0=float(pts[j]), value=value)
     return None

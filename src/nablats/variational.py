@@ -577,8 +577,9 @@ class ResidualReport:
     def max_spread(self) -> float:
         return float(np.max(self.el_integral_constant_spread))
 
-    def write_csv(self, path):
-        """Rows t,T_prime,component,value,kind of each family in turn, floats as reprs."""
+    def csv_bytes(self) -> bytes:
+        """Rows t,T_prime,component,value,kind of each family in turn, floats as
+        reprs: the bytes ``write_csv`` writes."""
         T = repr(self.T_prime)
         head = [f"{t!r},{T}," for t in self.ts.points[: len(self.trans_T1) + 1]]  # "t,T_prime,"
         lines = ["t,T_prime,component,value,kind"]
@@ -594,7 +595,10 @@ class ResidualReport:
         ]
         for values, kind in ((self.trans_T1, "trans_T1"), (self.trans_T2, "trans_T2")):
             lines += [f"{head[j]}0,{v!r},{kind}" for j, v in enumerate(values.tolist(), start=1)]
-        _write_csv_lines(path, lines)
+        return _csv_bytes(lines)
+
+    def write_csv(self, path):
+        _write_bytes(path, self.csv_bytes())
 
 
 def residual_report(p: Problem, x: Trajectory, T_prime: float | None = None) -> ResidualReport:
@@ -615,12 +619,19 @@ def residual_report(p: Problem, x: Trajectory, T_prime: float | None = None) -> 
         return ResidualReport(float(T_prime), ts, np.arange(2, k + 1), R, rows_int, F, spread, t1, t2)
 
 
+def _csv_bytes(lines: list[str]) -> bytes:
+    """The bytes ``csv.writer`` makes of these lines, whose fields need no quoting."""
+    return ("\r\n".join(lines) + "\r\n").encode()
+
+
 def _write_csv_lines(path, lines: list[str]) -> None:
-    """The bytes ``csv.writer`` makes of these lines, whose fields need no
-    quoting, written over the file in place and, if it is a regular file,
-    truncated to their length: emptying the file first makes closing it
-    start writeback (ext4's ``auto_da_alloc``)."""
-    data = ("\r\n".join(lines) + "\r\n").encode()
+    _write_bytes(path, _csv_bytes(lines))
+
+
+def _write_bytes(path, data: bytes) -> None:
+    """``data`` written over the file in place and, if it is a regular file,
+    truncated to its length: emptying the file first makes closing it start
+    writeback (ext4's ``auto_da_alloc``)."""
     with open(os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666), "wb") as fh:
         fh.write(data)
         if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # not /dev/null or a pipe

@@ -558,6 +558,19 @@ class TestLemma:
         )
         assert (done.returncode, done.stdout, done.stderr) == (2, "", f"error: {message}\n")
 
+    def test_a_pairing_past_the_largest_float_exits_3_naming_t0(self, tmp_path):
+        # the spike's pairing is 1e300^2: numpy warned and lemma printed inf with exit 0
+        cfg = write_ini(tmp_path, BASE_INI.replace("b = 5", "b = 12"))
+        path = tmp_path / "f.csv"
+        path.write_text("t,f\n" + "".join(f"{t}.0,{1e300 if t == 3 else 0.0!r}\n" for t in range(13)))
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "nablats", "lemma", cfg, "--function", str(path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (
+            3, "", "error: the witness pairing at t0=3.0 is past the largest float\n")
+
     def test_wrong_grid_exits_2(self, tmp_path, capsys):
         cfg = write_ini(tmp_path)
         path = tmp_path / "short.csv"
@@ -982,6 +995,142 @@ class TestRunFileReuse:
         load_config(write_ini(tmp_path, BASE_INI.replace("b = 5", "b = 6"), "other.ini"))
         gc.collect()
         assert first() is None
+
+
+REUSE_INI = """
+[timescale]
+family = integers
+a = -3
+b = 3
+
+[problem]
+n = 1
+L = "sqrt(x1) - v1^2"
+g = "0"
+x_a = 1.0
+
+[report]
+report_out = {dir}/residuals.csv
+"""
+
+
+class TestReportReuse:
+    """``check-el`` on a run file, trajectory bytes and T' it has just reported
+    writes the stored report, whatever the form, instead of computing it again."""
+
+    @pytest.fixture(autouse=True)
+    def reports(self, monkeypatch):
+        monkeypatch.setattr(cli, "_REPORTS", {})
+        calls = []
+
+        def spy(p, x, T_prime):
+            calls.append(T_prime)  # not p or x: an evicted problem must be collectable
+            return variational.residual_report(p, x, T_prime)
+
+        monkeypatch.setattr(cli, "residual_report", spy)
+        return calls
+
+    @staticmethod
+    def trajectory(tmp_path, values, name="x.csv"):
+        path = tmp_path / name
+        path.write_text("t,x1\n" + "".join(f"{t!r},{v!r}\n" for t, v in zip(range(-3, 4), values)))
+        return str(path)
+
+    @staticmethod
+    def fresh(tmp_path, argv):
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-m", "nablats", *argv], capture_output=True,
+                              text=True, env=env, timeout=120)
+        return done.returncode, done.stdout, done.stderr, (tmp_path / "residuals.csv").read_bytes()
+
+    def test_one_report_serves_every_form(self, tmp_path, capsys, reports):
+        cfg = write_ini(tmp_path, REUSE_INI)
+        x = self.trajectory(tmp_path, [1.0, 1.25, 1.5, 1.5, 1.25, 1.0, 1.0])
+        for form in ("pointwise", "integral", "finite", "pointwise"):
+            code, out, _ = run(capsys, "check-el", cfg, "--trajectory", x, "--form", form)
+            assert code == 1 and f"form: {form}" in out
+        assert len(reports) == 1
+
+    def test_each_request_prints_and_writes_what_a_fresh_process_does(self, tmp_path, capsys, reports):
+        cfg = write_ini(tmp_path, REUSE_INI)
+        x = self.trajectory(tmp_path, [1.0, 1.25, 1.5, 1.5, 1.25, 1.0, 1.0])
+        requests = [["--form", "pointwise"], ["--form", "integral"], ["--form", "finite", "--Tprime", "1"],
+                    ["--form", "pointwise", "--Tprime", "1"], ["--form", "integral"]]
+        ours = []
+        for extra in requests:
+            code, out, err = run(capsys, "check-el", cfg, "--trajectory", x, *extra)
+            ours.append((code, out, err, (tmp_path / "residuals.csv").read_bytes()))
+        assert len(reports) == 2
+        assert ours == [self.fresh(tmp_path, ["check-el", cfg, "--trajectory", x, *extra]) for extra in requests]
+
+    def test_a_trajectory_rewritten_in_place_is_reported_anew(self, tmp_path, capsys, reports):
+        cfg = write_ini(tmp_path, REUSE_INI)
+        path = Path(self.trajectory(tmp_path, [1.0, 1.25, 1.5, 1.5, 1.25, 1.0, 1.0]))
+        run(capsys, "check-el", cfg, "--trajectory", str(path))
+        first = (tmp_path / "residuals.csv").read_bytes()
+        # the same length and the same modification time: only the bytes differ
+        stamp = path.stat()
+        path.write_text(path.read_text().replace("1.5\n", "1.7\n", 1))
+        os.utime(path, ns=(stamp.st_atime_ns, stamp.st_mtime_ns))
+        assert path.stat().st_size == stamp.st_size
+        run(capsys, "check-el", cfg, "--trajectory", str(path))
+        assert len(reports) == 2
+        p = load_config(cfg).require_problem()
+        written = (tmp_path / "residuals.csv").read_bytes()
+        assert written != first
+        assert written == variational.residual_report(p, variational.trajectory_from_csv(p, path)).csv_bytes()
+
+    def test_a_new_run_file_is_reported_anew(self, tmp_path, capsys, reports):
+        x = self.trajectory(tmp_path, [1.0, 1.25, 1.5, 1.5, 1.25, 1.0, 1.0])
+        for tolerance in ("1e-6", "2.0", "1e-6"):
+            cfg = write_ini(tmp_path, REUSE_INI + f"tolerance = {tolerance}\n")
+            code, out, _ = run(capsys, "check-el", cfg, "--trajectory", x)
+            assert (code, out.splitlines()[-1]) == ((1, "status: FAIL") if tolerance == "1e-6" else (0, "status: PASS"))
+        assert len(reports) == 3
+
+    def test_another_Tprime_is_reported_anew(self, tmp_path, capsys, reports):
+        cfg = write_ini(tmp_path, REUSE_INI)
+        x = self.trajectory(tmp_path, [1.0, 1.25, 1.5, 1.5, 1.25, 1.0, 1.0])
+        for extra in ([], ["--Tprime", "1"], ["--Tprime", "3"], ["--Tprime", "1"], []):
+            run(capsys, "check-el", cfg, "--trajectory", x, *extra)
+        assert reports == [3.0, 1.0]
+
+    def test_a_negative_zero_Tprime_writes_its_own_report(self, tmp_path, capsys, reports):
+        # -0.0 == 0.0 and both hash alike, but the CSV writes repr(T')
+        cfg = write_ini(tmp_path, REUSE_INI)
+        x = self.trajectory(tmp_path, [1.0, 1.25, 1.5, 1.5, 1.25, 1.0, 1.0])
+        for shown in ("0.0", "-0.0"):
+            code, out, err = run(capsys, "check-el", cfg, "--trajectory", x, "--Tprime", shown)
+            written = (tmp_path / "residuals.csv").read_bytes()
+            assert {row.split(b",")[1] for row in written.splitlines()[1:]} == {shown.encode()}
+            assert f"T_prime: {shown}" in out
+            assert (code, out, err, written) == self.fresh(tmp_path, ["check-el", cfg, "--trajectory", x,
+                                                                      "--Tprime", shown])
+        assert len(reports) == 2
+
+    def test_a_report_that_raises_is_never_kept(self, tmp_path, capsys, reports):
+        cfg = write_ini(tmp_path, REUSE_INI)
+        good = self.trajectory(tmp_path, [1.0, 1.25, 1.5, 1.5, 1.25, 1.0, 1.0])
+        bad = self.trajectory(tmp_path, [1.0, 1.25, 1.5, 1.5, 1.25, -1.0, 1.0], "bad.csv")
+        run(capsys, "check-el", cfg, "--trajectory", good)
+        kept = dict(cli._REPORTS)
+        for _ in range(2):
+            code, out, err = run(capsys, "check-el", cfg, "--trajectory", bad)
+            assert (code, out, err) == (3, "", "error: dL/dx '1.0/(2.0*sqrt(x1))' is non-finite at t=3.0\n")
+        assert cli._REPORTS == kept
+        assert len(reports) == 3
+
+    def test_at_most_two_reports_are_kept_and_an_evicted_problem_can_be_collected(self, tmp_path, capsys):
+        x = self.trajectory(tmp_path, [1.0, 1.25, 1.5, 1.5, 1.25, 1.0, 1.0])
+        problems = []
+        for tolerance in ("1e-6", "2e-6", "3e-6"):
+            cfg = write_ini(tmp_path, REUSE_INI + f"tolerance = {tolerance}\n")
+            run(capsys, "check-el", cfg, "--trajectory", x)
+            problems.append(weakref.ref(load_config(cfg).require_problem()))
+            assert len(cli._REPORTS) <= 2
+        assert [entry[0] for entry in cli._REPORTS.values()] == [problems[1](), problems[2]()]
+        gc.collect()
+        assert problems[0]() is None
 
 
 class TestTolerance:
