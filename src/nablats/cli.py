@@ -35,6 +35,14 @@ file format):
     Tail-margin comparison of two stored trajectories; fails when the
     candidate beats the reference by more than the report tolerance.
 
+The forms above, ``COMMAND CONFIG`` followed by ``--option VALUE`` pairs with
+each option name spelled out, are read directly from one table of the
+subcommands (``_COMMANDS``).  Every other spelling argparse accepts
+(unique-prefix abbreviations, ``--option=value``, options before CONFIG,
+``--``, a value starting with ``-``) still works with the same results: it
+goes to the argparse parser built from that table, which also prints help,
+usage and every usage error.
+
 Exit codes: 0 pass, 1 tolerance fail, 2 config/usage error (also an
 expression nested past the recursion limit, or no memory left), 3
 math/domain error, 4 no nonzero witness (function vanishes at tolerance or
@@ -43,10 +51,10 @@ its support is invisible to admissible variations).
 
 from __future__ import annotations
 
-import argparse
 import functools
 import sys
-from typing import Optional, Sequence
+from types import SimpleNamespace
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -209,60 +217,117 @@ def _cmd_compare(args) -> int:
     return EXIT_PASS if ok else EXIT_TOLERANCE
 
 
-# -- parser / entry point ------------------------------------------------------
+# -- command table / entry point -----------------------------------------------
+
+
+class _Option(NamedTuple):
+    dest: str
+    type: Callable[[str], object] = str
+    required: bool = False
+    default: object = None
+    choices: Optional[tuple] = None
+    help: Optional[str] = None
+
+
+class _Command(NamedTuple):
+    handler: Callable[..., int]
+    help: str
+    options: dict = {}  # option name -> _Option, in help order
+
+
+#: the five subcommands, in help order; each takes the run file as its one
+#: positional, ``config``, then its options
+_COMMANDS = {
+    "quad": _Command(_cmd_quad, "integrate the [quad] expression over (from, to]", {
+        "--from": _Option("from_t", float, required=True, help="lower bound (grid point)"),
+        "--to": _Option("to_t", float, required=True, help="upper bound (grid point)"),
+    }),
+    "check-el": _Command(_cmd_check_el, "residual report for a stored trajectory", {
+        "--trajectory": _Option("trajectory", required=True, help="trajectory CSV (t,x1,...,xn)"),
+        "--form": _Option("form", default="pointwise", choices=("pointwise", "integral", "finite"),
+                          help="residual family for pass/fail"),
+        "--Tprime": _Option("Tprime", float, help="verification horizon (grid point; default: last)"),
+    }),
+    "solve": _Command(_cmd_solve, "search the truncated objective and tabulate horizons"),
+    "lemma": _Command(_cmd_lemma, "construct a positive-pairing variation for a stored function", {
+        "--function": _Option("function", required=True, help="scalar function CSV (t,f)"),
+        "--tol": _Option("tol", float, help="zero threshold (default: scale-dependent)"),
+    }),
+    "compare": _Command(_cmd_compare, "tail-margin comparison of two trajectories", {
+        "--candidate": _Option("candidate", required=True, help="challenger trajectory CSV"),
+        "--star": _Option("star", required=True, help="reference trajectory CSV"),
+    }),
+}
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The parser, built on the first ``main`` call and reused for the process."""
+def _build_parser():
+    """The argparse parser of ``_COMMANDS``, built on the first argv that is not
+    canonical and reused for the process."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="nablats",
         description="Backward-difference calculus and infinite-horizon "
         "variational checks on time-scale grids.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    quad = sub.add_parser("quad", help="integrate the [quad] expression over (from, to]")
-    quad.add_argument("config")
-    quad.add_argument("--from", dest="from_t", type=float, required=True,
-                      help="lower bound (grid point)")
-    quad.add_argument("--to", dest="to_t", type=float, required=True,
-                      help="upper bound (grid point)")
-    quad.set_defaults(handler=_cmd_quad)
-
-    check = sub.add_parser("check-el", help="residual report for a stored trajectory")
-    check.add_argument("config")
-    check.add_argument("--trajectory", required=True, help="trajectory CSV (t,x1,...,xn)")
-    check.add_argument("--form", choices=("pointwise", "integral", "finite"),
-                       default="pointwise", help="residual family for pass/fail")
-    check.add_argument("--Tprime", type=float, default=None,
-                       help="verification horizon (grid point; default: last)")
-    check.set_defaults(handler=_cmd_check_el)
-
-    solve = sub.add_parser("solve", help="search the truncated objective and tabulate horizons")
-    solve.add_argument("config")
-    solve.set_defaults(handler=_cmd_solve)
-
-    lemma = sub.add_parser("lemma", help="construct a positive-pairing variation for a stored function")
-    lemma.add_argument("config")
-    lemma.add_argument("--function", required=True, help="scalar function CSV (t,f)")
-    lemma.add_argument("--tol", type=float, default=None,
-                       help="zero threshold (default: scale-dependent)")
-    lemma.set_defaults(handler=_cmd_lemma)
-
-    compare = sub.add_parser("compare", help="tail-margin comparison of two trajectories")
-    compare.add_argument("config")
-    compare.add_argument("--candidate", required=True, help="challenger trajectory CSV")
-    compare.add_argument("--star", required=True, help="reference trajectory CSV")
-    compare.set_defaults(handler=_cmd_compare)
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        p.add_argument("config")
+        for flag, o in command.options.items():
+            p.add_argument(flag, dest=o.dest, type=o.type, required=o.required,
+                           default=o.default, choices=o.choices, help=o.help)
+        p.set_defaults(handler=command.handler)
     return parser
 
 
+def _read_canonical(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """The attributes ``parse_args`` sets for ``COMMAND CONFIG (--option VALUE)...``,
+    read from ``_COMMANDS``, or None for any other argv.
+
+    Option names are exact, neither CONFIG nor a VALUE starts with ``-``, each
+    VALUE converts and lies in its choices, every required option is given and
+    a repeated option keeps its last value.  On such argv argparse sets exactly
+    these attributes; everything else (abbreviations, ``--option=value``,
+    options before CONFIG, ``-h``, ``--``, negative numbers, every error) is
+    argparse's to read.
+    """
+    if len(argv) < 2 or len(argv) % 2 or not all(isinstance(arg, str) for arg in argv):
+        return None
+    command = _COMMANDS.get(argv[0])
+    if command is None or argv[1].startswith("-"):
+        return None
+    values = {"command": argv[0], "config": argv[1]}
+    for flag, value in zip(argv[2::2], argv[3::2]):
+        o = command.options.get(flag)
+        if o is None or value.startswith("-"):
+            return None
+        try:
+            value = o.type(value)
+        except ValueError:
+            return None
+        if o.choices is not None and value not in o.choices:
+            return None
+        values[o.dest] = value
+    for o in command.options.values():
+        if o.dest not in values:
+            if o.required:
+                return None
+            values[o.dest] = o.default
+    return SimpleNamespace(**values, handler=command.handler)
+
+
+def _parse_argv(argv: Sequence[str]):
+    """The parsed request: read directly when canonical, else by argparse, which
+    prints help, usage and errors and raises SystemExit."""
+    args = _read_canonical(argv)
+    return args if args is not None else _build_parser().parse_args(argv)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_argv(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         # argparse already printed usage; normalize its code (0 for --help)
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE

@@ -579,7 +579,7 @@ class ResidualReport:
 
     def csv_bytes(self) -> bytes:
         """Rows t,T_prime,component,value,kind of each family in turn, floats as
-        reprs: the bytes ``write_csv`` writes."""
+        reprs: the bytes ``check-el`` writes to ``report_out``."""
         T = repr(self.T_prime)
         head = [f"{t!r},{T}," for t in self.ts.points[: len(self.trans_T1) + 1]]  # "t,T_prime,"
         lines = ["t,T_prime,component,value,kind"]
@@ -596,9 +596,6 @@ class ResidualReport:
         for values, kind in ((self.trans_T1, "trans_T1"), (self.trans_T2, "trans_T2")):
             lines += [f"{head[j]}0,{v!r},{kind}" for j, v in enumerate(values.tolist(), start=1)]
         return _csv_bytes(lines)
-
-    def write_csv(self, path):
-        _write_bytes(path, self.csv_bytes())
 
 
 def residual_report(p: Problem, x: Trajectory, T_prime: float | None = None) -> ResidualReport:

@@ -786,21 +786,67 @@ class TestOutputFiles:
         assert (code, err) == (2, f"error: {exc.value}\n")
 
 
+#: option values: file names, choices and one that is not, floats that do not
+#: convert or start with "-", "--", "-h" and text that looks like none of these
+ARGV_VALUES = st.one_of(
+    st.sampled_from(["x.csv", "run.ini", "", "pointwise", "integral", "finite", "pointwse",
+                     "3", " 2", "1_0", "1e3", "nan", "inf", "x", "-1", "-1e-3", "-x", "--",
+                     "-h", "a=b", "check-el"]),
+    st.floats().map(repr),
+    st.text(max_size=4),
+)
+
+
+@st.composite
+def argvs(draw):
+    """(argv, canonical): argv over the five subcommands and others, and whether
+    it has the canonical layout, COMMAND CONFIG (--option VALUE)..."""
+    if draw(st.integers(0, 30)) == 0:
+        return [], False
+    command = draw(st.sampled_from([*cli._COMMANDS, "frobnicate", "", "check", "-h"]))
+    flags = list(cli._COMMANDS[command].options) if command in cli._COMMANDS else []
+    own = st.sampled_from(flags) if flags else st.nothing()
+    every_flag = sorted({flag for c in cli._COMMANDS.values() for flag in c.options})
+    exact = st.tuples(st.just(True), st.tuples(own, ARGV_VALUES).map(list))
+    other = st.tuples(st.just(False), st.one_of(
+        st.tuples(st.sampled_from(every_flag), ARGV_VALUES).map(list),
+        st.tuples(own.flatmap(lambda f: st.integers(3, len(f) - 1).map(lambda k: f[:k])),
+                  ARGV_VALUES).map(list),
+        st.tuples(own, ARGV_VALUES).map(lambda pair: ["=".join(pair)]),
+        st.sampled_from([["-h"], ["--help"], ["--"], ["extra"], [""], ["-1"], ["--tol"]]),
+    ))
+    pieces = draw(st.lists(st.one_of(exact, exact, other), max_size=5))
+    tokens = [token for _, piece in pieces for token in piece]
+    config = draw(st.sampled_from(["run.ini", "run.ini", "", "a b", "solve", "-run.ini", None]))
+    at = draw(st.one_of(st.just(0), st.integers(0, len(tokens))))
+    if config is not None:
+        tokens.insert(at, config)
+    canonical = (command in cli._COMMANDS and config is not None and not config.startswith("-")
+                 and at == 0 and all(is_exact and not piece[1].startswith("-")
+                                     for is_exact, piece in pieces))
+    return [command, *tokens], canonical
+
+
 class TestParserReuse:
     def test_successive_calls_share_one_parser_and_leak_nothing(self, tmp_path, capsys, monkeypatch):
         cfg = write_ini(tmp_path)
         traj = write_trajectory(tmp_path, "x.csv", [0, 1, 2, 3, 4, 5])
         parser = cli._build_parser()
         assert cli._build_parser() is parser
-        seen = []
-        parse_args = parser.parse_args
+        seen, reached = [], []  # each request's attributes; each argv that reached argparse
+        parse_argv, parse_args = cli._parse_argv, parser.parse_args
 
         def recording(argv):
-            args = parse_args(argv)
+            args = parse_argv(argv)
             seen.append({key: value for key, value in vars(args).items() if key != "handler"})
             return args
 
-        monkeypatch.setattr(parser, "parse_args", recording)
+        def reaching(argv):
+            reached.append(list(argv))
+            return parse_args(argv)
+
+        monkeypatch.setattr(cli, "_parse_argv", recording)
+        monkeypatch.setattr(parser, "parse_args", reaching)
         calls = [
             (["check-el", cfg, "--trajectory", traj, "--form", "integral", "--Tprime", "3"], 0,
              dict(command="check-el", config=cfg, trajectory=traj, form="integral", Tprime=3.0)),
@@ -815,13 +861,57 @@ class TestParserReuse:
         for argv, code, namespace in calls:
             assert run(capsys, *argv)[0] == code, argv
             assert seen[-1] == namespace
+        assert reached == []  # the canonical spelling is read without argparse
+        # abbreviations, --option=value and an option before the run file reach
+        # argparse and give the same attributes
+        respelled = [
+            (["check-el", cfg, "--traj", traj, "--form=integral", "--Tprime=3"], calls[0]),
+            (["quad", cfg, "--fr", "0", "--to=3"], calls[1]),
+            (["check-el", f"--trajectory={traj}", cfg], calls[2]),
+            (["lemma", cfg, "--func", traj], calls[4]),
+        ]
+        for argv, (_, code, namespace) in respelled:
+            assert run(capsys, *argv)[0] == code, argv
+            assert (reached[-1], seen[-1]) == (argv, namespace)
         # usage errors and --help keep their exit codes, and leave nothing behind
         for argv, code in ((["--help"], 0), (["check-el", "--help"], 0), (["frobnicate"], 2),
                            (["check-el", cfg], 2), (["quad", cfg, "--from", "x", "--to", "1"], 2)):
             assert run(capsys, *argv)[0] == code, argv
+            assert reached[-1] == argv
         code, out, _ = run(capsys, "check-el", cfg, "--trajectory", traj)
         assert (code, seen[-1]) == (0, calls[2][2])
+        assert reached[-1] == ["quad", cfg, "--from", "x", "--to", "1"]
         assert "form: pointwise" in out and "T_prime: 5.0" in out
+
+    @given(argvs())
+    @settings(max_examples=400, deadline=None)
+    def test_the_direct_read_sets_what_argparse_sets(self, drawn):
+        argv, canonical = drawn
+        direct = cli._read_canonical(argv)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                parsed = vars(cli._build_parser().parse_args(argv))
+        except SystemExit:
+            assert direct is None
+            return
+        if canonical:  # argparse accepted it, so every value converted
+            assert direct is not None
+        if direct is not None:
+            # repr tells a float from its text, and -0.0 from 0.0
+            assert {k: repr(v) for k, v in vars(direct).items()} == {k: repr(v) for k, v in parsed.items()}
+            assert vars(direct)["handler"] is parsed["handler"]
+
+    def test_a_canonical_request_imports_no_argparse(self, tmp_path):
+        cfg = write_ini(tmp_path)
+        traj = write_trajectory(tmp_path, "x.csv", [0, 1, 2, 3, 4, 5])
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        for argv, imported in ((["check-el", cfg, "--trajectory", traj], False), (["check-el", "-h"], True)):
+            done = subprocess.run([sys.executable, "-X", "importtime", "-m", "nablats", *argv],
+                                  capture_output=True, text=True, env=env, timeout=120)
+            assert done.returncode == 0, done.stderr
+            modules = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()}
+            assert "nablats.cli" in modules
+            assert ("argparse" in modules) is imported, argv
 
 
 class TestShapeReuse:

@@ -39,7 +39,7 @@ from nablats.variational import (
     weak_max_compare,
 )
 from nablats import variational
-from nablats.variational import _abs_max, _ELCore, _running_objective
+from nablats.variational import _abs_max, _ELCore, _running_objective, _write_bytes
 from tree_walk import tree_walk
 
 
@@ -595,7 +595,7 @@ class TestResidualReport:
         assert len(rep.trans_T1) == len(p.ts) - 1
         assert rep.trans_T1.shape == rep.trans_T2.shape == (len(p.ts) - 1,)
         path = tmp_path / "residuals.csv"
-        rep.write_csv(path)
+        _write_bytes(path, rep.csv_bytes())
         header = path.read_text().splitlines()[0]
         assert header == "t,T_prime,component,value,kind"
 
@@ -747,7 +747,7 @@ class TestReportArrays:
             (float(np.max(np.abs(r))) for _, r in oracle["el_pointwise"]), default=0.0
         )
         d = tmp_path_factory.mktemp("report")
-        report.write_csv(d / "new.csv")
+        _write_bytes(d / "new.csv", report.csv_bytes())
         per_row_report_csv(oracle, float(T_prime), d / "old.csv")
         assert (d / "new.csv").read_bytes() == (d / "old.csv").read_bytes()
 
@@ -879,7 +879,7 @@ class TestTrajectoryCsv:
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
         for T_prime in (ts.points[len(ts) // 2], ts.points[-1]):
             report = residual_report(p, x, T_prime)
-            report.write_csv(tmp_path / "new.csv")
+            _write_bytes(tmp_path / "new.csv", report.csv_bytes())
             per_row_csv_of(report, tmp_path / "old.csv")
             assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
