@@ -64,11 +64,11 @@ from .expressions import ExprDomainError, Kernel, Program, _touch, evaluate_many
 from .fundamental import construct_violating_variation, default_tolerance
 from .solver import NonFiniteObjectiveError, direct_solve, horizon_study, horizon_table_to_csv
 from .variational import (
-    CSVS_KEPT,
+    Trajectory,
     _read_grid_csv,
+    _read_text,
     _write_bytes,
     residual_report,
-    trajectory_from_csv,
     trajectory_to_csv,
     weak_max_compare,
 )
@@ -113,24 +113,34 @@ def _cmd_quad(args) -> int:
     return EXIT_PASS
 
 
-#: the last ``CSVS_KEPT`` reports of ``check-el`` (a check of a candidate
-#: alternates with the maximizer's), as (problem, max_pointwise, max_spread,
-#: CSV bytes), keyed on the problem object, repr(T') (the CSV writes it, so
-#: -0.0 is not 0.0) and the trajectory's value bytes; every form reads one report
-_REPORTS: dict[tuple, tuple] = {}
+#: a run file's memo keeps two grid CSVs' values and two check-el reports, the least
+#: recently used going first (a check of a candidate alternates with the maximizer's)
+MEMO_KEPT = 4
+
+
+def _memo(rc, key, build):
+    """``build()``, kept in the run file's memo under ``key``; a build that raises keeps nothing."""
+    hit = rc.memo.get(key)
+    return _touch(rc.memo, key, build() if hit is None else hit, MEMO_KEPT)
+
+
+def _grid_values(rc, text: str, what: str):
+    """The read-only values of a function's or a trajectory's grid CSV text, kept by that text."""
+    columns = ["f"] if what == "function" else [f"x{i}" for i in range(1, rc.require_problem().n + 1)]
+    return _memo(rc, (what, text), lambda: _read_grid_csv(rc.timescale, text, columns, what))
 
 
 def _cmd_check_el(args) -> int:
     rc = load_config(args.config)
     p = rc.require_problem()
-    x = trajectory_from_csv(p, args.trajectory)
+    text = _read_text(args.trajectory)
     T_prime = float(args.Tprime if args.Tprime is not None else p.ts.points[-1])
-    key = (id(p), repr(T_prime), x.values.tobytes())  # the entry holds p, so its id stays its own
-    entry = _REPORTS.get(key)
-    if entry is None:
-        report = residual_report(p, x, T_prime)
-        entry = (p, report.max_pointwise, report.max_spread, report.csv_bytes())
-    _, max_pointwise, max_spread, data = _touch(_REPORTS, key, entry, CSVS_KEPT)
+
+    def report():  # one for every form, keyed on repr(T') as the CSV writes it: -0.0 is not 0.0
+        r = residual_report(p, Trajectory.from_values(p, _grid_values(rc, text, "trajectory")), T_prime)
+        return r.max_pointwise, r.max_spread, r.csv_bytes()
+
+    max_pointwise, max_spread, data = _memo(rc, ("report", repr(T_prime), text), report)
     _write_bytes(rc.report.report_out, data)
     # the finite-horizon residual at T' is the pointwise residual cut at T'
     stat = max_spread if args.form == "integral" else max_pointwise
@@ -176,7 +186,7 @@ def _cmd_solve(args) -> int:
 def _cmd_lemma(args) -> int:
     rc = load_config(args.config)
     ts = rc.timescale
-    g = GridFunction.scalar(ts, _read_grid_csv(ts, args.function, ["f"], "function"))
+    g = GridFunction.scalar(ts, _grid_values(rc, _read_text(args.function), "function"))
     tol = args.tol if args.tol is not None else default_tolerance(g)
     variation = construct_violating_variation(g, tol=tol)
     if variation is None:
@@ -203,8 +213,8 @@ def _cmd_lemma(args) -> int:
 def _cmd_compare(args) -> int:
     rc = load_config(args.config)
     p = rc.require_problem()
-    candidate = trajectory_from_csv(p, args.candidate)
-    star = trajectory_from_csv(p, args.star)
+    candidate, star = (Trajectory.from_values(p, _grid_values(rc, _read_text(path), "trajectory"))
+                       for path in (args.candidate, args.star))
     margin = weak_max_compare(p, candidate, star)
     ok = margin <= rc.report.tolerance
     _summary(

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .expressions import Expr, ExprSyntaxError, parse, variables
@@ -81,6 +81,8 @@ class RunConfig:
     truncations: tuple[float, ...]
     report: ReportConfig
     quad_f: Optional[Expr]
+    #: what the CLI built from other input against this run file (``cli._memo``)
+    memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     def require_problem(self) -> Problem:
         if self.problem is None:
@@ -292,8 +294,8 @@ def load_config(path) -> RunConfig:
 
     The file is read whole and its text is the key of a one-entry cache: a
     file whose text repeats the last one loaded, at any path, returns the
-    same ``RunConfig``, whose grid and problem binding were built then.  A
-    file that fails to load leaves the entry as it was.
+    same ``RunConfig``, whose grid, problem binding and ``memo`` were built
+    then.  A file that fails to load leaves the entry as it was.
     """
     try:
         with open(path, encoding="utf-8") as fh:

@@ -72,7 +72,6 @@ from .expressions import (
     Kernel,
     Neg,
     Num,
-    _touch,
     bind_shape,
     differentiate,
     evaluate_many,
@@ -645,34 +644,16 @@ def trajectory_to_csv(x: Trajectory, path):
     _write_csv_lines(path, [header] + rows)
 
 
-#: how many grid CSVs the process keeps read, the least recently read going
-#: first: two, as a check of a candidate alternates its file with the
-#: maximizer's on one grid
-CSVS_KEPT = 2
-_CSVS: dict[tuple, tuple[TimeScale, np.ndarray]] = {}
-
-
-def _read_grid_csv(ts: TimeScale, path, columns: list[str], what: str) -> np.ndarray:
-    """The value columns (len(ts), len(columns)) of a CSV with the header
-    t,columns on the grid ts, the format ``trajectory_to_csv`` writes: every
-    row has as many cells as the header, one row per grid point, and the t
-    column is exactly the grid's points.  ``csv.reader`` splits the file
-    (LF, CRLF or CR line ends, quoted cells), blank lines are skipped and
-    ``float`` reads all cells at once; a row at fault is looked up after.
-
-    The file is read whole on every call, and the returned array is
-    read-only: a text already read and validated for this grid object and
-    these columns, at any path, returns the same array without parsing it
-    again (the last ``CSVS_KEPT`` such reads are kept).  A file that fails
-    to read is never kept.
+def _read_grid_csv(ts: TimeScale, text: str, columns: list[str], what: str) -> np.ndarray:
+    """The read-only value columns (len(ts), len(columns)) of a CSV text with
+    the header t,columns on the grid ts, the format ``trajectory_to_csv``
+    writes: every row has as many cells as the header, one row per grid
+    point, and the t column is exactly the grid's points.  ``csv.reader``
+    splits the text (LF, CRLF or CR line ends, quoted cells), blank lines
+    are skipped and ``float`` reads all cells at once; a row at fault is
+    looked up after.
     """
     expected = ["t", *columns]
-    with open(path, newline="") as fh:
-        text = fh.read()  # once: the path may be a pipe
-    key = (id(ts), tuple(expected), text)  # the entry holds ts, so its id stays its own
-    hit = _CSVS.get(key)
-    if hit is not None:
-        return _touch(_CSVS, key, hit, CSVS_KEPT)[1]
     rd = csv.reader(io.StringIO(text, newline=""))
     try:
         rows = list(rd)
@@ -693,7 +674,7 @@ def _read_grid_csv(ts: TimeScale, path, columns: list[str], what: str) -> np.nda
         raise AdmissibilityError(f"{what} row at t={float(arr[bad[0], 0])!r} does not match "
                                  f"grid point {ts.points[bad[0]]!r}")
     arr.setflags(write=False)
-    return _touch(_CSVS, key, (ts, arr[:, 1:]), CSVS_KEPT)[1]
+    return arr[:, 1:]
 
 
 def _first_bad_row(text: str, width: int) -> str:
@@ -710,7 +691,13 @@ def _first_bad_row(text: str, width: int) -> str:
             return f"{rd.line_num}: {exc}"
 
 
+def _read_text(path) -> str:
+    """The whole file, read once (the path may be a pipe), line ends as they are."""
+    with open(path, newline="") as fh:
+        return fh.read()
+
+
 def trajectory_from_csv(p: Problem, path) -> Trajectory:
     """Read a trajectory written by ``trajectory_to_csv`` for this problem."""
     columns = [f"x{i}" for i in range(1, p.n + 1)]
-    return Trajectory.from_values(p, _read_grid_csv(p.ts, path, columns, "trajectory"))
+    return Trajectory.from_values(p, _read_grid_csv(p.ts, _read_text(path), columns, "trajectory"))

@@ -1106,11 +1106,12 @@ report_out = {dir}/residuals.csv
 
 class TestReportReuse:
     """``check-el`` on a run file, trajectory bytes and T' it has just reported
-    writes the stored report, whatever the form, instead of computing it again."""
+    writes the stored report, whatever the form, instead of computing it again
+    or reading the trajectory's values."""
 
     @pytest.fixture(autouse=True)
     def reports(self, monkeypatch):
-        monkeypatch.setattr(cli, "_REPORTS", {})
+        monkeypatch.setattr(config, "_LOADED", {})
         calls = []
 
         def spy(p, x, T_prime):
@@ -1136,10 +1137,15 @@ class TestReportReuse:
     def test_one_report_serves_every_form(self, tmp_path, capsys, reports):
         cfg = write_ini(tmp_path, REUSE_INI)
         x = self.trajectory(tmp_path, [1.0, 1.25, 1.5, 1.5, 1.25, 1.0, 1.0])
-        for form in ("pointwise", "integral", "finite", "pointwise"):
-            code, out, _ = run(capsys, "check-el", cfg, "--trajectory", x, "--form", form)
-            assert code == 1 and f"form: {form}" in out
-        assert len(reports) == 1
+        run(capsys, "check-el", cfg, "--trajectory", x)
+        parsed, reader = [], csv.reader
+        with mock.patch.object(csv, "reader", lambda *args: parsed.append(args) or reader(*args)), \
+                mock.patch.object(variational.Trajectory, "from_values", side_effect=AssertionError):
+            for form in ("pointwise", "integral", "finite", "pointwise"):
+                code, out, _ = run(capsys, "check-el", cfg, "--trajectory", x, "--form", form)
+                assert code == 1 and f"form: {form}" in out
+        # a hit neither parses nor validates the trajectory
+        assert len(reports) == 1 and parsed == []
 
     def test_each_request_prints_and_writes_what_a_fresh_process_does(self, tmp_path, capsys, reports):
         cfg = write_ini(tmp_path, REUSE_INI)
@@ -1203,24 +1209,37 @@ class TestReportReuse:
         good = self.trajectory(tmp_path, [1.0, 1.25, 1.5, 1.5, 1.25, 1.0, 1.0])
         bad = self.trajectory(tmp_path, [1.0, 1.25, 1.5, 1.5, 1.25, -1.0, 1.0], "bad.csv")
         run(capsys, "check-el", cfg, "--trajectory", good)
-        kept = dict(cli._REPORTS)
+        memo = load_config(cfg).memo
         for _ in range(2):
             code, out, err = run(capsys, "check-el", cfg, "--trajectory", bad)
             assert (code, out, err) == (3, "", "error: dL/dx '1.0/(2.0*sqrt(x1))' is non-finite at t=3.0\n")
-        assert cli._REPORTS == kept
+        # the bad trajectory's values were read and kept; its report never was
+        assert [key[0] for key in memo] == ["trajectory", "report", "trajectory"]
         assert len(reports) == 3
 
-    def test_at_most_two_reports_are_kept_and_an_evicted_problem_can_be_collected(self, tmp_path, capsys):
-        x = self.trajectory(tmp_path, [1.0, 1.25, 1.5, 1.5, 1.25, 1.0, 1.0])
-        problems = []
-        for tolerance in ("1e-6", "2e-6", "3e-6"):
-            cfg = write_ini(tmp_path, REUSE_INI + f"tolerance = {tolerance}\n")
-            run(capsys, "check-el", cfg, "--trajectory", x)
-            problems.append(weakref.ref(load_config(cfg).require_problem()))
-            assert len(cli._REPORTS) <= 2
-        assert [entry[0] for entry in cli._REPORTS.values()] == [problems[1](), problems[2]()]
+    def test_at_most_four_entries_are_kept_and_a_replaced_run_file_can_be_collected(
+            self, tmp_path, capsys, reports):
+        cfg = write_ini(tmp_path, REUSE_INI)
+        rc = load_config(cfg)
+        paths = [self.trajectory(tmp_path, [1.0, 1.25, v, 1.5, 1.25, 1.0, 1.0], f"x{i}.csv")
+                 for i, v in enumerate((1.5, 1.6, 1.7))]
+        for path in paths:
+            run(capsys, "check-el", cfg, "--trajectory", path)
+            assert len(rc.memo) <= cli.MEMO_KEPT
+        # the last two trajectories' values and reports, the newest last
+        texts = [Path(path).read_text() for path in paths[1:]]
+        assert list(rc.memo) == [key for text in texts
+                                 for key in (("trajectory", text), ("report", "3.0", text))]
+        # the first trajectory's report went with its entry
+        run(capsys, "check-el", cfg, "--trajectory", paths[0])
+        assert len(reports) == 4
+        first = weakref.ref(rc)
+        del rc
+        for tolerance in ("2e-6", "3e-6"):
+            run(capsys, "check-el", write_ini(tmp_path, REUSE_INI + f"tolerance = {tolerance}\n"),
+                "--trajectory", paths[0])
         gc.collect()
-        assert problems[0]() is None
+        assert first() is None
 
 
 class TestTolerance:

@@ -21,18 +21,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csv_reference import read_grid_csv_rows
-from nablats import variational
+from nablats import cli, config, variational
 from nablats.timescale import from_points, integers, uniform
-from nablats.variational import AdmissibilityError, _read_grid_csv
+from nablats.variational import AdmissibilityError, _read_grid_csv, _read_text
 
 _ENDINGS = ("\n", "\r\n", "\r")
 _JUNK = ("", " ", "abc", "x1", "True", "1_0", "0x10", "0x1p3", "١٢", "∞", "1e-400", "1e400", " nan ",
          "-inf", "+Infinity", "1,0", "1..0", "1e", ".", "-", "1\x00", "\x0c2\x0b")
 
 
-def _outcome(reader, ts, path, columns):
+def _outcome(read):
     try:
-        arr = reader(ts, path, columns, "trajectory")
+        arr = read()
     except (AdmissibilityError, ValueError) as exc:
         return type(exc).__name__, str(exc)
     return "array", arr.shape, arr.dtype.str, arr.tobytes()
@@ -105,22 +105,18 @@ def test_reader_matches_the_row_by_row_reference(case, tmp_path_factory):
     path = tmp_path_factory.getbasetemp() / "grid.csv"
     with open(path, "w", newline="") as fh:
         fh.write(text)
-    expected = _outcome(read_grid_csv_rows, ts, path, columns)
-    assert _outcome(_read_grid_csv, ts, path, columns) == expected
+    expected = _outcome(lambda: read_grid_csv_rows(ts, path, columns, "trajectory"))
+    assert _outcome(lambda: _read_grid_csv(ts, _read_text(path), columns, "trajectory")) == expected
 
 
-def _read(tmp_path, text, ts=None, columns=("x1",)):
-    path = tmp_path / "grid.csv"
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
-    ts = ts or integers(0, 2)
-    return _read_grid_csv(ts, path, list(columns), "trajectory")
+def _read(text, ts=None, columns=("x1",)):
+    return _read_grid_csv(ts or integers(0, 2), text, list(columns), "trajectory")
 
 
 @pytest.mark.parametrize("ending", _ENDINGS)
-def test_line_endings_blank_lines_and_quoted_cells_are_read(tmp_path, ending):
+def test_line_endings_blank_lines_and_quoted_cells_are_read(ending):
     text = ending.join(["t,x1", "", "0.0, 1.5", '"1.0","-2"', "", "2.0,3e0", ""])
-    arr = _read(tmp_path, text)
+    arr = _read(text)
     assert arr.tolist() == [[1.5], [-2.0], [3.0]]
 
 
@@ -134,26 +130,28 @@ def test_line_endings_blank_lines_and_quoted_cells_are_read(tmp_path, ending):
     ("x1,t\n", "bad trajectory header ['x1', 't'], expected ['t', 'x1']"),
     ("", "bad trajectory header None, expected ['t', 'x1']"),
 ])
-def test_each_rule_names_the_first_offending_line(tmp_path, text, message):
+def test_each_rule_names_the_first_offending_line(text, message):
     with pytest.raises(AdmissibilityError) as info:
-        _read(tmp_path, text)
+        _read(text)
     assert str(info.value) == message
 
 
-def test_read_values_keep_their_bits(tmp_path):
+def test_read_values_keep_their_bits():
     values = [5e-324, -0.0, 0.1 + 0.2, 1.7976931348623157e308, float("nan")]
     ts = integers(0, len(values) - 1)
     text = "t,x1\r\n" + "".join(f"{t!r},{v!r}\r\n" for t, v in zip(ts.points, values))
-    arr = _read(tmp_path, text, ts)
+    arr = _read(text, ts)
     assert arr[:, 0].tobytes() == np.array(values).tobytes()
 
 
 class TestReuse:
-    """A text already read and validated for the same grid object and the
-    same columns, at any path, returns the same read-only array unparsed;
-    anything else is parsed and checked as on a first read."""
+    """A text already read and validated as a trajectory (or a function) on a
+    run file's grid, at any path, returns the same read-only array unparsed
+    while that run file's text repeats; anything else is parsed and checked
+    as on a first read."""
 
     TEXT = "t,x1\r\n0.0,1.5\r\n1.0,-2.0\r\n2.0,3.0\r\n"
+    RUN = "[timescale]\nfamily = integers\na = 0\nb = 2\n\n[problem]\nn = 1\nL = \"-(v1^2)\"\nx_a = 1.5\n"
 
     @staticmethod
     def write(path, text):
@@ -161,32 +159,37 @@ class TestReuse:
             fh.write(text)
         return path
 
+    def load(self, tmp_path, text=RUN):
+        return config.load_config(self.write(tmp_path / "run.ini", text))
+
     @staticmethod
-    def read(ts, path, columns=("x1",)):
-        return _read_grid_csv(ts, path, list(columns), "trajectory")
+    def read(rc, path, what="trajectory"):
+        return cli._grid_values(rc, _read_text(path), what)
 
     def test_unchanged_bytes_return_the_same_array_unparsed(self, tmp_path, monkeypatch):
-        ts = integers(0, 2)
+        rc = self.load(tmp_path)
         path = self.write(tmp_path / "x.csv", self.TEXT)
-        arr = self.read(ts, path)
+        arr = self.read(rc, path)
         calls = []
         reader = csv.reader
         monkeypatch.setattr(csv, "reader", lambda *args: calls.append(args) or reader(*args))
-        assert self.read(ts, path) is arr
+        assert self.read(rc, path) is arr
         # the same bytes at another path are a hit too
-        assert self.read(ts, self.write(tmp_path / "copy.csv", self.TEXT)) is arr
+        assert self.read(rc, self.write(tmp_path / "copy.csv", self.TEXT)) is arr
+        # and so is the same run file loaded again
+        assert self.read(self.load(tmp_path), path) is arr
         assert calls == []
         assert arr.tolist() == [[1.5], [-2.0], [3.0]]
 
     def test_a_file_rewritten_in_place_is_parsed_again(self, tmp_path):
-        ts = integers(0, 2)
+        rc = self.load(tmp_path)
         path = self.write(tmp_path / "x.csv", self.TEXT)
-        first = self.read(ts, path)
+        first = self.read(rc, path)
         # the same length and the same modification time: only the bytes differ
         stamp = path.stat()
         self.write(path, self.TEXT.replace("-2.0", "-7.0"))
         os.utime(path, ns=(stamp.st_atime_ns, stamp.st_mtime_ns))
-        second = self.read(ts, path)
+        second = self.read(rc, path)
         assert second.tolist() == [[1.5], [-7.0], [3.0]]
         assert first.tolist() == [[1.5], [-2.0], [3.0]]
 
@@ -196,49 +199,53 @@ class TestReuse:
     ])
     def test_a_malformed_file_raises_the_same_error_on_every_call_and_is_never_kept(
             self, tmp_path, bad, message):
-        ts = integers(0, 2)
+        rc = self.load(tmp_path)
         path = self.write(tmp_path / "x.csv", self.TEXT)
-        arr = self.read(ts, path)
+        arr = self.read(rc, path)
         text = self.TEXT.replace("0.0,1.5\r\n1.0,-2.0\r\n", bad).replace("2.0,3.0", "2.0,x")
         self.write(path, text)
-        kept = dict(variational._CSVS)
+        kept = list(rc.memo.items())
         for _ in range(3):
             with pytest.raises(AdmissibilityError) as info:
-                self.read(ts, path)
+                self.read(rc, path)
             assert str(info.value) == message
-        assert variational._CSVS == kept
+        assert list(rc.memo.items()) == kept
         # the file restored reads from its entry again
-        assert self.read(ts, self.write(path, self.TEXT)) is arr
+        assert self.read(rc, self.write(path, self.TEXT)) is arr
 
-    def test_the_same_bytes_under_another_grid_are_checked_against_it(self, tmp_path):
+    def test_the_same_bytes_under_a_new_run_file_are_checked_against_its_grid(self, tmp_path):
         path = self.write(tmp_path / "x.csv", self.TEXT)
-        first = self.read(integers(0, 2), path)
+        first = self.read(self.load(tmp_path), path)
         # an equal grid of a new run file: parsed anew, the same values
-        again = self.read(integers(0, 2), path)
+        again = self.read(self.load(tmp_path, self.RUN + "; another run file\n"), path)
         assert again is not first and again.tobytes() == first.tobytes()
         with pytest.raises(AdmissibilityError, match="trajectory has 3 rows, grid has 4 points"):
-            self.read(integers(0, 3), path)
+            self.read(self.load(tmp_path, self.RUN.replace("b = 2", "b = 3")), path)
+        uniform_run = self.RUN.replace("integers", "uniform").replace("b = 2", "b = 1\nh = 0.5")
         with pytest.raises(AdmissibilityError, match="row at t=1.0 does not match grid point 0.5"):
-            self.read(uniform(0.0, 1.0, 0.5), path)
-        with pytest.raises(AdmissibilityError, match="bad trajectory header"):
-            self.read(integers(0, 2), path, columns=("f",))
+            self.read(self.load(tmp_path, uniform_run), path)
+        rc = self.load(tmp_path)
+        self.read(rc, path)
+        with pytest.raises(AdmissibilityError, match="bad function header"):
+            self.read(rc, path, what="function")
 
     def test_a_returned_array_cannot_be_changed(self, tmp_path):
-        ts = integers(0, 2)
+        rc = self.load(tmp_path)
         path = self.write(tmp_path / "x.csv", self.TEXT)
-        for arr in (self.read(ts, path), self.read(ts, path)):  # a miss, then a hit
+        for arr in (self.read(rc, path), self.read(rc, path)):  # a miss, then a hit
             with pytest.raises(ValueError, match="read-only"):
                 arr[1, 0] = 9.0
-        assert self.read(ts, path).tolist() == [[1.5], [-2.0], [3.0]]
+        assert self.read(rc, path).tolist() == [[1.5], [-2.0], [3.0]]
 
-    def test_the_process_keeps_a_few_entries_and_lets_the_rest_go(self, tmp_path):
-        grids = [integers(0, 2) for _ in range(variational.CSVS_KEPT + 2)]
-        path = self.write(tmp_path / "x.csv", self.TEXT)
-        first = weakref.ref(grids[0])
-        for ts in grids:
-            self.read(ts, path)
-        assert len(variational._CSVS) == variational.CSVS_KEPT
-        del grids[0]
+    def test_a_run_file_keeps_a_few_entries_and_a_replaced_one_lets_them_go(self, tmp_path):
+        rc = self.load(tmp_path)
+        texts = [self.TEXT.replace("1.5", repr(1.5 + i)) for i in range(cli.MEMO_KEPT + 2)]
+        arrays = [self.read(rc, self.write(tmp_path / "x.csv", text)) for text in texts]
+        assert len(rc.memo) == cli.MEMO_KEPT
+        assert list(rc.memo.values()) == arrays[-cli.MEMO_KEPT:]
+        first = weakref.ref(rc)
+        del rc, arrays
+        self.load(tmp_path, self.RUN + "; another run file\n")
         gc.collect()
         assert first() is None
 
