@@ -7,12 +7,12 @@ A run file is flat INI with these sections (all keys ``key = value``):
     ``uniform`` (``a``, ``b``, ``h``), ``sampled_interval`` (``a``, ``b``,
     ``n``), ``q_scale`` (``q``, ``t0``, ``count``), or ``points`` (explicit
     ``points`` list plus ``gap_kinds``, one of ``s``/``scattered`` or
-    ``d``/``dense_sample`` per gap).
+    ``d``/``dense``/``dense_sample`` per gap).
 
 ``[problem]``
     ``n`` state components, expressions ``L`` (running integrand) and ``g``
-    (accumulator integrand), initial vector ``x_a`` (comma list of length
-    ``n``) and ``sense`` (``max``/``min``, default ``max``).
+    (accumulator integrand, default ``0``), initial vector ``x_a`` (comma
+    list of length ``n``) and ``sense`` (``max``/``min``).
 
 ``[solve]``
     Search options: ``T_trunc`` (required), ``terminal`` (``free`` or
@@ -26,13 +26,14 @@ A run file is flat INI with these sections (all keys ``key = value``):
 
 ``[report]``
     ``tolerance`` (pass/fail threshold for residual and margin checks: a
-    finite number >= 0, default 1e-6) and output paths ``trajectory_out``,
+    finite number >= 0) and output paths ``trajectory_out``,
     ``horizon_out``, ``report_out``.
 
 ``[quad]``
     ``f``: an expression in ``t`` to integrate with the ``quad`` command.
 
-Expression values may be surrounded by single or double quotes; quotes are
+An omitted optional key keeps its field's default in ``Problem``,
+``SolveOptions`` or ``ReportConfig``.  One pair of quotes around a value is
 stripped.  Sections that a given subcommand does not use may be omitted.
 """
 
@@ -70,6 +71,10 @@ class ReportConfig:
     horizon_out: str = "horizon.csv"
     report_out: str = "residuals.csv"
 
+    def __post_init__(self):
+        if not 0.0 <= self.tolerance < math.inf:
+            raise ConfigError(f"[report] tolerance = {self.tolerance!r} is not a finite number >= 0")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -100,55 +105,16 @@ class RunConfig:
         return self.quad_f
 
 
-_MISSING = object()
-
-
-def _strip_quotes(v: str) -> str:
-    v = v.strip()
-    if len(v) >= 2 and v[0] == v[-1] and v[0] in ("'", '"'):
-        return v[1:-1]
-    return v
-
-
-def _get(cp: configparser.ConfigParser, section: str, key: str, default=_MISSING) -> str:
+def _read(cp, section: str, key: str, required: bool = True) -> Optional[str]:
+    """``key``'s value, without one pair of surrounding quotes; None when an
+    optional key is absent."""
     try:
-        return _strip_quotes(cp.get(section, key))
+        v = cp.get(section, key).strip()
     except (configparser.NoSectionError, configparser.NoOptionError):
-        if default is _MISSING:
+        if required:
             raise ConfigError(f"missing key '{key}' in section [{section}]") from None
-        return default
-
-
-def _float(cp, section, key, default=_MISSING) -> float:
-    raw = _get(cp, section, key, default)
-    if raw is default and default is not _MISSING:
-        return raw
-    try:
-        return float(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"[{section}] {key} = {raw!r} is not a number") from None
-
-
-def _int(cp, section, key, default=_MISSING) -> int:
-    raw = _get(cp, section, key, default)
-    if raw is default and default is not _MISSING:
-        return raw
-    try:
-        return int(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"[{section}] {key} = {raw!r} is not an integer") from None
-
-
-def _bool(cp, section, key, default: bool) -> bool:
-    raw = _get(cp, section, key, None)
-    if raw is None:
-        return default
-    lowered = raw.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"[{section}] {key} = {raw!r} is not a boolean")
+        return None
+    return v[1:-1] if len(v) >= 2 and v[0] == v[-1] and v[0] in ("'", '"') else v
 
 
 def _float_list(raw: str, where: str) -> list[float]:
@@ -161,127 +127,136 @@ def _float_list(raw: str, where: str) -> list[float]:
         raise ConfigError(f"{where}: {raw!r} is not a comma-separated number list") from None
 
 
-def _timescale(cp: configparser.ConfigParser) -> TimeScale:
-    family = _get(cp, "timescale", "family").strip().lower()
+def _lowered(raw: str) -> str:
+    return raw.strip().lower()
+
+
+#: what a value of each plain kind must read as, for the error message
+_NOUNS = {int: "an integer", float: "a number", bool: "a boolean"}
+
+
+def _typed(cp, section: str, key: str, kind, required: bool = True):
+    """``key``'s value read as ``kind``: int, float, bool, list (a comma list
+    of numbers), or a function of the text that raises its own ConfigError;
+    None when an optional key is absent."""
+    raw = _read(cp, section, key, required)
+    if raw is None:
+        return None
+    if kind is list:
+        return _float_list(raw, f"[{section}] {key}")
+    if kind not in _NOUNS:
+        return kind(raw)
     try:
-        if family == "integers":
-            return integers(_int(cp, "timescale", "a"), _int(cp, "timescale", "b"))
-        if family == "uniform":
-            return uniform(
-                _float(cp, "timescale", "a"),
-                _float(cp, "timescale", "b"),
-                _float(cp, "timescale", "h"),
-            )
-        if family == "sampled_interval":
-            return sampled_interval(
-                _float(cp, "timescale", "a"),
-                _float(cp, "timescale", "b"),
-                _int(cp, "timescale", "n"),
-            )
-        if family == "q_scale":
-            return q_scale(
-                _float(cp, "timescale", "q"),
-                _float(cp, "timescale", "t0"),
-                _int(cp, "timescale", "count"),
-            )
-        if family == "points":
-            pts = _float_list(_get(cp, "timescale", "points"), "[timescale] points")
-            kinds = filter(None, map(str.strip, _get(cp, "timescale", "gap_kinds").split(",")))
-            return from_points(pts, kinds)
+        return cp.BOOLEAN_STATES[_lowered(raw)] if kind is bool else kind(raw)
+    except (KeyError, ValueError):
+        raise ConfigError(f"[{section}] {key} = {raw!r} is not {_NOUNS[kind]}") from None
+
+
+def _present(cp, section: str, keys: dict) -> dict:
+    """The fields that ``section`` sets, read in the order of ``keys`` (key:
+    (field, kind)); an absent key's field keeps its dataclass default."""
+    read = {name: _typed(cp, section, key, kind, required=False) for key, (name, kind) in keys.items()}
+    return {name: value for name, value in read.items() if value is not None}
+
+
+def _gap_kinds(raw: str):
+    return filter(None, map(str.strip, raw.split(",")))
+
+
+#: each grid family: its builder and the keys of its arguments, in call order
+_FAMILIES = {
+    "integers": (integers, {"a": int, "b": int}),
+    "uniform": (uniform, {"a": float, "b": float, "h": float}),
+    "sampled_interval": (sampled_interval, {"a": float, "b": float, "n": int}),
+    "q_scale": (q_scale, {"q": float, "t0": float, "count": int}),
+    "points": (from_points, {"points": list, "gap_kinds": _gap_kinds}),
+}
+
+
+def _timescale(cp: configparser.ConfigParser) -> TimeScale:
+    family = _lowered(_read(cp, "timescale", "family"))
+    if family not in _FAMILIES:
+        raise ConfigError(f"[timescale] family = {family!r} is not one of {', '.join(_FAMILIES)}")
+    build, keys = _FAMILIES[family]
+    try:
+        return build(*[_typed(cp, "timescale", key, kind) for key, kind in keys.items()])
     except TimeScaleError as exc:
         raise ConfigError(f"[timescale]: {exc}") from exc
-    raise ConfigError(
-        f"[timescale] family = {family!r} is not one of integers, uniform, "
-        "sampled_interval, q_scale, points"
-    )
+
+
+def _sense(raw: str) -> Sense:
+    lowered = _lowered(raw)
+    try:
+        return Sense(lowered)
+    except ValueError:
+        raise ConfigError(f"[problem] sense = {lowered!r} must be 'max' or 'min'") from None
 
 
 def _problem(cp: configparser.ConfigParser, ts: TimeScale) -> Optional[Problem]:
     if not cp.has_section("problem"):
         return None
-    n = _int(cp, "problem", "n")
-    lagrangian = _get(cp, "problem", "L")
-    z_integrand = _get(cp, "problem", "g", "0")
-    x_a = _float_list(_get(cp, "problem", "x_a"), "[problem] x_a")
-    sense_raw = _get(cp, "problem", "sense", "max").strip().lower()
-    if sense_raw not in ("max", "min"):
-        raise ConfigError(f"[problem] sense = {sense_raw!r} must be 'max' or 'min'")
-    sense = Sense.MAX if sense_raw == "max" else Sense.MIN
+    n = _typed(cp, "problem", "n", int)
+    lagrangian = _read(cp, "problem", "L")
+    g = _read(cp, "problem", "g", required=False)
+    x_a = _typed(cp, "problem", "x_a", list)
+    sense = _present(cp, "problem", {"sense": ("sense", _sense)})
     try:
-        return Problem.from_strings(ts, n, lagrangian, z_integrand, x_a, sense)
+        return Problem.from_strings(ts, n, lagrangian, "0" if g is None else g, x_a, **sense)
     except (ProblemError, ExprSyntaxError) as exc:
         raise ConfigError(f"[problem]: {exc}") from exc
 
 
 def _terminal(raw: str):
-    lowered = raw.strip().lower()
+    lowered = _lowered(raw)
     if lowered == "free":
         return FREE
     if lowered.startswith("pinned"):
-        _, _, rest = raw.partition(":")
-        values = _float_list(rest, "[solve] terminal pinned values")
+        values = _float_list(raw.partition(":")[2], "[solve] terminal pinned values")
         try:
             return PINNED(*values)
         except ValueError as exc:
             raise ConfigError(f"[solve] terminal: {exc}") from exc
-    raise ConfigError(
-        f"[solve] terminal = {raw!r} must be 'free' or 'pinned: v1, ..., vn'"
-    )
+    raise ConfigError(f"[solve] terminal = {raw!r} must be 'free' or 'pinned: v1, ..., vn'")
+
+
+#: the optional keys of [solve] in reading order: key: (SolveOptions field, kind)
+_SOLVE = {
+    "terminal": ("terminal_mode", _terminal),
+    "max_iters": ("max_iters", int),
+    "step_init": ("step_init", float),
+    "grad_tol": ("grad_tol", float),
+    "gradient": ("gradient", _lowered),
+    "precondition": ("precondition", bool),
+}
+#: the keys of [report] in reading order: key: (ReportConfig field, kind)
+_REPORT = {"tolerance": ("tolerance", float)} | {
+    key: (key, str) for key in ("trajectory_out", "horizon_out", "report_out")
+}
 
 
 def _options(cp: configparser.ConfigParser) -> tuple[Optional[SolveOptions], tuple[float, ...]]:
     if not cp.has_section("solve"):
         return None, ()
-    T_trunc = _float(cp, "solve", "T_trunc")
-    fields = dict(  # read first: a malformed value's ConfigError names its own section
-        T_trunc=T_trunc,
-        terminal_mode=_terminal(_get(cp, "solve", "terminal", "free")),
-        max_iters=_int(cp, "solve", "max_iters", 2000),
-        step_init=_float(cp, "solve", "step_init", 1.0),
-        grad_tol=_float(cp, "solve", "grad_tol", 1e-6),
-        gradient=_get(cp, "solve", "gradient", "analytic").strip().lower(),
-        precondition=_bool(cp, "solve", "precondition", True),
-    )
+    T_trunc = _typed(cp, "solve", "T_trunc", float)
+    fields = _present(cp, "solve", _SOLVE)  # outside the try: its errors name their own key
     try:
-        opts = SolveOptions(**fields)
+        opts = SolveOptions(T_trunc, **fields)
     except ValueError as exc:
         raise ConfigError(f"[solve]: {exc}") from exc
-    raw_cuts = _get(cp, "solve", "truncations", None)
-    cuts = (
-        tuple(_float_list(raw_cuts, "[solve] truncations"))
-        if raw_cuts is not None
-        else (T_trunc,)
-    )
-    return opts, cuts
-
-
-def _report(cp: configparser.ConfigParser) -> ReportConfig:
-    if not cp.has_section("report"):
-        return ReportConfig()
-    tolerance = _float(cp, "report", "tolerance", 1e-6)
-    if not 0.0 <= tolerance < math.inf:
-        raise ConfigError(f"[report] tolerance = {tolerance!r} is not a finite number >= 0")
-    return ReportConfig(
-        tolerance=tolerance,
-        trajectory_out=_get(cp, "report", "trajectory_out", "trajectory.csv"),
-        horizon_out=_get(cp, "report", "horizon_out", "horizon.csv"),
-        report_out=_get(cp, "report", "report_out", "residuals.csv"),
-    )
+    cuts = _typed(cp, "solve", "truncations", list, required=False)
+    return opts, (T_trunc,) if cuts is None else tuple(cuts)
 
 
 def _quad(cp: configparser.ConfigParser) -> Optional[Expr]:
     if not cp.has_section("quad"):
         return None
-    src = _get(cp, "quad", "f")
     try:
-        expr = parse(src)
+        expr = parse(_read(cp, "quad", "f"))
     except ExprSyntaxError as exc:
         raise ConfigError(f"[quad] f: {exc}") from exc
     extra = variables(expr) - {"t"}
     if extra:
-        raise ConfigError(
-            f"[quad] f may only use the variable 't'; found {sorted(extra)}"
-        )
+        raise ConfigError(f"[quad] f may only use the variable 't'; found {sorted(extra)}")
     return expr
 
 
@@ -305,9 +280,7 @@ def load_config(path) -> RunConfig:
     rc = _LOADED.get(text)
     if rc is not None:
         return rc
-    cp = configparser.ConfigParser(
-        interpolation=None, inline_comment_prefixes=(";", "#")
-    )
+    cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";", "#"))
     try:
         cp.read_string(text, source)
     except configparser.Error as exc:
@@ -322,7 +295,7 @@ def load_config(path) -> RunConfig:
         problem=problem,
         options=options,
         truncations=truncations,
-        report=_report(cp),
+        report=ReportConfig(**_present(cp, "report", _REPORT)),
         quad_f=_quad(cp),
     )
     _LOADED.clear()

@@ -16,8 +16,11 @@ state through the values of rows j - 1 and j alone, besides z: its z-free
 part is evaluated once per level on the table of those value pairs, at
 most G^(2n) rows for G values per coordinate, and only the part that reads
 z once per distinct prefix, sum_j G^(n j) rows, each evaluation at most
-max(_BATCH, G^n) rows, each reading its table rows as one slice; the
-objective is summed in row order.
+max(_BATCH, G^n) rows, each reading its table rows as one slice.  Each
+prefix's z grows by one plain float addition per row, and the objective is
+summed in row order: not the exact sums (``running_fsum``, ``math.fsum``)
+of the search and the residuals, so a value can differ from
+``evaluate_functional_partial``'s of the same assignment in its last bits.
 
 The gradient is the exact gradient of the discretized objective,
 assembled from the symbolic partials in O(m n).  Each state value enters
@@ -636,9 +639,11 @@ def brute_force(p: Problem, opts: SolveOptions, value_grid) -> Trajectory:
     (``Kernel.gather``), sum_j G^(n min(j, last)) rows in all.  Blocks of at
     most max(``_BATCH``, G^n) go depth first in lexicographic order; each
     holds whole cycles of row j - 1's values or lies within one, so it reads
-    its table rows as one slice.  z adds its terms as a running sum does,
-    bit for bit; the objective is summed in row order, and non-finite ones
-    are masked only where a block's winner is NaN or +inf.
+    its table rows as one slice.  z adds each row's term to its prefix's z
+    with one float addition, and the objective is summed in row order, not
+    exactly as ``evaluate_functional_partial`` sums them (``running_fsum``,
+    ``math.fsum``); non-finite objectives are masked only where a block's
+    winner is NaN or +inf.
     """
     eng = _Engine(p, opts)
     grid = np.array(sorted({float(v) + 0.0 for v in value_grid}))  # + 0.0 makes -0.0 +0.0

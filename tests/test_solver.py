@@ -1325,6 +1325,25 @@ class TestBruteForce:
         x = brute_force(p, SolveOptions(T_trunc=3.0), [0.5, -0.5])
         assert np.all(x.values[1:, 0] == -0.5)
 
+    def test_z_is_a_plain_float_sum_not_the_exact_running_sum(self):
+        # each row adds its term to z with one float addition: 1 + 1e16 and
+        # then 1e16 + 1 round back to 1e16, where the exact running sum
+        # carries both ones, so the pick scores the plain-sum objective,
+        # which differs from evaluate_functional_partial's in the last bit
+        p = make("z - 1e20*(x1-1)^2*(t-2)^2", g="x1^2", ts=integers(0, 5), x_a=1.0)
+        opts = SolveOptions(T_trunc=5.0)
+        x = brute_force(p, opts, [1.0, 1e8])
+        assert x.values[:, 0].tolist() == [1.0, 1e8, 1.0, 1.0, 1.0, 1.0]
+        score = solver._best_assignment(_Engine(p, opts), np.array([1.0, 1e8]))[0]
+        z = plain = 0.0
+        for j in range(1, 6):  # w = 1, and x1 reads x(rho(t_j)) = x(t_{j-1})
+            x1 = float(x.values[j - 1, 0])
+            z += x1**2
+            plain += z - 1e20 * (x1 - 1) ** 2 * (j - 2) ** 2
+        assert score == plain == 4e16
+        assert evaluate_functional_partial(p, x, 5.0) == 4.000000000000001e16
+        assert variational.compute_z(p, x).values[3, 0] == 1.0000000000000002e16
+
     @pytest.mark.parametrize("batch", [1, 2, 5])
     def test_ties_break_lexicographically_across_chunks(self, monkeypatch, batch):
         # every assignment ties; chunks of `batch` prefixes must be visited in
