@@ -20,7 +20,6 @@ import math
 import numpy as np
 
 from nablats import (
-    PINNED,
     Problem,
     SolveOptions,
     Trajectory,
@@ -57,7 +56,7 @@ def main() -> int:
     p = Problem.from_strings(ts, 1, "-(v1^2) - x1^2", "0", [0.0])
     opts = SolveOptions(
         T_trunc=1.0,
-        terminal_mode=PINNED(math.sinh(1.0)),
+        terminal=(math.sinh(1.0),),
         grad_tol=1e-10,
         max_iters=60000,
     )

@@ -54,14 +54,11 @@ from .fundamental import (
     witness_value,
 )
 from .solver import (
-    FREE,
-    PINNED,
     EnumerationGuardError,
     HorizonRow,
     NonFiniteObjectiveError,
     SolveInfo,
     SolveOptions,
-    TerminalMode,
     brute_force,
     direct_solve,
     free_coordinates,
@@ -113,14 +110,12 @@ __all__ = [
     "Expr",
     "ExprDomainError",
     "ExprSyntaxError",
-    "FREE",
     "GapKind",
     "GridFunction",
     "GridMismatchError",
     "HorizonRow",
     "NonFiniteObjectiveError",
     "OutsideKappaError",
-    "PINNED",
     "PointNotInScaleError",
     "Problem",
     "ProblemError",
@@ -131,7 +126,6 @@ __all__ = [
     "Sense",
     "SolveInfo",
     "SolveOptions",
-    "TerminalMode",
     "TimeScale",
     "TimeScaleError",
     "Trajectory",

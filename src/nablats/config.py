@@ -15,8 +15,10 @@ A run file is flat INI with these sections (all keys ``key = value``):
     list of length ``n``) and ``sense`` (``max``/``min``).
 
 ``[solve]``
-    Search options: ``T_trunc`` (required), ``terminal`` (``free`` or
-    ``pinned: v1, ..., vn``), ``max_iters``, ``step_init``, ``grad_tol``
+    Search options: ``T_trunc`` (required), ``terminal`` (exactly ``free``,
+    or ``pinned`` and a colon followed by a comma list of the n finite end
+    values, ``pinned: v1, ..., vn``; either word in any case),
+    ``max_iters``, ``step_init``, ``grad_tol``
     (bound on the sup norm of the Newton step), and ``truncations`` (comma
     list of horizon cut points for the horizon table; defaults to just
     ``T_trunc``).  Every search takes Newton steps on the Hessian band with
@@ -32,9 +34,13 @@ A run file is flat INI with these sections (all keys ``key = value``):
 ``[quad]``
     ``f``: an expression in ``t`` to integrate with the ``quad`` command.
 
-An omitted optional key keeps its field's default in ``Problem``,
-``SolveOptions`` or ``ReportConfig``.  One pair of quotes around a value is
-stripped.  Sections that a given subcommand does not use may be omitted.
+Each section's keys are declared in one table (``_FAMILIES`` per grid
+family, ``_SECTIONS`` for the rest).  A section or key that the tables do
+not declare is an error, and so is a key of another grid family; keys under ``[DEFAULT]`` count as keys of
+every section, as configparser reads them.  An omitted optional key keeps
+its field's default in ``Problem``, ``SolveOptions`` or ``ReportConfig``.
+One pair of quotes around a value is stripped.  Sections that a given
+subcommand does not use may be omitted.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .expressions import Expr, ExprSyntaxError, parse, variables
-from .solver import FREE, PINNED, SolveOptions
+from .solver import SolveOptions
 from .timescale import (
     TimeScale,
     TimeScaleError,
@@ -135,28 +141,32 @@ def _lowered(raw: str) -> str:
 _NOUNS = {int: "an integer", float: "a number", bool: "a boolean"}
 
 
-def _typed(cp, section: str, key: str, kind, required: bool = True):
-    """``key``'s value read as ``kind``: int, float, bool, list (a comma list
-    of numbers), or a function of the text that raises its own ConfigError;
-    None when an optional key is absent."""
-    raw = _read(cp, section, key, required)
-    if raw is None:
-        return None
-    if kind is list:
-        return _float_list(raw, f"[{section}] {key}")
-    if kind not in _NOUNS:
-        return kind(raw)
-    try:
-        return cp.BOOLEAN_STATES[_lowered(raw)] if kind is bool else kind(raw)
-    except (KeyError, ValueError):
-        raise ConfigError(f"[{section}] {key} = {raw!r} is not {_NOUNS[kind]}") from None
-
-
-def _present(cp, section: str, keys: dict) -> dict:
-    """The fields that ``section`` sets, read in the order of ``keys`` (key:
-    (field, kind)); an absent key's field keeps its dataclass default."""
-    read = {name: _typed(cp, section, key, kind, required=False) for key, (name, kind) in keys.items()}
-    return {name: value for name, value in read.items() if value is not None}
+def _section(cp, section: str, keys: dict, required) -> dict:
+    """The values that ``section`` sets, by key, each read in the order of
+    ``keys`` (key: kind) as its kind: int, float, bool, list (a comma list of
+    numbers), or a function of the text that raises its own ConfigError.  A
+    key that ``keys`` does not declare is an error (``[DEFAULT]`` keys count
+    as the section's own, as configparser reads them), and so is an absent
+    key in ``required``; an absent optional key is left out."""
+    declared = set(map(cp.optionxform, keys))
+    for key in cp[section]:
+        if key not in declared:
+            raise ConfigError(f"unknown key '{key}' in section [{section}]; its keys are {', '.join(keys)}")
+    values = {}
+    for key, kind in keys.items():
+        raw = _read(cp, section, key, key in required)
+        if raw is None:
+            continue
+        if kind is list:
+            values[key] = _float_list(raw, f"[{section}] {key}")
+        elif kind not in _NOUNS:
+            values[key] = kind(raw)
+        else:
+            try:
+                values[key] = cp.BOOLEAN_STATES[_lowered(raw)] if kind is bool else kind(raw)
+            except (KeyError, ValueError):
+                raise ConfigError(f"[{section}] {key} = {raw!r} is not {_NOUNS[kind]}") from None
+    return values
 
 
 def _gap_kinds(raw: str):
@@ -173,17 +183,6 @@ _FAMILIES = {
 }
 
 
-def _timescale(cp: configparser.ConfigParser) -> TimeScale:
-    family = _lowered(_read(cp, "timescale", "family"))
-    if family not in _FAMILIES:
-        raise ConfigError(f"[timescale] family = {family!r} is not one of {', '.join(_FAMILIES)}")
-    build, keys = _FAMILIES[family]
-    try:
-        return build(*[_typed(cp, "timescale", key, kind) for key, kind in keys.items()])
-    except TimeScaleError as exc:
-        raise ConfigError(f"[timescale]: {exc}") from exc
-
-
 def _sense(raw: str) -> Sense:
     lowered = _lowered(raw)
     try:
@@ -192,72 +191,76 @@ def _sense(raw: str) -> Sense:
         raise ConfigError(f"[problem] sense = {lowered!r} must be 'max' or 'min'") from None
 
 
-def _problem(cp: configparser.ConfigParser, ts: TimeScale) -> Optional[Problem]:
-    if not cp.has_section("problem"):
+def _terminal(raw: str) -> Optional[tuple[float, ...]]:
+    if _lowered(raw) == "free":
         return None
-    n = _typed(cp, "problem", "n", int)
-    lagrangian = _read(cp, "problem", "L")
-    g = _read(cp, "problem", "g", required=False)
-    x_a = _typed(cp, "problem", "x_a", list)
-    sense = _present(cp, "problem", {"sense": ("sense", _sense)})
-    try:
-        return Problem.from_strings(ts, n, lagrangian, "0" if g is None else g, x_a, **sense)
-    except (ProblemError, ExprSyntaxError) as exc:
-        raise ConfigError(f"[problem]: {exc}") from exc
-
-
-def _terminal(raw: str):
-    lowered = _lowered(raw)
-    if lowered == "free":
-        return FREE
-    if lowered.startswith("pinned"):
-        values = _float_list(raw.partition(":")[2], "[solve] terminal pinned values")
-        try:
-            return PINNED(*values)
-        except ValueError as exc:
-            raise ConfigError(f"[solve] terminal: {exc}") from exc
+    head, colon, values = raw.partition(":")
+    if colon and _lowered(head) == "pinned":
+        return tuple(_float_list(values, "[solve] terminal pinned values"))
     raise ConfigError(f"[solve] terminal = {raw!r} must be 'free' or 'pinned: v1, ..., vn'")
 
 
-#: the optional keys of [solve] in reading order: key: (SolveOptions field, kind)
-_SOLVE = {
-    "terminal": ("terminal_mode", _terminal),
-    "max_iters": ("max_iters", int),
-    "step_init": ("step_init", float),
-    "grad_tol": ("grad_tol", float),
-    "gradient": ("gradient", _lowered),
-    "precondition": ("precondition", bool),
-}
-#: the keys of [report] in reading order: key: (ReportConfig field, kind)
-_REPORT = {"tolerance": ("tolerance", float)} | {
-    key: (key, str) for key in ("trajectory_out", "horizon_out", "report_out")
-}
-
-
-def _options(cp: configparser.ConfigParser) -> tuple[Optional[SolveOptions], tuple[float, ...]]:
-    if not cp.has_section("solve"):
-        return None, ()
-    T_trunc = _typed(cp, "solve", "T_trunc", float)
-    fields = _present(cp, "solve", _SOLVE)  # outside the try: its errors name their own key
+def _quad_f(raw: str) -> Expr:
     try:
-        opts = SolveOptions(T_trunc, **fields)
-    except ValueError as exc:
-        raise ConfigError(f"[solve]: {exc}") from exc
-    cuts = _typed(cp, "solve", "truncations", list, required=False)
-    return opts, (T_trunc,) if cuts is None else tuple(cuts)
-
-
-def _quad(cp: configparser.ConfigParser) -> Optional[Expr]:
-    if not cp.has_section("quad"):
-        return None
-    try:
-        expr = parse(_read(cp, "quad", "f"))
+        expr = parse(raw)
     except ExprSyntaxError as exc:
         raise ConfigError(f"[quad] f: {exc}") from exc
     extra = variables(expr) - {"t"}
     if extra:
         raise ConfigError(f"[quad] f may only use the variable 't'; found {sorted(extra)}")
     return expr
+
+
+#: the sections after [timescale]: each one's keys in reading order (key:
+#: kind), and the keys it requires
+_SECTIONS = {
+    "problem": ({"n": int, "L": str, "g": str, "x_a": list, "sense": _sense}, {"n", "L", "x_a"}),
+    "solve": ({"T_trunc": float, "terminal": _terminal, "max_iters": int, "step_init": float,
+               "grad_tol": float, "gradient": _lowered, "precondition": bool, "truncations": list},
+              {"T_trunc"}),
+    "report": ({"tolerance": float, "trajectory_out": str, "horizon_out": str, "report_out": str}, set()),
+    "quad": ({"f": _quad_f}, {"f"}),
+}
+
+
+def _fields(cp, section: str) -> Optional[dict]:
+    """The values that ``section`` of ``_SECTIONS`` sets (``_section``); None
+    when the run file has no such section."""
+    return _section(cp, section, *_SECTIONS[section]) if cp.has_section(section) else None
+
+
+def _timescale(cp: configparser.ConfigParser) -> TimeScale:
+    family = _lowered(_read(cp, "timescale", "family"))
+    if family not in _FAMILIES:
+        raise ConfigError(f"[timescale] family = {family!r} is not one of {', '.join(_FAMILIES)}")
+    build, keys = _FAMILIES[family]
+    values = _section(cp, "timescale", {"family": str, **keys}, {"family", *keys})
+    del values["family"]
+    try:
+        return build(*values.values())
+    except TimeScaleError as exc:
+        raise ConfigError(f"[timescale]: {exc}") from exc
+
+
+def _problem(cp: configparser.ConfigParser, ts: TimeScale) -> Optional[Problem]:
+    v = _fields(cp, "problem")
+    if v is None:
+        return None
+    try:
+        return Problem.from_strings(ts, v.pop("n"), v.pop("L"), v.pop("g", "0"), v.pop("x_a"), **v)
+    except (ProblemError, ExprSyntaxError) as exc:
+        raise ConfigError(f"[problem]: {exc}") from exc
+
+
+def _options(cp: configparser.ConfigParser) -> tuple[Optional[SolveOptions], tuple[float, ...]]:
+    fields = _fields(cp, "solve")
+    if fields is None:
+        return None, ()
+    cuts = fields.pop("truncations", [fields["T_trunc"]])
+    try:
+        return SolveOptions(**fields), tuple(cuts)
+    except ValueError as exc:
+        raise ConfigError(f"[solve]: {exc}") from exc
 
 
 #: the last run file's text and its validated config, reused while the text repeats
@@ -285,18 +288,23 @@ def load_config(path) -> RunConfig:
         cp.read_string(text, source)
     except configparser.Error as exc:
         raise ConfigError(f"bad INI syntax in {path!r}: {exc}") from exc
+    stray = [name for name in cp.sections() if name not in ("timescale", *_SECTIONS)]
+    if stray:
+        raise ConfigError(f"unknown section [{stray[0]}]; the sections are timescale, {', '.join(_SECTIONS)}")
     if not cp.has_section("timescale"):
         raise ConfigError("config needs a [timescale] section")
     ts = _timescale(cp)
     problem = _problem(cp, ts)
     options, truncations = _options(cp)
+    report = ReportConfig(**(_fields(cp, "report") or {}))
+    quad = _fields(cp, "quad")
     rc = RunConfig(
         timescale=ts,
         problem=problem,
         options=options,
         truncations=truncations,
-        report=ReportConfig(**_present(cp, "report", _REPORT)),
-        quad_f=_quad(cp),
+        report=report,
+        quad_f=None if quad is None else quad["f"],
     )
     _LOADED.clear()
     _LOADED[text] = rc

@@ -98,25 +98,6 @@ class EnumerationGuardError(ValueError):
 
 
 @dataclass(frozen=True)
-class TerminalMode:
-    kind: str
-    values: Optional[tuple[float, ...]] = None
-
-
-FREE = TerminalMode("free")
-
-
-def PINNED(*values: float) -> TerminalMode:
-    """Pin the state at the truncation point to the given values."""
-    if not values:
-        raise ValueError("PINNED requires at least one value")
-    vals = tuple(float(v) for v in values)
-    if not all(math.isfinite(v) for v in vals):
-        raise ValueError("pinned terminal values must be finite")
-    return TerminalMode("pinned", vals)
-
-
-@dataclass(frozen=True)
 class SolveOptions:
     """Controls for direct_solve / brute_force / horizon_study.
 
@@ -125,10 +106,13 @@ class SolveOptions:
     ``gradient`` and ``precondition`` name the one search there is (the
     analytic gradient, Newton steps on the Hessian band) and accept only
     "analytic" and True: older run files spell them out.
+
+    ``terminal`` is the end condition at ``T_trunc``: None leaves the state
+    there free, and a tuple of n finite floats pins it to those values.
     """
 
     T_trunc: float
-    terminal_mode: TerminalMode = FREE
+    terminal: Optional[tuple[float, ...]] = None
     max_iters: int = 2000
     step_init: float = 1.0
     grad_tol: float = 1e-6
@@ -154,10 +138,10 @@ class SolveOptions:
                 f"precondition = {self.precondition!r}: plain gradient ascent was removed; "
                 "every search takes Newton steps"
             )
-        if self.terminal_mode.kind not in ("free", "pinned"):
-            raise ValueError("unknown terminal mode")
-        if self.terminal_mode.kind == "pinned" and not self.terminal_mode.values:
-            raise ValueError("a pinned terminal mode needs its values (use PINNED)")
+        if self.terminal is not None and not self.terminal:
+            raise ValueError("a pinned terminal needs at least one value")
+        if self.terminal is not None and not all(map(math.isfinite, self.terminal)):
+            raise ValueError("pinned terminal values must be finite")
 
 
 @dataclass(frozen=True)
@@ -212,12 +196,10 @@ class _Engine:
         self.scattered = ts.rho_indices[1 : self.K + 1] < np.arange(1, self.K + 1)
         # grid rows 1..last are free; a pinned terminal keeps row K
         self.last = self.K
-        if opts.terminal_mode.kind == "pinned":
+        if opts.terminal is not None:
             self.last -= 1
-            if len(opts.terminal_mode.values) != p.n:
-                raise ProblemError(
-                    f"pinned terminal needs {p.n} value(s), got {len(opts.terminal_mode.values)}"
-                )
+            if len(opts.terminal) != p.n:
+                raise ProblemError(f"pinned terminal needs {p.n} value(s), got {len(opts.terminal)}")
         #: the kernel groups of a derivative pass: the first and the second
         #: partials, or the first alone once the search holds a fixed band
         self.groups = _DERIVATIVE_GROUPS
@@ -225,8 +207,8 @@ class _Engine:
     def initial_values(self) -> np.ndarray:
         ts, p, opts = self.p.ts, self.p, self.opts
         x = np.tile(p.x_a_array, (len(ts), 1)).astype(float)
-        if opts.terminal_mode.kind == "pinned":
-            target = np.asarray(opts.terminal_mode.values)
+        if opts.terminal is not None:
+            target = np.asarray(opts.terminal)
             span = ts.points[self.K] - ts.points[0]
             frac = (ts.points_array[: self.K + 1] - ts.points[0]) / span
             x[: self.K + 1] = p.x_a_array + frac[:, None] * (target - p.x_a_array)
@@ -803,7 +785,7 @@ def horizon_study(p: Problem, truncations, opts: SolveOptions) -> list[HorizonRo
                 max_el_residual=_abs_max(reported),
                 trans_T1=abs(float(t1[0])),
                 trans_T2=abs(float(t2[0])),
-                trans_applicable=o.terminal_mode.kind == "free",
+                trans_applicable=o.terminal is None,
                 solution=x,
                 info=info,
             )
@@ -818,7 +800,7 @@ def _shared_start(p: Problem, cuts: list[float], opts: SolveOptions) -> Optional
     where the last cut is not a grid row past the start, so that the cuts'
     own solves raise what they raise, in order."""
     last = cuts[-1]
-    if opts.terminal_mode.kind != "free" or len(cuts) < 2:
+    if opts.terminal is not None or len(cuts) < 2:
         return None
     if last not in p.ts or p.ts.index_of(last) < 1:
         return None

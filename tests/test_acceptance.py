@@ -18,8 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nablats import (
-    FREE,
-    PINNED,
     CaseTag,
     GridFunction,
     Problem,
@@ -119,7 +117,7 @@ def test_criterion_2_classical_limit():
         ts = sampled_interval(0.0, 1.0, n)
         p = Problem.from_strings(ts, 1, "-(v1^2)", "0", [0.0])
         opts = SolveOptions(
-            T_trunc=1.0, terminal_mode=PINNED(1.0), grad_tol=1e-9, max_iters=100,
+            T_trunc=1.0, terminal=(1.0,), grad_tol=1e-9, max_iters=100,
         )
         traj, info = direct_solve(p, opts, with_info=True)
         assert info.stop_reason == "grad_tol"
@@ -164,7 +162,7 @@ def test_criterion_3_oracle_equivalence():
         c = rng.uniform(0.2, 2.0, size=3)
         L = f"-(({c[0]:.6f} + {c[1]:.6f}*t + {c[2]:.6f}*t^2)*(v1-0.5)^2)"
         p = Problem.from_strings(ts, 1, L, "0", [0.0])
-        opts = SolveOptions(T_trunc=5.0, terminal_mode=PINNED(2.5), grad_tol=1e-9)
+        opts = SolveOptions(T_trunc=5.0, terminal=(2.5,), grad_tol=1e-9)
         xb = brute_force(p, opts, grid)
         xd = direct_solve(p, opts)
         gap = abs(
@@ -191,7 +189,7 @@ def test_criterion_4_accumulator_coupled_residuals():
     start = time.perf_counter()
     ts = integers(0, 8)
     p = Problem.from_strings(ts, 1, "-(v1^2)-z", "x1^2", [1.0])
-    traj = direct_solve(p, SolveOptions(T_trunc=8.0, terminal_mode=FREE))
+    traj = direct_solve(p, SolveOptions(T_trunc=8.0, terminal=None))
     T_prime = 8.0
     idx = list(el_report_indices(ts))
     res_pw = max(

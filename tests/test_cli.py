@@ -25,7 +25,7 @@ from nablats.cli import main
 from nablats.calculus import GridFunction, nabla_integral
 from nablats.config import ConfigError, load_config
 from nablats.expressions import FUNCTIONS, BinOp, Call, Neg, Num, Var, to_source
-from nablats.solver import FREE, SolveOptions, direct_solve
+from nablats.solver import SolveOptions, direct_solve
 from nablats.timescale import integers
 from nablats.variational import (
     Problem,
@@ -595,7 +595,7 @@ class TestCompare:
         cfg = write_ini(tmp_path)
         p = base_problem()
         star_traj = direct_solve(
-            p, SolveOptions(T_trunc=5.0, terminal_mode=FREE, grad_tol=1e-12)
+            p, SolveOptions(T_trunc=5.0, terminal=None, grad_tol=1e-12)
         )
         star = str(tmp_path / "star.csv")
         trajectory_to_csv(star_traj, star)
@@ -710,6 +710,18 @@ class TestMalformedInput:
         what = "function" if header == "t,f" else "trajectory"
         assert (code, out) == (2, "")
         assert err == f"error: {what} line 4: field larger than field limit (131072)\n"
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("x_a = 0.0", "x_a = 0.0\nsence = min", "unknown key 'sence' in section [problem]; its keys are n, L, g, x_a, sense"),
+        ("[report]", "[reprot]", "unknown section [reprot]; the sections are timescale, problem, solve, report, quad"),
+        ("pinned: 5.0", "pinnedness: 5.0", "[solve] terminal = 'pinnedness: 5.0' must be 'free' or 'pinned: v1, ..., vn'"),
+    ])
+    def test_an_undeclared_key_or_section_exits_2_with_one_line(self, tmp_path, capsys, old, new, message):
+        traj = write_trajectory(tmp_path, "x.csv", [0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
+        cfg = write_ini(tmp_path, BASE_INI.replace(old, new, 1))
+        for argv in (["solve", cfg], ["check-el", cfg, "--trajectory", traj], ["quad", cfg, "--from", "0", "--to", "3"],
+                     ["lemma", cfg, "--function", traj]):
+            assert run(capsys, *argv) == (2, "", f"error: {message}\n"), argv
 
     def test_pinned_without_values(self, tmp_path, capsys):
         cfg = write_ini(tmp_path, BASE_INI.replace("terminal = pinned: 5.0", "terminal = pinned:"))
@@ -972,7 +984,7 @@ class TestConfigLoading:
         assert len(rc.timescale) == 6
         assert rc.problem is not None and rc.problem.n == 1
         assert rc.options is not None and rc.options.T_trunc == 5.0
-        assert rc.options.terminal_mode.kind == "pinned"
+        assert rc.options.terminal == (5.0,)
         assert rc.truncations == (5.0,)
         assert rc.report.tolerance == 1e-6
         assert rc.quad_f is not None

@@ -1,6 +1,6 @@
 """The run file is declared once: an omitted key loads to the default of the
-dataclass that uses it, and README's run-file reference matches what
-``config`` reads."""
+dataclass that uses it, a section or key the tables do not declare is an
+error, and README's run-file reference matches what ``config`` declares."""
 
 import configparser
 import re
@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from nablats import config
-from nablats.config import ReportConfig, load_config
+from nablats.config import ConfigError, ReportConfig, load_config
 from nablats.solver import SolveOptions
 from nablats.variational import Problem
 
@@ -28,15 +28,19 @@ OPTIONAL = {
     "report": {"tolerance": "1e-3", "trajectory_out": "a.csv", "horizon_out": "b.csv",
                "report_out": "c.csv"},
 }
-#: the dataclass that owns each section's defaults, and a key's field where its name differs
+#: the dataclass that owns each section's defaults; a key is read to the field of its name
 OWNER = {"problem": Problem, "solve": SolveOptions, "report": ReportConfig}
-FIELD = {"terminal": "terminal_mode"}
+
+
+def ini(sections) -> str:
+    return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                   for name, keys in sections.items())
 
 
 def load(tmp_path, sections):
+    """The RunConfig of ``sections`` (a run file's text, or its keys by section)."""
     path = tmp_path / "run.ini"
-    path.write_text("".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
-                            for name, keys in sections.items()))
+    path.write_text(sections if isinstance(sections, str) else ini(sections))
     return load_config(path)
 
 
@@ -50,8 +54,7 @@ def test_an_omitted_key_loads_to_its_dataclass_default(tmp_path, section, key):
     del sections[section][key]
     rc = load(tmp_path, sections)
     loaded = {"problem": rc.problem, "solve": rc.options, "report": rc.report}[section]
-    name = FIELD.get(key, key)
-    assert getattr(loaded, name) == default(OWNER[section], name)
+    assert getattr(loaded, key) == default(OWNER[section], key)
 
 
 @pytest.mark.parametrize("report", [None, {}])
@@ -61,6 +64,82 @@ def test_a_run_file_without_optional_keys_loads_the_dataclass_defaults(tmp_path,
     assert rc.options == SolveOptions(T_trunc=4.0)
     assert rc.report == ReportConfig()
     assert rc.problem.sense == default(Problem, "sense")
+
+
+# -- what the tables do not declare -----------------------------------------
+
+#: every section, each with its required keys and one optional key
+FULL = {**REQUIRED, "problem": {**REQUIRED["problem"], "sense": "max"},
+        "solve": {**REQUIRED["solve"], "grad_tol": "1e-9"}, "report": {"tolerance": "1e-6"}, "quad": {"f": "1"}}
+
+
+def refused(tmp_path, sections) -> str:
+    """The message of the ConfigError that loading ``sections`` raises."""
+    with pytest.raises(ConfigError) as exc:
+        load(tmp_path, sections)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("section, stray", [
+    ("timescale", "bogus"), ("problem", "sence"), ("solve", "grad_tl"), ("report", "tolerence"), ("quad", "g"),
+])
+def test_a_stray_key_in_each_section_is_refused_by_name(tmp_path, section, stray):
+    sections = {name: dict(keys) for name, keys in FULL.items()}
+    load(tmp_path, sections)  # the file without the stray key loads
+    sections[section][stray] = "1"
+    keys = {"timescale": "family, a, b", "problem": "n, L, g, x_a, sense",
+            "solve": "T_trunc, terminal, max_iters, step_init, grad_tol, gradient, precondition, truncations",
+            "report": "tolerance, trajectory_out, horizon_out, report_out", "quad": "f"}[section]
+    assert refused(tmp_path, sections) == f"unknown key '{stray}' in section [{section}]; its keys are {keys}"
+
+
+@pytest.mark.parametrize("family, keys, stray", [
+    ("integers", "a = 0\nb = 4\n", "h = 0.5"),
+    ("uniform", "a = 0\nb = 4\nh = 0.5\n", "n = 8"),
+    ("q_scale", "q = 2\nt0 = 1\ncount = 5\n", "b = 4"),
+])
+def test_a_key_left_over_from_another_family_is_refused(tmp_path, family, keys, stray):
+    text = f"[timescale]\nfamily = {family}\n{keys}"
+    load(tmp_path, text)  # the file without the stray key loads
+    declared = ", ".join(["family", *config._FAMILIES[family][1]])
+    assert refused(tmp_path, f"{text}{stray}\n") == (
+        f"unknown key '{stray.split()[0]}' in section [timescale]; its keys are {declared}"
+    )
+
+
+def test_a_default_key_counts_as_a_key_of_every_section(tmp_path):
+    # configparser reads [DEFAULT] keys into every section, so the first
+    # section that does not declare one refuses it
+    text = "[DEFAULT]\ngrad_tol = 1e-12\n[timescale]\nfamily = integers\na = 0\nb = 4\n"
+    assert refused(tmp_path, text).startswith("unknown key 'grad_tol' in section [timescale];")
+    # and a section that declares it reads it
+    assert len(load(tmp_path, "[DEFAULT]\na = 0\n[timescale]\nfamily = integers\nb = 4\n").timescale) == 5
+
+
+@pytest.mark.parametrize("name", ["reprot", "Report", "DEFAULTS", "solver"])
+def test_a_misspelled_section_is_refused_by_name(tmp_path, name):
+    text = "[timescale]\nfamily = integers\na = 0\nb = 4\n" + f"[{name}]\ntolerance = 1e-12\n"
+    assert refused(tmp_path, text) == f"unknown section [{name}]; the sections are timescale, problem, solve, report, quad"
+
+
+@pytest.mark.parametrize("terminal, loaded", [
+    ("free", None), ("FREE", None), ("pinned: 0.5", (0.5,)), ("Pinned : 0.5,", (0.5,)),
+])
+def test_terminal_is_free_or_pinned_with_its_values(tmp_path, terminal, loaded):
+    rc = load(tmp_path, {**REQUIRED, "solve": {**REQUIRED["solve"], "terminal": terminal}})
+    assert rc.options.terminal == loaded
+
+
+@pytest.mark.parametrize("terminal, message", [
+    ("pinnedness: 0.5", "[solve] terminal = 'pinnedness: 0.5' must be 'free' or 'pinned: v1, ..., vn'"),
+    ("pinned 0.5", "[solve] terminal = 'pinned 0.5' must be 'free' or 'pinned: v1, ..., vn'"),
+    ("freely", "[solve] terminal = 'freely' must be 'free' or 'pinned: v1, ..., vn'"),
+    ("pinned:", "[solve] terminal pinned values: empty list"),
+    ("pinned: 0.5, x", "[solve] terminal pinned values: ' 0.5, x' is not a comma-separated number list"),
+    ("pinned: nan", "[solve]: pinned terminal values must be finite"),
+])
+def test_any_other_terminal_is_refused(tmp_path, terminal, message):
+    assert refused(tmp_path, {**REQUIRED, "solve": {**REQUIRED["solve"], "terminal": terminal}}) == message
 
 
 # -- README's run-file reference -------------------------------------------
@@ -116,6 +195,21 @@ def test_readme_names_every_key_config_reads(tmp_path, reads):
     assert {name: keys.split(", ") for name, keys in listed.items()} == {
         name: list(keys) for name, (_, keys) in config._FAMILIES.items()
     }
+
+
+def test_readme_names_exactly_the_keys_config_declares():
+    # read from the tables, so a commented line counts too: the other
+    # families' keys and the gradient and precondition of older files
+    sections = chunks(readme_block())
+    named = {(section, key) for section, lines in sections.items()
+             for key in re.findall(r"^[;\s]*(\w+) = ", lines, re.M)}
+    lists = re.findall(rf"\b(?:{'|'.join(config._FAMILIES)}): (\w+(?:, \w+)*)", sections["timescale"])
+    named |= {("timescale", key) for keys in lists for key in keys.split(", ")}
+    assert {("solve", "gradient"), ("solve", "precondition"), ("timescale", "count")} <= named
+    declared = {("timescale", "family")} | {
+        ("timescale", key) for _, keys in config._FAMILIES.values() for key in keys
+    } | {(section, key) for section, (keys, _) in config._SECTIONS.items() for key in keys}
+    assert named == declared
 
 
 def test_readme_states_each_optional_key_s_default(tmp_path, reads):

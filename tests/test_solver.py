@@ -16,13 +16,10 @@ from nablats import solver, variational
 from nablats.calculus import nabla_quotients, running_fsum
 from nablats.expressions import Kernel, Neg, Num, evaluate_many, parse, substitute
 from nablats.solver import (
-    FREE,
-    PINNED,
     EnumerationGuardError,
     HorizonRow,
     NonFiniteObjectiveError,
     SolveOptions,
-    TerminalMode,
     _band_factor,
     _band_sweep,
     _Engine,
@@ -276,8 +273,8 @@ def coupled_case(seed, n, sense, coupling="full"):
         g = "0"
     p = Problem.from_strings(ts, n, L, g, [0.25] * n, sense)
     K = int(rng.integers(2, m + 1))
-    terminal = PINNED(*rng.uniform(-0.5, 0.5, n)) if rng.random() < 0.3 else FREE
-    eng = _Engine(p, SolveOptions(T_trunc=ts.points[K], terminal_mode=terminal))
+    terminal = tuple(rng.uniform(-0.5, 0.5, n)) if rng.random() < 0.3 else None
+    eng = _Engine(p, SolveOptions(T_trunc=ts.points[K], terminal=terminal))
     x = np.vstack([p.x_a_array, rng.uniform(-0.5, 0.5, (m, n))])
     return eng, x
 
@@ -358,7 +355,7 @@ class TestDirectSolve:
     def test_pinned_terminal_recovers_straight_line(self):
         ts = sampled_interval(0.0, 1.0, 8)
         p = make("-(v1^2)", ts=ts, x_a=0.0)
-        opts = SolveOptions(T_trunc=1.0, terminal_mode=PINNED(1.0), grad_tol=1e-9)
+        opts = SolveOptions(T_trunc=1.0, terminal=(1.0,), grad_tol=1e-9)
         x, info = direct_solve(p, opts, with_info=True)
         assert info.converged
         assert np.max(np.abs(x.values[:, 0] - ts.points_array)) <= 1e-5
@@ -413,13 +410,13 @@ class TestDirectSolve:
             # the same two stops with the terminal value pinned
             (
                 SolveOptions(
-                    T_trunc=200.0, terminal_mode=PINNED(0.5), grad_tol=1e-300, max_iters=20000
+                    T_trunc=200.0, terminal=(0.5,), grad_tol=1e-300, max_iters=20000
                 ),
                 "flat",
             ),
             (
                 SolveOptions(
-                    T_trunc=6.0, terminal_mode=PINNED(0.5), grad_tol=1e-300, max_iters=20000
+                    T_trunc=6.0, terminal=(0.5,), grad_tol=1e-300, max_iters=20000
                 ),
                 "no_progress",
             ),
@@ -569,7 +566,7 @@ class TestDirectSolve:
     def test_non_finite_objective_diagnoses_time(self):
         ts = integers(0, 2)
         p = make("log(x1)", ts=ts, x_a=1.0)
-        opts = SolveOptions(T_trunc=2.0, terminal_mode=PINNED(-1.0))
+        opts = SolveOptions(T_trunc=2.0, terminal=(-1.0,))
         with pytest.raises(NonFiniteObjectiveError) as exc:
             direct_solve(p, opts)
         assert "t=" in str(exc.value)
@@ -593,14 +590,15 @@ class TestDirectSolve:
         with pytest.raises(ValueError, match="plain gradient ascent was removed"):
             SolveOptions(T_trunc=5.0, precondition=False)
         with pytest.raises(ValueError):
-            PINNED()
+            SolveOptions(T_trunc=5.0, terminal=())
 
     def test_a_pinned_mode_needs_its_values(self):
-        # without values the search would fail on len(None)
-        with pytest.raises(ValueError, match="pinned terminal mode needs its values"):
-            SolveOptions(T_trunc=4.0, terminal_mode=TerminalMode("pinned"))
-        with pytest.raises(ValueError, match="pinned terminal mode needs its values"):
-            SolveOptions(T_trunc=4.0, terminal_mode=TerminalMode("pinned", ()))
+        # without values there is no end to pin: None is the free end
+        with pytest.raises(ValueError, match="pinned terminal needs at least one value"):
+            SolveOptions(T_trunc=4.0, terminal=())
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="pinned terminal values must be finite"):
+                SolveOptions(T_trunc=4.0, terminal=(0.0, bad))
 
     def test_the_objective_is_named_before_the_partials(self):
         # at x = 0 both log(x1) in J and dg/dx = x1/sqrt(x1^2) are non-finite;
@@ -629,7 +627,7 @@ class TestDirectSolve:
         assert free_coordinates(p, SolveOptions(T_trunc=6.0)) == [
             (j, 0) for j in range(1, 7)
         ]
-        pinned = SolveOptions(T_trunc=6.0, terminal_mode=PINNED(0.0))
+        pinned = SolveOptions(T_trunc=6.0, terminal=(0.0,))
         assert free_coordinates(p, pinned) == [(j, 0) for j in range(1, 6)]
 
 
@@ -982,8 +980,8 @@ def mirror_cases(draw):
         cost = f"exp(-{rho}*t)*(v1^2 + x1^2 + v2^2 + x2^2 - 0.5*x1*x2) + {c}*z"
         g, x_a = "x1^2 + 0.5*v2^2", (1.0, -0.5)
     T = draw(st.sampled_from([ts.points[len(ts) // 2], ts.points[-1]]))
-    terminal = draw(st.sampled_from([FREE, PINNED(*[0.25] * n)]))
-    opts = SolveOptions(T_trunc=T, terminal_mode=terminal, grad_tol=1e-9)
+    terminal = draw(st.sampled_from([None, (0.25,) * n]))
+    opts = SolveOptions(T_trunc=T, terminal=terminal, grad_tol=1e-9)
     return ts, n, cost, g, x_a, opts
 
 
@@ -1017,7 +1015,7 @@ class TestSelfCheck:
             pts[-1] = 1.0
             ts = from_points(pts.tolist(), "d" * (2 * pairs))
             p = make("-(v1^2)-x1^2", ts=ts)
-            opts = SolveOptions(T_trunc=1.0, terminal_mode=PINNED(1.0), grad_tol=1e-9)
+            opts = SolveOptions(T_trunc=1.0, terminal=(1.0,), grad_tol=1e-9)
             x, info = direct_solve(p, opts, with_info=True)
             assert info.converged
             report = residual_report(p, x)
@@ -1239,9 +1237,9 @@ def enumeration_case(seed, n, sense):
     )
     g = " + ".join(f"x{i}^2 + {c(0.0, 0.1)}*x{i}*v{i} + {c(0.0, 0.1)}*v{i}^2" for i in comps)
     p = Problem.from_strings(ts, n, L, g, rng.uniform(-1, 1, n).tolist(), sense)
-    terminal = PINNED(*rng.uniform(-1, 1, n)) if rng.random() < 0.4 else FREE
+    terminal = tuple(rng.uniform(-1, 1, n)) if rng.random() < 0.4 else None
     values = rng.uniform(-1.5, 1.5, int(rng.integers(2, 5 if n == 1 else 4))).tolist()
-    return p, SolveOptions(T_trunc=ts.points[K], terminal_mode=terminal), values
+    return p, SolveOptions(T_trunc=ts.points[K], terminal=terminal), values
 
 
 class TestOnePath:
@@ -1278,7 +1276,7 @@ class TestBruteForce:
     def test_agrees_with_direct_solve_within_one_grid_step(self):
         ts = integers(0, 5)
         p = make("-(v1^2)-x1^2", ts=ts, x_a=1.0)
-        opts = SolveOptions(T_trunc=5.0, terminal_mode=PINNED(0.0), grad_tol=1e-9)
+        opts = SolveOptions(T_trunc=5.0, terminal=(0.0,), grad_tol=1e-9)
         grid = np.linspace(0.0, 1.0, 11)
         xb = brute_force(p, opts, grid)
         xd = direct_solve(p, opts)
@@ -1395,8 +1393,7 @@ class TestBruteForce:
 
     @pytest.mark.parametrize(
         "n, G, terminal",
-        [(1, 9, FREE), (2, 5, PINNED(0.0, 0.0)), (1, 3, PINNED(0.5)), (2, 70, PINNED(0.0, 0.0)),
-         (1, 100, FREE)],
+        [(1, 9, None), (2, 5, (0.0, 0.0)), (1, 3, (0.5,)), (2, 70, (0.0, 0.0)), (1, 100, None)],
     )
     def test_evaluates_each_row_once_per_prefix(self, monkeypatch, n, G, terminal):
         # the ops that read z run once per (prefix, value) pair: sum_j
@@ -1407,7 +1404,7 @@ class TestBruteForce:
         K = {70: 2, 100: 3}.get(G, 6)
         ts = integers(0, K)
         p = Problem.from_strings(ts, n, "-(v1^2) - x1^2 - 0.01*z", "x1^2", [1.0] * n)
-        opts = SolveOptions(T_trunc=float(K), terminal_mode=terminal)
+        opts = SolveOptions(T_trunc=float(K), terminal=terminal)
         tables, gathers = [], []
         table, gather = Kernel.table, Kernel.gather
 
@@ -1426,7 +1423,7 @@ class TestBruteForce:
         monkeypatch.setattr(Kernel, "gather", counting_gather)
         monkeypatch.setattr(variational, "evaluate_many", None)  # no full kernel call
         brute_force(p, opts, np.linspace(0.0, 1.0, G))
-        last = K - (terminal.kind == "pinned")
+        last = K - (terminal is not None)
         rows = sum(G ** (n * min(j, last)) for j in range(1, K + 1))
         assert sum(gathers) == rows
         # distinct values of row j - 1 times those of row j
@@ -1445,7 +1442,7 @@ class TestBruteForce:
         # whole ones
         ts = integers(0, K)
         p = Problem.from_strings(ts, n, "-(v1^2) - x1^2 - 0.01*z", "x1^2", [1.0] * n)
-        mode = PINNED(*[0.0] * n) if terminal == "pinned" else FREE
+        mode = (0.0,) * n if terminal == "pinned" else None
         levels, gathers = {}, []
         table, gather = Kernel.table, Kernel.gather
 
@@ -1461,7 +1458,7 @@ class TestBruteForce:
 
         monkeypatch.setattr(Kernel, "table", leveled_table)
         monkeypatch.setattr(Kernel, "gather", recording_gather)
-        brute_force(p, SolveOptions(T_trunc=float(K), terminal_mode=mode), np.linspace(0.0, 1.0, G))
+        brute_force(p, SolveOptions(T_trunc=float(K), terminal=mode), np.linspace(0.0, 1.0, G))
         deep = [(idx, shape, kept) for level, idx, shape, kept in gathers if level >= 3]
         assert deep and all(isinstance(idx, slice) for idx, _, _ in deep)
         assert max(math.prod(shape) for _, shape, _ in deep) <= max(solver._BATCH, G**n)
@@ -1507,14 +1504,14 @@ def certificate_cases(draw):
     senses are well posed.  Two cuts, and ``max_iters`` 1 (the last step
     moves x after the last derivative pass) or enough to converge."""
     eng, _ = coupled_case(draw(st.integers(0, 10_000)), draw(st.sampled_from([1, 2, 3])), Sense.MAX)
-    p, terminal = eng.p, eng.opts.terminal_mode
+    p, terminal = eng.p, eng.opts.terminal
     if draw(st.booleans()):
         p = make("exp(-0.1*t)*(-(v1^2)-x1^2) - 0.05*z^2", g="x1^2", ts=p.ts, x_a=1.0)
-        terminal = PINNED(terminal.values[0]) if terminal.values else FREE
+        terminal = None if terminal is None else terminal[:1]
     if draw(st.sampled_from(list(Sense))) is Sense.MIN:
         p = Problem(p.ts, p.n, Neg(p.lagrangian), p.z_integrand, p.x_a, Sense.MIN)
     cuts = [p.ts.points[max(1, eng.K // 2)], p.ts.points[eng.K]]
-    opts = SolveOptions(T_trunc=cuts[-1], terminal_mode=terminal, grad_tol=1e-9,
+    opts = SolveOptions(T_trunc=cuts[-1], terminal=terminal, grad_tol=1e-9,
                         max_iters=draw(st.sampled_from([1, 100])))
     return p, cuts, opts
 
@@ -1576,13 +1573,13 @@ class TestHorizonStudy:
         # its remainder loop one way in the cut's own pass, another in the
         # shared one
         eng, _ = coupled_case(seed, n, sense)
-        p, terminal = eng.p, eng.opts.terminal_mode
+        p, terminal = eng.p, eng.opts.terminal
         if sense is Sense.MIN:  # the mirror, so that both senses are well posed
             p = Problem(p.ts, p.n, Neg(p.lagrangian), p.z_integrand, p.x_a, Sense.MIN)
         ks = sorted(K for K in picks if K <= eng.K and K % 8)
         assume(ks)
         cuts = [p.ts.points[K] for K in ks]
-        opts = SolveOptions(T_trunc=cuts[-1], terminal_mode=terminal, grad_tol=1e-9, max_iters=30)
+        opts = SolveOptions(T_trunc=cuts[-1], terminal=terminal, grad_tol=1e-9, max_iters=30)
 
         def outcome(solve):
             try:
@@ -1629,7 +1626,7 @@ class TestHorizonStudy:
 
     def test_pinned_rows_flagged(self):
         p = make("-(v1^2)", ts=integers(0, 4), x_a=0.0)
-        opts = SolveOptions(T_trunc=4.0, terminal_mode=PINNED(2.0))
+        opts = SolveOptions(T_trunc=4.0, terminal=(2.0,))
         rows = horizon_study(p, [4.0], opts)
         assert rows[0].trans_applicable is False
 
@@ -1695,7 +1692,7 @@ class TestHorizonStudy:
         # a pinned end at 1e300 against L_v = 1e10*cos(v1): T1 overflows at the
         # cut, which the table reads as inf, as residual_report does
         p = make("1e10*sin(v1)", ts=integers(0, 5))
-        opts = SolveOptions(T_trunc=5.0, terminal_mode=PINNED(1e300), max_iters=1)
+        opts = SolveOptions(T_trunc=5.0, terminal=(1e300,), max_iters=1)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             (row,) = horizon_study(p, [5.0], opts)
